@@ -31,6 +31,7 @@ from .grid import (
     bell_grid,
     build_grid,
     grid_chain_count,
+    grid_mobius,
     grid_rank,
     grid_whitney,
     size_formula,
@@ -51,7 +52,6 @@ from .poset import (
     MobiusMatrix,
     RankLabels,
     WhitneyVector,
-    build_poset,
     maximal_chains,
     mobius,
     rank_function,
@@ -117,12 +117,12 @@ __all__ = [
     "bell_grid",
     "build_cobweb",
     "build_grid",
-    "build_poset",
     "catalan",
     "dominated_strings_brute",
     "from_file",
     "from_values",
     "grid_chain_count",
+    "grid_mobius",
     "grid_rank",
     "grid_whitney",
     "is_gcd_morphic",

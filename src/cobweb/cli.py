@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import sys
+import threading
 from dataclasses import dataclass
 from typing import Sequence, TextIO
 
@@ -22,10 +23,11 @@ from .grid import (
     bell_grid,
     build_grid,
     grid_chain_count,
+    grid_mobius,
     grid_whitney,
-    stirling2_grid,
+    stirling2_closed,
 )
-from .poset import mobius, rank_function
+from .poset import rank_function
 from .sequences import BUILTIN_SEQUENCES, FSequence
 
 __all__ = ["run", "main"]
@@ -82,6 +84,8 @@ def _cmd_seq(ns: argparse.Namespace) -> OutputRecord:
             columns=("holds", "n", "m", "gcd_of_values", "f_at_gcd"),
             rows=[(0, n, m, report.gcd_of_values, report.f_at_gcd)],
         )
+    if ns.count < 0:
+        raise ValueError(f"need count >= 0, got {ns.count}")
     rows = [(s, seq.value(s)) for s in range(1, ns.count + 1)]
     return OutputRecord("seq", {"seq": ns.seq, "count": ns.count}, columns=("s", "value"), rows=rows)
 
@@ -90,6 +94,8 @@ def _cmd_fnomial(ns: argparse.Namespace) -> OutputRecord:
     seq = _seq_from_token(ns.seq)
     table = FNomialTable(seq)
     if ns.table is not None:
+        if ns.table < 0:
+            raise ValueError(f"need table >= 0, got {ns.table}")
         rows = [(n, k, table.fnomial(n, k)) for n in range(ns.table + 1) for k in range(n + 1)]
         return OutputRecord(
             "fnomial", {"seq": ns.seq, "table": ns.table}, columns=("n", "k", "value"), rows=rows
@@ -187,13 +193,8 @@ def _cmd_chains(ns: argparse.Namespace) -> OutputRecord:
 
 
 def _cmd_mobius(ns: argparse.Namespace) -> OutputRecord:
-    g = build_grid(ns.k, ns.n, ns.mode)
-    matrix = mobius(g.poset)
-    rows = []
-    for x in g.poset.elements:
-        for y in g.poset.elements:
-            if (x, y) in matrix.entries:
-                rows.append((x.l, x.m, y.l, y.m, matrix.entries[(x, y)]))
+    entries = grid_mobius(ns.k, ns.n, ns.mode).entries
+    rows = [(x.l, x.m, y.l, y.m, mu) for (x, y), mu in entries.items()]
     params = {"k": ns.k, "n": ns.n, "mode": ns.mode}
     return OutputRecord("mobius", params, columns=("x_l", "x_m", "y_l", "y_m", "mu"), rows=rows)
 
@@ -239,16 +240,16 @@ def _cmd_problems(ns: argparse.Namespace) -> OutputRecord:
     s1_dl = grid_whitney(l - 1, m, "first").values if with_dl else ()
     rows = []
     for k in range(l + m):
-        row = [k, _vec_at(s1, k), stirling2_grid(k, l, m)]
+        row = [k, _vec_at(s1, k), stirling2_closed(k, l, m)]
         if with_dm:
             row += [
                 _vec_at(s1, k) - _vec_at(s1_dm, k),
-                stirling2_grid(k, l, m) - stirling2_grid(k, l, m - 1),
+                stirling2_closed(k, l, m) - stirling2_closed(k, l, m - 1),
             ]
         if with_dl:
             row += [
                 _vec_at(s1, k) - _vec_at(s1_dl, k),
-                stirling2_grid(k, l, m) - stirling2_grid(k, l - 1, m),
+                stirling2_closed(k, l, m) - stirling2_closed(k, l - 1, m),
             ]
         rows.append(tuple(row))
     return OutputRecord("problems", {"l": l, "m": m}, columns=tuple(columns), rows=rows)
@@ -289,6 +290,26 @@ def _render_json(rec: OutputRecord) -> str:
 
 
 _RENDERERS = {"text": _render_text, "csv": _render_csv, "json": _render_json}
+
+
+_digit_limit_lock = threading.Lock()
+
+
+def _render(rec: OutputRecord, fmt: str) -> str:
+    """Render exact results of any size.  The interpreter's int-to-str digit
+    limit is lifted only while rendering and restored afterwards, since run()
+    is also a library call; the lock keeps concurrent runs from saving each
+    other's lifted limit.  Python builds without the limit render as is."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        return _RENDERERS[fmt](rec)
+    with _digit_limit_lock:
+        limit = get_limit()
+        sys.set_int_max_str_digits(0)
+        try:
+            return _RENDERERS[fmt](rec)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 # -- parser -------------------------------------------------------------------
@@ -405,6 +426,7 @@ def run(
         return int(exc.code or 0)
     try:
         rec = ns.handler(ns)
+        text = rec.raw if rec.raw is not None else _render(rec, ns.format)
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return 2
@@ -414,10 +436,7 @@ def run(
     except (CobwebError, ValueError, OSError) as exc:
         err.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    if rec.raw is not None:
-        out.write(rec.raw)
-    else:
-        out.write(_RENDERERS[ns.format](rec))
+    out.write(text)
     return 0
 
 

@@ -14,18 +14,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal, NamedTuple
 
 from .errors import InvalidBounds, UndefinedRank
 from .fnomial import ballot
-from .poset import FinitePoset, WhitneyVector, build_poset, maximal_chains, whitney
+from .poset import FinitePoset, MobiusMatrix, WhitneyVector, maximal_chains
 
 __all__ = [
     "GridElement",
     "GridPoset",
     "GridMode",
     "build_grid",
+    "grid_mobius",
     "size_formula",
     "grid_rank",
     "stirling2_grid",
@@ -90,7 +90,31 @@ def build_grid(k: int, n: int, mode: GridMode = "strict") -> GridPoset:
         right = GridElement(e.l, e.m + 1)
         if right in have:
             pairs.append((e, right))
-    return GridPoset(k, n, mode, build_poset(els, pairs))
+    return GridPoset(k, n, mode, FinitePoset(els, pairs))
+
+
+def grid_mobius(k: int, n: int, mode: GridMode = "strict") -> MobiusMatrix:
+    """The Möbius matrix of the grid, read off its lattice structure.
+
+    The grid is closed under componentwise min and max, so it is a
+    distributive sublattice of N^2 and mu(x, y) is nonzero only on Boolean
+    intervals (Stanley, EC1 3.9): mu = 1 at x = y, -1 on a unit step, +1 at
+    x + (1, 1) when x + (1, 0) and x + (0, 1) are both present, and 0
+    otherwise.  Entries cover every comparable pair, x-major in element order.
+    """
+    _check_bounds(k, n, mode)
+    els = _elements(k, n, mode)
+    have = set(els)
+    gap = 1 if mode == "strict" else 0  # smallest m - l of an element
+    entries: dict[tuple[GridElement, GridElement], int] = {}
+    for x in els:
+        # x + (0, 1) is present whenever x + (1, 1) is, so only x + (1, 0) decides.
+        square = 1 if GridElement(x.l + 1, x.m) in have else 0
+        near = {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): square}
+        for l in range(x.l, k + 1):
+            for m in range(max(x.m, l + gap), n + 1):
+                entries[(x, GridElement(l, m))] = near.get((l - x.l, m - x.m), 0)
+    return MobiusMatrix(entries)
 
 
 def size_formula(k: int, n: int) -> int:
@@ -134,21 +158,26 @@ def stirling2_closed(k_rank: int, l: int, m: int) -> int:
     return max(0, hi - lo + 1)
 
 
-@lru_cache(maxsize=128)
-def _strict_whitney(l: int, m: int, kind: Literal["second", "first"]) -> WhitneyVector:
-    return whitney(build_grid(l, m, "strict").poset, kind)
-
-
 def grid_whitney(l: int, m: int, kind: Literal["second", "first"] = "second") -> WhitneyVector:
-    """Whitney vector of the strict grid, via the generic poset engine."""
+    """Whitney vector of the strict grid, ranks 0 .. l + m - 1.
+
+    Second kind: the slant counts stirling2_closed.  First kind: by the
+    Boolean-interval rule of grid_mobius, mu((0, 1), pi) is -1 at (0, 2) and
+    0 at every other element above rank 0, since (1, 1) is not strict; so the
+    vector is (1, -1, 0, ...).
+    """
     if l < 0 or m <= l:
         raise InvalidBounds(f"strict grid needs 0 <= l < m, got l={l}, m={m}")
-    return _strict_whitney(l, m, kind)
+    if kind == "second":
+        return WhitneyVector(kind, tuple(stirling2_closed(r, l, m) for r in range(l + m)))
+    if kind == "first":
+        return WhitneyVector(kind, (1, -1, *(0,) * (l + m - 2))[: l + m])
+    raise ValueError(f"kind must be 'second' or 'first', got {kind!r}")
 
 
 def stirling1_grid(k_rank: int, l: int, m: int) -> int:
     """First-kind Stirling-like number: sum of mu((0,1), pi) over the rank-k_rank
-    elements of the strict grid, via the Möbius engine."""
+    elements of the strict grid, read from the closed first-kind vector."""
     vec = grid_whitney(l, m, "first").values
     if 0 <= k_rank < len(vec):
         return vec[k_rank]
@@ -157,10 +186,10 @@ def stirling1_grid(k_rank: int, l: int, m: int) -> int:
 
 def bell_grid(l: int, m: int) -> int:
     """Bell-like number of the strict grid: the Whitney numbers of the second
-    kind summed over all ranks; equal to size_formula(l, m)."""
+    kind summed over all ranks, which is the element count size_formula(l, m)."""
     if l < 0 or m <= l:
         raise InvalidBounds(f"need 0 <= l < m, got l={l}, m={m}")
-    return sum(stirling2_grid(k, l, m) for k in range(l + m))
+    return size_formula(l, m)
 
 
 def grid_chain_count(

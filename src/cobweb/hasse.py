@@ -12,7 +12,7 @@ from math import prod
 from typing import Mapping, NamedTuple
 
 from .errors import BudgetExceeded, InvalidBounds
-from .poset import FinitePoset, build_poset, maximal_chains
+from .poset import FinitePoset, maximal_chains
 from .sequences import FSequence
 
 __all__ = [
@@ -80,7 +80,7 @@ def build_cobweb(seq: FSequence, level_max: int) -> CobwebPoset:
             )
         widths.append(w)
     vertices, pairs = _slice_vertices_and_pairs(widths, 1, level_max)
-    return CobwebPoset(seq, level_max, tuple(widths), build_poset(vertices, pairs))
+    return CobwebPoset(seq, level_max, tuple(widths), FinitePoset(vertices, pairs))
 
 
 def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
@@ -90,7 +90,7 @@ def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
             f"need 1 <= k < n <= {c.level_max}, got k={k}, n={n}"
         )
     vertices, pairs = _slice_vertices_and_pairs(list(c.widths), k, n)
-    return build_poset(vertices, pairs)
+    return FinitePoset(vertices, pairs)
 
 
 def layer_chain_count(

@@ -24,7 +24,6 @@ __all__ = [
     "RankLabels",
     "MobiusMatrix",
     "WhitneyVector",
-    "build_poset",
     "rank_function",
     "maximal_chains",
     "mobius",
@@ -219,13 +218,6 @@ def _cycle_witness(
                 path.append(j)
                 iters.append(iter(sorted(succ[j] & remaining)))
     raise AssertionError("no cycle found among remaining nodes")  # pragma: no cover
-
-
-def build_poset(
-    elements: Iterable[Label], leq_pairs: Iterable[tuple[Label, Label]] = ()
-) -> FinitePoset:
-    """Poset from elements and any relation whose closure is a partial order."""
-    return FinitePoset(elements, leq_pairs)
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,8 @@ def whitney_prefab(seq: FSequence, n: int, k: int) -> int:
 
 
 def whitney_row(seq: FSequence, n: int) -> PrefabWhitneyRow:
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     values = tuple(whitney_prefab(seq, n, k) for k in range(n // 2 + 1))
     return PrefabWhitneyRow(seq, n, values)
 

@@ -1,9 +1,10 @@
 import json
+import sys
 from io import StringIO
 
 import pytest
 
-from cobweb import cli
+from cobweb import FIBONACCI, FNomialTable, cli
 
 
 def invoke(*args):
@@ -186,6 +187,28 @@ def test_domain_error_exit_code():
     code, _, err = invoke("ballot", "--k", "-1", "--n", "2")
     assert code == 1
     assert "ValueError" in err
+    for argv, named in [
+        (("whitney", "--family", "prefab", "--seq", "naturals", "--n", "-2"), "n >= 0, got -2"),
+        (("bell", "--family", "prefab", "--seq", "naturals", "--n", "-2"), "n >= 0, got -2"),
+        (("seq", "--seq", "naturals", "--count", "-3"), "count >= 0, got -3"),
+        (("fnomial", "--seq", "naturals", "--table", "-1"), "table >= 0, got -1"),
+    ]:
+        code, out, err = invoke(*argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error: ") and named in err, argv
+
+
+def test_results_past_the_digit_limit_print_exactly():
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke("fnomial", "--seq", "fibonacci", "--n", "1000", "--k", "500")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    expected = FNomialTable(FIBONACCI).fnomial(1000, 500)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(out) == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_usage_error_exit_code():

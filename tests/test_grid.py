@@ -12,14 +12,17 @@ from cobweb import (
     build_grid,
     catalan,
     grid_chain_count,
+    grid_mobius,
     grid_rank,
     grid_whitney,
     maximal_chains,
+    mobius,
     rank_function,
     size_formula,
     stirling1_grid,
     stirling2_closed,
     stirling2_grid,
+    whitney,
 )
 
 
@@ -116,6 +119,7 @@ def test_stirling2_matches_poset_whitney():
     for l, m in [(1, 2), (2, 3), (3, 6), (5, 9)]:
         vec = grid_whitney(l, m, "second").values
         assert list(vec) == [stirling2_grid(k, l, m) for k in range(l + m)]
+        assert vec == whitney(build_grid(l, m).poset, "second").values
 
 
 def test_stirling1_vector_p12():
@@ -150,6 +154,39 @@ def test_bell_grid():
             assert bell_grid(l, m) == size_formula(l, m)
     with pytest.raises(InvalidBounds):
         bell_grid(2, 2)
+
+
+def test_grid_mobius_matches_engine():
+    for n in range(0, 9):
+        for k in range(0, n + 1):
+            for mode in ("strict", "weak"):
+                if mode == "strict" and k == n:
+                    continue
+                engine = mobius(build_grid(k, n, mode).poset).entries
+                assert grid_mobius(k, n, mode).entries == engine, (k, n, mode)
+
+
+def test_grid_mobius_bounds():
+    with pytest.raises(InvalidBounds):
+        grid_mobius(2, 2, "strict")
+    with pytest.raises(ValueError):
+        grid_mobius(1, 2, "loose")
+
+
+def test_grid_whitney_matches_engine():
+    for m in range(1, 13):
+        for l in range(0, m):
+            poset = build_grid(l, m).poset
+            for kind in ("second", "first"):
+                assert grid_whitney(l, m, kind) == whitney(poset, kind), (l, m, kind)
+    with pytest.raises(ValueError):
+        grid_whitney(1, 2, "third")
+
+
+def test_bell_grid_is_sum_of_slant_counts():
+    for m in range(1, 13):
+        for l in range(0, m):
+            assert bell_grid(l, m) == sum(stirling2_grid(k, l, m) for k in range(l + m))
 
 
 def test_chain_count_examples():

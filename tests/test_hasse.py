@@ -11,9 +11,9 @@ from cobweb import (
     ODD,
     BudgetExceeded,
     CobwebVertex,
+    FinitePoset,
     InvalidBounds,
     build_cobweb,
-    build_poset,
     layer_chain_count,
     layer_subposet,
     maximal_chains,
@@ -130,7 +130,7 @@ def test_chain_count_validation():
 
 
 def test_dot_two_chain():
-    p = build_poset(["x", "y"], [("x", "y")])
+    p = FinitePoset(["x", "y"], [("x", "y")])
     text = to_dot(p, name="two")
     nodes, edges = parse_dot(text)
     assert nodes == ["x", "y"]
@@ -138,7 +138,7 @@ def test_dot_two_chain():
 
 
 def test_dot_empty_poset_is_header_only():
-    text = to_dot(build_poset([], []), name="empty")
+    text = to_dot(FinitePoset([], []), name="empty")
     assert text == 'digraph "empty" {\n  rankdir=BT;\n}\n'
 
 
@@ -160,6 +160,6 @@ def test_dot_is_deterministic():
 
 
 def test_dot_quotes_awkward_labels():
-    p = build_poset(['say "hi"', "back\\slash"], [('say "hi"', "back\\slash")])
+    p = FinitePoset(['say "hi"', "back\\slash"], [('say "hi"', "back\\slash")])
     nodes, edges = parse_dot(to_dot(p))
     assert len(nodes) == 2 and len(edges) == 1

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from cobweb import (
     BudgetExceeded,
+    FinitePoset,
     NoUniqueMinimum,
     NotAPartialOrder,
     NotGraded,
-    build_poset,
     maximal_chains,
     mobius,
     rank_function,
@@ -20,7 +20,7 @@ from cobweb import (
 
 def chain(n):
     els = list(range(n))
-    return build_poset(els, [(i, i + 1) for i in range(n - 1)])
+    return FinitePoset(els, [(i, i + 1) for i in range(n - 1)])
 
 
 def chain_product(a, b):
@@ -32,26 +32,26 @@ def chain_product(a, b):
             pairs.append(((x, y), (x + 1, y)))
         if y < b:
             pairs.append(((x, y), (x, y + 1)))
-    return build_poset(els, pairs)
+    return FinitePoset(els, pairs)
 
 
 # -- construction -------------------------------------------------------------
 
 
 def test_three_chain_covers():
-    p = build_poset("abc", [("a", "b"), ("b", "c")])
+    p = FinitePoset("abc", [("a", "b"), ("b", "c")])
     assert p.covers == (("a", "b"), ("b", "c"))
     assert p.leq("a", "c") and not p.leq("c", "a")
     assert p.bottoms == ("a",) and p.tops == ("c",)
 
 
 def test_closed_input_gives_same_covers():
-    p = build_poset("abc", [("a", "b"), ("b", "c"), ("a", "c"), ("a", "a")])
+    p = FinitePoset("abc", [("a", "b"), ("b", "c"), ("a", "c"), ("a", "a")])
     assert p.covers == (("a", "b"), ("b", "c"))
 
 
 def test_antichain():
-    p = build_poset([1, 2], [])
+    p = FinitePoset([1, 2], [])
     assert p.covers == ()
     assert p.bottoms == (1, 2) and p.tops == (1, 2)
     assert not p.leq(1, 2)
@@ -59,24 +59,24 @@ def test_antichain():
 
 def test_antisymmetry_violation():
     with pytest.raises(NotAPartialOrder) as exc:
-        build_poset("ab", [("a", "b"), ("b", "a")])
+        FinitePoset("ab", [("a", "b"), ("b", "a")])
     assert set(exc.value.witness) == {"a", "b"}
 
 
 def test_longer_cycle_detected():
     with pytest.raises(NotAPartialOrder):
-        build_poset("abcd", [("a", "b"), ("b", "c"), ("c", "a")])
+        FinitePoset("abcd", [("a", "b"), ("b", "c"), ("c", "a")])
 
 
 def test_duplicate_and_unknown_elements():
     with pytest.raises(ValueError):
-        build_poset([1, 1], [])
+        FinitePoset([1, 1], [])
     with pytest.raises(ValueError):
-        build_poset([1, 2], [(1, 3)])
+        FinitePoset([1, 2], [(1, 3)])
 
 
 def test_empty_poset():
-    p = build_poset([], [])
+    p = FinitePoset([], [])
     assert len(p) == 0
     assert maximal_chains(p) == 0
     assert maximal_chains(p, "enumerate") == []
@@ -95,14 +95,14 @@ def test_lopsided_diamond_not_graded():
     # a < b < c < e and a < d < e: covers (d, e) and (c, e) disagree on rank
     pairs = [("a", "b"), ("b", "c"), ("c", "e"), ("a", "d"), ("d", "e")]
     with pytest.raises(NotGraded) as exc:
-        rank_function(build_poset("abcde", pairs))
+        rank_function(FinitePoset("abcde", pairs))
     x, y = exc.value.witness
-    assert (x, y) in build_poset("abcde", pairs).covers
+    assert (x, y) in FinitePoset("abcde", pairs).covers
 
 
 def test_rank_needs_elements():
     with pytest.raises(ValueError):
-        rank_function(build_poset([], []))
+        rank_function(FinitePoset([], []))
 
 
 # -- maximal chains -----------------------------------------------------------
@@ -133,19 +133,19 @@ def test_enumerate_matches_count_and_is_sorted():
 
 
 def test_singleton_has_one_chain():
-    p = build_poset(["x"], [])
+    p = FinitePoset(["x"], [])
     assert maximal_chains(p) == 1
     assert maximal_chains(p, "enumerate") == [("x",)]
 
 
 def test_enumerate_budget():
-    p = build_poset(range(65), [])
+    p = FinitePoset(range(65), [])
     with pytest.raises(BudgetExceeded):
         maximal_chains(p, "enumerate")
 
 
 def test_count_budget():
-    p = build_poset(range(10_001), [])
+    p = FinitePoset(range(10_001), [])
     with pytest.raises(BudgetExceeded):
         maximal_chains(p)
 
@@ -166,19 +166,19 @@ def test_two_chain_mobius():
 
 def test_diamond_mobius():
     # boolean lattice of rank 2: mu(bottom, top) = 1 - 1 - 1 + 1 = 1
-    p = build_poset("0ab1", [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    p = FinitePoset("0ab1", [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
     m = mobius(p)
     assert m.value("0", "1") == 1
     assert m.value("0", "a") == m.value("0", "b") == -1
 
 
 def test_antichain_mobius_is_diagonal():
-    m = mobius(build_poset([1, 2, 3], []))
+    m = mobius(FinitePoset([1, 2, 3], []))
     assert m.entries == {(1, 1): 1, (2, 2): 1, (3, 3): 1}
 
 
 def test_incomparable_value_is_zero():
-    assert mobius(build_poset([1, 2], [])).value(1, 2) == 0
+    assert mobius(FinitePoset([1, 2], [])).value(1, 2) == 0
 
 
 @pytest.mark.parametrize("a,b", [(2, 2), (3, 2), (1, 4)])
@@ -202,13 +202,13 @@ def test_chain_whitney():
 
 
 def test_antichain_whitney_second():
-    p = build_poset([1, 2, 3], [])
+    p = FinitePoset([1, 2, 3], [])
     assert whitney(p, "second").values == (3,)
 
 
 def test_first_kind_needs_unique_minimum():
     with pytest.raises(NoUniqueMinimum):
-        whitney(build_poset([1, 2], []), "first")
+        whitney(FinitePoset([1, 2], []), "first")
 
 
 def test_bad_kind():
@@ -254,7 +254,7 @@ def _reaches(pairs, src, dst, nodes):
 def test_random_relations_build_or_witness(data):
     n, pairs = data
     try:
-        p = build_poset(range(n), pairs)
+        p = FinitePoset(range(n), pairs)
     except NotAPartialOrder as exc:
         x, y = exc.witness
         assert x != y

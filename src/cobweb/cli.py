@@ -27,7 +27,6 @@ from .grid import (
     grid_whitney,
     stirling2_closed,
 )
-from .poset import rank_function
 from .sequences import BUILTIN_SEQUENCES, FSequence
 
 __all__ = ["run", "main"]
@@ -119,12 +118,11 @@ def _cmd_grid(ns: argparse.Namespace) -> OutputRecord:
     params = {"k": ns.k, "n": ns.n, "mode": ns.mode, "what": ns.what}
     g = build_grid(ns.k, ns.n, ns.mode)
     if ns.what == "size":
-        return OutputRecord("grid", params, value=len(g.poset))
+        return OutputRecord("grid", params, value=len(g))
     if ns.what == "elements":
-        rows = [(e.l, e.m) for e in g.poset.elements]
+        rows = [(e.l, e.m) for e in g.elements]
         return OutputRecord("grid", params, columns=("l", "m"), rows=rows)
-    ranks = rank_function(g.poset)
-    rows = [(e.l, e.m, ranks.rank[e]) for e in g.poset.elements]
+    rows = [(e.l, e.m, r) for e, r in g.level_of().items()]
     return OutputRecord("grid", params, columns=("l", "m", "rank"), rows=rows)
 
 
@@ -204,14 +202,13 @@ def _cmd_dot(ns: argparse.Namespace) -> OutputRecord:
         if ns.seq is None or ns.levels is None:
             raise _UsageError("dot --family cobweb needs --seq and --levels")
         c = hasse.build_cobweb(_seq_from_token(ns.seq), ns.levels)
-        text = hasse.to_dot(c.poset, c.level_of(), name=f"cobweb_{ns.seq}")
+        text = hasse.to_dot(c, c.level_of(), name=f"cobweb_{ns.seq}")
         params: dict[str, object] = {"family": "cobweb", "seq": ns.seq, "levels": ns.levels}
     else:
         if ns.k is None or ns.n is None:
             raise _UsageError("dot --family grid needs --k and --n")
         g = build_grid(ns.k, ns.n, ns.mode)
-        ranks = rank_function(g.poset).rank
-        text = hasse.to_dot(g.poset, ranks, name=f"grid_{ns.mode}_{ns.k}_{ns.n}")
+        text = hasse.to_dot(g, g.level_of(), name=f"grid_{ns.mode}_{ns.k}_{ns.n}")
         params = {"family": "grid", "k": ns.k, "n": ns.n, "mode": ns.mode}
     if ns.out is not None:
         with open(ns.out, "w", encoding="ascii") as fh:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from functools import cached_property
+from typing import Iterator, Literal, NamedTuple
 
 from .errors import InvalidBounds, UndefinedRank
 from .fnomial import ballot
@@ -51,10 +52,55 @@ class GridElement(NamedTuple):
 
 @dataclass(frozen=True)
 class GridPoset:
+    """The grid of labels (l, m), generated from (k, n, mode) alone.
+
+    Elements, unit-step covers, size and ranks are closed-form; `poset` is
+    the generic engine over the same elements and covers, built on first use
+    only (for the oracle and `method="brute"`).
+    """
+
     k: int
     n: int
     mode: GridMode
-    poset: FinitePoset
+
+    @cached_property
+    def elements(self) -> tuple[GridElement, ...]:
+        """Every label, l-major with m ascending: the engine's order."""
+        return _elements(self.k, self.n, self.mode)
+
+    @property
+    def covers(self) -> Iterator[tuple[GridElement, GridElement]]:
+        """Unit steps (l, m) -> (l, m+1), then (l, m) -> (l+1, m), each when
+        the target is present; the engine's cover order."""
+        k, n, gap = self.k, self.n, _gap(self.mode)
+        for e in self.elements:
+            l, m = e
+            if m < n:
+                yield e, GridElement(l, m + 1)
+            if l < k and m > l + gap:
+                yield e, GridElement(l + 1, m)
+
+    def __len__(self) -> int:
+        return size_formula(self.k, self.n) + (self.k + 1 if self.mode == "weak" else 0)
+
+    def level_of(self) -> dict[GridElement, int]:
+        """Element -> rank: l + m - 1 in strict mode, l + m in weak mode."""
+        gap = _gap(self.mode)
+        return {e: e.l + e.m - gap for e in self.elements}
+
+    @cached_property
+    def poset(self) -> FinitePoset:
+        els = self.elements
+        have = set(els)
+        pairs: list[tuple[GridElement, GridElement]] = []
+        for e in els:
+            up = GridElement(e.l + 1, e.m)
+            if up in have:
+                pairs.append((e, up))
+            right = GridElement(e.l, e.m + 1)
+            if right in have:
+                pairs.append((e, right))
+        return FinitePoset(els, pairs)
 
 
 def _check_bounds(k: int, n: int, mode: GridMode) -> None:
@@ -66,31 +112,24 @@ def _check_bounds(k: int, n: int, mode: GridMode) -> None:
         raise InvalidBounds(f"strict mode needs k < n, got k=n={k}")
 
 
-def _elements(k: int, n: int, mode: GridMode) -> list[GridElement]:
-    if mode == "strict":
-        return [GridElement(l, m) for l in range(k + 1) for m in range(l + 1, n + 1)]
-    return [GridElement(l, m) for l in range(k + 1) for m in range(l, n + 1)]
+def _gap(mode: GridMode) -> int:
+    """The smallest m - l of an element: 1 in strict mode, 0 in weak mode."""
+    return 1 if mode == "strict" else 0
+
+
+def _elements(k: int, n: int, mode: GridMode) -> tuple[GridElement, ...]:
+    gap = _gap(mode)
+    return tuple(GridElement(l, m) for l in range(k + 1) for m in range(l + gap, n + 1))
 
 
 def build_grid(k: int, n: int, mode: GridMode = "strict") -> GridPoset:
     """The poset of labels (l, m) under the componentwise order.
 
     The order is generated by unit steps (l, m) -> (l+1, m) and
-    (l, m) -> (l, m+1) inside the element set; covers and ranks come out of
-    the generic engine.
+    (l, m) -> (l, m+1) inside the element set.
     """
     _check_bounds(k, n, mode)
-    els = _elements(k, n, mode)
-    have = set(els)
-    pairs: list[tuple[GridElement, GridElement]] = []
-    for e in els:
-        up = GridElement(e.l + 1, e.m)
-        if up in have:
-            pairs.append((e, up))
-        right = GridElement(e.l, e.m + 1)
-        if right in have:
-            pairs.append((e, right))
-    return GridPoset(k, n, mode, FinitePoset(els, pairs))
+    return GridPoset(k, n, mode)
 
 
 def grid_mobius(k: int, n: int, mode: GridMode = "strict") -> MobiusMatrix:
@@ -105,7 +144,7 @@ def grid_mobius(k: int, n: int, mode: GridMode = "strict") -> MobiusMatrix:
     _check_bounds(k, n, mode)
     els = _elements(k, n, mode)
     have = set(els)
-    gap = 1 if mode == "strict" else 0  # smallest m - l of an element
+    gap = _gap(mode)
     entries: dict[tuple[GridElement, GridElement], int] = {}
     for x in els:
         # x + (0, 1) is present whenever x + (1, 1) is, so only x + (1, 0) decides.

@@ -8,8 +8,9 @@ Levels are 1-based here; that is a fixed convention of this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
-from typing import Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import BudgetExceeded, InvalidBounds
 from .poset import FinitePoset, maximal_chains
@@ -40,18 +41,49 @@ class CobwebVertex(NamedTuple):
 
 @dataclass(frozen=True)
 class CobwebPoset:
+    """Levels 1..level_max of a cobweb, generated from the level widths alone.
+
+    Vertices, covers and levels are closed-form; `poset` is the generic
+    engine over the same vertices and covers, built on first use only (for
+    the oracle and `method="brute"`).
+    """
+
     seq: FSequence
     level_max: int
     widths: tuple[int, ...]  # widths[s-1] = F_s
-    poset: FinitePoset
+
+    @cached_property
+    def elements(self) -> tuple[CobwebVertex, ...]:
+        """Every vertex, level-major with j ascending: the engine's order."""
+        return tuple(
+            CobwebVertex(s, j) for s, w in enumerate(self.widths, 1) for j in range(1, w + 1)
+        )
+
+    @property
+    def covers(self) -> Iterator[tuple[CobwebVertex, CobwebVertex]]:
+        """Every (s, i) below every (s+1, j), in the engine's cover order."""
+        w = self.widths
+        for s in range(1, self.level_max):
+            above = [CobwebVertex(s + 1, j) for j in range(1, w[s] + 1)]
+            for i in range(1, w[s - 1] + 1):
+                x = CobwebVertex(s, i)
+                for y in above:
+                    yield x, y
+
+    def __len__(self) -> int:
+        return sum(self.widths)
 
     def level_of(self) -> dict[CobwebVertex, int]:
         """Vertex -> level map, e.g. for DOT rank grouping."""
-        return {v: v.s for v in self.poset.elements}
+        return {v: v.s for v in self.elements}
+
+    @cached_property
+    def poset(self) -> FinitePoset:
+        return FinitePoset(*_slice_vertices_and_pairs(self.widths, 1, self.level_max))
 
 
 def _slice_vertices_and_pairs(
-    widths: list[int], lo: int, hi: int
+    widths: Sequence[int], lo: int, hi: int
 ) -> tuple[list[CobwebVertex], list[tuple[CobwebVertex, CobwebVertex]]]:
     vertices = [
         CobwebVertex(s, j) for s in range(lo, hi + 1) for j in range(1, widths[s - 1] + 1)
@@ -79,8 +111,7 @@ def build_cobweb(seq: FSequence, level_max: int) -> CobwebPoset:
                 f"by level {s}"
             )
         widths.append(w)
-    vertices, pairs = _slice_vertices_and_pairs(widths, 1, level_max)
-    return CobwebPoset(seq, level_max, tuple(widths), FinitePoset(vertices, pairs))
+    return CobwebPoset(seq, level_max, tuple(widths))
 
 
 def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
@@ -89,7 +120,7 @@ def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
         raise InvalidBounds(
             f"need 1 <= k < n <= {c.level_max}, got k={k}, n={n}"
         )
-    vertices, pairs = _slice_vertices_and_pairs(list(c.widths), k, n)
+    vertices, pairs = _slice_vertices_and_pairs(c.widths, k, n)
     return FinitePoset(vertices, pairs)
 
 
@@ -114,30 +145,42 @@ def _quote(label: object) -> str:
     return f'"{text}"'
 
 
+class HasseDiagram(Protocol):
+    """Anything with elements and upward cover pairs: `FinitePoset`,
+    `CobwebPoset` or `GridPoset`."""
+
+    @property
+    def elements(self) -> tuple[object, ...]: ...
+
+    @property
+    def covers(self) -> Iterable[tuple[object, object]]: ...
+
+
 def to_dot(
-    poset: FinitePoset,
+    poset: HasseDiagram,
     levels: Mapping[object, int] | None = None,
     name: str = "poset",
 ) -> str:
-    """Render a poset as a DOT digraph: one node per element, one edge per
-    cover oriented upward, and (when `levels` is given) rank=same groups so
-    layout engines reproduce the layered displays.
+    """Render a Hasse diagram as a DOT digraph: one node per element, one
+    edge per cover oriented upward, and (when `levels` is given) rank=same
+    groups so layout engines reproduce the layered displays.
 
-    Output is byte-deterministic: nodes in insertion order, edges in
-    element-index order.
+    Output is byte-deterministic: nodes in element order, edges in cover
+    order.
     """
+    quoted = {el: _quote(el) for el in poset.elements}
     lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;"]
-    if levels is not None and len(poset):
-        by_level: dict[int, list[object]] = {}
-        for el in poset.elements:
-            by_level.setdefault(levels[el], []).append(el)
+    if levels is not None and quoted:
+        by_level: dict[int, list[str]] = {}
+        for el, q in quoted.items():
+            by_level.setdefault(levels[el], []).append(q)
         for level in sorted(by_level):
-            members = " ".join(f"{_quote(el)};" for el in by_level[level])
+            members = " ".join(f"{q};" for q in by_level[level])
             lines.append(f"  {{ rank=same; {members} }}")
     else:
-        for el in poset.elements:
-            lines.append(f"  {_quote(el)};")
+        for q in quoted.values():
+            lines.append(f"  {q};")
     for x, y in poset.covers:
-        lines.append(f"  {_quote(x)} -> {_quote(y)};")
+        lines.append(f"  {quoted[x]} -> {quoted[y]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -63,7 +63,8 @@ def whitney_prefab(seq: FSequence, n: int, k: int) -> int:
 def whitney_row(seq: FSequence, n: int) -> PrefabWhitneyRow:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    values = tuple(whitney_prefab(seq, n, k) for k in range(n // 2 + 1))
+    table = _table_for(seq)
+    values = tuple(table.fnomial(n - k, k) for k in range(n // 2 + 1))
     return PrefabWhitneyRow(seq, n, values)
 
 
@@ -71,7 +72,8 @@ def bell_f(seq: FSequence, n: int) -> int:
     """B_n(F): the diagonal sum over k of (n - k over k)_F."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    return sum(whitney_prefab(seq, n, k) for k in range(n // 2 + 1))
+    table = _table_for(seq)
+    return sum(table.fnomial(n - k, k) for k in range(n // 2 + 1))
 
 
 def bell_f_table(seq: FSequence, n_max: int) -> BellSequence:

@@ -75,6 +75,18 @@ BUILTIN_SEQUENCES: dict[str, FSequence] = {
 }
 
 
+@dataclass(frozen=True)
+class _Terms:
+    """The rule of a custom sequence.  It compares by its values, so
+    value-equal custom sequences are equal and share every cache keyed by
+    the sequence."""
+
+    vals: tuple[int, ...]
+
+    def __call__(self, s: int) -> int:
+        return self.vals[s - 1]
+
+
 def from_values(name: str, values: Iterable[int]) -> FSequence:
     """Custom sequence from an explicit list; index s maps to values[s-1]."""
     vals = tuple(values)
@@ -83,7 +95,7 @@ def from_values(name: str, values: Iterable[int]) -> FSequence:
     for i, v in enumerate(vals, 1):
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
             raise ValueError(f"value at index {i} must be a positive integer, got {v!r}")
-    return FSequence(name, lambda s: vals[s - 1], limit=len(vals))
+    return FSequence(name, _Terms(vals), limit=len(vals))
 
 
 def from_file(path: str) -> FSequence:

@@ -3,8 +3,10 @@ import sys
 from io import StringIO
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cobweb import FIBONACCI, FNomialTable, cli
+from cobweb import BUILTIN_SEQUENCES, FIBONACCI, FinitePoset, FNomialTable, cli
 
 
 def invoke(*args):
@@ -224,3 +226,74 @@ def test_usage_error_exit_code():
 def test_identical_invocations_are_byte_identical():
     args = ("whitney", "--family", "grid", "--l", "2", "--m", "4", "--format", "json")
     assert invoke(*args) == invoke(*args)
+
+
+def test_production_paths_build_no_engine_poset(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the generic poset engine was built")
+
+    monkeypatch.setattr(FinitePoset, "__init__", refuse)
+    for argv in [
+        ("dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "8"),
+        ("dot", "--family", "grid", "--k", "3", "--n", "6", "--mode", "weak"),
+        ("grid", "--k", "3", "--n", "6", "--what", "size"),
+        ("grid", "--k", "3", "--n", "6", "--what", "elements"),
+        ("grid", "--k", "3", "--n", "6", "--mode", "weak", "--what", "ranks"),
+        ("chains", "--family", "cobweb", "--seq", "naturals", "--k", "2", "--n", "6"),
+    ]:
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, ""), argv
+        assert out, argv
+    with pytest.raises(AssertionError, match="engine was built"):
+        invoke("chains", "--family", "cobweb", "--seq", "naturals", "--k", "2", "--n", "6",
+               "--method", "brute")
+
+
+_INT = st.integers(-3, 12).map(str)
+_VALUES = {  # every other option takes a small integer
+    "--seq": st.sampled_from([*BUILTIN_SEQUENCES, "martian", "file:"]),
+    "--mode": st.sampled_from(["strict", "weak", "loose"]),
+    "--format": st.sampled_from(["text", "csv", "json", "xml"]),
+    "--family": st.sampled_from(["grid", "prefab", "cobweb", "tree"]),
+    "--kind": st.sampled_from(["first", "second", "third"]),
+    "--what": st.sampled_from(["size", "ranks", "elements", "colour"]),
+    "--method": st.sampled_from(["brute", "closed", "guess"]),
+}
+_OPTIONS = {  # command: (required options, other options)
+    "seq": (("--seq",), ("--count", "--gcd-morphic", "--format")),
+    "fnomial": (("--seq",), ("--n", "--k", "--table", "--format")),
+    "catalan": (("--n",), ("--format",)),
+    "ballot": (("--k", "--n"), ("--format",)),
+    "grid": (("--k", "--n"), ("--mode", "--what", "--format")),
+    "whitney": (("--family",), ("--kind", "--l", "--m", "--seq", "--n", "--format")),
+    "bell": (("--family",), ("--l", "--m", "--seq", "--n", "--format")),
+    "chains": (("--family", "--k", "--n"), ("--mode", "--seq", "--method", "--format")),
+    "mobius": (("--k", "--n"), ("--mode", "--format")),
+    "dot": (("--family",), ("--seq", "--levels", "--k", "--n", "--mode")),
+    "problems": (("--l", "--m"), ("--format",)),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """Mostly well-formed invocations; one in five drops the required options."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    required, other = _OPTIONS[command]
+    options = list(required) if draw(st.integers(0, 4)) else []
+    options += draw(st.lists(st.sampled_from(other), unique=True))
+    argv = [command]
+    for opt in options:
+        argv += [opt, draw(_VALUES.get(opt, _INT))]
+    if command == "bell" and draw(st.booleans()):
+        argv.append("--table")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+def test_cli_fuzz_exits_cleanly(argv):
+    code, out, err = invoke(*argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code:
+        assert out == "", argv

@@ -22,8 +22,17 @@ from cobweb import (
     stirling1_grid,
     stirling2_closed,
     stirling2_grid,
+    to_dot,
     whitney,
 )
+
+
+def _valid_grids(n_max):
+    for n in range(0, n_max + 1):
+        for k in range(0, n + 1):
+            for mode in ("strict", "weak"):
+                if not (mode == "strict" and k == n):
+                    yield k, n, mode
 
 
 def test_strict_elements():
@@ -234,3 +243,29 @@ def test_whitney_vector_engine_routes_agree():
     # every maximal chain is saturated from (0,1) to (2,3): length = max rank + 1
     assert all(len(c) == 5 for c in chains)
     assert len(chains) == grid_chain_count(2, 3, "strict", "closed")
+
+
+def test_view_matches_engine():
+    for k, n, mode in _valid_grids(8):
+        g = build_grid(k, n, mode)
+        engine = g.poset
+        assert g.elements == engine.elements, (k, n, mode)
+        assert list(g.covers) == list(engine.covers), (k, n, mode)
+        assert len(g) == len(engine), (k, n, mode)
+        assert g.level_of() == rank_function(engine).rank, (k, n, mode)
+
+
+def test_view_dot_matches_engine_dot():
+    for k, n, mode in _valid_grids(8):
+        g = build_grid(k, n, mode)
+        name = f"grid_{mode}_{k}_{n}"
+        assert to_dot(g, g.level_of(), name) == to_dot(
+            g.poset, rank_function(g.poset).rank, name
+        ), (k, n, mode)
+
+
+def test_engine_view_is_built_once_on_demand():
+    g = build_grid(2, 4, "weak")
+    assert "poset" not in vars(g)
+    assert g.poset is g.poset
+    assert g == build_grid(2, 4, "weak")

@@ -21,6 +21,8 @@ from cobweb import (
     to_dot,
 )
 
+BUILTINS = [NATURALS, FIBONACCI, ODD, EVEN1, DIV31]
+
 _NODE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)";$', re.M)
 _EDGE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)" -> "((?:[^"\\]|\\.)*)";$', re.M)
 _GROUPED = re.compile(r'"((?:[^"\\]|\\.)*)";')
@@ -163,3 +165,34 @@ def test_dot_quotes_awkward_labels():
     p = FinitePoset(['say "hi"', "back\\slash"], [('say "hi"', "back\\slash")])
     nodes, edges = parse_dot(to_dot(p))
     assert len(nodes) == 2 and len(edges) == 1
+
+
+@pytest.mark.parametrize("seq", BUILTINS, ids=lambda s: s.name)
+def test_view_matches_engine(seq):
+    for levels in range(1, 7):
+        c = build_cobweb(seq, levels)
+        engine = c.poset
+        assert c.elements == engine.elements, levels
+        assert list(c.covers) == list(engine.covers), levels
+        assert len(c) == len(engine), levels
+        assert c.level_of() == {v: v.s for v in engine.elements}, levels
+        assert c.level_of() == {
+            v: r + 1 for v, r in rank_function(engine).rank.items()
+        }, levels
+
+
+@pytest.mark.parametrize("seq", BUILTINS, ids=lambda s: s.name)
+def test_view_dot_matches_engine_dot(seq):
+    for levels in range(1, 7):
+        c = build_cobweb(seq, levels)
+        engine_levels = {v: v.s for v in c.poset.elements}
+        name = f"cobweb_{seq.name}"
+        assert to_dot(c, c.level_of(), name) == to_dot(c.poset, engine_levels, name)
+
+
+def test_build_cobweb_leaves_the_engine_unbuilt():
+    c = build_cobweb(FIBONACCI, 6)
+    assert "poset" not in vars(c)
+    assert layer_chain_count(c, 2, 6, "closed") == 1 * 2 * 3 * 5 * 8
+    assert "poset" not in vars(c)
+    assert c.poset is c.poset

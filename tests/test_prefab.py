@@ -9,6 +9,7 @@ from cobweb import (
     bell_f,
     bell_f_table,
     from_values,
+    prefab,
     whitney_prefab,
     whitney_row,
 )
@@ -94,3 +95,12 @@ def test_non_integral_propagates():
         whitney_prefab(lumpy, 3, 1)  # (2 over 1)_F = 6/4
     with pytest.raises(NonIntegral):
         bell_f(lumpy, 3)
+
+
+def test_value_equal_sequences_share_one_table():
+    vals = [2**s - 1 for s in range(1, 20)]
+    before = len(prefab._tables)
+    expected = bell_f(from_values("m", vals), 6)
+    for _ in range(1000):
+        assert bell_f(from_values("m", vals), 6) == expected
+    assert len(prefab._tables) <= before + 1

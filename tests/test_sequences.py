@@ -11,6 +11,7 @@ from cobweb import (
     FIBONACCI,
     NATURALS,
     ODD,
+    FSequence,
     IndexOutOfDomain,
     InvalidBounds,
     from_file,
@@ -53,6 +54,20 @@ def test_custom_sequence_bound():
     assert seq.values(3) == [4, 7, 9]
     with pytest.raises(IndexOutOfDomain):
         seq.value(4)
+
+
+def test_custom_sequences_compare_by_value():
+    a = from_values("m", [1, 3, 7])
+    b = from_values("m", (1, 3, 7))
+    assert a == b and hash(a) == hash(b)
+    assert a != from_values("m", [1, 3, 8])
+    assert a != from_values("other", [1, 3, 7])
+    assert a.values(3) == [1, 3, 7]
+
+
+def test_rule_sequences_keep_identity():
+    assert FSequence("naturals", lambda s: 2 * s) != NATURALS
+    assert FSequence("naturals", NATURALS.rule) == NATURALS
 
 
 @pytest.mark.parametrize("bad", [[], [0], [1, -2], [1, "x"], [1, 2.5]])

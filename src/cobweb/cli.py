@@ -95,7 +95,7 @@ def _cmd_fnomial(ns: argparse.Namespace) -> OutputRecord:
     if ns.table is not None:
         if ns.table < 0:
             raise ValueError(f"need table >= 0, got {ns.table}")
-        rows = [(n, k, table.fnomial(n, k)) for n in range(ns.table + 1) for k in range(n + 1)]
+        rows = [(n, k, v) for n, row in enumerate(table.rows(ns.table)) for k, v in enumerate(row)]
         return OutputRecord(
             "fnomial", {"seq": ns.seq, "table": ns.table}, columns=("n", "k", "value"), rows=rows
         )

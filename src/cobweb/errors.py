@@ -23,13 +23,21 @@ class NonIntegral(CobwebError):
     """An F-nomial quotient failed to be an integer.
 
     Possible for sequences that are not GCD-morphic; the offending exact
-    quotient is kept on the exception.
+    quotient is kept on the exception.  The message prints it, or only its
+    bit lengths when a value is too long to convert to a decimal string.
     """
 
     def __init__(self, numerator: int, denominator: int) -> None:
         self.numerator = numerator
         self.denominator = denominator
-        super().__init__(f"quotient {numerator}/{denominator} is not an integer")
+        try:
+            message = f"quotient {numerator}/{denominator} is not an integer"
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            message = (
+                f"quotient of a {numerator.bit_length()}-bit numerator by a "
+                f"{denominator.bit_length()}-bit denominator is not an integer"
+            )
+        super().__init__(message)
 
 
 class NotAPartialOrder(CobwebError):

@@ -10,6 +10,7 @@ import math
 import threading
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator, Sequence
 
 from .errors import BudgetExceeded, IndexOutOfDomain, NonIntegral
 from .sequences import FSequence
@@ -27,12 +28,28 @@ __all__ = [
 BRUTE_LENGTH_BUDGET = 28
 
 
-class FNomialTable:
-    """Memoized exact F_n! values for one sequence.
+def _prod(xs: Sequence[int]) -> int:
+    """The product of xs, split in halves so that big factors meet big factors."""
+    if len(xs) <= 16:
+        return math.prod(xs)
+    mid = len(xs) // 2
+    return _prod(xs[:mid]) * _prod(xs[mid:])
 
-    F_0! = 1 and F_n! = F_1 * F_2 * ... * F_n.  The memo grows on demand
-    under a lock and is never evicted, so concurrent queries are safe and
-    deterministic.
+
+def non_integral(vals: Sequence[int], n: int, k: int) -> NonIntegral:
+    """The error for a non-integral (n over k)_F, carrying the canonical
+    quotient F_n!/(F_k! F_{n-k}!); vals holds at least F_1..F_n."""
+    return NonIntegral(_prod(vals[:n]), _prod(vals[:k]) * _prod(vals[: n - k]))
+
+
+class FNomialTable:
+    """Exact F-factorials and F-nomial coefficients of one sequence.
+
+    F_0! = 1 and F_n! = F_1 * F_2 * ... * F_n.  Only ``f_factorial`` keeps a
+    memo; it grows on demand under a lock and is never evicted, so
+    concurrent queries are safe and deterministic.  Coefficients divide no
+    factorials: a single one is a falling product over F_k!, a triangle row
+    follows from the row ratio, each with an exact remainder check.
     """
 
     def __init__(self, seq: FSequence) -> None:
@@ -51,20 +68,42 @@ class FNomialTable:
         return self._fact[n]
 
     def fnomial(self, n: int, k: int) -> int:
-        """The coefficient (n over k)_F = F_n!/(F_k! F_{n-k}!); 0 outside 0 <= k <= n.
+        """The coefficient (n over k)_F = F_n F_{n-1} ... F_{n-k+1} / F_k!;
+        0 outside 0 <= k <= n.
 
-        The quotient is computed exactly and checked for divisibility rather
-        than assumed: sequences that are not GCD-morphic can make it
-        non-integral, which raises NonIntegral.
+        By symmetry the shorter of the two falling products is taken.  The
+        one division is checked rather than assumed: sequences that are not
+        GCD-morphic can make it non-integral, which raises NonIntegral with
+        the quotient F_n!/(F_k! F_{n-k}!).
         """
         if k < 0 or k > n:
             return 0
-        num = self.f_factorial(n)
-        den = self.f_factorial(k) * self.f_factorial(n - k)
-        q, r = divmod(num, den)
+        vals = self.seq.values(n)
+        j = min(k, n - k)
+        q, r = divmod(_prod(vals[n - j :]), _prod(vals[:j]))
         if r:
-            raise NonIntegral(num, den)
+            raise non_integral(vals, n, k)
         return q
+
+    def rows(self, n_max: int) -> Iterator[list[int]]:
+        """The triangle rows [(n over 0)_F, ..., (n over n)_F] for n = 0..n_max.
+
+        Each row follows from (n over k+1)_F = (n over k)_F * F_{n-k} / F_{k+1}
+        up to the middle and is mirrored beyond it.  F_n is fetched when row n
+        starts, and a non-integral entry raises at its first (n, k) in
+        row-major order, as a walk over single coefficients would.
+        """
+        vals: list[int] = []
+        for n in range(n_max + 1):
+            if n:
+                vals.append(self.seq.value(n))
+            row = [1]
+            for k in range(n // 2):
+                q, r = divmod(row[-1] * vals[n - k - 1], vals[k])
+                if r:
+                    raise non_integral(vals, n, k + 1)
+                row.append(q)
+            yield row + row[: (n + 1) // 2][::-1]
 
 
 @dataclass(frozen=True)

@@ -133,12 +133,17 @@ class GcdMorphicReport:
 
 
 def is_gcd_morphic(seq: FSequence, range_max: int) -> GcdMorphicReport:
-    """Check GCD[F_n, F_m] = F_GCD[n, m] for all 1 <= n, m <= range_max."""
+    """Check GCD[F_n, F_m] = F_GCD[n, m] for all 1 <= n, m <= range_max.
+
+    The pair (n, n) always holds and (n, m) fails exactly when (m, n) does,
+    so only n < m is scanned; the smallest failing such pair is also the
+    lexicographically smallest over the whole square.
+    """
     if range_max < 2:
         raise InvalidBounds(f"range_max must be >= 2, got {range_max}")
     vals: Sequence[int] = [seq.value(s) for s in range(1, range_max + 1)]
     for n in range(1, range_max + 1):
-        for m in range(1, range_max + 1):
+        for m in range(n + 1, range_max + 1):
             g = math.gcd(vals[n - 1], vals[m - 1])
             expected = vals[math.gcd(n, m) - 1]
             if g != expected:

@@ -213,6 +213,46 @@ def test_results_past_the_digit_limit_print_exactly():
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("argv", [
+    ("fnomial", "--seq", "odd", "--n", "3000", "--k", "1500"),
+    ("bell", "--family", "prefab", "--seq", "odd", "--n", "3000"),
+])
+def test_non_integral_past_the_digit_limit_names_bit_lengths(argv):
+    code, out, err = invoke(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: NonIntegral: quotient of a ") and err.count("\n") == 1
+    assert "-bit numerator by a " in err and "-bit denominator is not an integer" in err
+    assert "Traceback" not in err
+
+
+def test_small_non_integral_and_out_of_domain_messages(tmp_path):
+    path = tmp_path / "lumpy.txt"
+    path.write_text("2\n3\n4\n")
+    tok = f"file:{path}"
+    beyond = f"error: IndexOutOfDomain: sequence 'file:{path}' is defined up to index 3, got 4\n"
+    for argv, expected in [
+        (("fnomial", "--seq", tok, "--n", "2", "--k", "1"),
+         "error: NonIntegral: quotient 6/4 is not an integer\n"),
+        (("fnomial", "--seq", "odd", "--n", "4", "--k", "2"),
+         "error: NonIntegral: quotient 105/9 is not an integer\n"),
+        (("fnomial", "--seq", tok, "--n", "4", "--k", "0"), beyond),
+        (("fnomial", "--seq", tok, "--n", "4", "--k", "4"), beyond),
+        (("fnomial", "--seq", tok, "--table", "1"), None),
+        # row 2 of the triangle fails before row 4 would leave the domain
+        (("fnomial", "--seq", tok, "--table", "5"),
+         "error: NonIntegral: quotient 6/4 is not an integer\n"),
+        (("whitney", "--family", "prefab", "--seq", tok, "--n", "4"), beyond),
+        (("bell", "--family", "prefab", "--seq", tok, "--n", "4"), beyond),
+        (("bell", "--family", "prefab", "--seq", tok, "--n", "5", "--table"),
+         "error: NonIntegral: quotient 6/4 is not an integer\n"),
+    ]:
+        code, out, err = invoke(*argv)
+        if expected is None:
+            assert (code, err) == (0, ""), argv
+        else:
+            assert (code, out, err) == (1, "", expected), argv
+
+
 def test_usage_error_exit_code():
     code, _, err = invoke("grid", "--k", "1")
     assert code == 2

@@ -55,6 +55,17 @@ def test_fnomial_non_integral_carries_quotient():
     assert exc.value.denominator == 4
 
 
+def test_non_integral_message_prints_the_quotient_or_its_bit_lengths():
+    assert str(NonIntegral(105, 9)) == "quotient 105/9 is not an integer"
+    huge = 3**20000  # 9543 digits, past the default int-to-str limit
+    exc = NonIntegral(huge, 4)
+    assert (exc.numerator, exc.denominator) == (huge, 4)
+    assert str(exc) == (
+        f"quotient of a {huge.bit_length()}-bit numerator by a 3-bit denominator "
+        "is not an integer"
+    )
+
+
 @pytest.mark.parametrize("seq", [NATURALS, FIBONACCI, EVEN1], ids=lambda s: s.name)
 def test_fnomial_symmetry(seq):
     table = FNomialTable(seq)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from cobweb import (
     NATURALS,
     ODD,
     FSequence,
+    GcdMorphicReport,
     IndexOutOfDomain,
     InvalidBounds,
     from_file,
@@ -133,3 +135,30 @@ def test_gcd_morphic_range_precondition():
 @given(st.integers(1, 300), st.integers(1, 300))
 def test_fibonacci_gcd_identity(n, m):
     assert math.gcd(FIBONACCI.value(n), FIBONACCI.value(m)) == FIBONACCI.value(math.gcd(n, m))
+
+
+def full_square_scan(seq, range_max):
+    """Reference: the lexicographically first failing pair over all n, m."""
+    vals = seq.values(range_max)
+    for n in range(1, range_max + 1):
+        for m in range(1, range_max + 1):
+            g = math.gcd(vals[n - 1], vals[m - 1])
+            if g != vals[math.gcd(n, m) - 1]:
+                return GcdMorphicReport(False, (n, m), g, vals[math.gcd(n, m) - 1])
+    return GcdMorphicReport(True)
+
+
+def test_half_scan_matches_full_square_scan():
+    rng = random.Random(1989)
+    seqs = list(BUILTIN_SEQUENCES.values())
+    for i in range(60):
+        pool = rng.choice(((1, 2, 3, 4, 6, 12), (1, 1, 2, 3, 5, 8), tuple(range(1, 41))))
+        seqs.append(from_values(f"random{i}", [rng.choice(pool) for _ in range(40)]))
+        # a GCD-morphic prefix that breaks late, so witnesses sit deep in the square
+        vals = (NATURALS if i % 2 else FIBONACCI).values(40)
+        vals[rng.randrange(2, 40)] *= rng.choice((2, 3, 5))
+        seqs.append(from_values(f"perturbed{i}", vals))
+    for seq in seqs:
+        for range_max in range(2, 41):
+            assert is_gcd_morphic(seq, range_max) == full_square_scan(seq, range_max), (
+                seq.name, range_max)

@@ -4,30 +4,24 @@ Exit codes: 0 success, 1 domain errors (the message names the error case),
 2 usage errors.  Output formats: text (default), csv (header row plus
 integer-only data rows), json (one object with command/params/result; big
 integers are serialized as decimal strings).
+
+Each handler imports the library modules it runs, so a request pays only for
+its own subcommand's imports.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
 import threading
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence, TextIO
 
-from . import hasse, prefab, sequences
 from .errors import CobwebError
-from .fnomial import FNomialTable, ballot, catalan
-from .grid import (
-    bell_grid,
-    build_grid,
-    grid_chain_count,
-    grid_mobius,
-    grid_whitney,
-    stirling2_closed,
-)
-from .sequences import BUILTIN_SEQUENCES, FSequence
+
+if TYPE_CHECKING:
+    from .sequences import FSequence
 
 __all__ = ["run", "main"]
 
@@ -58,10 +52,12 @@ class OutputRecord:
 
 
 def _seq_from_token(token: str) -> FSequence:
+    from .sequences import BUILTIN_SEQUENCES, from_file
+
     if token in BUILTIN_SEQUENCES:
         return BUILTIN_SEQUENCES[token]
     if token.startswith("file:"):
-        return sequences.from_file(token[len("file:") :])
+        return from_file(token[len("file:") :])
     names = "|".join(BUILTIN_SEQUENCES)
     raise _UsageError(f"--seq must be one of {names} or file:<path>, got {token!r}")
 
@@ -70,9 +66,11 @@ def _seq_from_token(token: str) -> FSequence:
 
 
 def _cmd_seq(ns: argparse.Namespace) -> OutputRecord:
+    from .sequences import is_gcd_morphic
+
     seq = _seq_from_token(ns.seq)
     if ns.gcd_morphic is not None:
-        report = sequences.is_gcd_morphic(seq, ns.gcd_morphic)
+        report = is_gcd_morphic(seq, ns.gcd_morphic)
         params = {"seq": ns.seq, "gcd_morphic": ns.gcd_morphic}
         if report.holds:
             return OutputRecord("seq", params, columns=("holds",), rows=[(1,)])
@@ -90,6 +88,8 @@ def _cmd_seq(ns: argparse.Namespace) -> OutputRecord:
 
 
 def _cmd_fnomial(ns: argparse.Namespace) -> OutputRecord:
+    from .fnomial import FNomialTable
+
     seq = _seq_from_token(ns.seq)
     table = FNomialTable(seq)
     if ns.table is not None:
@@ -107,14 +107,20 @@ def _cmd_fnomial(ns: argparse.Namespace) -> OutputRecord:
 
 
 def _cmd_catalan(ns: argparse.Namespace) -> OutputRecord:
+    from .fnomial import catalan
+
     return OutputRecord("catalan", {"n": ns.n}, value=catalan(ns.n))
 
 
 def _cmd_ballot(ns: argparse.Namespace) -> OutputRecord:
+    from .fnomial import ballot
+
     return OutputRecord("ballot", {"k": ns.k, "n": ns.n}, value=ballot(ns.k, ns.n).count)
 
 
 def _cmd_grid(ns: argparse.Namespace) -> OutputRecord:
+    from .grid import build_grid
+
     params = {"k": ns.k, "n": ns.n, "mode": ns.mode, "what": ns.what}
     g = build_grid(ns.k, ns.n, ns.mode)
     if ns.what == "size":
@@ -130,6 +136,8 @@ def _cmd_whitney(ns: argparse.Namespace) -> OutputRecord:
     if ns.family == "grid":
         if ns.l is None or ns.m is None:
             raise _UsageError("whitney --family grid needs --l and --m")
+        from .grid import grid_whitney
+
         vec = grid_whitney(ns.l, ns.m, ns.kind)
         params = {"family": "grid", "l": ns.l, "m": ns.m, "kind": ns.kind}
         rows = [(k, v) for k, v in enumerate(vec.values)]
@@ -138,7 +146,9 @@ def _cmd_whitney(ns: argparse.Namespace) -> OutputRecord:
         raise _UsageError("--kind first is not defined for --family prefab")
     if ns.seq is None or ns.n is None:
         raise _UsageError("whitney --family prefab needs --seq and --n")
-    row = prefab.whitney_row(_seq_from_token(ns.seq), ns.n)
+    from .prefab import whitney_row
+
+    row = whitney_row(_seq_from_token(ns.seq), ns.n)
     params = {"family": "prefab", "seq": ns.seq, "n": ns.n, "kind": "second"}
     rows = [(k, v) for k, v in enumerate(row.values)]
     return OutputRecord("whitney", params, columns=("k", "value"), rows=rows)
@@ -148,24 +158,30 @@ def _cmd_bell(ns: argparse.Namespace) -> OutputRecord:
     if ns.family == "grid":
         if ns.l is None or ns.m is None:
             raise _UsageError("bell --family grid needs --l and --m")
+        from .grid import bell_grid
+
         return OutputRecord(
             "bell", {"family": "grid", "l": ns.l, "m": ns.m}, value=bell_grid(ns.l, ns.m)
         )
     if ns.seq is None or ns.n is None:
         raise _UsageError("bell --family prefab needs --seq and --n")
+    from .prefab import bell_f, bell_f_table
+
     seq = _seq_from_token(ns.seq)
     params = {"family": "prefab", "seq": ns.seq, "n": ns.n}
     if ns.table:
         params["table"] = True
-        values = prefab.bell_f_table(seq, ns.n).values
+        values = bell_f_table(seq, ns.n).values
         return OutputRecord(
             "bell", params, columns=("n", "value"), rows=[(n, v) for n, v in enumerate(values)]
         )
-    return OutputRecord("bell", params, value=prefab.bell_f(seq, ns.n))
+    return OutputRecord("bell", params, value=bell_f(seq, ns.n))
 
 
 def _cmd_chains(ns: argparse.Namespace) -> OutputRecord:
     if ns.family == "grid":
+        from .grid import grid_chain_count
+
         params = {"family": "grid", "k": ns.k, "n": ns.n, "mode": ns.mode, "method": ns.method}
         value = grid_chain_count(ns.k, ns.n, ns.mode, ns.method)
         agreement = None
@@ -177,13 +193,15 @@ def _cmd_chains(ns: argparse.Namespace) -> OutputRecord:
         return OutputRecord("chains", params, value=value, agreement=agreement)
     if ns.seq is None:
         raise _UsageError("chains --family cobweb needs --seq")
+    from .hasse import build_cobweb, layer_chain_count
+
     seq = _seq_from_token(ns.seq)
     params = {"family": "cobweb", "seq": ns.seq, "k": ns.k, "n": ns.n, "method": ns.method}
-    c = hasse.build_cobweb(seq, ns.n)
-    value = hasse.layer_chain_count(c, ns.k, ns.n, ns.method)
+    c = build_cobweb(seq, ns.n)
+    value = layer_chain_count(c, ns.k, ns.n, ns.method)
     agreement = None
     if ns.method == "brute":
-        closed = hasse.layer_chain_count(c, ns.k, ns.n, "closed")
+        closed = layer_chain_count(c, ns.k, ns.n, "closed")
         agreement = value == closed
         if not agreement:
             raise _Discrepancy(f"cobweb chains seq={ns.seq} k={ns.k} n={ns.n}", value, closed)
@@ -191,6 +209,8 @@ def _cmd_chains(ns: argparse.Namespace) -> OutputRecord:
 
 
 def _cmd_mobius(ns: argparse.Namespace) -> OutputRecord:
+    from .grid import grid_mobius
+
     entries = grid_mobius(ns.k, ns.n, ns.mode).entries
     rows = [(x.l, x.m, y.l, y.m, mu) for (x, y), mu in entries.items()]
     params = {"k": ns.k, "n": ns.n, "mode": ns.mode}
@@ -198,17 +218,21 @@ def _cmd_mobius(ns: argparse.Namespace) -> OutputRecord:
 
 
 def _cmd_dot(ns: argparse.Namespace) -> OutputRecord:
+    from .hasse import build_cobweb, to_dot
+
     if ns.family == "cobweb":
         if ns.seq is None or ns.levels is None:
             raise _UsageError("dot --family cobweb needs --seq and --levels")
-        c = hasse.build_cobweb(_seq_from_token(ns.seq), ns.levels)
-        text = hasse.to_dot(c, c.level_of(), name=f"cobweb_{ns.seq}")
+        c = build_cobweb(_seq_from_token(ns.seq), ns.levels)
+        text = to_dot(c, c.level_of(), name=f"cobweb_{ns.seq}")
         params: dict[str, object] = {"family": "cobweb", "seq": ns.seq, "levels": ns.levels}
     else:
         if ns.k is None or ns.n is None:
             raise _UsageError("dot --family grid needs --k and --n")
+        from .grid import build_grid
+
         g = build_grid(ns.k, ns.n, ns.mode)
-        text = hasse.to_dot(g, g.level_of(), name=f"grid_{ns.mode}_{ns.k}_{ns.n}")
+        text = to_dot(g, g.level_of(), name=f"grid_{ns.mode}_{ns.k}_{ns.n}")
         params = {"family": "grid", "k": ns.k, "n": ns.n, "mode": ns.mode}
     if ns.out is not None:
         with open(ns.out, "w", encoding="ascii") as fh:
@@ -222,10 +246,10 @@ def _vec_at(values: Sequence[int], k: int) -> int:
 
 
 def _cmd_problems(ns: argparse.Namespace) -> OutputRecord:
+    from .grid import grid_whitney, stirling2_closed
+
     l, m = ns.l, ns.m
-    if not 0 <= l < m:
-        raise _UsageError("problems needs 0 <= l < m")
-    s1 = grid_whitney(l, m, "first").values
+    s1 = grid_whitney(l, m, "first").values  # InvalidBounds unless 0 <= l < m
     columns = ["k", "stirling1", "stirling2"]
     with_dm = l < m - 1  # neighbour (l, m-1) stays a valid strict grid
     with_dl = l >= 1  # neighbour (l-1, m)
@@ -272,6 +296,8 @@ def _render_csv(rec: OutputRecord) -> str:
 
 
 def _render_json(rec: OutputRecord) -> str:
+    import json
+
     result: object
     if rec.rows is not None:
         result = {

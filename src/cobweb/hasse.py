@@ -2,7 +2,9 @@
 consecutive levels are joined completely, so any two vertices on different
 levels are comparable.  Includes layer slices, chain counts, and DOT export.
 
-Levels are 1-based here; that is a fixed convention of this module.
+Levels are 1-based here; that is a fixed convention of this module.  The
+generic engine in `cobweb.poset` is imported only by the paths that build it,
+so the closed-form views and DOT export run without it.
 """
 
 from __future__ import annotations
@@ -10,11 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import BudgetExceeded, InvalidBounds
-from .poset import FinitePoset, maximal_chains
 from .sequences import FSequence
+
+if TYPE_CHECKING:
+    from .poset import FinitePoset
 
 __all__ = [
     "CobwebVertex",
@@ -79,6 +83,8 @@ class CobwebPoset:
 
     @cached_property
     def poset(self) -> FinitePoset:
+        from .poset import FinitePoset
+
         return FinitePoset(*_slice_vertices_and_pairs(self.widths, 1, self.level_max))
 
 
@@ -120,6 +126,8 @@ def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
         raise InvalidBounds(
             f"need 1 <= k < n <= {c.level_max}, got k={k}, n={n}"
         )
+    from .poset import FinitePoset
+
     vertices, pairs = _slice_vertices_and_pairs(c.widths, k, n)
     return FinitePoset(vertices, pairs)
 
@@ -134,6 +142,8 @@ def layer_chain_count(
             raise InvalidBounds(f"need 1 <= k < n <= {c.level_max}, got k={k}, n={n}")
         return prod(c.widths[s - 1] for s in range(k, n + 1))
     if method == "brute":
+        from .poset import maximal_chains
+
         count = maximal_chains(layer_subposet(c, k, n), "count")
         assert isinstance(count, int)
         return count

@@ -302,14 +302,20 @@ class MobiusMatrix:
 
 
 def _mobius_row(p: FinitePoset, i: int) -> dict[int, int]:
-    """mu(i, j) for every j >= i, by the textbook recursion over the up-set."""
+    """mu(i, j) for every j >= i, by the textbook recursion over the up-set.
+
+    Each mu(i, j) sums only the nonzero entries found so far that lie in
+    down[j]; zero terms add nothing."""
     row: dict[int, int] = {i: 1}
+    nonzero = [(i, 1)]
     up_i = p._up[i]
     for j in p._topo:
         if j == i or not (up_i >> j & 1):
             continue
         down_j = p._down[j]
-        row[j] = -sum(v for z, v in row.items() if z != j and (down_j >> z & 1))
+        row[j] = v = -sum(w for z, w in nonzero if down_j >> z & 1)
+        if v:
+            nonzero.append((j, v))
     return row
 
 

@@ -69,16 +69,16 @@ def test_chains_cobweb_brute():
 
 
 def test_discrepancy_trips_nonzero_exit(monkeypatch):
-    from cobweb import cli as cli_mod
+    from cobweb import grid as grid_mod
 
-    real = cli_mod.grid_chain_count
+    real = grid_mod.grid_chain_count
 
     def lying(k, n, mode="strict", method="closed"):
         if method == "closed":
             return real(k, n, mode, method) + 1
         return real(k, n, mode, method)
 
-    monkeypatch.setattr(cli_mod, "grid_chain_count", lying)
+    monkeypatch.setattr(grid_mod, "grid_chain_count", lying)
     code, out, err = invoke(
         "chains", "--family", "grid", "--k", "1", "--n", "2", "--mode", "weak",
         "--method", "brute",
@@ -194,6 +194,11 @@ def test_domain_error_exit_code():
         (("bell", "--family", "prefab", "--seq", "naturals", "--n", "-2"), "n >= 0, got -2"),
         (("seq", "--seq", "naturals", "--count", "-3"), "count >= 0, got -3"),
         (("fnomial", "--seq", "naturals", "--table", "-1"), "table >= 0, got -1"),
+        (("problems", "--l", "3", "--m", "1"), "InvalidBounds: strict grid needs 0 <= l < m"),
+        (("problems", "--l", "-1", "--m", "2"), "got l=-1, m=2"),
+        (("problems", "--l", "2", "--m", "2"), "got l=2, m=2"),
+        (("whitney", "--family", "grid", "--l", "3", "--m", "1"), "got l=3, m=1"),
+        (("bell", "--family", "grid", "--l", "3", "--m", "1"), "InvalidBounds: need 0 <= l < m"),
     ]:
         code, out, err = invoke(*argv)
         assert (code, out) == (1, ""), argv

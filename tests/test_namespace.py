@@ -1,0 +1,112 @@
+"""The lazy package namespace and the modules each CLI request imports.
+
+The import checks run in fresh interpreters and compare module sets, not
+timings, so they are deterministic.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cobweb
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# The public names and their home modules, as the eager package exported them.
+HOMES = {
+    "errors": [
+        "BudgetExceeded", "CobwebError", "IndexOutOfDomain", "InvalidBounds", "NonIntegral",
+        "NotAPartialOrder", "NotGraded", "NoUniqueMinimum", "UndefinedRank",
+    ],
+    "fnomial": ["BallotCount", "FNomialTable", "ballot", "catalan", "dominated_strings_brute"],
+    "grid": [
+        "GridElement", "GridPoset", "bell_grid", "build_grid", "grid_chain_count", "grid_mobius",
+        "grid_rank", "grid_whitney", "size_formula", "stirling1_grid", "stirling2_closed",
+        "stirling2_grid",
+    ],
+    "hasse": [
+        "CobwebPoset", "CobwebVertex", "build_cobweb", "layer_chain_count", "layer_subposet",
+        "to_dot",
+    ],
+    "poset": [
+        "FinitePoset", "MobiusMatrix", "RankLabels", "WhitneyVector", "maximal_chains", "mobius",
+        "rank_function", "whitney",
+    ],
+    "prefab": [
+        "BellSequence", "PrefabWhitneyRow", "bell_f", "bell_f_table", "whitney_prefab",
+        "whitney_row",
+    ],
+    "sequences": [
+        "BUILTIN_SEQUENCES", "DIV31", "EVEN1", "FIBONACCI", "NATURALS", "ODD", "FSequence",
+        "GcdMorphicReport", "from_file", "from_values", "is_gcd_morphic",
+    ],
+}
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The cobweb modules loaded after running `code` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
+    probe += " if m == 'cobweb' or m.startswith('cobweb.'))))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_bare_cli_import_loads_no_library_module():
+    assert _loaded_after("import cobweb.cli") == {"cobweb", "cobweb.cli", "cobweb.errors"}
+
+
+def test_arithmetic_commands_load_no_poset_code():
+    argvs = [
+        ["seq", "--seq", "fibonacci", "--count", "5"],
+        ["seq", "--seq", "odd", "--gcd-morphic", "12"],
+        ["fnomial", "--seq", "naturals", "--n", "6", "--k", "2"],
+        ["fnomial", "--seq", "fibonacci", "--table", "5", "--format", "json"],
+        ["catalan", "--n", "10"],
+        ["ballot", "--k", "2", "--n", "4", "--format", "csv"],
+        ["whitney", "--family", "prefab", "--seq", "fibonacci", "--n", "9"],
+        ["bell", "--family", "prefab", "--seq", "naturals", "--n", "8"],
+        ["bell", "--family", "prefab", "--seq", "naturals", "--n", "8", "--table"],
+    ]
+    code = "import io\nfrom cobweb import cli\n"
+    code += f"for argv in {argvs!r}:\n    assert cli.run(argv, io.StringIO()) == 0, argv\n"
+    loaded = _loaded_after(code)
+    assert not loaded & {"cobweb.poset", "cobweb.grid", "cobweb.hasse"}, loaded
+    assert {"cobweb.sequences", "cobweb.fnomial", "cobweb.prefab"} <= loaded
+
+
+def test_cobweb_dot_loads_no_poset_engine():
+    code = "import io\nfrom cobweb import cli\n"
+    code += "argv = ['dot', '--family', 'cobweb', '--seq', 'fibonacci', '--levels', '6']\n"
+    code += "assert cli.run(argv, io.StringIO()) == 0\n"
+    assert "cobweb.poset" not in _loaded_after(code)
+
+
+def test_public_names_resolve_to_their_home_objects():
+    expected = sorted(name for names in HOMES.values() for name in names)
+    assert len(expected) == 57
+    assert cobweb.__all__ == expected
+    for module, names in HOMES.items():
+        home = importlib.import_module(f"cobweb.{module}")
+        for name in names:
+            assert getattr(cobweb, name) is getattr(home, name), name
+
+
+def test_star_import_dir_and_unknown_names():
+    namespace: dict[str, object] = {}
+    exec("from cobweb import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == cobweb.__all__
+    assert set(cobweb.__all__) <= set(dir(cobweb))
+    assert cobweb.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        cobweb.not_a_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from cobweb import not_a_name", {})

@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import product
 
@@ -275,3 +276,51 @@ def test_random_relations_build_or_witness(data):
         for y in p:
             if p.lt(x, y):
                 assert sum(m.value(x, z) for z in p if p.leq(x, z) and p.leq(z, y)) == 0
+
+
+def _mobius_by_definition(elements, pairs):
+    """mu(x, y) for every x <= y, from the order alone: reachability by search
+    over the input pairs, then mu(y, y) = 1 and mu(x, y) = -sum of mu(z, y)
+    over x < z <= y (the dual of the recursion the engine runs)."""
+    leq = {(x, y) for x in elements for y in elements if _reaches(pairs, x, y, None)}
+
+    @functools.cache
+    def mu(x, y):
+        if x == y:
+            return 1
+        return -sum(mu(z, y) for z in elements if z != x and (x, z) in leq and (z, y) in leq)
+
+    return {(x, y): mu(x, y) for x, y in leq}
+
+
+@given(st.data())
+def test_mobius_matches_the_definition_on_random_posets(data):
+    n = data.draw(st.integers(1, 7))
+    order = data.draw(st.permutations(range(n)))
+    # Pairs drawn as (min, max) can never close a cycle.
+    raw = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=14))
+    pairs = [(min(a, b), max(a, b)) for a, b in raw]
+    p = FinitePoset(order, pairs)
+    assert mobius(p).entries == _mobius_by_definition(order, pairs)
+
+
+@given(st.data())
+def test_first_kind_whitney_matches_the_definition_on_random_graded_posets(data):
+    """A unique bottom, then levels 1..L; each element covers a nonempty set
+    of elements on the level below, so its rank is its level."""
+    widths = data.draw(st.lists(st.integers(1, 3), min_size=0, max_size=4))
+    levels = [[(0, 0)]] + [[(t, j) for j in range(w)] for t, w in enumerate(widths, 1)]
+    pairs = []
+    for below, level in zip(levels, levels[1:]):
+        for y in level:
+            lower = data.draw(st.sets(st.sampled_from(below), min_size=1))
+            pairs += [(x, y) for x in sorted(lower)]
+    elements = [x for level in levels for x in level]
+    mu = _mobius_by_definition(elements, pairs)
+    expected = [0] * len(levels)
+    for y in elements:
+        expected[y[0]] += mu[(0, 0), y]
+    p = FinitePoset(elements, pairs)
+    assert whitney(p, "first").values == tuple(expected)
+    assert mobius(p).entries == mu

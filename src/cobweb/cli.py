@@ -296,20 +296,20 @@ def _render_csv(rec: OutputRecord) -> str:
 
 
 def _render_json(rec: OutputRecord) -> str:
+    """The text of json.dumps over the payload object.  Rows are written one
+    string each, not as a list of string lists: a decimal integer needs no
+    escaping, and a large table then costs no more memory than in text."""
     import json
 
-    result: object
     if rec.rows is not None:
-        result = {
-            "columns": list(rec.columns),
-            "rows": [[str(c) for c in row] for row in rec.rows],
-        }
+        rows = ", ".join('["' + '", "'.join(map(str, row)) + '"]' for row in rec.rows)
+        result = f'{{"columns": {json.dumps(list(rec.columns))}, "rows": [{rows}]}}'
     else:
-        result = str(rec.value)
+        result = json.dumps(str(rec.value))
     if rec.agreement is not None:
-        result = {"value": result, "agreement": rec.agreement}
-    payload = {"command": rec.command, "params": rec.params, "result": result}
-    return json.dumps(payload) + "\n"
+        result = f'{{"value": {result}, "agreement": {json.dumps(rec.agreement)}}}'
+    head = f'{{"command": {json.dumps(rec.command)}, "params": {json.dumps(rec.params)}'
+    return f'{head}, "result": {result}}}\n'
 
 
 _RENDERERS = {"text": _render_text, "csv": _render_csv, "json": _render_json}

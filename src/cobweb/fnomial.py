@@ -7,7 +7,6 @@ Everything is exact integer arithmetic; there are no floating-point paths.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -45,27 +44,21 @@ def non_integral(vals: Sequence[int], n: int, k: int) -> NonIntegral:
 class FNomialTable:
     """Exact F-factorials and F-nomial coefficients of one sequence.
 
-    F_0! = 1 and F_n! = F_1 * F_2 * ... * F_n.  Only ``f_factorial`` keeps a
-    memo; it grows on demand under a lock and is never evicted, so
-    concurrent queries are safe and deterministic.  Coefficients divide no
-    factorials: a single one is a falling product over F_k!, a triangle row
-    follows from the row ratio, each with an exact remainder check.
+    F_0! = 1 and F_n! = F_1 * F_2 * ... * F_n.  The table keeps no state of
+    its own, so concurrent queries are safe and deterministic.  Coefficients
+    divide no factorials: a single one is a falling product over F_k!, a
+    triangle row follows from the row ratio, each with an exact remainder
+    check.
     """
 
     def __init__(self, seq: FSequence) -> None:
         self.seq = seq
-        self._fact: list[int] = [1]
-        self._lock = threading.Lock()
 
     def f_factorial(self, n: int) -> int:
-        """F_n!, exactly."""
+        """F_n!, exactly, as a balanced product of F_1..F_n."""
         if n < 0:
             raise IndexOutOfDomain(f"factorial index must be >= 0, got {n}")
-        if n >= len(self._fact):
-            with self._lock:
-                while len(self._fact) <= n:
-                    self._fact.append(self._fact[-1] * self.seq.value(len(self._fact)))
-        return self._fact[n]
+        return _prod(self.seq.values(n))
 
     def fnomial(self, n: int, k: int) -> int:
         """The coefficient (n over k)_F = F_n F_{n-1} ... F_{n-k+1} / F_k!;

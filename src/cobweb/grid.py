@@ -12,7 +12,6 @@ explicit mode:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Literal, NamedTuple
@@ -90,17 +89,7 @@ class GridPoset:
 
     @cached_property
     def poset(self) -> FinitePoset:
-        els = self.elements
-        have = set(els)
-        pairs: list[tuple[GridElement, GridElement]] = []
-        for e in els:
-            up = GridElement(e.l + 1, e.m)
-            if up in have:
-                pairs.append((e, up))
-            right = GridElement(e.l, e.m + 1)
-            if right in have:
-                pairs.append((e, right))
-        return FinitePoset(els, pairs)
+        return FinitePoset(self.elements, self.covers)
 
 
 def _check_bounds(k: int, n: int, mode: GridMode) -> None:
@@ -237,9 +226,10 @@ def grid_chain_count(
     """Number of maximal chains of the grid.
 
     `brute` counts saturated paths through the generic engine; `closed`
-    evaluates the ballot form ((n-k+1)/(n+1)) C(n+k, k) in weak mode and the
-    strictly-dominated variant ((n-k)/n) C(n+k-1, k) in strict mode.  The two
-    methods are pinned to each other by the test suite.
+    evaluates the ballot form ((n-k+1)/(n+1)) C(n+k, k) of the weak grid.
+    In strict mode m -> m - 1 maps the grid (k, n) onto the weak grid
+    (k, n - 1), so the count is ballot(k, n - 1).  The two methods are pinned
+    to each other by the test suite.
     """
     _check_bounds(k, n, mode)
     if method == "brute":
@@ -247,9 +237,5 @@ def grid_chain_count(
         assert isinstance(count, int)
         return count
     if method == "closed":
-        if mode == "weak":
-            return ballot(k, n).count
-        q, r = divmod((n - k) * math.comb(n + k - 1, k), n)
-        assert r == 0, (k, n)
-        return q
+        return ballot(k, n - _gap(mode)).count
     raise ValueError(f"method must be 'brute' or 'closed', got {method!r}")

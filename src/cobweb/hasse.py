@@ -59,20 +59,12 @@ class CobwebPoset:
     @cached_property
     def elements(self) -> tuple[CobwebVertex, ...]:
         """Every vertex, level-major with j ascending: the engine's order."""
-        return tuple(
-            CobwebVertex(s, j) for s, w in enumerate(self.widths, 1) for j in range(1, w + 1)
-        )
+        return tuple(_vertices(self.widths, 1, self.level_max))
 
     @property
     def covers(self) -> Iterator[tuple[CobwebVertex, CobwebVertex]]:
         """Every (s, i) below every (s+1, j), in the engine's cover order."""
-        w = self.widths
-        for s in range(1, self.level_max):
-            above = [CobwebVertex(s + 1, j) for j in range(1, w[s] + 1)]
-            for i in range(1, w[s - 1] + 1):
-                x = CobwebVertex(s, i)
-                for y in above:
-                    yield x, y
+        return _covers(self.widths, 1, self.level_max)
 
     def __len__(self) -> int:
         return sum(self.widths)
@@ -85,22 +77,26 @@ class CobwebPoset:
     def poset(self) -> FinitePoset:
         from .poset import FinitePoset
 
-        return FinitePoset(*_slice_vertices_and_pairs(self.widths, 1, self.level_max))
+        return FinitePoset(self.elements, self.covers)
 
 
-def _slice_vertices_and_pairs(
+def _vertices(widths: Sequence[int], lo: int, hi: int) -> Iterator[CobwebVertex]:
+    """The vertices of levels lo..hi, level-major with j ascending."""
+    for s in range(lo, hi + 1):
+        for j in range(1, widths[s - 1] + 1):
+            yield CobwebVertex(s, j)
+
+
+def _covers(
     widths: Sequence[int], lo: int, hi: int
-) -> tuple[list[CobwebVertex], list[tuple[CobwebVertex, CobwebVertex]]]:
-    vertices = [
-        CobwebVertex(s, j) for s in range(lo, hi + 1) for j in range(1, widths[s - 1] + 1)
-    ]
-    pairs = [
-        (CobwebVertex(s, i), CobwebVertex(s + 1, j))
-        for s in range(lo, hi)
-        for i in range(1, widths[s - 1] + 1)
-        for j in range(1, widths[s] + 1)
-    ]
-    return vertices, pairs
+) -> Iterator[tuple[CobwebVertex, CobwebVertex]]:
+    """Every (s, i) below every (s+1, j) for lo <= s < hi, level-major."""
+    for s in range(lo, hi):
+        above = [CobwebVertex(s + 1, j) for j in range(1, widths[s] + 1)]
+        for i in range(1, widths[s - 1] + 1):
+            x = CobwebVertex(s, i)
+            for y in above:
+                yield x, y
 
 
 def build_cobweb(seq: FSequence, level_max: int) -> CobwebPoset:
@@ -128,8 +124,7 @@ def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
         )
     from .poset import FinitePoset
 
-    vertices, pairs = _slice_vertices_and_pairs(c.widths, k, n)
-    return FinitePoset(vertices, pairs)
+    return FinitePoset(_vertices(c.widths, k, n), _covers(c.widths, k, n))
 
 
 def layer_chain_count(

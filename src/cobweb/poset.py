@@ -187,37 +187,25 @@ def _toposort(succ: list[set[int]], pred: list[set[int]], labels: list[Label]) -
                 stack.append(j)
     if len(order) < n:
         remaining = {i for i in range(n) if indeg[i] > 0}
-        raise NotAPartialOrder(_cycle_witness(succ, remaining, labels))
+        raise NotAPartialOrder(_cycle_witness(pred, remaining, labels))
     return order
 
 
 def _cycle_witness(
-    succ: list[set[int]], remaining: set[int], labels: list[Label]
+    pred: list[set[int]], remaining: set[int], labels: list[Label]
 ) -> tuple[Label, Label]:
-    """A pair (x, y), x != y, reachable from each other inside `remaining`."""
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
-    for start in sorted(remaining):
-        if state.get(start):
-            continue
-        path = [start]
-        iters = [iter(sorted(succ[start] & remaining))]
-        state[start] = 1
-        while path:
-            try:
-                j = next(iters[-1])
-            except StopIteration:
-                state[path.pop()] = 2
-                iters.pop()
-                continue
-            if state.get(j) == 1:
-                # j ... path[-1] closes a cycle: j <= path[-1] along the stack
-                # and path[-1] <= j through this edge.
-                return (labels[j], labels[path[-1]])
-            if not state.get(j):
-                state[j] = 1
-                path.append(j)
-                iters.append(iter(sorted(succ[j] & remaining)))
-    raise AssertionError("no cycle found among remaining nodes")  # pragma: no cover
+    """A pair (x, y), x != y, reachable from each other inside `remaining`.
+
+    Every node left out of the topological order has a predecessor left out
+    too, so a walk through predecessors inside `remaining` comes back to a
+    node it has seen; that node and the current one lie on one cycle.
+    """
+    seen: set[int] = set()
+    i = min(remaining)
+    while i not in seen:
+        seen.add(i)
+        j, i = i, min(pred[i] & remaining)
+    return (labels[i], labels[j])
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,89 @@
+"""CLI output pinned across commits.
+
+Each group of argvs has one sha256 over every (argv, exit code, stdout,
+stderr) it produces, so a refactor that changes one byte of output fails
+here.  argparse usage and help text are left out: they differ across Python
+versions.  After a deliberate output change, `PYTHONPATH=src python
+tests/test_cli_golden.py` prints the new digests.
+"""
+
+import hashlib
+from io import StringIO
+
+import pytest
+
+from cobweb import cli
+from test_acceptance import CLI_MATRIX
+
+BUILTINS = ("fibonacci", "naturals", "odd", "even1", "div31")
+MODES = ("strict", "weak")
+
+
+def _grids(n_max):
+    for mode in MODES:
+        for n in range(n_max + 1):
+            for k in range(n + (mode == "weak")):
+                yield mode, k, n
+
+
+GROUPS = {
+    "matrix": CLI_MATRIX,
+    "cobweb_chains": [
+        ["chains", "--family", "cobweb", "--seq", s, "--k", str(k), "--n", str(n),
+         "--method", "brute"]
+        for s in BUILTINS for n in range(2, 7) for k in range(1, n)
+    ],
+    "cobweb_dot": [
+        ["dot", "--family", "cobweb", "--seq", s, "--levels", str(levels)]
+        for s in BUILTINS for levels in range(1, 7)
+    ],
+    "grid_chains": [
+        ["chains", "--family", "grid", "--k", str(k), "--n", str(n), "--mode", mode,
+         "--method", method]
+        for mode, k, n in _grids(8) for method in ("brute", "closed")
+    ],
+    "grid_dot": [
+        ["dot", "--family", "grid", "--k", str(k), "--n", str(n), "--mode", mode]
+        for mode, k, n in _grids(8)
+    ],
+    "domain_errors": [
+        ["grid", "--k", "3", "--n", "2"],
+        ["mobius", "--k", "3", "--n", "2"],
+        ["chains", "--family", "grid", "--k", "2", "--n", "2", "--mode", "strict"],
+        ["chains", "--family", "grid", "--k", "-1", "--n", "2", "--method", "brute"],
+        ["chains", "--family", "cobweb", "--seq", "naturals", "--k", "3", "--n", "3",
+         "--method", "brute"],
+        ["chains", "--family", "cobweb", "--seq", "naturals", "--k", "0", "--n", "3"],
+        ["dot", "--family", "cobweb", "--seq", "naturals", "--levels", "0"],
+        ["dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "40"],
+        ["dot", "--family", "grid", "--k", "4", "--n", "3", "--mode", "weak"],
+    ],
+}
+
+GOLDEN = {
+    "cobweb_chains": "d6d66fc60fbc130625ab4fb1dc0a4a53fc5f6467919adbdacce4b9c4b58250e4",
+    "cobweb_dot": "188fc452ef70d441cbecb44463ee70530bca09fc11168cbb3dc5b8cca2f3d867",
+    "domain_errors": "05844ea69698d86561f69001d3750fb6fecbc08ce76ad12be9427d04883e831b",
+    "grid_chains": "d25d2955fd213bc62400836e2e7f902d709db311b4921d035ac8311b6e165c4b",
+    "grid_dot": "226adf92b7b4a060958fff62474313ac1b21994f2bcf8d93a63fc7804b2dd02a",
+    "matrix": "88e35576d833d277430d1093a2f0f6708e7f5cd0702720b338e563cfce829f08",
+}
+
+
+def digest(argvs):
+    h = hashlib.sha256()
+    for argv in argvs:
+        out, err = StringIO(), StringIO()
+        code = cli.run(list(argv), out, err)
+        h.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_cli_output_matches_golden(group):
+    assert digest(GROUPS[group]) == GOLDEN[group]
+
+
+if __name__ == "__main__":
+    for group in sorted(GROUPS):
+        print(f'    "{group}": "{digest(GROUPS[group])}",')

@@ -255,6 +255,16 @@ def test_view_matches_engine():
         assert g.level_of() == rank_function(engine).rank, (k, n, mode)
 
 
+def test_engine_order_is_componentwise():
+    # The engine is built from the view's covers, so a cover the view dropped
+    # would leave both sides of test_view_matches_engine; pin the definition.
+    for k, n, mode in _valid_grids(8):
+        p = build_grid(k, n, mode).poset
+        for x in p.elements:
+            for y in p.elements:
+                assert p.leq(x, y) == (x.l <= y.l and x.m <= y.m), (k, n, mode, x, y)
+
+
 def test_view_dot_matches_engine_dot():
     for k, n, mode in _valid_grids(8):
         g = build_grid(k, n, mode)

@@ -182,6 +182,29 @@ def test_view_matches_engine(seq):
 
 
 @pytest.mark.parametrize("seq", BUILTINS, ids=lambda s: s.name)
+def test_engine_order_is_level_order(seq):
+    # The engine is built from the view's covers, so a cover the view dropped
+    # would leave both sides of test_view_matches_engine; pin the definition.
+    for levels in range(1, 6):
+        p = build_cobweb(seq, levels).poset
+        for x in p.elements:
+            for y in p.elements:
+                assert p.leq(x, y) == (x == y or x.s < y.s), (levels, x, y)
+
+
+@pytest.mark.parametrize("seq", BUILTINS, ids=lambda s: s.name)
+def test_layer_subposet_is_the_induced_slice(seq):
+    c = build_cobweb(seq, 5)
+    for n in range(2, 6):
+        for k in range(1, n):
+            sub = layer_subposet(c, k, n)
+            assert sub.elements == tuple(v for v in c.elements if k <= v.s <= n), (k, n)
+            for x in sub.elements:
+                for y in sub.elements:
+                    assert sub.leq(x, y) == c.poset.leq(x, y), (k, n, x, y)
+
+
+@pytest.mark.parametrize("seq", BUILTINS, ids=lambda s: s.name)
 def test_view_dot_matches_engine_dot(seq):
     for levels in range(1, 7):
         c = build_cobweb(seq, levels)

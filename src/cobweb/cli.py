@@ -5,8 +5,10 @@ Exit codes: 0 success, 1 domain errors (the message names the error case),
 integer-only data rows), json (one object with command/params/result; big
 integers are serialized as decimal strings).
 
-Each handler imports the library modules it runs, so a request pays only for
-its own subcommand's imports.
+A subcommand is declared in one place, its `_COMMANDS` entry: help line,
+handler and options.  The parser gives options only to the subcommand a
+request names, and each handler imports the library modules it runs, so a
+request pays only for its own subcommand.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import contextlib
 import sys
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, TextIO
+from functools import partial
+from typing import TYPE_CHECKING, Any, Callable, Sequence, TextIO
 
 from .errors import CobwebError
 
@@ -31,11 +34,7 @@ class _UsageError(Exception):
 
 
 class _Discrepancy(Exception):
-    def __init__(self, what: str, brute: int, closed: int) -> None:
-        self.what = what
-        self.brute = brute
-        self.closed = closed
-        super().__init__(f"{what}: brute={brute} closed={closed}")
+    """A brute-force count that disagrees with its closed form."""
 
 
 @dataclass
@@ -60,6 +59,12 @@ def _seq_from_token(token: str) -> FSequence:
         return from_file(token[len("file:") :])
     names = "|".join(BUILTIN_SEQUENCES)
     raise _UsageError(f"--seq must be one of {names} or file:<path>, got {token!r}")
+
+
+def _need(ns: argparse.Namespace, what: str, *names: str) -> None:
+    """Raise the usage error "<what> needs --a and --b" unless each option is given."""
+    if any(getattr(ns, name) is None for name in names):
+        raise _UsageError(f"{what} needs " + " and ".join(f"--{name}" for name in names))
 
 
 # -- handlers ---------------------------------------------------------------
@@ -134,37 +139,31 @@ def _cmd_grid(ns: argparse.Namespace) -> OutputRecord:
 
 def _cmd_whitney(ns: argparse.Namespace) -> OutputRecord:
     if ns.family == "grid":
-        if ns.l is None or ns.m is None:
-            raise _UsageError("whitney --family grid needs --l and --m")
+        _need(ns, "whitney --family grid", "l", "m")
         from .grid import grid_whitney
 
-        vec = grid_whitney(ns.l, ns.m, ns.kind)
+        values = grid_whitney(ns.l, ns.m, ns.kind).values
         params = {"family": "grid", "l": ns.l, "m": ns.m, "kind": ns.kind}
-        rows = [(k, v) for k, v in enumerate(vec.values)]
-        return OutputRecord("whitney", params, columns=("k", "value"), rows=rows)
-    if ns.kind == "first":
-        raise _UsageError("--kind first is not defined for --family prefab")
-    if ns.seq is None or ns.n is None:
-        raise _UsageError("whitney --family prefab needs --seq and --n")
-    from .prefab import whitney_row
+    else:
+        if ns.kind == "first":
+            raise _UsageError("--kind first is not defined for --family prefab")
+        _need(ns, "whitney --family prefab", "seq", "n")
+        from .prefab import whitney_row
 
-    row = whitney_row(_seq_from_token(ns.seq), ns.n)
-    params = {"family": "prefab", "seq": ns.seq, "n": ns.n, "kind": "second"}
-    rows = [(k, v) for k, v in enumerate(row.values)]
-    return OutputRecord("whitney", params, columns=("k", "value"), rows=rows)
+        values = whitney_row(_seq_from_token(ns.seq), ns.n).values
+        params = {"family": "prefab", "seq": ns.seq, "n": ns.n, "kind": "second"}
+    return OutputRecord("whitney", params, columns=("k", "value"), rows=list(enumerate(values)))
 
 
 def _cmd_bell(ns: argparse.Namespace) -> OutputRecord:
     if ns.family == "grid":
-        if ns.l is None or ns.m is None:
-            raise _UsageError("bell --family grid needs --l and --m")
+        _need(ns, "bell --family grid", "l", "m")
         from .grid import bell_grid
 
         return OutputRecord(
             "bell", {"family": "grid", "l": ns.l, "m": ns.m}, value=bell_grid(ns.l, ns.m)
         )
-    if ns.seq is None or ns.n is None:
-        raise _UsageError("bell --family prefab needs --seq and --n")
+    _need(ns, "bell --family prefab", "seq", "n")
     from .prefab import bell_f, bell_f_table
 
     seq = _seq_from_token(ns.seq)
@@ -172,9 +171,7 @@ def _cmd_bell(ns: argparse.Namespace) -> OutputRecord:
     if ns.table:
         params["table"] = True
         values = bell_f_table(seq, ns.n).values
-        return OutputRecord(
-            "bell", params, columns=("n", "value"), rows=[(n, v) for n, v in enumerate(values)]
-        )
+        return OutputRecord("bell", params, columns=("n", "value"), rows=list(enumerate(values)))
     return OutputRecord("bell", params, value=bell_f(seq, ns.n))
 
 
@@ -183,28 +180,23 @@ def _cmd_chains(ns: argparse.Namespace) -> OutputRecord:
         from .grid import grid_chain_count
 
         params = {"family": "grid", "k": ns.k, "n": ns.n, "mode": ns.mode, "method": ns.method}
-        value = grid_chain_count(ns.k, ns.n, ns.mode, ns.method)
-        agreement = None
-        if ns.method == "brute":
-            closed = grid_chain_count(ns.k, ns.n, ns.mode, "closed")
-            agreement = value == closed
-            if not agreement:
-                raise _Discrepancy(f"grid chains k={ns.k} n={ns.n} mode={ns.mode}", value, closed)
-        return OutputRecord("chains", params, value=value, agreement=agreement)
-    if ns.seq is None:
-        raise _UsageError("chains --family cobweb needs --seq")
-    from .hasse import build_cobweb, layer_chain_count
+        what = f"grid chains k={ns.k} n={ns.n} mode={ns.mode}"
+        count = partial(grid_chain_count, ns.k, ns.n, ns.mode)
+    else:
+        _need(ns, "chains --family cobweb", "seq")
+        from .hasse import build_cobweb, layer_chain_count
 
-    seq = _seq_from_token(ns.seq)
-    params = {"family": "cobweb", "seq": ns.seq, "k": ns.k, "n": ns.n, "method": ns.method}
-    c = build_cobweb(seq, ns.n)
-    value = layer_chain_count(c, ns.k, ns.n, ns.method)
+        seq = _seq_from_token(ns.seq)
+        params = {"family": "cobweb", "seq": ns.seq, "k": ns.k, "n": ns.n, "method": ns.method}
+        what = f"cobweb chains seq={ns.seq} k={ns.k} n={ns.n}"
+        count = partial(layer_chain_count, build_cobweb(seq, ns.n), ns.k, ns.n)
+    value = count(ns.method)
     agreement = None
     if ns.method == "brute":
-        closed = layer_chain_count(c, ns.k, ns.n, "closed")
-        agreement = value == closed
-        if not agreement:
-            raise _Discrepancy(f"cobweb chains seq={ns.seq} k={ns.k} n={ns.n}", value, closed)
+        closed = count("closed")
+        if value != closed:
+            raise _Discrepancy(f"{what}: brute={value} closed={closed}")
+        agreement = True
     return OutputRecord("chains", params, value=value, agreement=agreement)
 
 
@@ -221,14 +213,12 @@ def _cmd_dot(ns: argparse.Namespace) -> OutputRecord:
     from .hasse import build_cobweb, to_dot
 
     if ns.family == "cobweb":
-        if ns.seq is None or ns.levels is None:
-            raise _UsageError("dot --family cobweb needs --seq and --levels")
+        _need(ns, "dot --family cobweb", "seq", "levels")
         c = build_cobweb(_seq_from_token(ns.seq), ns.levels)
         text = to_dot(c, c.level_of(), name=f"cobweb_{ns.seq}")
         params: dict[str, object] = {"family": "cobweb", "seq": ns.seq, "levels": ns.levels}
     else:
-        if ns.k is None or ns.n is None:
-            raise _UsageError("dot --family grid needs --k and --n")
+        _need(ns, "dot --family grid", "k", "n")
         from .grid import build_grid
 
         g = build_grid(ns.k, ns.n, ns.mode)
@@ -241,37 +231,25 @@ def _cmd_dot(ns: argparse.Namespace) -> OutputRecord:
     return OutputRecord("dot", params, raw=text)
 
 
-def _vec_at(values: Sequence[int], k: int) -> int:
-    return values[k] if 0 <= k < len(values) else 0
-
-
 def _cmd_problems(ns: argparse.Namespace) -> OutputRecord:
     from .grid import grid_whitney, stirling2_closed
 
     l, m = ns.l, ns.m
     s1 = grid_whitney(l, m, "first").values  # InvalidBounds unless 0 <= l < m
     columns = ["k", "stirling1", "stirling2"]
-    with_dm = l < m - 1  # neighbour (l, m-1) stays a valid strict grid
-    with_dl = l >= 1  # neighbour (l-1, m)
-    if with_dm:
-        columns += ["d1_dm", "d2_dm"]
-    if with_dl:
-        columns += ["d1_dl", "d2_dl"]
-    s1_dm = grid_whitney(l, m - 1, "first").values if with_dm else ()
-    s1_dl = grid_whitney(l - 1, m, "first").values if with_dl else ()
+    # The neighbours (l, m-1) and (l-1, m) that are still strict grids; their
+    # first-kind vectors are one rank shorter, so pad them with a 0.
+    near = []
+    for tag, nl, nm in (("dm", l, m - 1), ("dl", l - 1, m)):
+        if 0 <= nl < nm:
+            columns += [f"d1_{tag}", f"d2_{tag}"]
+            near.append((nl, nm, (*grid_whitney(nl, nm, "first").values, 0)))
     rows = []
     for k in range(l + m):
-        row = [k, _vec_at(s1, k), stirling2_closed(k, l, m)]
-        if with_dm:
-            row += [
-                _vec_at(s1, k) - _vec_at(s1_dm, k),
-                stirling2_closed(k, l, m) - stirling2_closed(k, l, m - 1),
-            ]
-        if with_dl:
-            row += [
-                _vec_at(s1, k) - _vec_at(s1_dl, k),
-                stirling2_closed(k, l, m) - stirling2_closed(k, l - 1, m),
-            ]
+        s2 = stirling2_closed(k, l, m)
+        row = [k, s1[k], s2]
+        for nl, nm, near_s1 in near:
+            row += [s1[k] - near_s1[k], s2 - stirling2_closed(k, nl, nm)]
         rows.append(tuple(row))
     return OutputRecord("problems", {"l": l, "m": m}, columns=tuple(columns), rows=rows)
 
@@ -279,20 +257,14 @@ def _cmd_problems(ns: argparse.Namespace) -> OutputRecord:
 # -- rendering ---------------------------------------------------------------
 
 
-def _render_text(rec: OutputRecord) -> str:
+def _render_table(rec: OutputRecord, sep: str, scalar_header: tuple[str, ...]) -> str:
+    """Text and CSV: the column header, then one `sep`-joined line per row; a
+    single value is written under `scalar_header`."""
     if rec.rows is not None:
-        lines = [" ".join(rec.columns)]
-        lines += [" ".join(str(c) for c in row) for row in rec.rows]
-        return "\n".join(lines) + "\n"
-    return f"{rec.value}\n"
-
-
-def _render_csv(rec: OutputRecord) -> str:
-    if rec.rows is not None:
-        lines = [",".join(rec.columns)]
-        lines += [",".join(str(c) for c in row) for row in rec.rows]
-        return "\n".join(lines) + "\n"
-    return f"value\n{rec.value}\n"
+        lines = [sep.join(rec.columns), *(sep.join(map(str, row)) for row in rec.rows)]
+    else:
+        lines = [*scalar_header, str(rec.value)]
+    return "\n".join(lines) + "\n"
 
 
 def _render_json(rec: OutputRecord) -> str:
@@ -312,7 +284,11 @@ def _render_json(rec: OutputRecord) -> str:
     return f'{head}, "result": {result}}}\n'
 
 
-_RENDERERS = {"text": _render_text, "csv": _render_csv, "json": _render_json}
+_RENDERERS = {
+    "text": partial(_render_table, sep=" ", scalar_header=()),
+    "csv": partial(_render_table, sep=",", scalar_header=("value",)),
+    "json": _render_json,
+}
 
 
 _digit_limit_lock = threading.Lock()
@@ -335,101 +311,94 @@ def _render(rec: OutputRecord, fmt: str) -> str:
             sys.set_int_max_str_digits(limit)
 
 
-# -- parser -------------------------------------------------------------------
+# -- subcommands ---------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# Options shared by several subcommands, declared once (these --seq, --k and
+# --n are the required ones).
+_FORMAT = ("--format", {"choices": ("text", "csv", "json"), "default": "text"})
+_MODE = ("--mode", {"choices": ("strict", "weak"), "default": "strict"})
+_SEQ = ("--seq", {"required": True})
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+_K, _N = ("--k", _REQUIRED_INT), ("--n", _REQUIRED_INT)
+
+# Each subcommand: (help line, handler, options), the options in help order as
+# (flag, add_argument keywords) pairs.
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], OutputRecord], list[Any]]] = {
+    "seq": ("sequence values or GCD-morphism check", _cmd_seq, [
+        _FORMAT, _SEQ,
+        ("--count", {"type": int, "default": 10}),
+        ("--gcd-morphic", {"type": int, "metavar": "RANGE_MAX"}),
+    ]),
+    "fnomial": ("one F-nomial coefficient or a triangle", _cmd_fnomial, [
+        _FORMAT, _SEQ,
+        ("--n", _INT),
+        ("--k", _INT),
+        ("--table", {"type": int, "metavar": "N_MAX"}),
+    ]),
+    "catalan": ("n-th Catalan number", _cmd_catalan, [_FORMAT, _N]),
+    "ballot": ("0-dominated string count", _cmd_ballot, [_FORMAT, _K, _N]),
+    "grid": ("layer-poset size, ranks, or elements", _cmd_grid, [
+        _FORMAT, _K, _N, _MODE,
+        ("--what", {"choices": ("size", "ranks", "elements"), "default": "size"}),
+    ]),
+    "whitney": ("Whitney numbers of a grid or prefab row", _cmd_whitney, [
+        _FORMAT,
+        ("--family", {"choices": ("grid", "prefab"), "required": True}),
+        ("--kind", {"choices": ("second", "first"), "default": "second"}),
+        ("--l", _INT),
+        ("--m", _INT),
+        ("--seq", {}),
+        ("--n", _INT),
+    ]),
+    "bell": ("Bell-like numbers (grid or prefab)", _cmd_bell, [
+        _FORMAT,
+        ("--family", {"choices": ("grid", "prefab"), "required": True}),
+        ("--l", _INT),
+        ("--m", _INT),
+        ("--seq", {}),
+        ("--n", _INT),
+        ("--table", {"action": "store_true"}),
+    ]),
+    "chains": ("maximal chain counts, brute or closed", _cmd_chains, [
+        _FORMAT,
+        ("--family", {"choices": ("grid", "cobweb"), "required": True}),
+        _K, _N, _MODE,
+        ("--seq", {}),
+        ("--method", {"choices": ("brute", "closed"), "default": "closed"}),
+    ]),
+    "mobius": ("Möbius matrix of a grid", _cmd_mobius, [_FORMAT, _K, _N, _MODE]),
+    "dot": ("DOT export of a cobweb or grid Hasse diagram", _cmd_dot, [
+        ("--family", {"choices": ("cobweb", "grid"), "required": True}),
+        ("--seq", {}),
+        ("--levels", _INT),
+        ("--k", _INT),
+        ("--n", _INT),
+        _MODE,
+        ("--out", {"metavar": "PATH"}),
+    ]),
+    "problems": ("experimental Stirling tables of both kinds with neighbour differences",
+                 _cmd_problems, [_FORMAT, ("--l", _REQUIRED_INT), ("--m", _REQUIRED_INT)]),
+}
+
+
+def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """Every subcommand name, with options only for the first one in `argv`:
+    an accepted argv names its subcommand before any option it passes."""
     parser = argparse.ArgumentParser(
         prog="cobweb",
         description="Exact combinatorics of layered posets: F-nomials, Whitney/Bell "
         "numbers, chain counts, and DOT exports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "csv", "json"), default="text")
-
-    p = sub.add_parser("seq", parents=[fmt], help="sequence values or GCD-morphism check")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--gcd-morphic", type=int, metavar="RANGE_MAX")
-    p.set_defaults(handler=_cmd_seq)
-
-    p = sub.add_parser("fnomial", parents=[fmt], help="one F-nomial coefficient or a triangle")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--table", type=int, metavar="N_MAX")
-    p.set_defaults(handler=_cmd_fnomial)
-
-    p = sub.add_parser("catalan", parents=[fmt], help="n-th Catalan number")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_catalan)
-
-    p = sub.add_parser("ballot", parents=[fmt], help="0-dominated string count")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_ballot)
-
-    p = sub.add_parser("grid", parents=[fmt], help="layer-poset size, ranks, or elements")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("strict", "weak"), default="strict")
-    p.add_argument("--what", choices=("size", "ranks", "elements"), default="size")
-    p.set_defaults(handler=_cmd_grid)
-
-    p = sub.add_parser("whitney", parents=[fmt], help="Whitney numbers of a grid or prefab row")
-    p.add_argument("--family", choices=("grid", "prefab"), required=True)
-    p.add_argument("--kind", choices=("second", "first"), default="second")
-    p.add_argument("--l", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seq")
-    p.add_argument("--n", type=int)
-    p.set_defaults(handler=_cmd_whitney)
-
-    p = sub.add_parser("bell", parents=[fmt], help="Bell-like numbers (grid or prefab)")
-    p.add_argument("--family", choices=("grid", "prefab"), required=True)
-    p.add_argument("--l", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--seq")
-    p.add_argument("--n", type=int)
-    p.add_argument("--table", action="store_true")
-    p.set_defaults(handler=_cmd_bell)
-
-    p = sub.add_parser("chains", parents=[fmt], help="maximal chain counts, brute or closed")
-    p.add_argument("--family", choices=("grid", "cobweb"), required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("strict", "weak"), default="strict")
-    p.add_argument("--seq")
-    p.add_argument("--method", choices=("brute", "closed"), default="closed")
-    p.set_defaults(handler=_cmd_chains)
-
-    p = sub.add_parser("mobius", parents=[fmt], help="Möbius matrix of a grid")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", choices=("strict", "weak"), default="strict")
-    p.set_defaults(handler=_cmd_mobius)
-
-    p = sub.add_parser("dot", help="DOT export of a cobweb or grid Hasse diagram")
-    p.add_argument("--family", choices=("cobweb", "grid"), required=True)
-    p.add_argument("--seq")
-    p.add_argument("--levels", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--mode", choices=("strict", "weak"), default="strict")
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(handler=_cmd_dot)
-
-    p = sub.add_parser(
-        "problems",
-        parents=[fmt],
-        help="experimental Stirling tables of both kinds with neighbour differences",
-    )
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.set_defaults(handler=_cmd_problems)
-
+    named = next((arg for arg in argv if arg in _COMMANDS), None)
+    for name, (help_text, handler, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == named:
+            for flag, kwargs in options:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(handler=handler)
     return parser
 
 
@@ -441,7 +410,7 @@ def run(
     """Execute one CLI invocation; returns the exit status."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             ns = parser.parse_args(list(argv))
@@ -454,7 +423,7 @@ def run(
         err.write(f"usage error: {exc}\n")
         return 2
     except _Discrepancy as exc:
-        err.write(f"discrepancy in {exc.what}: brute={exc.brute} closed={exc.closed}\n")
+        err.write(f"discrepancy in {exc}\n")
         return 1
     except (CobwebError, ValueError, OSError) as exc:
         err.write(f"error: {type(exc).__name__}: {exc}\n")

@@ -17,8 +17,7 @@ from functools import cached_property
 from typing import Iterator, Literal, NamedTuple
 
 from .errors import InvalidBounds, UndefinedRank
-from .fnomial import ballot
-from .poset import FinitePoset, MobiusMatrix, WhitneyVector, maximal_chains
+from .poset import FinitePoset, MobiusMatrix, WhitneyVector
 
 __all__ = [
     "GridElement",
@@ -229,13 +228,20 @@ def grid_chain_count(
     evaluates the ballot form ((n-k+1)/(n+1)) C(n+k, k) of the weak grid.
     In strict mode m -> m - 1 maps the grid (k, n) onto the weak grid
     (k, n - 1), so the count is ballot(k, n - 1).  The two methods are pinned
-    to each other by the test suite.
+    to each other by the test suite.  The brute budget is checked on the
+    closed-form size before the engine is built.
     """
     _check_bounds(k, n, mode)
     if method == "brute":
-        count = maximal_chains(build_grid(k, n, mode).poset, "count")
+        from .poset import check_count_budget, maximal_chains
+
+        g = build_grid(k, n, mode)
+        check_count_budget(len(g))
+        count = maximal_chains(g.poset, "count")
         assert isinstance(count, int)
         return count
     if method == "closed":
+        from .fnomial import ballot
+
         return ballot(k, n - _gap(mode)).count
     raise ValueError(f"method must be 'brute' or 'closed', got {method!r}")

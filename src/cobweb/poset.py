@@ -28,6 +28,7 @@ __all__ = [
     "maximal_chains",
     "mobius",
     "whitney",
+    "check_count_budget",
     "CHAIN_COUNT_BUDGET",
     "CHAIN_ENUMERATE_BUDGET",
 ]
@@ -237,6 +238,14 @@ def rank_function(p: FinitePoset) -> RankLabels:
     return RankLabels({p._labels[i]: rank[i] for i in range(n)})
 
 
+def check_count_budget(n: int) -> None:
+    """Refuse a chain count over more than CHAIN_COUNT_BUDGET elements.  A
+    caller that knows the size in closed form checks it before it builds the
+    engine, whose closure costs memory quadratic in the element count."""
+    if n > CHAIN_COUNT_BUDGET:
+        raise BudgetExceeded(f"{n} elements exceed the count budget {CHAIN_COUNT_BUDGET}")
+
+
 def maximal_chains(
     p: FinitePoset, mode: Literal["count", "enumerate"] = "count"
 ) -> int | list[tuple[Label, ...]]:
@@ -247,8 +256,7 @@ def maximal_chains(
     """
     n = len(p)
     if mode == "count":
-        if n > CHAIN_COUNT_BUDGET:
-            raise BudgetExceeded(f"{n} elements exceed the count budget {CHAIN_COUNT_BUDGET}")
+        check_count_budget(n)
         counts = [0] * n
         for i in reversed(p._topo):
             succ = p._cover_succ[i]

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from io import StringIO
 
@@ -292,6 +293,11 @@ def test_production_paths_build_no_engine_poset(monkeypatch):
     with pytest.raises(AssertionError, match="engine was built"):
         invoke("chains", "--family", "cobweb", "--seq", "naturals", "--k", "2", "--n", "6",
                "--method", "brute")
+    # The brute grid count refuses an over-budget grid from its closed-form size.
+    code, out, err = invoke("chains", "--family", "grid", "--k", "100", "--n", "200",
+                            "--method", "brute")
+    assert (code, out) == (1, "")
+    assert err == "error: BudgetExceeded: 15150 elements exceed the count budget 10000\n"
 
 
 _INT = st.integers(-3, 12).map(str)
@@ -317,6 +323,18 @@ _OPTIONS = {  # command: (required options, other options)
     "dot": (("--family",), ("--seq", "--levels", "--k", "--n", "--mode")),
     "problems": (("--l", "--m"), ("--format",)),
 }
+
+
+def test_help_lists_every_command_and_option():
+    code, out, err = invoke("--help")
+    assert (code, err) == (0, "")
+    assert all(command in out for command in _OPTIONS)
+    for command, (required, other) in _OPTIONS.items():
+        code, out, err = invoke(command, "--help")
+        assert (code, err) == (0, ""), command
+        extra = {"dot": ("--out",), "bell": ("--table",)}.get(command, ())
+        for option in (*required, *other, *extra):
+            assert re.search(rf"{option}\b", out), (command, option)
 
 
 @st.composite

@@ -58,6 +58,45 @@ GROUPS = {
         ["dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "40"],
         ["dot", "--family", "grid", "--k", "4", "--n", "3", "--mode", "weak"],
     ],
+    "usage_errors": [
+        ["whitney", "--family", "grid", "--l", "2"],
+        ["whitney", "--family", "prefab", "--seq", "fibonacci"],
+        ["whitney", "--family", "prefab", "--kind", "first", "--seq", "odd", "--n", "4"],
+        ["bell", "--family", "grid", "--m", "4"],
+        ["bell", "--family", "prefab", "--n", "4"],
+        ["chains", "--family", "cobweb", "--k", "1", "--n", "3"],
+        ["dot", "--family", "cobweb", "--levels", "3"],
+        ["dot", "--family", "grid", "--n", "3"],
+        ["fnomial", "--seq", "naturals", "--n", "5"],
+        ["fnomial", "--seq", "martian", "--n", "5", "--k", "2"],
+    ],
+    "json_variants": [
+        [*argv, "--format", "json"]
+        for argv in [
+            ["seq", "--seq", "odd", "--count", "6"],
+            ["seq", "--seq", "even1", "--gcd-morphic", "20"],
+            ["fnomial", "--seq", "naturals", "--n", "6", "--k", "2"],
+            ["fnomial", "--seq", "naturals", "--table", "4"],
+            ["catalan", "--n", "9"],
+            ["ballot", "--k", "2", "--n", "5"],
+            ["grid", "--k", "1", "--n", "3"],
+            ["grid", "--k", "1", "--n", "3", "--what", "ranks"],
+            ["grid", "--k", "1", "--n", "3", "--mode", "weak", "--what", "elements"],
+            ["whitney", "--family", "grid", "--l", "1", "--m", "3"],
+            ["whitney", "--family", "prefab", "--seq", "naturals", "--n", "5"],
+            ["bell", "--family", "grid", "--l", "2", "--m", "4"],
+            ["bell", "--family", "prefab", "--seq", "naturals", "--n", "6"],
+            ["bell", "--family", "prefab", "--seq", "odd", "--n", "5", "--table"],
+            ["chains", "--family", "grid", "--k", "2", "--n", "5"],
+            ["chains", "--family", "grid", "--k", "2", "--n", "5", "--method", "brute"],
+            ["chains", "--family", "cobweb", "--seq", "naturals", "--k", "2", "--n", "4"],
+            ["chains", "--family", "cobweb", "--seq", "naturals", "--k", "2", "--n", "4",
+             "--method", "brute"],
+            ["mobius", "--k", "1", "--n", "2", "--mode", "weak"],
+            ["problems", "--l", "0", "--m", "1"],
+            ["problems", "--l", "2", "--m", "4"],
+        ]
+    ],
 }
 
 GOLDEN = {
@@ -66,7 +105,9 @@ GOLDEN = {
     "domain_errors": "05844ea69698d86561f69001d3750fb6fecbc08ce76ad12be9427d04883e831b",
     "grid_chains": "d25d2955fd213bc62400836e2e7f902d709db311b4921d035ac8311b6e165c4b",
     "grid_dot": "226adf92b7b4a060958fff62474313ac1b21994f2bcf8d93a63fc7804b2dd02a",
+    "json_variants": "ca2078c117f012adca1d6846e91af924a03b1a0d703bd4a97349dfe455238ad4",
     "matrix": "88e35576d833d277430d1093a2f0f6708e7f5cd0702720b338e563cfce829f08",
+    "usage_errors": "96f306e37f69df03d2eefcc8a041e393847ad58fd97485d50be14c0a6f305792",
 }
 
 

@@ -90,6 +90,21 @@ def test_cobweb_dot_loads_no_poset_engine():
     assert "cobweb.poset" not in _loaded_after(code)
 
 
+def test_grid_commands_load_no_fnomial():
+    argvs = [
+        ["mobius", "--k", "2", "--n", "4"],
+        ["whitney", "--family", "grid", "--l", "2", "--m", "4"],
+        ["grid", "--k", "2", "--n", "4", "--what", "ranks"],
+        ["problems", "--l", "2", "--m", "4"],
+        ["dot", "--family", "grid", "--k", "2", "--n", "4"],
+    ]
+    code = "import io\nfrom cobweb import cli\n"
+    code += f"for argv in {argvs!r}:\n    assert cli.run(argv, io.StringIO()) == 0, argv\n"
+    loaded = _loaded_after(code)
+    assert "cobweb.grid" in loaded
+    assert "cobweb.fnomial" not in loaded, loaded
+
+
 def test_public_names_resolve_to_their_home_objects():
     expected = sorted(name for names in HOMES.values() for name in names)
     assert len(expected) == 57

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterator, Literal, NamedTuple
 
 from .errors import InvalidBounds, UndefinedRank
@@ -131,16 +132,27 @@ def grid_mobius(k: int, n: int, mode: GridMode = "strict") -> MobiusMatrix:
     """
     _check_bounds(k, n, mode)
     els = _elements(k, n, mode)
-    have = set(els)
     gap = _gap(mode)
+    # Block l of els holds (l, l + gap) .. (l, n) and starts at start[l].
+    start = [0]
+    for l in range(k + 1):
+        start.append(start[-1] + n + 1 - l - gap)
     entries: dict[tuple[GridElement, GridElement], int] = {}
-    for x in els:
-        # x + (0, 1) is present whenever x + (1, 1) is, so only x + (1, 0) decides.
-        square = 1 if GridElement(x.l + 1, x.m) in have else 0
-        near = {(0, 0): 1, (1, 0): -1, (0, 1): -1, (1, 1): square}
-        for l in range(x.l, k + 1):
-            for m in range(max(x.m, l + gap), n + 1):
-                entries[(x, GridElement(l, m))] = near.get((l - x.l, m - x.m), 0)
+    for a, x in enumerate(els):
+        l, m = x
+        # The y >= x in block b >= l are its suffix from (b, max(m, b + gap)):
+        # all 0 first, then the nonzero values overwrite keys already in order.
+        for b in range(l, k + 1):
+            lo = start[b] + max(m - b - gap, 0)
+            entries.update(zip(zip(repeat(x), els[lo : start[b + 1]]), repeat(0)))
+        entries[x, x] = 1
+        if m < n:
+            entries[x, els[a + 1]] = -1
+        if l < k and m > l + gap:  # x + (1, 0) is present
+            right = start[l + 1] + m - (l + 1 + gap)
+            entries[x, els[right]] = -1
+            if m < n:  # so x + (0, 1) and x + (1, 1) are present too
+                entries[x, els[right + 1]] = 1
     return MobiusMatrix(entries)
 
 

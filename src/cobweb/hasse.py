@@ -15,10 +15,10 @@ from math import prod
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
 from .errors import BudgetExceeded, InvalidBounds
-from .sequences import FSequence
 
 if TYPE_CHECKING:
     from .poset import FinitePoset
+    from .sequences import FSequence
 
 __all__ = [
     "CobwebVertex",

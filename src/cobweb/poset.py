@@ -3,8 +3,11 @@ chains, Möbius function, and Whitney numbers of both kinds.
 
 Elements are opaque hashable labels; enumeration order everywhere is
 insertion order, so all derived artifacts are reproducible across runs.
-Reachability is stored as per-element bitsets (Python ints), which keeps the
-closure, cover, and interval tests exact and fast at desk scale.
+Reachability is stored as per-element up-set bitsets (Python ints); one
+reverse-topological sweep over the input edges builds them and finds the
+covers at the same time (Aho, Garey and Ullman, "The transitive reduction of
+a directed graph", 1972).  No down-sets are stored: z <= j is the bit j of
+up[z], and a Möbius row computes values only over its element's up-set.
 """
 
 from __future__ import annotations
@@ -43,11 +46,12 @@ class FinitePoset:
     """A finite partial order over opaque labels.
 
     Built from any relation whose transitive closure is a partial order; the
-    closure and the cover relation are computed at construction time and the
-    instance is immutable afterwards, so concurrent reads are safe.
+    up-set closure and the cover relation come from one reverse-topological
+    sweep at construction time, and no down-sets are kept.  The instance is
+    immutable afterwards, so concurrent reads are safe.
     """
 
-    __slots__ = ("_labels", "_index", "_up", "_down", "_topo", "_cover_succ", "_cover_pred")
+    __slots__ = ("_labels", "_index", "_up", "_topo", "_cover_succ", "_cover_pred")
 
     def __init__(
         self,
@@ -64,7 +68,6 @@ class FinitePoset:
         n = len(labels)
 
         succ: list[set[int]] = [set() for _ in range(n)]
-        pred: list[set[int]] = [set() for _ in range(n)]
         for a, b in leq_pairs:
             try:
                 i, j = index[a], index[b]
@@ -72,43 +75,37 @@ class FinitePoset:
                 raise ValueError(f"pair references unknown element {exc.args[0]!r}") from None
             if i != j:  # reflexive pairs are implied
                 succ[i].add(j)
-                pred[j].add(i)
 
-        topo = _toposort(succ, pred, labels)
+        topo = _toposort(succ, labels)
+        pos = [0] * n
+        for t, i in enumerate(topo):
+            pos[i] = t
 
-        # Reachability closure: up[i] holds every j with i <= j (self included),
-        # down[j] every i with i <= j.
+        # One sweep gives the closure and the covers.  up[i] holds every j with
+        # i <= j (self included).  Every cover of i is an input edge, so only
+        # the successors of i are tested, in topological order: acc is the OR
+        # of up[k] over the successors k seen so far, any successor k < j
+        # comes before j, so j is a cover exactly when acc misses j.  A
+        # successor that is no cover adds nothing: its up-set is inside acc.
         up = [0] * n
-        for i in reversed(topo):
-            m = 1 << i
-            for j in succ[i]:
-                m |= up[j]
-            up[i] = m
-        down = [0] * n
-        for j in topo:
-            m = 1 << j
-            for i in pred[j]:
-                m |= down[i]
-            down[j] = m
-
-        # Every cover must already be an input edge (a cover reached through a
-        # longer edge path would have an element strictly between), so only the
-        # input edges need the betweenness test.
         cover_succ: list[list[int]] = [[] for _ in range(n)]
+        for i in reversed(topo):
+            acc = 0
+            covers = cover_succ[i]
+            for j in sorted(succ[i], key=pos.__getitem__):
+                if not acc >> j & 1:
+                    covers.append(j)
+                    acc |= up[j]
+            covers.sort()
+            up[i] = acc | 1 << i
         cover_pred: list[list[int]] = [[] for _ in range(n)]
-        for i in range(n):
-            for j in sorted(succ[i]):
-                between = up[i] & down[j] & ~(1 << i) & ~(1 << j)
-                if not between:
-                    cover_succ[i].append(j)
-                    cover_pred[j].append(i)
-        for lst in cover_pred:
-            lst.sort()
+        for i, js in enumerate(cover_succ):
+            for j in js:
+                cover_pred[j].append(i)
 
         self._labels = tuple(labels)
         self._index = index
         self._up = up
-        self._down = down
         self._topo = topo
         self._cover_succ = cover_succ
         self._cover_pred = cover_pred
@@ -161,9 +158,7 @@ class FinitePoset:
     @property
     def bottoms(self) -> tuple[Label, ...]:
         """Minimal elements, in index order."""
-        return tuple(
-            self._labels[i] for i in range(len(self._labels)) if self._down[i] == 1 << i
-        )
+        return tuple(self._labels[i] for i, js in enumerate(self._cover_pred) if not js)
 
     @property
     def tops(self) -> tuple[Label, ...]:
@@ -173,10 +168,13 @@ class FinitePoset:
         )
 
 
-def _toposort(succ: list[set[int]], pred: list[set[int]], labels: list[Label]) -> list[int]:
+def _toposort(succ: list[set[int]], labels: list[Label]) -> list[int]:
     """Topological order of the edge digraph; NotAPartialOrder on any cycle."""
     n = len(succ)
-    indeg = [len(p) for p in pred]
+    indeg = [0] * n
+    for js in succ:
+        for j in js:
+            indeg[j] += 1
     stack = sorted((i for i in range(n) if indeg[i] == 0), reverse=True)
     order: list[int] = []
     while stack:
@@ -188,6 +186,10 @@ def _toposort(succ: list[set[int]], pred: list[set[int]], labels: list[Label]) -
                 stack.append(j)
     if len(order) < n:
         remaining = {i for i in range(n) if indeg[i] > 0}
+        pred: list[set[int]] = [set() for _ in range(n)]
+        for i, js in enumerate(succ):
+            for j in js:
+                pred[j].add(i)
         raise NotAPartialOrder(_cycle_witness(pred, remaining, labels))
     return order
 
@@ -297,33 +299,42 @@ class MobiusMatrix:
         return self.entries.get((x, y), 0)
 
 
-def _mobius_row(p: FinitePoset, i: int) -> dict[int, int]:
-    """mu(i, j) for every j >= i, by the textbook recursion over the up-set.
+def _mobius_row(p: FinitePoset, t: int) -> dict[int, int]:
+    """mu(i, j) for every j >= i, where i = p._topo[t], by the textbook
+    recursion over the up-set of i in topological order.
 
-    Each mu(i, j) sums only the nonzero entries found so far that lie in
-    down[j]; zero terms add nothing."""
+    Every z with i <= z < j comes before j, so mu(i, j) sums the nonzero
+    entries found so far that lie below j; zero terms add nothing.  The first
+    of them, mu(i, i) = 1, lies below every j."""
+    up = p._up
+    i = p._topo[t]
+    up_i = up[i]
     row: dict[int, int] = {i: 1}
-    nonzero = [(i, 1)]
-    up_i = p._up[i]
-    for j in p._topo:
-        if j == i or not (up_i >> j & 1):
-            continue
-        down_j = p._down[j]
-        row[j] = v = -sum(w for z, w in nonzero if down_j >> z & 1)
-        if v:
-            nonzero.append((j, v))
+    nonzero: list[tuple[int, int]] = []  # (up[z], mu(i, z)) for z > i
+    for j in p._topo[t + 1 :]:
+        if up_i >> j & 1:
+            v = -1
+            for up_z, w in nonzero:
+                if up_z >> j & 1:
+                    v -= w
+            row[j] = v
+            if v:
+                nonzero.append((up[j], v))
     return row
 
 
 def mobius(p: FinitePoset) -> MobiusMatrix:
-    """The full Möbius matrix: mu(x, x) = 1, mu(x, y) = -sum over x <= z < y."""
+    """The full Möbius matrix: mu(x, x) = 1, mu(x, y) = -sum over x <= z < y.
+
+    Entries are x-major in element order, each row in topological order."""
+    pos = [0] * len(p)
+    for t, i in enumerate(p._topo):
+        pos[i] = t
+    labels = p._labels
     entries: dict[tuple[Label, Label], int] = {}
-    for i in range(len(p)):
-        row = _mobius_row(p, i)
-        xi = p._labels[i]
-        for j in p._topo:
-            if j in row:
-                entries[(xi, p._labels[j])] = row[j]
+    for i, xi in enumerate(labels):
+        for j, v in _mobius_row(p, pos[i]).items():
+            entries[(xi, labels[j])] = v
     return MobiusMatrix(entries)
 
 
@@ -351,7 +362,8 @@ def whitney(p: FinitePoset, kind: Literal["second", "first"] = "second") -> Whit
         bottoms = p.bottoms
         if len(bottoms) != 1:
             raise NoUniqueMinimum(f"poset has {len(bottoms)} minimal elements")
-        row = _mobius_row(p, p.index(bottoms[0]))
+        # The unique minimum is the one element no input edge enters: topo[0].
+        row = _mobius_row(p, 0)
         for j, v in row.items():
             values[ranks.rank[p._labels[j]]] += v
     else:

@@ -1,5 +1,7 @@
 import functools
+import hashlib
 import math
+import random
 from itertools import product
 
 import pytest
@@ -324,3 +326,151 @@ def test_first_kind_whitney_matches_the_definition_on_random_graded_posets(data)
     p = FinitePoset(elements, pairs)
     assert whitney(p, "first").values == tuple(expected)
     assert mobius(p).entries == mu
+
+
+# -- engine output pinned across commits ------------------------------------------
+
+
+def _hand_made_relations():
+    """(name, elements, pairs): small hand-written orders and cycles, then
+    seeded random relations inserted in an order that is not a linear
+    extension, with duplicate, reflexive and shortcut pairs."""
+    cases = [
+        ("empty", [], []),
+        ("singleton", ["x"], [("x", "x")]),
+        ("three_chain", "abc", [("a", "b"), ("b", "c")]),
+        ("closed_chain", "abc", [("a", "c"), ("b", "c"), ("a", "b"), ("a", "a"), ("a", "c")]),
+        ("reversed_chain", range(6), [(i + 1, i) for i in range(5)]),
+        ("antichain", [3, 1, 2], []),
+        ("diamond", "10ba", [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1"), ("0", "1")]),
+        ("lopsided", "edcba", [("a", "b"), ("b", "c"), ("c", "e"), ("a", "d"), ("d", "e")]),
+        ("n_shape", "abcd", [("a", "c"), ("b", "c"), ("b", "d")]),
+        ("crown", range(6), [(i, 3 + j) for i in range(3) for j in range(3) if i != j]),
+        ("two_bottoms_one_top", "xyz", [("x", "z"), ("y", "z")]),
+        ("two_cycle", "ab", [("a", "b"), ("b", "a")]),
+        ("three_cycle", "abcd", [("a", "b"), ("b", "c"), ("c", "a")]),
+        ("cycle_with_tail", range(5), [(0, 1), (1, 2), (2, 3), (3, 1), (3, 4)]),
+        ("cycle_above_order", range(5), [(4, 3), (0, 1), (1, 0), (2, 0)]),
+        ("chain_product_shuffled", [(1, 2), (0, 0), (1, 0), (0, 2), (1, 1), (0, 1)],
+         [((0, 0), (0, 1)), ((1, 1), (1, 2)), ((0, 1), (0, 2)), ((0, 0), (1, 0)),
+          ((0, 2), (1, 2)), ((1, 0), (1, 1)), ((0, 1), (1, 1)), ((0, 0), (1, 2))]),
+    ]
+    for seed in range(40):
+        rng = random.Random(seed)
+        n = rng.randint(2, 9)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        pairs = []
+        for _ in range(rng.randint(0, 2 * n)):
+            a, b = rng.randrange(n), rng.randrange(n)
+            pairs.append((a, b) if rank[a] <= rank[b] or seed % 5 == 0 else (b, a))
+        pairs += [(a, c) for a, b in pairs for b2, c in pairs if b == b2][:n]
+        pairs += pairs[: rng.randint(0, 3)] + [(a, a) for a in range(0, n, 3)]
+        rng.shuffle(pairs)
+        order = list(range(n))
+        rng.shuffle(order)
+        cases.append((f"random_{seed}", order, pairs))
+    return cases
+
+
+def _engine_posets():
+    from cobweb import BUILTIN_SEQUENCES, build_cobweb, build_grid, layer_subposet
+
+    for mode in ("strict", "weak"):
+        for n in range(9):
+            for k in range(n + (mode == "weak")):
+                yield f"grid {mode} {k} {n}", lambda k=k, n=n, mode=mode: build_grid(
+                    k, n, mode
+                ).poset
+    for name, seq in BUILTIN_SEQUENCES.items():
+        for levels in range(1, 7):
+            c = build_cobweb(seq, levels)
+            yield f"cobweb {name} {levels}", lambda c=c: c.poset
+            for k in range(1, levels):
+                yield f"slice {name} {k}..{levels}", lambda c=c, k=k: layer_subposet(
+                    c, k, c.level_max
+                )
+    for name, elements, pairs in _hand_made_relations():
+        yield name, lambda elements=elements, pairs=pairs: FinitePoset(elements, pairs)
+
+
+def _outcome(f, *args):
+    """f(*args), or the type, text and witness of the cobweb error it raises."""
+    try:
+        return f(*args)
+    except (NotAPartialOrder, NotGraded, NoUniqueMinimum, BudgetExceeded) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "witness", None))
+
+
+def _engine_fingerprint(p):
+    return (
+        p.elements,
+        p.covers,
+        p._topo,
+        p.bottoms,
+        p.tops,
+        _outcome(lambda: rank_function(p).rank) if len(p) else None,
+        tuple(mobius(p).entries.items()),
+        _outcome(whitney, p, "second") if len(p) else None,
+        _outcome(whitney, p, "first") if len(p) else None,
+        _outcome(maximal_chains, p, "enumerate"),
+        maximal_chains(p),
+    )
+
+
+def engine_digest():
+    h = hashlib.sha256()
+    for name, build in _engine_posets():
+        outcome = _outcome(build)
+        if isinstance(outcome, FinitePoset):
+            outcome = _engine_fingerprint(outcome)
+        h.update(repr((name, outcome)).encode())
+    return h.hexdigest()
+
+
+# Computed before the one-sweep closure; `python tests/test_poset.py` prints it.
+ENGINE_DIGEST = "e793e957775fe5b950480e4db3c1574bcb399622b27acfed85f9ce79d4fece32"
+
+
+def test_engine_output_matches_pinned_digest():
+    assert engine_digest() == ENGINE_DIGEST
+
+
+def _covers_by_definition(elements, pairs):
+    """x < y from reachability by search over the input pairs, then the pairs
+    x < y with nothing strictly between, in element-index order."""
+    lt = {(x, y) for x in elements for y in elements if x != y and _reaches(pairs, x, y, None)}
+    return [
+        (x, y)
+        for x in elements
+        for y in elements
+        if (x, y) in lt and not any((x, z) in lt and (z, y) in lt for z in elements)
+    ], lt
+
+
+@given(st.data())
+def test_covers_match_the_transitive_reduction_on_random_relations(data):
+    n = data.draw(st.integers(1, 8))
+    order = data.draw(st.permutations(range(n)))  # insertion order of the elements
+    rank = data.draw(st.permutations(range(n)))  # a hidden linear extension
+    raw = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=16))
+    pairs = [(a, b) if rank[a] <= rank[b] else (b, a) for a, b in raw]
+    pairs += [(a, c) for a, b in pairs for b2, c in pairs if b == b2 and a != c]  # shortcuts
+    pairs += data.draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    pairs += [(a, a) for a in data.draw(st.sets(st.integers(0, n - 1)))]
+    pairs = data.draw(st.permutations(pairs))
+    p = FinitePoset(order, pairs)
+    covers, lt = _covers_by_definition(order, pairs)
+    assert list(p.covers) == covers
+    for x in order:
+        assert p.cover_successors(x) == tuple(y for a, y in covers if a == x)
+        assert p.cover_predecessors(x) == tuple(a for a in order if (a, x) in covers)
+        for y in order:
+            assert p.leq(x, y) == (x == y or (x, y) in lt)
+    assert p.bottoms == tuple(y for y in order if not any((x, y) in lt for x in order))
+    assert p.tops == tuple(x for x in order if not any((x, y) in lt for y in order))
+
+
+if __name__ == "__main__":
+    print(f'ENGINE_DIGEST = "{engine_digest()}"')

@@ -20,6 +20,7 @@ from . import errors  # noqa: F401
 __version__ = "0.1.0"
 
 _EXPORTS = {  # home submodule: the public names it gives the package
+    "base": ("MobiusMatrix", "WhitneyVector"),
     "errors": (
         "BudgetExceeded", "CobwebError", "IndexOutOfDomain", "InvalidBounds", "NonIntegral",
         "NotAPartialOrder", "NotGraded", "NoUniqueMinimum", "UndefinedRank",
@@ -34,10 +35,7 @@ _EXPORTS = {  # home submodule: the public names it gives the package
         "CobwebPoset", "CobwebVertex", "build_cobweb", "layer_chain_count", "layer_subposet",
         "to_dot",
     ),
-    "poset": (
-        "FinitePoset", "MobiusMatrix", "RankLabels", "WhitneyVector", "maximal_chains",
-        "mobius", "rank_function", "whitney",
-    ),
+    "poset": ("FinitePoset", "RankLabels", "maximal_chains", "mobius", "rank_function", "whitney"),
     "prefab": (
         "BellSequence", "PrefabWhitneyRow", "bell_f", "bell_f_table", "whitney_prefab",
         "whitney_row",

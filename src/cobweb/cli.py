@@ -17,9 +17,8 @@ import argparse
 import contextlib
 import sys
 import threading
-from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Callable, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence, TextIO
 
 from .errors import CobwebError
 
@@ -37,8 +36,7 @@ class _Discrepancy(Exception):
     """A brute-force count that disagrees with its closed form."""
 
 
-@dataclass
-class OutputRecord:
+class OutputRecord(NamedTuple):
     """One command's deterministic output payload."""
 
     command: str

@@ -7,12 +7,13 @@ Everything is exact integer arithmetic; there are no floating-point paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, IndexOutOfDomain, NonIntegral
-from .sequences import FSequence
+
+if TYPE_CHECKING:
+    from .sequences import FSequence
 
 __all__ = [
     "FNomialTable",
@@ -99,8 +100,7 @@ class FNomialTable:
             yield row + row[: (n + 1) // 2][::-1]
 
 
-@dataclass(frozen=True)
-class BallotCount:
+class BallotCount(NamedTuple):
     """Count of 0-dominated binary strings with n zeros and k ones."""
 
     k: int

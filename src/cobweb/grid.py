@@ -12,13 +12,12 @@ explicit mode:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import Iterator, Literal, NamedTuple
 
+from .base import MobiusMatrix, View, WhitneyVector
 from .errors import InvalidBounds, UndefinedRank
-from .poset import FinitePoset, MobiusMatrix, WhitneyVector
 
 __all__ = [
     "GridElement",
@@ -49,18 +48,17 @@ class GridElement(NamedTuple):
         return f"({self.l},{self.m})"
 
 
-@dataclass(frozen=True)
-class GridPoset:
+class GridPoset(View):
     """The grid of labels (l, m), generated from (k, n, mode) alone.
 
     Elements, unit-step covers, size and ranks are closed-form; `poset` is
-    the generic engine over the same elements and covers, built on first use
-    only (for the oracle and `method="brute"`).
+    the generic engine over the same elements and covers.
     """
 
-    k: int
-    n: int
-    mode: GridMode
+    _fields = ("k", "n", "mode")
+
+    def __init__(self, k: int, n: int, mode: GridMode) -> None:
+        self.__dict__.update(k=k, n=n, mode=mode)
 
     @cached_property
     def elements(self) -> tuple[GridElement, ...]:
@@ -86,10 +84,6 @@ class GridPoset:
         """Element -> rank: l + m - 1 in strict mode, l + m in weak mode."""
         gap = _gap(self.mode)
         return {e: e.l + e.m - gap for e in self.elements}
-
-    @cached_property
-    def poset(self) -> FinitePoset:
-        return FinitePoset(self.elements, self.covers)
 
 
 def _check_bounds(k: int, n: int, mode: GridMode) -> None:

@@ -9,11 +9,11 @@ so the closed-form views and DOT export run without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
 
+from .base import View
 from .errors import BudgetExceeded, InvalidBounds
 
 if TYPE_CHECKING:
@@ -43,18 +43,18 @@ class CobwebVertex(NamedTuple):
         return f"({self.s},{self.j})"
 
 
-@dataclass(frozen=True)
-class CobwebPoset:
+class CobwebPoset(View):
     """Levels 1..level_max of a cobweb, generated from the level widths alone.
 
     Vertices, covers and levels are closed-form; `poset` is the generic
-    engine over the same vertices and covers, built on first use only (for
-    the oracle and `method="brute"`).
+    engine over the same vertices and covers.
     """
 
-    seq: FSequence
-    level_max: int
-    widths: tuple[int, ...]  # widths[s-1] = F_s
+    _fields = ("seq", "level_max", "widths")
+
+    def __init__(self, seq: FSequence, level_max: int, widths: tuple[int, ...]) -> None:
+        # widths[s-1] = F_s
+        self.__dict__.update(seq=seq, level_max=level_max, widths=widths)
 
     @cached_property
     def elements(self) -> tuple[CobwebVertex, ...]:
@@ -72,12 +72,6 @@ class CobwebPoset:
     def level_of(self) -> dict[CobwebVertex, int]:
         """Vertex -> level map, e.g. for DOT rank grouping."""
         return {v: v.s for v in self.elements}
-
-    @cached_property
-    def poset(self) -> FinitePoset:
-        from .poset import FinitePoset
-
-        return FinitePoset(self.elements, self.covers)
 
 
 def _vertices(widths: Sequence[int], lo: int, hi: int) -> Iterator[CobwebVertex]:

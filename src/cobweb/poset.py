@@ -12,9 +12,9 @@ up[z], and a Möbius row computes values only over its element's up-set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Literal
+from typing import Hashable, Iterable, Iterator, Literal, NamedTuple
 
+from .base import MobiusMatrix, WhitneyVector
 from .errors import (
     BudgetExceeded,
     NoUniqueMinimum,
@@ -126,7 +126,8 @@ class FinitePoset:
         return label in self._index
 
     def __repr__(self) -> str:
-        return f"FinitePoset({len(self._labels)} elements, {len(self.covers)} covers)"
+        covers = sum(map(len, self._cover_succ))
+        return f"FinitePoset({len(self._labels)} elements, {covers} covers)"
 
     def index(self, label: Label) -> int:
         return self._index[label]
@@ -211,8 +212,7 @@ def _cycle_witness(
     return (labels[i], labels[j])
 
 
-@dataclass(frozen=True)
-class RankLabels:
+class RankLabels(NamedTuple):
     """Rank per element: minimal elements at 0, every cover step exactly +1."""
 
     rank: dict[Label, int]
@@ -288,17 +288,6 @@ def maximal_chains(
     raise ValueError(f"mode must be 'count' or 'enumerate', got {mode!r}")
 
 
-@dataclass(frozen=True)
-class MobiusMatrix:
-    """Möbius values mu(x, y) for every comparable pair x <= y."""
-
-    entries: dict[tuple[Label, Label], int]
-
-    def value(self, x: Label, y: Label) -> int:
-        """mu(x, y); zero for incomparable pairs."""
-        return self.entries.get((x, y), 0)
-
-
 def _mobius_row(p: FinitePoset, t: int) -> dict[int, int]:
     """mu(i, j) for every j >= i, where i = p._topo[t], by the textbook
     recursion over the up-set of i in topological order.
@@ -336,15 +325,6 @@ def mobius(p: FinitePoset) -> MobiusMatrix:
         for j, v in _mobius_row(p, pos[i]).items():
             entries[(xi, labels[j])] = v
     return MobiusMatrix(entries)
-
-
-@dataclass(frozen=True)
-class WhitneyVector:
-    """Rank-indexed Whitney numbers; plain counts (second kind) or signed
-    Möbius sums from the bottom element (first kind)."""
-
-    kind: Literal["second", "first"]
-    values: tuple[int, ...]
 
 
 def whitney(p: FinitePoset, kind: Literal["second", "first"] = "second") -> WhitneyVector:

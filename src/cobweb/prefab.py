@@ -7,7 +7,7 @@ Fibonacci(n + 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fnomial import FNomialTable, non_integral
 from .sequences import FSequence
@@ -22,8 +22,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PrefabWhitneyRow:
+class PrefabWhitneyRow(NamedTuple):
     """Second-kind Whitney numbers W_k = (n-k over k)_F for k = 0..floor(n/2)."""
 
     seq: FSequence
@@ -31,8 +30,7 @@ class PrefabWhitneyRow:
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BellSequence:
+class BellSequence(NamedTuple):
     """B_0(F), ..., B_{n_max}(F)."""
 
     seq: FSequence

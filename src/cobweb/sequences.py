@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import IndexOutOfDomain, InvalidBounds
 
@@ -41,13 +40,15 @@ def _fib(s: int) -> int:
     return _fib_values[s - 1]
 
 
-@dataclass(frozen=True)
-class FSequence:
+class FSequence(NamedTuple):
     """A positive integer sequence addressed by 1-based index."""
 
     name: str
-    rule: Callable[[int], int] = field(repr=False)
+    rule: Callable[[int], int]
     limit: int | None = None  # custom sequences only; None means total
+
+    def __repr__(self) -> str:  # the rule is left out
+        return f"FSequence(name={self.name!r}, limit={self.limit!r})"
 
     def value(self, s: int) -> int:
         """F_s for s >= 1."""
@@ -75,8 +76,7 @@ BUILTIN_SEQUENCES: dict[str, FSequence] = {
 }
 
 
-@dataclass(frozen=True)
-class _Terms:
+class _Terms(NamedTuple):
     """The rule of a custom sequence.  It compares by its values, so
     value-equal custom sequences are equal and share every cache keyed by
     the sequence."""
@@ -117,8 +117,7 @@ def from_file(path: str) -> FSequence:
     return from_values(f"file:{path}", vals)
 
 
-@dataclass(frozen=True)
-class GcdMorphicReport:
+class GcdMorphicReport(NamedTuple):
     """Outcome of the exhaustive GCD-morphism check.
 
     When ``holds`` is false, ``witness`` is the lexicographically smallest

@@ -48,16 +48,28 @@ HOMES = {
 }
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The cobweb modules loaded after running `code` in a fresh interpreter."""
+def _new_modules(code: str) -> set[str]:
+    """The modules that running `code` in a fresh interpreter adds to
+    sys.modules; those loaded before it (say, by a site hook) do not count."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    probe = code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules"
-    probe += " if m == 'cobweb' or m.startswith('cobweb.'))))"
+    probe = f"import sys\n_before = set(sys.modules)\n{code}\n_new = set(sys.modules) - _before"
+    probe += "\nimport json\nprint(json.dumps(sorted(_new)))"
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The cobweb modules loaded after running `code` in a fresh interpreter."""
+    return {m for m in _new_modules(code) if m == "cobweb" or m.startswith("cobweb.")}
+
+
+def _cli_code(argvs: list[list[str]]) -> str:
+    """Code that runs each argv through the CLI and checks it exits 0."""
+    code = "import io\nfrom cobweb import cli\n"
+    return code + f"for argv in {argvs!r}:\n    assert cli.run(argv, io.StringIO()) == 0, argv\n"
 
 
 def test_bare_cli_import_loads_no_library_module():
@@ -76,18 +88,14 @@ def test_arithmetic_commands_load_no_poset_code():
         ["bell", "--family", "prefab", "--seq", "naturals", "--n", "8"],
         ["bell", "--family", "prefab", "--seq", "naturals", "--n", "8", "--table"],
     ]
-    code = "import io\nfrom cobweb import cli\n"
-    code += f"for argv in {argvs!r}:\n    assert cli.run(argv, io.StringIO()) == 0, argv\n"
-    loaded = _loaded_after(code)
+    loaded = _loaded_after(_cli_code(argvs))
     assert not loaded & {"cobweb.poset", "cobweb.grid", "cobweb.hasse"}, loaded
     assert {"cobweb.sequences", "cobweb.fnomial", "cobweb.prefab"} <= loaded
 
 
 def test_cobweb_dot_loads_no_poset_engine():
-    code = "import io\nfrom cobweb import cli\n"
-    code += "argv = ['dot', '--family', 'cobweb', '--seq', 'fibonacci', '--levels', '6']\n"
-    code += "assert cli.run(argv, io.StringIO()) == 0\n"
-    assert "cobweb.poset" not in _loaded_after(code)
+    argvs = [["dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "6"]]
+    assert "cobweb.poset" not in _loaded_after(_cli_code(argvs))
 
 
 def test_grid_commands_load_no_fnomial():
@@ -98,11 +106,45 @@ def test_grid_commands_load_no_fnomial():
         ["problems", "--l", "2", "--m", "4"],
         ["dot", "--family", "grid", "--k", "2", "--n", "4"],
     ]
-    code = "import io\nfrom cobweb import cli\n"
-    code += f"for argv in {argvs!r}:\n    assert cli.run(argv, io.StringIO()) == 0, argv\n"
-    loaded = _loaded_after(code)
+    loaded = _loaded_after(_cli_code(argvs))
     assert "cobweb.grid" in loaded
-    assert not loaded & {"cobweb.fnomial", "cobweb.sequences"}, loaded
+    assert not loaded & {"cobweb.fnomial", "cobweb.sequences", "cobweb.poset"}, loaded
+
+
+def test_catalan_and_ballot_load_no_sequences():
+    argvs = [["catalan", "--n", "10"], ["ballot", "--k", "2", "--n", "4"]]
+    loaded = _loaded_after(_cli_code(argvs))
+    assert "cobweb.fnomial" in loaded
+    assert not loaded & {"cobweb.sequences", "cobweb.prefab"}, loaded
+
+
+def test_start_up_paths_load_no_dataclasses_or_inspect():
+    argvs = [
+        ["seq", "--seq", "fibonacci", "--count", "5"],
+        ["fnomial", "--seq", "naturals", "--n", "6", "--k", "2", "--format", "json"],
+        ["catalan", "--n", "10"],
+        ["ballot", "--k", "2", "--n", "4"],
+        ["grid", "--k", "2", "--n", "4"],
+        ["whitney", "--family", "grid", "--l", "2", "--m", "4"],
+        ["whitney", "--family", "prefab", "--seq", "fibonacci", "--n", "9"],
+        ["bell", "--family", "grid", "--l", "2", "--m", "4"],
+        ["bell", "--family", "prefab", "--seq", "naturals", "--n", "8"],
+        ["chains", "--family", "grid", "--k", "2", "--n", "4"],
+        ["chains", "--family", "cobweb", "--seq", "naturals", "--k", "1", "--n", "4",
+         "--method", "brute"],
+        ["mobius", "--k", "2", "--n", "4"],
+        ["dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "4"],
+        ["dot", "--family", "grid", "--k", "2", "--n", "4"],
+        ["problems", "--l", "2", "--m", "4"],
+    ]
+    session = (
+        "import cobweb\n"
+        "cobweb.FNomialTable(cobweb.from_values('v', [1, 3, 7])).fnomial(3, 1)\n"
+        "cobweb.build_grid(2, 4).poset\n"
+        "cobweb.build_cobweb(cobweb.FIBONACCI, 5).elements\n"
+    )
+    for code in (_cli_code(argvs), session):
+        assert not _new_modules(code) & {"dataclasses", "inspect"}
 
 
 def test_public_names_resolve_to_their_home_objects():

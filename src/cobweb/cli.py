@@ -86,7 +86,7 @@ def _cmd_seq(ns: argparse.Namespace) -> OutputRecord:
         )
     if ns.count < 0:
         raise ValueError(f"need count >= 0, got {ns.count}")
-    rows = [(s, seq.value(s)) for s in range(1, ns.count + 1)]
+    rows = list(enumerate(seq.values(ns.count), 1))
     return OutputRecord("seq", {"seq": ns.seq, "count": ns.count}, columns=("s", "value"), rows=rows)
 
 

@@ -109,10 +109,10 @@ class BallotCount(NamedTuple):
 
 
 def catalan(n: int) -> int:
-    """The n-th Catalan number, C(2n, n)/(n + 1)."""
+    """The n-th Catalan number C(2n, n)/(n + 1): the ballot diagonal."""
     if n < 0:
         raise ValueError(f"catalan index must be >= 0, got {n}")
-    return math.comb(2 * n, n) // (n + 1)
+    return ballot(n, n).count
 
 
 def ballot(k: int, n: int) -> BallotCount:

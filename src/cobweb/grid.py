@@ -120,19 +120,19 @@ def grid_mobius(k: int, n: int, mode: GridMode = "strict") -> MobiusMatrix:
 
     The grid is closed under componentwise min and max, so it is a
     distributive sublattice of N^2 and mu(x, y) is nonzero only on Boolean
-    intervals (Stanley, EC1 3.9): mu = 1 at x = y, -1 on a unit step, +1 at
-    x + (1, 1) when x + (1, 0) and x + (0, 1) are both present, and 0
-    otherwise.  Entries cover every comparable pair, x-major in element order.
+    intervals (Stanley, EC1 3.9): mu = 1 at x = y, -1 on a cover, +1 at
+    x + (1, 1) when x has two covers, and 0 otherwise.  Entries cover every
+    comparable pair, x-major in element order.
     """
-    _check_bounds(k, n, mode)
-    els = _elements(k, n, mode)
+    g = build_grid(k, n, mode)
+    els = g.elements
     gap = _gap(mode)
     # Block l of els holds (l, l + gap) .. (l, n) and starts at start[l].
     start = [0]
     for l in range(k + 1):
         start.append(start[-1] + n + 1 - l - gap)
     entries: dict[tuple[GridElement, GridElement], int] = {}
-    for a, x in enumerate(els):
+    for x in els:
         l, m = x
         # The y >= x in block b >= l are its suffix from (b, max(m, b + gap)):
         # all 0 first, then the nonzero values overwrite keys already in order.
@@ -140,13 +140,12 @@ def grid_mobius(k: int, n: int, mode: GridMode = "strict") -> MobiusMatrix:
             lo = start[b] + max(m - b - gap, 0)
             entries.update(zip(zip(repeat(x), els[lo : start[b + 1]]), repeat(0)))
         entries[x, x] = 1
-        if m < n:
-            entries[x, els[a + 1]] = -1
-        if l < k and m > l + gap:  # x + (1, 0) is present
-            right = start[l + 1] + m - (l + 1 + gap)
-            entries[x, els[right]] = -1
-            if m < n:  # so x + (0, 1) and x + (1, 1) are present too
-                entries[x, els[right + 1]] = 1
+    last = None
+    for x, y in g.covers:
+        entries[x, y] = -1
+        if x == last:  # x's second cover: both unit steps, so x + (1, 1) is present
+            entries[x, GridElement(x.l + 1, x.m + 1)] = 1
+        last = x
     return MobiusMatrix(entries)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import prod
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
 from .base import View
 from .errors import BudgetExceeded, InvalidBounds
@@ -110,12 +110,14 @@ def build_cobweb(seq: FSequence, level_max: int) -> CobwebPoset:
     return CobwebPoset(seq, level_max, tuple(widths))
 
 
+def _check_slice(c: CobwebPoset, k: int, n: int) -> None:
+    if not 1 <= k < n <= c.level_max:
+        raise InvalidBounds(f"need 1 <= k < n <= {c.level_max}, got k={k}, n={n}")
+
+
 def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
     """The induced subposet on levels k..n (1 <= k < n <= level_max)."""
-    if not 1 <= k < n <= c.level_max:
-        raise InvalidBounds(
-            f"need 1 <= k < n <= {c.level_max}, got k={k}, n={n}"
-        )
+    _check_slice(c, k, n)
     from .poset import FinitePoset
 
     return FinitePoset(_vertices(c.widths, k, n), _covers(c.widths, k, n))
@@ -127,8 +129,7 @@ def layer_chain_count(
     """Maximal chains of the levels-k..n slice: one vertex per level, so the
     closed count is the product of the level widths."""
     if method == "closed":
-        if not 1 <= k < n <= c.level_max:
-            raise InvalidBounds(f"need 1 <= k < n <= {c.level_max}, got k={k}, n={n}")
+        _check_slice(c, k, n)
         return prod(c.widths[s - 1] for s in range(k, n + 1))
     if method == "brute":
         from .poset import maximal_chains
@@ -144,25 +145,15 @@ def _quote(label: object) -> str:
     return f'"{text}"'
 
 
-class HasseDiagram(Protocol):
-    """Anything with elements and upward cover pairs: `FinitePoset`,
-    `CobwebPoset` or `GridPoset`."""
-
-    @property
-    def elements(self) -> tuple[object, ...]: ...
-
-    @property
-    def covers(self) -> Iterable[tuple[object, object]]: ...
-
-
 def to_dot(
-    poset: HasseDiagram,
+    poset: View | FinitePoset,
     levels: Mapping[object, int] | None = None,
     name: str = "poset",
 ) -> str:
-    """Render a Hasse diagram as a DOT digraph: one node per element, one
-    edge per cover oriented upward, and (when `levels` is given) rank=same
-    groups so layout engines reproduce the layered displays.
+    """Render a Hasse diagram, a view or the engine, as a DOT digraph: one
+    node per element, one edge per cover oriented upward, and (when `levels`
+    is given) rank=same groups so layout engines reproduce the layered
+    displays.
 
     Output is byte-deterministic: nodes in element order, edges in cover
     order.

@@ -3,11 +3,14 @@ chains, Möbius function, and Whitney numbers of both kinds.
 
 Elements are opaque hashable labels; enumeration order everywhere is
 insertion order, so all derived artifacts are reproducible across runs.
-Reachability is stored as per-element up-set bitsets (Python ints); one
-reverse-topological sweep over the input edges builds them and finds the
-covers at the same time (Aho, Garey and Ullman, "The transitive reduction of
-a directed graph", 1972).  No down-sets are stored: z <= j is the bit j of
-up[z], and a Möbius row computes values only over its element's up-set.
+The engine stores four things: per-element up-set bitsets (Python ints), a
+topological order, the cover successors of each element and the minimal
+elements.  One reverse-topological sweep over the input edges builds the
+up-sets and finds the covers at the same time (Aho, Garey and Ullman, "The
+transitive reduction of a directed graph", 1972); the minimal elements are
+the sources of the topological sort.  No down-sets or predecessor sets are
+stored: z <= j is the bit j of up[z], and a Möbius row computes values only
+over its element's up-set.
 """
 
 from __future__ import annotations
@@ -45,13 +48,14 @@ CHAIN_ENUMERATE_BUDGET = 64
 class FinitePoset:
     """A finite partial order over opaque labels.
 
-    Built from any relation whose transitive closure is a partial order; the
-    up-set closure and the cover relation come from one reverse-topological
-    sweep at construction time, and no down-sets are kept.  The instance is
-    immutable afterwards, so concurrent reads are safe.
+    Built from any relation whose transitive closure is a partial order.  It
+    keeps the up-sets, a topological order, the cover successors and the
+    minimal elements; the up-sets and covers come from one reverse-topological
+    sweep at construction time, and no down-sets or predecessor sets are kept.
+    The instance is immutable afterwards, so concurrent reads are safe.
     """
 
-    __slots__ = ("_labels", "_index", "_up", "_topo", "_cover_succ", "_cover_pred")
+    __slots__ = ("_labels", "_index", "_up", "_topo", "_cover_succ", "_bottoms")
 
     def __init__(
         self,
@@ -76,7 +80,7 @@ class FinitePoset:
             if i != j:  # reflexive pairs are implied
                 succ[i].add(j)
 
-        topo = _toposort(succ, labels)
+        topo, bottoms = _toposort(succ, labels)
         pos = [0] * n
         for t, i in enumerate(topo):
             pos[i] = t
@@ -98,17 +102,13 @@ class FinitePoset:
                     acc |= up[j]
             covers.sort()
             up[i] = acc | 1 << i
-        cover_pred: list[list[int]] = [[] for _ in range(n)]
-        for i, js in enumerate(cover_succ):
-            for j in js:
-                cover_pred[j].append(i)
 
         self._labels = tuple(labels)
         self._index = index
         self._up = up
         self._topo = topo
         self._cover_succ = cover_succ
-        self._cover_pred = cover_pred
+        self._bottoms = bottoms
 
     # -- basic queries ----------------------------------------------------
 
@@ -154,12 +154,13 @@ class FinitePoset:
         return tuple(self._labels[j] for j in self._cover_succ[self._index[label]])
 
     def cover_predecessors(self, label: Label) -> tuple[Label, ...]:
-        return tuple(self._labels[i] for i in self._cover_pred[self._index[label]])
+        j = self._index[label]
+        return tuple(self._labels[i] for i, js in enumerate(self._cover_succ) if j in js)
 
     @property
     def bottoms(self) -> tuple[Label, ...]:
         """Minimal elements, in index order."""
-        return tuple(self._labels[i] for i, js in enumerate(self._cover_pred) if not js)
+        return tuple(self._labels[i] for i in self._bottoms)
 
     @property
     def tops(self) -> tuple[Label, ...]:
@@ -169,14 +170,16 @@ class FinitePoset:
         )
 
 
-def _toposort(succ: list[set[int]], labels: list[Label]) -> list[int]:
-    """Topological order of the edge digraph; NotAPartialOrder on any cycle."""
+def _toposort(succ: list[set[int]], labels: list[Label]) -> tuple[list[int], list[int]]:
+    """Topological order of the edge digraph and its sources, the minimal
+    elements, in index order; NotAPartialOrder on any cycle."""
     n = len(succ)
     indeg = [0] * n
     for js in succ:
         for j in js:
             indeg[j] += 1
-    stack = sorted((i for i in range(n) if indeg[i] == 0), reverse=True)
+    sources = [i for i in range(n) if indeg[i] == 0]
+    stack = sources[::-1]
     order: list[int] = []
     while stack:
         i = stack.pop()
@@ -192,7 +195,7 @@ def _toposort(succ: list[set[int]], labels: list[Label]) -> list[int]:
             for j in js:
                 pred[j].add(i)
         raise NotAPartialOrder(_cycle_witness(pred, remaining, labels))
-    return order
+    return order, sources
 
 
 def _cycle_witness(
@@ -263,7 +266,7 @@ def maximal_chains(
         for i in reversed(p._topo):
             succ = p._cover_succ[i]
             counts[i] = sum(counts[j] for j in succ) if succ else 1
-        return sum(counts[i] for i in range(n) if not p._cover_pred[i])
+        return sum(counts[i] for i in p._bottoms)
     if mode == "enumerate":
         if n > CHAIN_ENUMERATE_BUDGET:
             raise BudgetExceeded(
@@ -281,9 +284,8 @@ def maximal_chains(
                 chains.append(tuple(p._labels[t] for t in path))
             path.pop()
 
-        for i in range(n):
-            if not p._cover_pred[i]:
-                walk(i)
+        for i in p._bottoms:
+            walk(i)
         return chains
     raise ValueError(f"mode must be 'count' or 'enumerate', got {mode!r}")
 
@@ -339,9 +341,8 @@ def whitney(p: FinitePoset, kind: Literal["second", "first"] = "second") -> Whit
         for r in ranks.rank.values():
             values[r] += 1
     elif kind == "first":
-        bottoms = p.bottoms
-        if len(bottoms) != 1:
-            raise NoUniqueMinimum(f"poset has {len(bottoms)} minimal elements")
+        if len(p._bottoms) != 1:
+            raise NoUniqueMinimum(f"poset has {len(p._bottoms)} minimal elements")
         # The unique minimum is the one element no input edge enters: topo[0].
         row = _mobius_row(p, 0)
         for j, v in row.items():

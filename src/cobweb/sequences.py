@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import IndexOutOfDomain, InvalidBounds
 
@@ -140,7 +140,7 @@ def is_gcd_morphic(seq: FSequence, range_max: int) -> GcdMorphicReport:
     """
     if range_max < 2:
         raise InvalidBounds(f"range_max must be >= 2, got {range_max}")
-    vals: Sequence[int] = [seq.value(s) for s in range(1, range_max + 1)]
+    vals = seq.values(range_max)
     for n in range(1, range_max + 1):
         for m in range(n + 1, range_max + 1):
             g = math.gcd(vals[n - 1], vals[m - 1])

@@ -46,6 +46,10 @@ GROUPS = {
         ["dot", "--family", "grid", "--k", str(k), "--n", str(n), "--mode", mode]
         for mode, k, n in _grids(8)
     ],
+    "mobius": [
+        *(["mobius", "--k", str(k), "--n", str(n), "--mode", mode] for mode, k, n in _grids(8)),
+        ["mobius", "--k", "2", "--n", "4", "--mode", "strict", "--format", "json"],
+    ],
     "domain_errors": [
         ["grid", "--k", "3", "--n", "2"],
         ["mobius", "--k", "3", "--n", "2"],
@@ -107,6 +111,7 @@ GOLDEN = {
     "grid_dot": "226adf92b7b4a060958fff62474313ac1b21994f2bcf8d93a63fc7804b2dd02a",
     "json_variants": "ca2078c117f012adca1d6846e91af924a03b1a0d703bd4a97349dfe455238ad4",
     "matrix": "88e35576d833d277430d1093a2f0f6708e7f5cd0702720b338e563cfce829f08",
+    "mobius": "a0e3e9d0f12a9c339bf2c4d3ec4490ebb7652dca2d05ab5d8dcc8da3fbb923b8",
     "usage_errors": "96f306e37f69df03d2eefcc8a041e393847ad58fd97485d50be14c0a6f305792",
 }
 

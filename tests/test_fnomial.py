@@ -85,6 +85,11 @@ def test_catalan_matches_enumeration_oracle():
     for n, expected in enumerate(CATALAN_ORACLE):
         assert catalan(n) == expected
         assert dominated_strings_brute(n, n) == expected
+    # Past the string budget: the exact recurrence C_{n+1} = C_n * 2(2n+1)/(n+2).
+    expected = 1
+    for n in range(3001):
+        assert catalan(n) == expected, n
+        expected = expected * 2 * (2 * n + 1) // (n + 2)
 
 
 def test_catalan_rejects_negative():

@@ -122,6 +122,10 @@ def test_stirling2_closed_equals_count():
         for l in range(0, m):
             for k in range(0, l + m):
                 assert stirling2_closed(k, l, m) == stirling2_grid(k, l, m), (k, l, m)
+    for l, m in [(-1, 3), (3, 2)]:  # l < 0, then m < l: both refuse alike
+        for count in (stirling2_grid, stirling2_closed):
+            with pytest.raises(InvalidBounds, match="need 0 <= l <= m"):
+                count(0, l, m)
 
 
 def test_stirling2_matches_poset_whitney():

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-import threading
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence, TextIO
 
@@ -255,27 +254,29 @@ def _cmd_problems(ns: argparse.Namespace) -> OutputRecord:
 # -- rendering ---------------------------------------------------------------
 
 
-def _render_table(rec: OutputRecord, sep: str, scalar_header: tuple[str, ...]) -> str:
+def _render_table(
+    rec: OutputRecord, sep: str, scalar_header: tuple[str, ...], text: Callable[[int], str]
+) -> str:
     """Text and CSV: the column header, then one `sep`-joined line per row; a
     single value is written under `scalar_header`."""
     if rec.rows is not None:
-        lines = [sep.join(rec.columns), *(sep.join(map(str, row)) for row in rec.rows)]
+        lines = [sep.join(rec.columns), *(sep.join(map(text, row)) for row in rec.rows)]
     else:
-        lines = [*scalar_header, str(rec.value)]
+        lines = [*scalar_header, text(rec.value)]
     return "\n".join(lines) + "\n"
 
 
-def _render_json(rec: OutputRecord) -> str:
+def _render_json(rec: OutputRecord, text: Callable[[int], str]) -> str:
     """The text of json.dumps over the payload object.  Rows are written one
     string each, not as a list of string lists: a decimal integer needs no
     escaping, and a large table then costs no more memory than in text."""
     import json
 
     if rec.rows is not None:
-        rows = ", ".join('["' + '", "'.join(map(str, row)) + '"]' for row in rec.rows)
+        rows = ", ".join('["' + '", "'.join(map(text, row)) + '"]' for row in rec.rows)
         result = f'{{"columns": {json.dumps(list(rec.columns))}, "rows": [{rows}]}}'
     else:
-        result = json.dumps(str(rec.value))
+        result = f'"{text(rec.value)}"'
     if rec.agreement is not None:
         result = f'{{"value": {result}, "agreement": {json.dumps(rec.agreement)}}}'
     head = f'{{"command": {json.dumps(rec.command)}, "params": {json.dumps(rec.params)}'
@@ -289,24 +290,18 @@ _RENDERERS = {
 }
 
 
-_digit_limit_lock = threading.Lock()
-
-
 def _render(rec: OutputRecord, fmt: str) -> str:
-    """Render exact results of any size.  The interpreter's int-to-str digit
-    limit is lifted only while rendering and restored afterwards, since run()
-    is also a library call; the lock keeps concurrent runs from saving each
-    other's lifted limit.  Python builds without the limit render as is."""
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        return _RENDERERS[fmt](rec)
-    with _digit_limit_lock:
-        limit = get_limit()
-        sys.set_int_max_str_digits(0)
-        try:
-            return _RENDERERS[fmt](rec)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    """Render exact results of any size; the int-to-str digit limit is never
+    changed.  Only when str() refuses an int past the limit is the record
+    rendered again through Decimal, which converts any int exactly.  That
+    needs the C `_decimal` (the pure-Python `_pydecimal` converts through
+    str() and hits the same limit); CPython 3.10-3.12 ship it."""
+    try:
+        return _RENDERERS[fmt](rec, text=str)
+    except ValueError:
+        from decimal import Decimal
+
+        return _RENDERERS[fmt](rec, text=lambda v: str(Decimal(v)))
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -405,7 +400,9 @@ def run(
     out: TextIO | None = None,
     err: TextIO | None = None,
 ) -> int:
-    """Execute one CLI invocation; returns the exit status."""
+    """Execute one CLI invocation; returns the exit status.  argparse parses
+    with sys.stdout/sys.stderr redirected to `out`/`err`, so help or usage
+    text from concurrent calls can interleave."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
     parser = _build_parser(argv)

@@ -206,15 +206,89 @@ def test_domain_error_exit_code():
         assert err.startswith("error: ") and named in err, argv
 
 
+def _lifted_str(v):
+    """str(v) with the int-to-str digit limit lifted for the call."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(v)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_results_past_the_digit_limit_print_exactly():
     limit = sys.get_int_max_str_digits()
     code, out, err = invoke("fnomial", "--seq", "fibonacci", "--n", "1000", "--k", "500")
-    assert (code, err) == (0, "")
+    expected = _lifted_str(FNomialTable(FIBONACCI).fnomial(1000, 500))
+    assert (code, out, err) == (0, f"{expected}\n", "")
     assert sys.get_int_max_str_digits() == limit
-    expected = FNomialTable(FIBONACCI).fnomial(1000, 500)
-    sys.set_int_max_str_digits(0)
+
+
+def test_run_leaves_the_digit_limit_alone(monkeypatch):
+    argv = ["fnomial", "--seq", "fibonacci", "--n", "1000", "--k", "500"]
+    digits = _lifted_str(FNomialTable(FIBONACCI).fnomial(1000, 500))
+    params = '{"seq": "fibonacci", "n": 1000, "k": 500}'
+    expected = {
+        "text": f"{digits}\n",
+        "csv": f"value\n{digits}\n",
+        "json": f'{{"command": "fnomial", "params": {params}, "result": "{digits}"}}\n',
+    }
+    set_limit, limit = sys.set_int_max_str_digits, sys.get_int_max_str_digits()
+
+    def refuse(_):
+        raise AssertionError("run() changed the int-to-str digit limit")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
     try:
-        assert int(out) == expected
+        for lowered in (limit, 640):
+            set_limit(lowered)
+            for fmt, text in expected.items():
+                assert invoke(*argv, "--format", fmt) == (0, text, ""), (lowered, fmt)
+                assert sys.get_int_max_str_digits() == lowered
+    finally:
+        set_limit(limit)
+
+
+def _record_texts(rec, fmt):
+    """The text each format gives for `rec`, every int written by str() with
+    the digit limit lifted: the reference the renderer is pinned to."""
+    if rec.rows is not None:
+        cells = [[_lifted_str(v) for v in row] for row in rec.rows]
+        sep = "," if fmt == "csv" else " "
+        if fmt != "json":
+            return "\n".join([sep.join(rec.columns), *(sep.join(row) for row in cells)]) + "\n"
+        rows = ", ".join("[" + ", ".join(f'"{c}"' for c in row) + "]" for row in cells)
+        result = f'{{"columns": {json.dumps(list(rec.columns))}, "rows": [{rows}]}}'
+    else:
+        digits = _lifted_str(rec.value)
+        if fmt != "json":
+            return ("value\n" if fmt == "csv" else "") + digits + "\n"
+        result = f'"{digits}"'
+    return f'{{"command": "t", "params": {{}}, "result": {result}}}\n'
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from((4299, 4300, 4301)),
+    offset=st.one_of(st.sampled_from((-1, 0)), st.integers(-(10**6), 10**6)),
+    negative=st.booleans(),
+    small=st.integers(-(10**9), 10**9),
+    fmt=st.sampled_from(("text", "csv", "json")),
+)
+def test_render_past_the_digit_limit_equals_lifted_str(k, offset, negative, small, fmt):
+    v = 10**k + offset
+    v = -v if negative else v
+    records = [
+        cli.OutputRecord("t", {}, value=v),
+        cli.OutputRecord("t", {}, value=-v),
+        cli.OutputRecord("t", {}, columns=("k", "value"), rows=[(0, small), (1, v), (2, -v)]),
+    ]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        for rec in records:
+            assert cli._render(rec, fmt) == _record_texts(rec, fmt)
+        assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -101,6 +101,18 @@ GROUPS = {
             ["problems", "--l", "2", "--m", "4"],
         ]
     ],
+    # Results past the interpreter's 4,300-digit int-to-str limit; the
+    # prefab Whitney row straddles it, so only some of its entries are past.
+    "past_digit_limit": [
+        [*argv, "--format", fmt]
+        for fmt in ("text", "csv", "json")
+        for argv in [
+            ["fnomial", "--seq", "fibonacci", "--n", "1000", "--k", "500"],
+            ["whitney", "--family", "prefab", "--seq", "fibonacci", "--n", "420"],
+            ["catalan", "--n", "9000"],
+            ["bell", "--family", "prefab", "--seq", "fibonacci", "--n", "470"],
+        ]
+    ],
 }
 
 GOLDEN = {
@@ -112,6 +124,7 @@ GOLDEN = {
     "json_variants": "ca2078c117f012adca1d6846e91af924a03b1a0d703bd4a97349dfe455238ad4",
     "matrix": "88e35576d833d277430d1093a2f0f6708e7f5cd0702720b338e563cfce829f08",
     "mobius": "a0e3e9d0f12a9c339bf2c4d3ec4490ebb7652dca2d05ab5d8dcc8da3fbb923b8",
+    "past_digit_limit": "7773038e17d945911409a9468eb232a37f1cd454b55727d88a4466f92d8fed68",
     "usage_errors": "96f306e37f69df03d2eefcc8a041e393847ad58fd97485d50be14c0a6f305792",
 }
 

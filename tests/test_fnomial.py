@@ -1,4 +1,5 @@
 from concurrent.futures import ThreadPoolExecutor
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -112,8 +113,9 @@ def test_ballot_matches_oracle_everywhere_in_budget():
 
 
 def test_diagonal_is_catalan():
-    for n in range(0, 11):
-        assert ballot(n, n).count == catalan(n)
+    # The reflection principle, independent of ballot's closed form.
+    for n in range(0, 301):
+        assert ballot(n, n).count == comb(2 * n, n) - comb(2 * n, n + 1), n
 
 
 def test_brute_examples():

@@ -6,22 +6,26 @@ integer-only data rows), json (one object with command/params/result; big
 integers are serialized as decimal strings).
 
 A subcommand is declared in one place, its `_COMMANDS` entry: help line,
-handler and options.  The parser gives options only to the subcommand a
-request names, and each handler imports the library modules it runs, so a
-request pays only for its own subcommand.
+handler and options.  A plain argv (the subcommand, then each of its options
+once, spelled in full, with a value not starting with "-") is parsed straight
+from that table; any other argv, help included, goes to argparse, which
+builds options only for the subcommand it names.  Each handler imports the
+library modules it runs, so a request pays only for its own subcommand.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
+import os
 import sys
 from functools import partial
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence, TextIO
 
 from .errors import CobwebError
 
 if TYPE_CHECKING:
+    import argparse
+
     from .sequences import FSequence
 
 __all__ = ["run", "main"]
@@ -376,9 +380,44 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.Namespace], OutputRecord], li
 }
 
 
+def _plain_parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plain argv, built from `_COMMANDS`
+    without argparse: the subcommand, then each of its flags at most once and
+    in full, each but a store_true flag followed by a value not starting with
+    "-" that its type and choices accept.  Any other argv gives None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    left = dict(options)  # the flags not given yet
+    values = {flag: kw.get("default", False if "action" in kw else None) for flag, kw in options}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kw = left.pop(flag, None)
+        if kw is None:
+            return None
+        if kw.get("action") == "store_true":
+            values[flag] = True
+            continue
+        token = next(tokens, "-")
+        if token.startswith("-"):
+            return None
+        try:
+            values[flag] = value = kw.get("type", str)(token)
+        except ValueError:
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+    if any(kw.get("required") for kw in left.values()):
+        return None
+    names = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(command=argv[0], handler=handler, **names)
+
+
 def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
     """Every subcommand name, with options only for the first one in `argv`:
     an accepted argv names its subcommand before any option it passes."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cobweb",
         description="Exact combinatorics of layered posets: F-nomials, Whitney/Bell "
@@ -400,20 +439,26 @@ def run(
     out: TextIO | None = None,
     err: TextIO | None = None,
 ) -> int:
-    """Execute one CLI invocation; returns the exit status.  argparse parses
-    with sys.stdout/sys.stderr redirected to `out`/`err`, so help or usage
-    text from concurrent calls can interleave."""
+    """Execute one CLI invocation; returns the exit status.  An argv that
+    `_plain_parse` refuses is parsed by argparse with sys.stdout/sys.stderr
+    redirected to `out`/`err`, so help or usage text from concurrent calls
+    taking that path can interleave."""
     out = sys.stdout if out is None else out
     err = sys.stderr if err is None else err
-    parser = _build_parser(argv)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            ns = parser.parse_args(list(argv))
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    ns = _plain_parse(argv)
+    if ns is None:
+        import contextlib
+
+        parser = _build_parser(argv)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                ns = parser.parse_args(list(argv))
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         rec = ns.handler(ns)
-        text = rec.raw if rec.raw is not None else _render(rec, ns.format)
+        out.write(rec.raw if rec.raw is not None else _render(rec, ns.format))
+        out.flush()
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return 2
@@ -423,12 +468,17 @@ def run(
     except (CobwebError, ValueError, OSError) as exc:
         err.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
-    out.write(text)
     return 0
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()  # argparse help is written to it, not flushed
+    except OSError:  # keep the interpreter's exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = code or 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,21 @@
+import contextlib
 import json
+import os
 import re
+import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import BUILTIN_SEQUENCES, FIBONACCI, FinitePoset, FNomialTable, cli
+from test_acceptance import CLI_MATRIX
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def invoke(*args):
@@ -434,3 +442,112 @@ def test_cli_fuzz_exits_cleanly(argv):
     assert "Traceback" not in err, argv
     if code:
         assert out == "", argv
+
+
+# Tokens that argparse reads differently from a plain value, or refuses.
+_ODD_VALUES = st.sampled_from(["", "-1", "-", "--", "-x", "--n", "+7", "1_0", " 5", "x", "5.0"])
+
+
+def _plain_values(kw):
+    if "choices" in kw:
+        return st.sampled_from((*kw["choices"], "nope"))
+    if kw.get("type") is int:
+        return st.integers(-3, 30).map(str)
+    return st.sampled_from([*BUILTIN_SEQUENCES, "martian", "file:x"])
+
+
+@st.composite
+def _spellings(draw):
+    """A subcommand and its flags in any order, sometimes missing a required
+    one; one value in four is odd, and in one argv in two a flag is repeated
+    or respelled: `=` value, prefix, no value, or a help flag."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = dict(cli._COMMANDS[command][2])
+    required = [flag for flag, kw in options.items() if kw.get("required")]
+    flags = required if draw(st.integers(0, 4)) else []
+    others = sorted(set(options) - set(flags))
+    flags = draw(st.permutations(flags + draw(st.lists(st.sampled_from(others), unique=True))))
+    pairs = []
+    for flag in flags:
+        kw = options[flag]
+        if kw.get("action") == "store_true":
+            pairs.append([flag])
+        else:
+            odd = draw(st.integers(0, 3)) == 0
+            pairs.append([flag, draw(_ODD_VALUES if odd else _plain_values(kw))])
+    if pairs and draw(st.booleans()):
+        i = draw(st.integers(0, len(pairs) - 1))
+        flag, *value = pairs[i]
+        pairs[i] = draw(st.sampled_from([
+            [f"{flag}={(value or ['x'])[0]}"],
+            [flag[: draw(st.integers(2, len(flag) - 1))], *value],
+            [flag], ["-h"], [flag, *value, flag, *value],
+        ]))
+    return [command, *(token for pair in pairs for token in pair)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_spellings())
+def test_plain_parse_agrees_with_argparse(argv):
+    ns = cli._plain_parse(argv)
+    if ns is not None:
+        assert vars(ns) == vars(cli._build_parser(argv).parse_args(argv)), argv
+
+
+def test_plain_argvs_run_concurrently_without_redirecting(monkeypatch):
+    def refuse(_):
+        raise AssertionError("run() redirected a standard stream")
+
+    monkeypatch.setattr(contextlib, "redirect_stdout", refuse)
+    monkeypatch.setattr(contextlib, "redirect_stderr", refuse)
+    expected = [invoke(*argv) for argv in CLI_MATRIX]
+    with ThreadPoolExecutor(8) as pool:
+        got = list(pool.map(lambda argv: invoke(*argv), CLI_MATRIX * 4))
+    assert got == expected * 4
+
+
+class _RefusingOut(StringIO):
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+@pytest.mark.parametrize("exc, line", [
+    (OSError(28, "No space left on device"), "OSError: [Errno 28] No space left on device"),
+    (BrokenPipeError(32, "Broken pipe"), "BrokenPipeError: [Errno 32] Broken pipe"),
+])
+def test_failed_output_write_is_one_error_line(exc, line):
+    err = StringIO()
+    assert cli.run(["catalan", "--n", "5"], _RefusingOut(exc), err) == 1
+    assert err.getvalue() == f"error: {line}\n"
+
+
+def _console(argv, stdout):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, as under a shell
+    return subprocess.run([sys.executable, "-m", "cobweb.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_console_write_to_a_full_device_exits_1():
+    with open("/dev/full", "w") as full:
+        done = _console(["catalan", "--n", "5"], full)
+    full_line = "error: OSError: [Errno 28] No space left on device\n"
+    assert (done.returncode, done.stderr) == (1, full_line)
+
+
+def test_console_write_to_a_closed_pipe_exits_1():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        rows = _console(["mobius", "--k", "10", "--n", "31"], write_end)
+        help_text = _console(["--help"], write_end)
+    finally:
+        os.close(write_end)
+    pipe_line = "error: BrokenPipeError: [Errno 32] Broken pipe\n"
+    assert (rows.returncode, rows.stderr) == (1, pipe_line)
+    assert (help_text.returncode, help_text.stderr) == (1, "")

@@ -113,9 +113,26 @@ GROUPS = {
             ["bell", "--family", "prefab", "--seq", "fibonacci", "--n", "470"],
         ]
     ],
+    # Spellings only argparse accepts or refuses: `=` values, repeats,
+    # prefixes, signed or underscored ints, values starting with "-" and
+    # empty values.
+    "argparse_spellings": [
+        ["catalan", "--n=5"],
+        ["catalan", "--n", "5", "--n", "6"],
+        ["fnomial", "--seq=fibonacci", "--n", "10", "--k", "4", "--form", "json"],
+        ["ballot", "--k", "-1", "--n", "3"],
+        ["bell", "--family", "prefab", "--seq", "naturals", "--n", "6", "--table", "--table"],
+        ["mobius", "--k", "1", "--n", "3", "--mode=weak"],
+        ["seq", "--seq", "fibonacci", "--count", "5", "--format", "csv", "--format", "text"],
+        ["grid", "--k", "2", "--n", "5", "--wh", "ranks"],
+        ["fnomial", "--seq", "naturals", "--n", "+7", "--k", "3"],
+        ["fnomial", "--seq", "naturals", "--n", "1_0", "--k", "3"],
+        ["whitney", "--family", "prefab", "--seq", "", "--n", "3"],
+    ],
 }
 
 GOLDEN = {
+    "argparse_spellings": "10f64b9a8d357ee6a566e7b02ca91b6de16db254eec963d6de39b246f539911d",
     "cobweb_chains": "d6d66fc60fbc130625ab4fb1dc0a4a53fc5f6467919adbdacce4b9c4b58250e4",
     "cobweb_dot": "188fc452ef70d441cbecb44463ee70530bca09fc11168cbb3dc5b8cca2f3d867",
     "domain_errors": "05844ea69698d86561f69001d3750fb6fecbc08ce76ad12be9427d04883e831b",

@@ -11,6 +11,9 @@ once, spelled in full, with a value not starting with "-") is parsed straight
 from that table; any other argv, help included, goes to argparse, which
 builds options only for the subcommand it names.  Each handler imports the
 library modules it runs, so a request pays only for its own subcommand.
+
+A handler computes its whole result; the output is rendered from it and
+written in batches of rows (DOT: edge lines), never joined into one string.
 """
 
 from __future__ import annotations
@@ -18,8 +21,9 @@ from __future__ import annotations
 import os
 import sys
 from functools import partial
+from itertools import islice
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import CobwebError
 
@@ -27,6 +31,10 @@ if TYPE_CHECKING:
     import argparse
 
     from .sequences import FSequence
+
+    # A format's layout: head, rows, row frame (cell separator, text before
+    # and after each row, text between rows) and tail.
+    _Layout = tuple[str, Iterable[tuple[int, ...]], tuple[str, str, str, str], str]
 
 __all__ = ["run", "main"]
 
@@ -45,10 +53,10 @@ class OutputRecord(NamedTuple):
     command: str
     params: dict[str, object]
     columns: tuple[str, ...] | None = None
-    rows: list[tuple[int, ...]] | None = None
+    rows: Iterable[tuple[int, ...]] | None = None  # read once, as the output is written
     value: int | None = None
     agreement: bool | None = None
-    raw: str | None = None  # preformatted output (DOT) that bypasses --format
+    raw: Iterable[str] | None = None  # preformatted chunks (DOT) that bypass --format
 
 
 def _seq_from_token(token: str) -> FSequence:
@@ -101,7 +109,8 @@ def _cmd_fnomial(ns: argparse.Namespace) -> OutputRecord:
     if ns.table is not None:
         if ns.table < 0:
             raise ValueError(f"need table >= 0, got {ns.table}")
-        rows = [(n, k, v) for n, row in enumerate(table.rows(ns.table)) for k, v in enumerate(row)]
+        triangle = list(table.rows(ns.table))  # in full, so a NonIntegral is raised here
+        rows = ((n, k, v) for n, row in enumerate(triangle) for k, v in enumerate(row))
         return OutputRecord(
             "fnomial", {"seq": ns.seq, "table": ns.table}, columns=("n", "k", "value"), rows=rows
         )
@@ -205,31 +214,31 @@ def _cmd_mobius(ns: argparse.Namespace) -> OutputRecord:
     from .grid import grid_mobius
 
     entries = grid_mobius(ns.k, ns.n, ns.mode).entries
-    rows = [(x.l, x.m, y.l, y.m, mu) for (x, y), mu in entries.items()]
+    rows = ((*x, *y, mu) for (x, y), mu in entries.items())
     params = {"k": ns.k, "n": ns.n, "mode": ns.mode}
     return OutputRecord("mobius", params, columns=("x_l", "x_m", "y_l", "y_m", "mu"), rows=rows)
 
 
 def _cmd_dot(ns: argparse.Namespace) -> OutputRecord:
-    from .hasse import build_cobweb, to_dot
+    from .hasse import _dot_chunks, build_cobweb
 
     if ns.family == "cobweb":
         _need(ns, "dot --family cobweb", "seq", "levels")
         c = build_cobweb(_seq_from_token(ns.seq), ns.levels)
-        text = to_dot(c, c.level_of(), name=f"cobweb_{ns.seq}")
+        chunks = _dot_chunks(c, c.level_of(), f"cobweb_{ns.seq}")
         params: dict[str, object] = {"family": "cobweb", "seq": ns.seq, "levels": ns.levels}
     else:
         _need(ns, "dot --family grid", "k", "n")
         from .grid import build_grid
 
         g = build_grid(ns.k, ns.n, ns.mode)
-        text = to_dot(g, g.level_of(), name=f"grid_{ns.mode}_{ns.k}_{ns.n}")
+        chunks = _dot_chunks(g, g.level_of(), f"grid_{ns.mode}_{ns.k}_{ns.n}")
         params = {"family": "grid", "k": ns.k, "n": ns.n, "mode": ns.mode}
     if ns.out is not None:
         with open(ns.out, "w", encoding="ascii") as fh:
-            fh.write(text)
-        text = ""
-    return OutputRecord("dot", params, raw=text)
+            fh.writelines(chunks)
+        chunks = ()
+    return OutputRecord("dot", params, raw=chunks)
 
 
 def _cmd_problems(ns: argparse.Namespace) -> OutputRecord:
@@ -257,55 +266,69 @@ def _cmd_problems(ns: argparse.Namespace) -> OutputRecord:
 
 # -- rendering ---------------------------------------------------------------
 
+_BATCH_ROWS = 256  # rows rendered, then written, per chunk
 
-def _render_table(
-    rec: OutputRecord, sep: str, scalar_header: tuple[str, ...], text: Callable[[int], str]
-) -> str:
+
+def _table_layout(rec: OutputRecord, sep: str, scalar_header: str) -> _Layout:
     """Text and CSV: the column header, then one `sep`-joined line per row; a
     single value is written under `scalar_header`."""
-    if rec.rows is not None:
-        lines = [sep.join(rec.columns), *(sep.join(map(text, row)) for row in rec.rows)]
-    else:
-        lines = [*scalar_header, text(rec.value)]
-    return "\n".join(lines) + "\n"
+    if rec.rows is None:
+        return scalar_header, [(rec.value,)], (sep, "", "\n", ""), ""
+    return sep.join(rec.columns) + "\n", rec.rows, (sep, "", "\n", ""), ""
 
 
-def _render_json(rec: OutputRecord, text: Callable[[int], str]) -> str:
-    """The text of json.dumps over the payload object.  Rows are written one
-    string each, not as a list of string lists: a decimal integer needs no
-    escaping, and a large table then costs no more memory than in text."""
+def _json_layout(rec: OutputRecord) -> _Layout:
+    """The text of json.dumps over the payload object.  A decimal integer
+    needs no escaping, so each row is framed here as a list of strings, and a
+    table streams in batches as it does in text."""
     import json
 
-    if rec.rows is not None:
-        rows = ", ".join('["' + '", "'.join(map(text, row)) + '"]' for row in rec.rows)
-        result = f'{{"columns": {json.dumps(list(rec.columns))}, "rows": [{rows}]}}'
-    else:
-        result = f'"{text(rec.value)}"'
-    if rec.agreement is not None:
-        result = f'{{"value": {result}, "agreement": {json.dumps(rec.agreement)}}}'
     head = f'{{"command": {json.dumps(rec.command)}, "params": {json.dumps(rec.params)}'
-    return f'{head}, "result": {result}}}\n'
+    head, tail = f'{head}, "result": ', "}\n"
+    if rec.agreement is not None:
+        head, tail = head + '{"value": ', f', "agreement": {json.dumps(rec.agreement)}}}{tail}'
+    if rec.rows is None:
+        return head, [(rec.value,)], ("", '"', '"', ""), tail
+    head += f'{{"columns": {json.dumps(list(rec.columns))}, "rows": ['
+    return head, rec.rows, ('", "', '["', '"]', ", "), "]}" + tail
 
 
-_RENDERERS = {
-    "text": partial(_render_table, sep=" ", scalar_header=()),
-    "csv": partial(_render_table, sep=",", scalar_header=("value",)),
-    "json": _render_json,
+_LAYOUTS = {
+    "text": partial(_table_layout, sep=" ", scalar_header=""),
+    "csv": partial(_table_layout, sep=",", scalar_header="value\n"),
+    "json": _json_layout,
 }
 
 
-def _render(rec: OutputRecord, fmt: str) -> str:
-    """Render exact results of any size; the int-to-str digit limit is never
-    changed.  Only when str() refuses an int past the limit is the record
-    rendered again through Decimal, which converts any int exactly.  That
-    needs the C `_decimal` (the pure-Python `_pydecimal` converts through
-    str() and hits the same limit); CPython 3.10-3.12 ship it."""
-    try:
-        return _RENDERERS[fmt](rec, text=str)
-    except ValueError:
-        from decimal import Decimal
+def _render(rec: OutputRecord, fmt: str) -> Iterator[str]:
+    """The output text as its format's head, the rows in chunks of
+    _BATCH_ROWS, and its tail; each chunk is rendered only when it is read,
+    so no copy of the whole text is held.
 
-        return _RENDERERS[fmt](rec, text=lambda v: str(Decimal(v)))
+    Results of any size are exact; the int-to-str digit limit is never
+    changed.  Only a batch in which str() refuses an int past the limit is
+    rendered again through Decimal, which converts any int exactly, before
+    any of it is yielded.  That needs the C `_decimal` (the pure-Python
+    `_pydecimal` converts through str() and hits the same limit); CPython
+    3.10-3.12 ship it."""
+    head, rows, (cell_sep, start, end, between), tail = _LAYOUTS[fmt](rec)
+    row_sep = end + between + start
+
+    def body(batch: list[tuple[int, ...]], text: Callable[[int], str]) -> str:
+        return row_sep.join(map(cell_sep.join, map(partial(map, text), batch)))
+
+    yield head
+    rows, lead = iter(rows), ""
+    while batch := list(islice(rows, _BATCH_ROWS)):
+        try:
+            text = body(batch, str)
+        except ValueError:
+            from decimal import Decimal
+
+            text = body(batch, lambda v: str(Decimal(v)))
+        yield f"{lead}{start}{text}{end}"
+        lead = between
+    yield tail
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -439,8 +462,11 @@ def run(
     out: TextIO | None = None,
     err: TextIO | None = None,
 ) -> int:
-    """Execute one CLI invocation; returns the exit status.  An argv that
-    `_plain_parse` refuses is parsed by argparse with sys.stdout/sys.stderr
+    """Execute one CLI invocation; returns the exit status.  The handler
+    computes the whole result first, so a domain error leaves `out` empty;
+    the output is then written to `out` chunk by chunk, and a write that
+    fails on any chunk gives one error line on `err` and status 1.  An argv
+    that `_plain_parse` refuses is parsed by argparse with sys.stdout/sys.stderr
     redirected to `out`/`err`, so help or usage text from concurrent calls
     taking that path can interleave."""
     out = sys.stdout if out is None else out
@@ -457,7 +483,7 @@ def run(
             return int(exc.code or 0)
     try:
         rec = ns.handler(ns)
-        out.write(rec.raw if rec.raw is not None else _render(rec, ns.format))
+        out.writelines(rec.raw if rec.raw is not None else _render(rec, ns.format))
         out.flush()
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")

@@ -10,6 +10,7 @@ so the closed-form views and DOT export run without it.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import islice
 from math import prod
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
@@ -158,19 +159,31 @@ def to_dot(
     Output is byte-deterministic: nodes in element order, edges in cover
     order.
     """
+    return "".join(_dot_chunks(poset, levels, name))
+
+
+_BATCH_LINES = 1024  # edge lines per chunk
+
+
+def _dot_chunks(
+    poset: View | FinitePoset, levels: Mapping[object, int] | None, name: str
+) -> Iterator[str]:
+    """The text of `to_dot` in chunks, each rendered only when it is read:
+    the header and node lines, whose size the element count bounds, then the
+    edge lines _BATCH_LINES at a time, then the closing brace."""
     quoted = {el: _quote(el) for el in poset.elements}
-    lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;"]
+    lines = [f"digraph {_quote(name)} {{\n", "  rankdir=BT;\n"]
     if levels is not None and quoted:
         by_level: dict[int, list[str]] = {}
         for el, q in quoted.items():
             by_level.setdefault(levels[el], []).append(q)
         for level in sorted(by_level):
             members = " ".join(f"{q};" for q in by_level[level])
-            lines.append(f"  {{ rank=same; {members} }}")
+            lines.append(f"  {{ rank=same; {members} }}\n")
     else:
-        for q in quoted.values():
-            lines.append(f"  {q};")
-    for x, y in poset.covers:
-        lines.append(f"  {quoted[x]} -> {quoted[y]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        lines += [f"  {q};\n" for q in quoted.values()]
+    yield "".join(lines)
+    covers = iter(poset.covers)
+    while edges := [f"  {quoted[x]} -> {quoted[y]};\n" for x, y in islice(covers, _BATCH_LINES)]:
+        yield "".join(edges)
+    yield "}\n"

@@ -181,6 +181,16 @@ def test_dot_to_stdout_and_file(tmp_path):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith('digraph "cobweb_odd" {')
+    # Both sinks get the same bytes, over more than one chunk of edges.
+    for argv in [
+        ("dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "10"),
+        ("dot", "--family", "grid", "--k", "20", "--n", "60", "--mode", "weak"),
+    ]:
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, ""), argv
+        assert out.count("->") > 1024, argv
+        assert invoke(*argv, "--out", str(target)) == (0, "", ""), argv
+        assert target.read_bytes() == out.encode("ascii"), argv
 
 
 def test_problems_table():
@@ -286,19 +296,36 @@ def _record_texts(rec, fmt):
 def test_render_past_the_digit_limit_equals_lifted_str(k, offset, negative, small, fmt):
     v = 10**k + offset
     v = -v if negative else v
+    # The last table's first past-limit value lies beyond its first batch.
+    later = [(i, small) for i in range(cli._BATCH_ROWS + 3)] + [(0, v), (1, -v), (2, small)]
     records = [
         cli.OutputRecord("t", {}, value=v),
         cli.OutputRecord("t", {}, value=-v),
         cli.OutputRecord("t", {}, columns=("k", "value"), rows=[(0, small), (1, v), (2, -v)]),
+        cli.OutputRecord("t", {}, columns=("k", "value"), rows=later),
     ]
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # CPython's default
     try:
         for rec in records:
-            assert cli._render(rec, fmt) == _record_texts(rec, fmt)
+            assert "".join(cli._render(rec, fmt)) == _record_texts(rec, fmt)
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_multi_batch_table_past_the_digit_limit_prints_as_lifted():
+    argv = ["fnomial", "--seq", "fibonacci", "--table", "142", "--format", "csv"]
+    outs = {}
+    for limit in ("640", "0"):  # 0 lifts the limit
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONINTMAXSTRDIGITS=limit)
+        done = subprocess.run([sys.executable, "-m", "cobweb.cli", *argv], capture_output=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (0, b""), limit
+        outs[limit] = done.stdout
+    assert outs["640"] == outs["0"]
+    assert outs["0"].count(b"\n") == 1 + 143 * 144 // 2  # header, then rows n <= 142
+    assert max(map(len, outs["0"].splitlines())) > 640 + len("142,71,")
 
 
 @pytest.mark.parametrize("argv", [
@@ -507,12 +534,17 @@ def test_plain_argvs_run_concurrently_without_redirecting(monkeypatch):
 
 
 class _RefusingOut(StringIO):
-    def __init__(self, exc):
+    """A sink that takes `writes` writes, then raises `exc` on each one."""
+
+    def __init__(self, exc, writes=0):
         super().__init__()
-        self.exc = exc
+        self.exc, self.writes = exc, writes
 
     def write(self, text):
-        raise self.exc
+        if not self.writes:
+            raise self.exc
+        self.writes -= 1
+        return super().write(text)
 
 
 @pytest.mark.parametrize("exc, line", [
@@ -523,6 +555,15 @@ def test_failed_output_write_is_one_error_line(exc, line):
     err = StringIO()
     assert cli.run(["catalan", "--n", "5"], _RefusingOut(exc), err) == 1
     assert err.getvalue() == f"error: {line}\n"
+    # A write that fails on a later chunk, after part of the output is out.
+    for argv in [
+        ["mobius", "--k", "10", "--n", "31", "--format", "json"],
+        ["fnomial", "--seq", "fibonacci", "--table", "60", "--format", "csv"],
+        ["dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "10"],
+    ]:
+        out, err = _RefusingOut(exc, writes=3), StringIO()
+        assert cli.run(argv, out, err) == 1, argv
+        assert out.getvalue() and err.getvalue() == f"error: {line}\n", argv
 
 
 def _console(argv, stdout):
@@ -538,6 +579,54 @@ def test_console_write_to_a_full_device_exits_1():
         done = _console(["catalan", "--n", "5"], full)
     full_line = "error: OSError: [Errno 28] No space left on device\n"
     assert (done.returncode, done.stderr) == (1, full_line)
+
+
+def test_console_reader_closing_mid_stream_exits_1():
+    argv = ["dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "13"]  # 1.4 MB
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for unbuffered in (False, True):  # unbuffered, a single write could end part-way silently
+        env.pop("PYTHONUNBUFFERED", None)
+        env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+        with subprocess.Popen([sys.executable, "-m", "cobweb.cli", *argv],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            head = proc.stdout.read(4096)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert head.startswith(b'digraph "cobweb_fibonacci" {') and len(head) == 4096
+        assert (code, err) == (1, b"error: BrokenPipeError: [Errno 32] Broken pipe\n"), unbuffered
+
+
+# Runs each request from a fresh interpreter that only spawns it and reads its
+# peak RSS: Linux carries the spawning process's peak RSS into the child's
+# ru_maxrss, so spawning from the test process would raise every reading.
+_PEAKS = """
+import os, sys
+for argv in sys.argv[1:]:
+    null = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+    cmd = [sys.executable, "-m", "cobweb.cli", *argv.split()]
+    pid = os.posix_spawn(sys.executable, cmd, os.environ, file_actions=null)
+    _, status, usage = os.wait4(pid, 0)
+    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4") or not hasattr(os, "posix_spawn"),
+                    reason="needs os.wait4 and os.posix_spawn")
+def test_large_outputs_peak_near_a_scalar_request():
+    argvs = [
+        "catalan --n 5",
+        "fnomial --seq fibonacci --table 142 --format json",  # writes 3.9 MB
+        "dot --family cobweb --seq naturals --levels 57",  # writes 1.3 MB
+    ]
+    done = subprocess.run([sys.executable, "-c", _PEAKS, *argvs], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    codes, peaks = zip(*(map(int, line.split()) for line in done.stdout.splitlines()))
+    assert codes == (0, 0, 0)
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS, else kB
+    base, *large = (peak * unit / 2**20 for peak in peaks)  # MB
+    assert all(peak < base + 5 for peak in large), (base, large)
 
 
 def test_console_write_to_a_closed_pipe_exits_1():

@@ -5,7 +5,6 @@ two closed-form views.  Nothing here loads the engine.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import TYPE_CHECKING, Hashable, Literal, NamedTuple
 
 if TYPE_CHECKING:
@@ -63,10 +62,15 @@ class View:
         args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._params()))
         return f"{type(self).__name__}({args})"
 
-    @cached_property
-    def poset(self) -> FinitePoset:
-        """The generic engine over the same elements and covers, built on
-        first use only (for the oracle and `method="brute"`)."""
-        from .poset import FinitePoset
+    def _engine_key(self) -> Hashable:
+        """What determines the engine of `poset`: here the view itself."""
+        return self
 
-        return FinitePoset(self.elements, self.covers)
+    @property
+    def poset(self) -> FinitePoset:
+        """The generic engine over the same elements and covers (for the
+        oracle and `method="brute"`), built on first use.  Equal views share
+        one engine through the bounded memo in `cobweb.poset`."""
+        from .poset import _ENGINES, FinitePoset
+
+        return _ENGINES.get(self._engine_key(), lambda: FinitePoset(self.elements, self.covers))

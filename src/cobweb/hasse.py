@@ -70,6 +70,12 @@ class CobwebPoset(View):
     def __len__(self) -> int:
         return sum(self.widths)
 
+    def _engine_key(self) -> tuple[tuple[int, ...], int]:
+        # The widths alone determine the engine, which is the slice of levels
+        # 1..level_max: sharing layer_subposet's key keeps no sequence alive
+        # in the memo, whose bound charges engines only.
+        return (self.widths, 1)
+
     def level_of(self) -> dict[CobwebVertex, int]:
         """Vertex -> level map, e.g. for DOT rank grouping."""
         return {v: v.s for v in self.elements}
@@ -117,11 +123,16 @@ def _check_slice(c: CobwebPoset, k: int, n: int) -> None:
 
 
 def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
-    """The induced subposet on levels k..n (1 <= k < n <= level_max)."""
+    """The induced subposet on levels k..n (1 <= k < n <= level_max), as the
+    generic engine.  The widths of those levels and k determine it, so slices
+    that agree on them share one engine through the memo in `cobweb.poset`."""
     _check_slice(c, k, n)
-    from .poset import FinitePoset
+    from .poset import _ENGINES, FinitePoset
 
-    return FinitePoset(_vertices(c.widths, k, n), _covers(c.widths, k, n))
+    w = c.widths
+    return _ENGINES.get(
+        (w[k - 1 : n], k), lambda: FinitePoset(_vertices(w, k, n), _covers(w, k, n))
+    )
 
 
 def layer_chain_count(

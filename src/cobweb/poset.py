@@ -10,12 +10,20 @@ up-sets and finds the covers at the same time (Aho, Garey and Ullman, "The
 transitive reduction of a directed graph", 1972); the minimal elements are
 the sources of the topological sort.  No down-sets or predecessor sets are
 stored: z <= j is the bit j of up[z], and a Möbius row computes values only
-over its element's up-set.
+over its element's up-set.  `mobius` computes an engine's matrix once and
+keeps it on the engine.
+
+The views' `.poset` and `layer_subposet` share their engines through one
+bounded, thread-safe LRU memo, keyed by what determines the engine (a grid
+view, or the level widths and first level of a cobweb or a slice), so equal
+views get the same engine.  An engine built directly from `FinitePoset` is
+never memoized: an arbitrary relation gives no key.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Literal, NamedTuple
+import threading
+from typing import Callable, Hashable, Iterable, Iterator, Literal, NamedTuple
 
 from .base import MobiusMatrix, WhitneyVector
 from .errors import (
@@ -52,10 +60,12 @@ class FinitePoset:
     keeps the up-sets, a topological order, the cover successors and the
     minimal elements; the up-sets and covers come from one reverse-topological
     sweep at construction time, and no down-sets or predecessor sets are kept.
-    The instance is immutable afterwards, so concurrent reads are safe.
+    The instance is immutable afterwards, so concurrent reads are safe; the one
+    exception is the Möbius matrix, which `mobius` stores on first use (threads
+    that race there compute equal matrices, and either may be kept).
     """
 
-    __slots__ = ("_labels", "_index", "_up", "_topo", "_cover_succ", "_bottoms")
+    __slots__ = ("_labels", "_index", "_up", "_topo", "_cover_succ", "_bottoms", "_mobius")
 
     def __init__(
         self,
@@ -109,6 +119,7 @@ class FinitePoset:
         self._topo = topo
         self._cover_succ = cover_succ
         self._bottoms = bottoms
+        self._mobius: dict[tuple[Label, Label], int] | None = None
 
     # -- basic queries ----------------------------------------------------
 
@@ -215,6 +226,85 @@ def _cycle_witness(
     return (labels[i], labels[j])
 
 
+# -- the shared engine memo ----------------------------------------------------
+
+# The memo's bound in bytes, against the estimates of `_charge`.  It holds one
+# engine at CHAIN_COUNT_BUDGET elements, the largest a brute chain count
+# builds: in level-major order most of its 10,000 up-sets reach the last
+# element, 10,000 x 10,000 bits or 12.5 MB, and its per-element share is
+# 3 MB more.  32 MiB leaves room beside it for its covers or for the many
+# small engines a long session reuses.
+_MEMO_BYTES = 32 << 20
+# Bytes per element (label, index entry, topological slot, cover list, up-set
+# header), per cover and per Möbius entry (key pair and dict slot), as
+# tracemalloc measures them on CPython 3.11.
+_ELEMENT_BYTES = 300
+_COVER_BYTES = 8
+_MOBIUS_ENTRY_BYTES = 100
+
+
+def _charge(p: FinitePoset) -> int:
+    """Estimated bytes an engine keeps, from counts it already has."""
+    size = len(p._labels) * _ELEMENT_BYTES + sum(x.bit_length() for x in p._up) // 8
+    size += _COVER_BYTES * sum(map(len, p._cover_succ))
+    if p._mobius is not None:
+        size += _MOBIUS_ENTRY_BYTES * len(p._mobius)
+    return size
+
+
+class _EngineMemo:
+    """Engines by key, least recently used first, each charged `_charge`
+    bytes; the charged total stays at or below `_MEMO_BYTES`.  One lock guards
+    every update, so threads may share it; builds run outside the lock, so
+    two threads that miss the same key may both build, and the first engine
+    kept is the one both return."""
+
+    def __init__(self) -> None:
+        self.charged = 0
+        self._entries: dict[Hashable, tuple[FinitePoset, int]] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, build: Callable[[], FinitePoset]) -> FinitePoset:
+        """The engine kept under `key`, else build() (kept if it fits)."""
+        with self._lock:
+            entry = self._entries.pop(key, None)
+            if entry is not None:
+                self._entries[key] = entry
+                return entry[0]
+        p = build()
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                return entry[0]
+            self._keep(key, p)
+        return p
+
+    def recharge(self, p: FinitePoset) -> None:
+        """Charge a kept engine again, once its Möbius matrix is stored."""
+        with self._lock:
+            key = next((k for k, (q, _) in self._entries.items() if q is p), None)
+            if key is not None:
+                self._keep(key, p)
+
+    def _keep(self, key: Hashable, p: FinitePoset) -> None:
+        """(Re)insert p as the most recent entry and evict from the least
+        recent end down to the bound; an engine larger than the bound is
+        not kept.  Called with the lock held."""
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.charged -= old[1]
+        cost = _charge(p)
+        if cost > _MEMO_BYTES:
+            return
+        self._entries[key] = (p, cost)
+        self.charged += cost
+        while self.charged > _MEMO_BYTES:
+            self.charged -= self._entries.pop(next(iter(self._entries)))[1]
+
+
+_ENGINES = _EngineMemo()
+
+
 class RankLabels(NamedTuple):
     """Rank per element: minimal elements at 0, every cover step exactly +1."""
 
@@ -317,16 +407,22 @@ def _mobius_row(p: FinitePoset, t: int) -> dict[int, int]:
 def mobius(p: FinitePoset) -> MobiusMatrix:
     """The full Möbius matrix: mu(x, x) = 1, mu(x, y) = -sum over x <= z < y.
 
-    Entries are x-major in element order, each row in topological order."""
-    pos = [0] * len(p)
-    for t, i in enumerate(p._topo):
-        pos[i] = t
-    labels = p._labels
-    entries: dict[tuple[Label, Label], int] = {}
-    for i, xi in enumerate(labels):
-        for j, v in _mobius_row(p, pos[i]).items():
-            entries[(xi, labels[j])] = v
-    return MobiusMatrix(entries)
+    Entries are x-major in element order, each row in topological order.  The
+    matrix is computed once per engine and kept on it; each call returns a
+    record with a dict of its own, which the caller may change."""
+    entries = p._mobius
+    if entries is None:
+        pos = [0] * len(p)
+        for t, i in enumerate(p._topo):
+            pos[i] = t
+        labels = p._labels
+        entries = {}
+        for i, xi in enumerate(labels):
+            for j, v in _mobius_row(p, pos[i]).items():
+                entries[(xi, labels[j])] = v
+        p._mobius = entries
+        _ENGINES.recharge(p)
+    return MobiusMatrix(dict(entries))
 
 
 def whitney(p: FinitePoset, kind: Literal["second", "first"] = "second") -> WhitneyVector:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cobweb.poset
 from cobweb import BUILTIN_SEQUENCES, FIBONACCI, FinitePoset, FNomialTable, cli
 from test_acceptance import CLI_MATRIX
 
@@ -388,6 +389,8 @@ def test_production_paths_build_no_engine_poset(monkeypatch):
         raise AssertionError("the generic poset engine was built")
 
     monkeypatch.setattr(FinitePoset, "__init__", refuse)
+    # Start from an empty engine memo, so the brute path below must build.
+    monkeypatch.setattr(cobweb.poset, "_ENGINES", cobweb.poset._EngineMemo())
     for argv in [
         ("dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "8"),
         ("dot", "--family", "grid", "--k", "3", "--n", "6", "--mode", "weak"),

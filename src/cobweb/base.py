@@ -5,7 +5,7 @@ two closed-form views.  Nothing here loads the engine.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Literal, NamedTuple
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Literal, NamedTuple
 
 if TYPE_CHECKING:
     from .poset import FinitePoset
@@ -31,9 +31,17 @@ class WhitneyVector(NamedTuple):
     values: tuple[int, ...]
 
 
+def _cover_pairs(
+    blocks: Iterable[tuple[Hashable, tuple[Hashable, ...]]]
+) -> Iterator[tuple[Hashable, Hashable]]:
+    """The cover pairs (x, y) of `cover_blocks`-style blocks, in block order."""
+    return ((x, y) for x, ys in blocks for y in ys)
+
+
 class View:
     """A poset generated from the parameters named in `_fields`, which a
-    subclass's __init__ stores.  A view compares, hashes and prints by its
+    subclass's __init__ stores, and its covers from the subclass's
+    `cover_blocks()`.  A view compares, hashes and prints by its
     parameters, and assigning or deleting one raises AttributeError.  Unlike
     a NamedTuple it has an instance __dict__, where cached_property keeps
     what it computes.
@@ -61,6 +69,15 @@ class View:
     def __repr__(self) -> str:
         args = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._params()))
         return f"{type(self).__name__}({args})"
+
+    def cover_blocks(self) -> Iterator[tuple[Hashable, tuple[Hashable, ...]]]:
+        """(x, the elements covering x) for every element x, in element order."""
+        raise NotImplementedError
+
+    @property
+    def covers(self) -> Iterator[tuple[Hashable, Hashable]]:
+        """Every cover pair (x, y), y covering x, in the engine's cover order."""
+        return _cover_pairs(self.cover_blocks())
 
     def _engine_key(self) -> Hashable:
         """What determines the engine of `poset`: here the view itself."""

@@ -13,7 +13,9 @@ builds options only for the subcommand it names.  Each handler imports the
 library modules it runs, so a request pays only for its own subcommand.
 
 A handler computes its whole result; the output is rendered from it and
-written in batches of rows (DOT: edge lines), never joined into one string.
+written in batches, never joined into one string: rows 256 at a time, each
+formatted by one %-template, and DOT edge lines about 1,024 at a time, each
+source's lines in one join.
 """
 
 from __future__ import annotations
@@ -303,7 +305,9 @@ _LAYOUTS = {
 def _render(rec: OutputRecord, fmt: str) -> Iterator[str]:
     """The output text as its format's head, the rows in chunks of
     _BATCH_ROWS, and its tail; each chunk is rendered only when it is read,
-    so no copy of the whole text is held.
+    so no copy of the whole text is held.  Each row is formatted by one
+    %-template: the text before the row, one %s per cell joined by the
+    format's cell separator, and the text after it.
 
     Results of any size are exact; the int-to-str digit limit is never
     changed.  Only a batch in which str() refuses an int past the limit is
@@ -312,21 +316,17 @@ def _render(rec: OutputRecord, fmt: str) -> Iterator[str]:
     `_pydecimal` converts through str() and hits the same limit); CPython
     3.10-3.12 ship it."""
     head, rows, (cell_sep, start, end, between), tail = _LAYOUTS[fmt](rec)
-    row_sep = end + between + start
-
-    def body(batch: list[tuple[int, ...]], text: Callable[[int], str]) -> str:
-        return row_sep.join(map(cell_sep.join, map(partial(map, text), batch)))
-
     yield head
     rows, lead = iter(rows), ""
     while batch := list(islice(rows, _BATCH_ROWS)):
+        template = start + cell_sep.join(["%s"] * len(batch[0])) + end
         try:
-            text = body(batch, str)
+            text = between.join(map(template.__mod__, batch))
         except ValueError:
             from decimal import Decimal
 
-            text = body(batch, lambda v: str(Decimal(v)))
-        yield f"{lead}{start}{text}{end}"
+            text = between.join([template % tuple(map(Decimal, row)) for row in batch])
+        yield lead + text
         lead = between
     yield tail
 

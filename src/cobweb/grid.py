@@ -65,17 +65,19 @@ class GridPoset(View):
         """Every label, l-major with m ascending: the engine's order."""
         return _elements(self.k, self.n, self.mode)
 
-    @property
-    def covers(self) -> Iterator[tuple[GridElement, GridElement]]:
-        """Unit steps (l, m) -> (l, m+1), then (l, m) -> (l+1, m), each when
-        the target is present; the engine's cover order."""
+    def cover_blocks(self) -> Iterator[tuple[GridElement, tuple[GridElement, ...]]]:
+        """(e, its 0-2 covers) for every element e in element order: the unit
+        steps (l, m) -> (l, m+1), then (l, m) -> (l+1, m), each when the
+        target is present; the engine's cover order."""
         k, n, gap = self.k, self.n, _gap(self.mode)
-        for e in self.elements:
+        els = self.elements
+        for i, e in enumerate(els):
             l, m = e
-            if m < n:
-                yield e, GridElement(l, m + 1)
+            # (l, m+1) is the next element and (l+1, m) the one n - l - gap on.
+            up = els[i + 1 : i + 2] if m < n else ()
             if l < k and m > l + gap:
-                yield e, GridElement(l + 1, m)
+                up += (els[i + n - l - gap],)
+            yield e, up
 
     def __len__(self) -> int:
         return size_formula(self.k, self.n) + (self.k + 1 if self.mode == "weak" else 0)
@@ -140,12 +142,11 @@ def grid_mobius(k: int, n: int, mode: GridMode = "strict") -> MobiusMatrix:
             lo = start[b] + max(m - b - gap, 0)
             entries.update(zip(zip(repeat(x), els[lo : start[b + 1]]), repeat(0)))
         entries[x, x] = 1
-    last = None
-    for x, y in g.covers:
-        entries[x, y] = -1
-        if x == last:  # x's second cover: both unit steps, so x + (1, 1) is present
+    for x, ys in g.cover_blocks():
+        for y in ys:
+            entries[x, y] = -1
+        if len(ys) == 2:  # both unit steps, so x + (1, 1) is present
             entries[x, GridElement(x.l + 1, x.m + 1)] = 1
-        last = x
     return MobiusMatrix(entries)
 
 

@@ -10,11 +10,10 @@ so the closed-form views and DOT export run without it.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice
 from math import prod
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
-from .base import View
+from .base import View, _cover_pairs
 from .errors import BudgetExceeded, InvalidBounds
 
 if TYPE_CHECKING:
@@ -62,10 +61,10 @@ class CobwebPoset(View):
         """Every vertex, level-major with j ascending: the engine's order."""
         return tuple(_vertices(self.widths, 1, self.level_max))
 
-    @property
-    def covers(self) -> Iterator[tuple[CobwebVertex, CobwebVertex]]:
-        """Every (s, i) below every (s+1, j), in the engine's cover order."""
-        return _covers(self.widths, 1, self.level_max)
+    def cover_blocks(self) -> Iterator[tuple[CobwebVertex, tuple[CobwebVertex, ...]]]:
+        """(x, the vertices covering x) for every vertex x in element order:
+        the vertices of one level share one tuple, the next level."""
+        return _cover_blocks(self.widths, 1, self.level_max)
 
     def __len__(self) -> int:
         return sum(self.widths)
@@ -88,16 +87,18 @@ def _vertices(widths: Sequence[int], lo: int, hi: int) -> Iterator[CobwebVertex]
             yield CobwebVertex(s, j)
 
 
-def _covers(
+def _cover_blocks(
     widths: Sequence[int], lo: int, hi: int
-) -> Iterator[tuple[CobwebVertex, CobwebVertex]]:
-    """Every (s, i) below every (s+1, j) for lo <= s < hi, level-major."""
-    for s in range(lo, hi):
-        above = [CobwebVertex(s + 1, j) for j in range(1, widths[s] + 1)]
-        for i in range(1, widths[s - 1] + 1):
-            x = CobwebVertex(s, i)
-            for y in above:
-                yield x, y
+) -> Iterator[tuple[CobwebVertex, tuple[CobwebVertex, ...]]]:
+    """(x, the vertices covering x) for every x on levels lo..hi, level-major:
+    every x on level s < hi shares the tuple of level s + 1, and level hi
+    shares the empty tuple."""
+    level = tuple(_vertices(widths, lo, lo))
+    for s in range(lo, hi + 1):
+        above = tuple(_vertices(widths, s + 1, s + 1)) if s < hi else ()
+        for x in level:
+            yield x, above
+        level = above
 
 
 def build_cobweb(seq: FSequence, level_max: int) -> CobwebPoset:
@@ -131,7 +132,8 @@ def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
 
     w = c.widths
     return _ENGINES.get(
-        (w[k - 1 : n], k), lambda: FinitePoset(_vertices(w, k, n), _covers(w, k, n))
+        (w[k - 1 : n], k),
+        lambda: FinitePoset(_vertices(w, k, n), _cover_pairs(_cover_blocks(w, k, n))),
     )
 
 
@@ -168,12 +170,13 @@ def to_dot(
     displays.
 
     Output is byte-deterministic: nodes in element order, edges in cover
-    order.
+    order.  The edges are written a source at a time from `cover_blocks()`,
+    so no list of cover pairs is built.
     """
     return "".join(_dot_chunks(poset, levels, name))
 
 
-_BATCH_LINES = 1024  # edge lines per chunk
+_BATCH_LINES = 1024  # edge lines pending before a chunk is cut
 
 
 def _dot_chunks(
@@ -181,7 +184,15 @@ def _dot_chunks(
 ) -> Iterator[str]:
     """The text of `to_dot` in chunks, each rendered only when it is read:
     the header and node lines, whose size the element count bounds, then the
-    edge lines _BATCH_LINES at a time, then the closing brace."""
+    edge lines, then the closing brace.
+
+    A source x with covers ys is written as `pre + pre.join(tails)`, where
+    pre is '  "x" -> ' and the tails are '"y";\n'; the tails of a tuple that
+    consecutive sources share (a cobweb level) are built once.  A chunk of
+    edge lines is cut at a source boundary once _BATCH_LINES lines are
+    pending, so every one but the last holds fewer than _BATCH_LINES + (the
+    largest fan-out) lines.
+    """
     quoted = {el: _quote(el) for el in poset.elements}
     lines = [f"digraph {_quote(name)} {{\n", "  rankdir=BT;\n"]
     if levels is not None and quoted:
@@ -194,7 +205,22 @@ def _dot_chunks(
     else:
         lines += [f"  {q};\n" for q in quoted.values()]
     yield "".join(lines)
-    covers = iter(poset.covers)
-    while edges := [f"  {quoted[x]} -> {quoted[y]};\n" for x, y in islice(covers, _BATCH_LINES)]:
-        yield "".join(edges)
+    line_end = {el: q + ";\n" for el, q in quoted.items()}
+    chunk: list[str] = []
+    pending = 0
+    shared: tuple[object, ...] = ()
+    tails: list[str] = []
+    for x, ys in poset.cover_blocks():
+        if not ys:
+            continue
+        if ys is not shared:
+            shared, tails = ys, list(map(line_end.__getitem__, ys))
+        pre = f"  {quoted[x]} -> "
+        chunk.append(pre + pre.join(tails))
+        pending += len(ys)
+        if pending >= _BATCH_LINES:
+            yield "".join(chunk)
+            chunk, pending = [], 0
+    if chunk:
+        yield "".join(chunk)
     yield "}\n"

@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 from typing import Callable, Hashable, Iterable, Iterator, Literal, NamedTuple
 
-from .base import MobiusMatrix, WhitneyVector
+from .base import MobiusMatrix, WhitneyVector, _cover_pairs
 from .errors import (
     BudgetExceeded,
     NoUniqueMinimum,
@@ -152,14 +152,20 @@ class FinitePoset:
 
     # -- derived relations --------------------------------------------------
 
+    def cover_blocks(self) -> Iterator[tuple[Label, tuple[Label, ...]]]:
+        """(x, the elements covering x) for every element x, in index order;
+        consecutive elements with equal cover lists share one tuple."""
+        labels = self._labels
+        last, ys = None, ()
+        for x, js in zip(labels, self._cover_succ):
+            if js != last:
+                last, ys = js, tuple(map(labels.__getitem__, js))
+            yield x, ys
+
     @property
     def covers(self) -> tuple[tuple[Label, Label], ...]:
         """All cover pairs (x, y) with y covering x, in element-index order."""
-        out = []
-        for i, js in enumerate(self._cover_succ):
-            for j in js:
-                out.append((self._labels[i], self._labels[j]))
-        return tuple(out)
+        return tuple(_cover_pairs(self.cover_blocks()))
 
     def cover_successors(self, label: Label) -> tuple[Label, ...]:
         return tuple(self._labels[j] for j in self._cover_succ[self._index[label]])

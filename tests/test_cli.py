@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import os
 import re
@@ -311,6 +312,35 @@ def test_render_past_the_digit_limit_equals_lifted_str(k, offset, negative, smal
         for rec in records:
             assert "".join(cli._render(rec, fmt)) == _record_texts(rec, fmt)
         assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    count=st.sampled_from((0, 1, 255, 256, 257, 513)),
+    width=st.integers(1, 5),
+    pool=st.lists(
+        st.one_of(st.sampled_from((0, -1)), st.integers(-(10**30), 10**30)),
+        min_size=1,
+        max_size=12,
+    ),
+    past=st.booleans(),
+    fmt=st.sampled_from(("text", "csv", "json")),
+)
+def test_render_tables_of_any_shape_equal_lifted_str(count, width, pool, past, fmt):
+    cells = itertools.cycle(pool)
+    rows = [tuple(itertools.islice(cells, width)) for _ in range(count)]
+    if past and rows:
+        # In the last row, so past one batch when there are more rows than that.
+        rows[-1] = (*rows[-1][:-1], -(10**4300) - 7)
+    columns = tuple(f"c{j}" for j in range(width))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    try:
+        expected = _record_texts(cli.OutputRecord("t", {}, columns=columns, rows=rows), fmt)
+        rec = cli.OutputRecord("t", {}, columns=columns, rows=iter(rows))
+        assert "".join(cli._render(rec, fmt)) == expected
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -46,6 +46,16 @@ GROUPS = {
         ["dot", "--family", "grid", "--k", str(k), "--n", str(n), "--mode", mode]
         for mode, k, n in _grids(8)
     ],
+    # DOT of the sizes the benchmark's cli-poset workload renders: up to
+    # 61,712 edges (naturals, 57 levels) and a fan-out of 233 (fibonacci).
+    "dot_large": [
+        ["dot", "--family", "cobweb", "--seq", "naturals", "--levels", "56"],
+        ["dot", "--family", "cobweb", "--seq", "naturals", "--levels", "57"],
+        ["dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "13"],
+        ["dot", "--family", "grid", "--k", "28", "--n", "86", "--mode", "strict"],
+        ["dot", "--family", "grid", "--k", "32", "--n", "94", "--mode", "weak"],
+        ["dot", "--family", "grid", "--k", "28", "--n", "88", "--mode", "weak"],
+    ],
     "mobius": [
         *(["mobius", "--k", str(k), "--n", str(n), "--mode", mode] for mode, k, n in _grids(8)),
         ["mobius", "--k", "2", "--n", "4", "--mode", "strict", "--format", "json"],
@@ -135,6 +145,7 @@ GOLDEN = {
     "argparse_spellings": "10f64b9a8d357ee6a566e7b02ca91b6de16db254eec963d6de39b246f539911d",
     "cobweb_chains": "d6d66fc60fbc130625ab4fb1dc0a4a53fc5f6467919adbdacce4b9c4b58250e4",
     "cobweb_dot": "188fc452ef70d441cbecb44463ee70530bca09fc11168cbb3dc5b8cca2f3d867",
+    "dot_large": "3a599f3f33cf7b859ffd9d0a24b7de50d4dc1a80ae0dc48beb4e1649513a2ffa",
     "domain_errors": "05844ea69698d86561f69001d3750fb6fecbc08ce76ad12be9427d04883e831b",
     "grid_chains": "d25d2955fd213bc62400836e2e7f902d709db311b4921d035ac8311b6e165c4b",
     "grid_dot": "226adf92b7b4a060958fff62474313ac1b21994f2bcf8d93a63fc7804b2dd02a",

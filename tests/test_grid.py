@@ -259,6 +259,18 @@ def test_view_matches_engine():
         assert g.level_of() == rank_function(engine).rank, (k, n, mode)
 
 
+def test_cover_blocks_are_the_present_unit_steps():
+    for k, n, mode in _valid_grids(8):
+        g = build_grid(k, n, mode)
+        blocks = list(g.cover_blocks())
+        assert [e for e, _ in blocks] == list(g.elements), (k, n, mode)
+        present = set(g.elements)
+        for e, ys in blocks:
+            steps = (GridElement(e.l, e.m + 1), GridElement(e.l + 1, e.m))
+            assert ys == tuple(f for f in steps if f in present), (k, n, mode, e)
+        assert blocks == list(g.poset.cover_blocks()), (k, n, mode)
+
+
 def test_engine_order_is_componentwise():
     # The engine is built from the view's covers, so a cover the view dropped
     # would leave both sides of test_view_matches_engine; pin the definition.

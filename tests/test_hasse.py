@@ -2,6 +2,8 @@ import re
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cobweb import (
     DIV31,
@@ -12,14 +14,18 @@ from cobweb import (
     BudgetExceeded,
     CobwebVertex,
     FinitePoset,
+    GridElement,
     InvalidBounds,
     build_cobweb,
+    build_grid,
+    from_values,
     layer_chain_count,
     layer_subposet,
     maximal_chains,
     rank_function,
     to_dot,
 )
+from cobweb import hasse
 
 BUILTINS = [NATURALS, FIBONACCI, ODD, EVEN1, DIV31]
 
@@ -219,3 +225,186 @@ def test_build_cobweb_leaves_the_engine_unbuilt():
     assert layer_chain_count(c, 2, 6, "closed") == 1 * 2 * 3 * 5 * 8
     assert "poset" not in vars(c)
     assert c.poset is c.poset
+
+
+# -- rendering against the per-edge oracle ---------------------------------------
+
+
+def _quote(label):
+    text = str(label).replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{text}"'
+
+
+def oracle_dot(elements, covers, levels=None, name="poset"):
+    """DOT text rendered one f-string per node and per cover pair, from an
+    element list and a cover-pair list given by the caller."""
+    quoted = {el: _quote(el) for el in elements}
+    lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;"]
+    if levels is not None and quoted:
+        by_level = {}
+        for el, q in quoted.items():
+            by_level.setdefault(levels[el], []).append(q)
+        for level in sorted(by_level):
+            members = " ".join(f"{q};" for q in by_level[level])
+            lines.append(f"  {{ rank=same; {members} }}")
+    else:
+        lines += [f"  {q};" for q in quoted.values()]
+    lines += [f"  {quoted[x]} -> {quoted[y]};" for x, y in covers]
+    return "\n".join(lines) + "\n}\n"
+
+
+def cobweb_covers(widths, lo, hi):
+    """Every (s, i) below every (s + 1, j), from the widths alone."""
+    return [
+        (CobwebVertex(s, i), CobwebVertex(s + 1, j))
+        for s in range(lo, hi)
+        for i in range(1, widths[s - 1] + 1)
+        for j in range(1, widths[s] + 1)
+    ]
+
+
+def grid_covers(elements):
+    """Per element, the unit step in m, then the one in l, when present."""
+    present = set(elements)
+    return [
+        (e, f)
+        for e in elements
+        for f in (GridElement(e.l, e.m + 1), GridElement(e.l + 1, e.m))
+        if f in present
+    ]
+
+
+def order_covers(p):
+    """Cover pairs of an engine from its order alone, x-major in element order."""
+    els = p.elements
+    return [
+        (x, y)
+        for x in els
+        for y in els
+        if p.lt(x, y) and not any(p.lt(x, z) and p.lt(z, y) for z in els)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    values=st.lists(st.integers(1, 6), min_size=1, max_size=7),
+    data=st.data(),
+)
+def test_cobweb_dot_equals_the_oracle(values, data):
+    levels = data.draw(st.integers(1, len(values)))
+    c = build_cobweb(from_values("v", values), levels)
+    covers = cobweb_covers(c.widths, 1, levels)
+    for lv in (None, c.level_of()):
+        expected = oracle_dot(c.elements, covers, lv, "cw")
+        assert to_dot(c, lv, "cw") == expected
+        assert to_dot(c.poset, lv, "cw") == expected
+    if levels >= 2:
+        k = data.draw(st.integers(1, levels - 1))
+        n = data.draw(st.integers(k + 1, levels))
+        sub = layer_subposet(c, k, n)
+        lv = {v: v.s for v in sub.elements}
+        assert to_dot(sub, lv, "slice") == oracle_dot(
+            sub.elements, cobweb_covers(c.widths, k, n), lv, "slice"
+        )
+
+
+def test_width_one_and_one_level_cobwebs_equal_the_oracle():
+    for values in ([1], [4], [1, 1, 1], [1, 5, 1, 3], [3, 1, 3]):
+        for levels in range(1, len(values) + 1):
+            c = build_cobweb(from_values("v", values), levels)
+            covers = cobweb_covers(c.widths, 1, levels)
+            assert to_dot(c, c.level_of()) == oracle_dot(c.elements, covers, c.level_of())
+            assert to_dot(c) == to_dot(c.poset) == oracle_dot(c.elements, covers)
+
+
+@pytest.mark.parametrize("mode", ["strict", "weak"])
+def test_grid_dot_equals_the_oracle(mode):
+    for n in range(9):
+        for k in range(n + (mode == "weak")):
+            g = build_grid(k, n, mode)
+            covers = grid_covers(g.elements)
+            for lv in (None, g.level_of()):
+                expected = oracle_dot(g.elements, covers, lv, "g")
+                assert to_dot(g, lv, "g") == expected, (k, n)
+                assert to_dot(g.poset, lv, "g") == expected, (k, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_random_engine_dot_equals_the_oracle(data):
+    labels = data.draw(
+        st.lists(st.text(alphabet='ab"\\ 1', max_size=3), unique=True, max_size=8)
+    )
+    n = len(labels)
+    pairs = data.draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=14)
+        if n
+        else st.just([])
+    )
+    # Edges run from a lower to a higher index, so the relation is acyclic.
+    p = FinitePoset(labels, [(labels[min(i, j)], labels[max(i, j)]) for i, j in pairs])
+    lv = {x: data.draw(st.integers(0, 3)) for x in labels}
+    covers = order_covers(p)
+    assert list(p.covers) == covers
+    for levels in (None, lv):
+        assert to_dot(p, levels, "r") == oracle_dot(labels, covers, levels, "r")
+
+
+def test_dot_reads_cover_blocks_not_cover_pairs(monkeypatch):
+    def refuse(self):
+        raise AssertionError("to_dot read .covers")
+
+    c = build_cobweb(FIBONACCI, 6)
+    g = build_grid(3, 7, "weak")
+    views = [c, g]
+    engines = [c.poset, g.poset, layer_subposet(c, 2, 5)]
+    expected = [to_dot(p) for p in views + engines]
+    for cls in {type(p) for p in views + engines}:
+        monkeypatch.setattr(cls, "covers", property(refuse))
+    assert [to_dot(p) for p in views + engines] == expected
+
+
+def test_cover_blocks_share_one_tuple_per_level():
+    c = build_cobweb(DIV31, 4)  # widths 1, 3, 6, 10
+    for blocks in (list(c.cover_blocks()), list(c.poset.cover_blocks())):
+        assert [x for x, _ in blocks] == list(c.elements)
+        by_level = {}
+        for x, ys in blocks:
+            assert by_level.setdefault(x.s, ys) is ys
+            assert ys == tuple(v for v in c.elements if v.s == x.s + 1)
+        assert by_level[4] == ()
+    assert list(c.cover_blocks()) == list(c.poset.cover_blocks())
+
+
+def _edge_chunks(poset):
+    chunks = list(hasse._dot_chunks(poset, None, "p"))
+    assert chunks[-1] == "}\n" and "->" not in chunks[0]
+    return chunks[1:-1]
+
+
+@pytest.mark.parametrize(
+    "poset, fan_out",
+    [(build_cobweb(FIBONACCI, 13), 233), (build_grid(20, 60, "weak"), 2)],
+    ids=["fibonacci13", "grid_weak_20_60"],
+)
+def test_edge_chunks_are_cut_at_sources_within_the_bound(poset, fan_out):
+    assert max(len(ys) for _, ys in poset.cover_blocks()) == fan_out
+    chunks = _edge_chunks(poset)
+    assert len(chunks) > 2
+    seen = set()
+    for i, chunk in enumerate(chunks):
+        lines = chunk.splitlines()
+        assert chunk.endswith("\n") and all(" -> " in line for line in lines)
+        if i < len(chunks) - 1:
+            assert hasse._BATCH_LINES <= len(lines) < hasse._BATCH_LINES + fan_out, i
+        sources = {line.split(" -> ")[0] for line in lines}
+        assert not sources & seen, i  # no source is split across chunks
+        seen |= sources
+    assert "".join(chunks).count("\n") == sum(1 for _ in poset.covers)
+
+
+@pytest.mark.parametrize("view", [build_cobweb(NATURALS, 12), build_grid(6, 15, "strict")],
+                         ids=["cobweb", "grid"])
+def test_view_dot_equals_engine_dot_with_and_without_levels(view):
+    assert to_dot(view) == to_dot(view.poset)
+    assert to_dot(view, view.level_of(), "v") == to_dot(view.poset, view.level_of(), "v")

@@ -90,4 +90,6 @@ class View:
         one engine through the bounded memo in `cobweb.poset`."""
         from .poset import _ENGINES, FinitePoset
 
-        return _ENGINES.get(self._engine_key(), lambda: FinitePoset(self.elements, self.covers))
+        return _ENGINES.get(
+            self._engine_key(), lambda: FinitePoset(self.elements, _blocks=self.cover_blocks())
+        )

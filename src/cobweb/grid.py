@@ -71,13 +71,21 @@ class GridPoset(View):
         target is present; the engine's cover order."""
         k, n, gap = self.k, self.n, _gap(self.mode)
         els = self.elements
-        for i, e in enumerate(els):
-            l, m = e
-            # (l, m+1) is the next element and (l+1, m) the one n - l - gap on.
-            up = els[i + 1 : i + 2] if m < n else ()
-            if l < k and m > l + gap:
-                up += (els[i + n - l - gap],)
-            yield e, up
+        start = 0
+        for l in range(k + 1):
+            # Row l is (l, l + gap) .. (l, n); the row above it starts one m on,
+            # so row[t] steps up to above[t - 1] for every t > 0.
+            size = n + 1 - l - gap
+            row = els[start : start + size]
+            start += size
+            if l == k:
+                yield from zip(row, zip(row[1:]))
+                yield row[-1], ()
+            else:  # size >= 2, since row l + 1 is not empty
+                above = els[start : start + size - 1]
+                yield row[0], row[1:2]
+                yield from zip(row[1:-1], zip(row[2:], above))
+                yield row[-1], above[-1:]
 
     def __len__(self) -> int:
         return size_formula(self.k, self.n) + (self.k + 1 if self.mode == "weak" else 0)

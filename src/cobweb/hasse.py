@@ -10,10 +10,11 @@ so the closed-form views and DOT export run without it.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import repeat
 from math import prod
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
-from .base import View, _cover_pairs
+from .base import View
 from .errors import BudgetExceeded, InvalidBounds
 
 if TYPE_CHECKING:
@@ -63,8 +64,15 @@ class CobwebPoset(View):
 
     def cover_blocks(self) -> Iterator[tuple[CobwebVertex, tuple[CobwebVertex, ...]]]:
         """(x, the vertices covering x) for every vertex x in element order:
-        the vertices of one level share one tuple, the next level."""
-        return _cover_blocks(self.widths, 1, self.level_max)
+        the vertices of one level share one tuple, the next level, cut from
+        `elements`."""
+        els, widths = self.elements, self.widths
+        start = 0
+        for s, w in enumerate(widths, 1):
+            end = start + w
+            above = els[end : end + widths[s]] if s < self.level_max else ()
+            yield from zip(els[start:end], repeat(above))
+            start = end
 
     def __len__(self) -> int:
         return sum(self.widths)
@@ -96,8 +104,7 @@ def _cover_blocks(
     level = tuple(_vertices(widths, lo, lo))
     for s in range(lo, hi + 1):
         above = tuple(_vertices(widths, s + 1, s + 1)) if s < hi else ()
-        for x in level:
-            yield x, above
+        yield from zip(level, repeat(above))
         level = above
 
 
@@ -133,7 +140,7 @@ def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
     w = c.widths
     return _ENGINES.get(
         (w[k - 1 : n], k),
-        lambda: FinitePoset(_vertices(w, k, n), _cover_pairs(_cover_blocks(w, k, n))),
+        lambda: FinitePoset(_vertices(w, k, n), _blocks=_cover_blocks(w, k, n)),
     )
 
 
@@ -157,6 +164,11 @@ def layer_chain_count(
 def _quote(label: object) -> str:
     text = str(label).replace("\\", "\\\\").replace('"', '\\"')
     return f'"{text}"'
+
+
+# The quoted name of a view's element, a CobwebVertex or a GridElement: both
+# print as "(a,b)" over two ints, which need no escaping.
+_VIEW_NAME = '"(%d,%d)"'
 
 
 def to_dot(
@@ -193,7 +205,11 @@ def _dot_chunks(
     pending, so every one but the last holds fewer than _BATCH_LINES + (the
     largest fan-out) lines.
     """
-    quoted = {el: _quote(el) for el in poset.elements}
+    els = poset.elements
+    if isinstance(poset, View):
+        quoted = dict(zip(els, [_VIEW_NAME % el for el in els]))
+    else:
+        quoted = {el: _quote(el) for el in els}
     lines = [f"digraph {_quote(name)} {{\n", "  rankdir=BT;\n"]
     if levels is not None and quoted:
         by_level: dict[int, list[str]] = {}

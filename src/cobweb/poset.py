@@ -13,6 +13,14 @@ stored: z <= j is the bit j of up[z], and a Möbius row computes values only
 over its element's up-set.  `mobius` computes an engine's matrix once and
 keeps it on the engine.
 
+The relation comes as pairs (x, y) or, from the views, as their cover blocks
+(x, ys).  Consecutive blocks that share one tuple (a cobweb level, all
+covered by the next level) share one successor set: the topological sort
+takes its edges away once, and the sweep finds its closure and its sorted
+cover list once, for the run of elements that share it, which then share
+that one list.  `maximal_chains` counts a shared list once, and
+`cover_blocks()` yields one tuple for it.
+
 The views' `.poset` and `layer_subposet` share their engines through one
 bounded, thread-safe LRU memo, keyed by what determines the engine (a grid
 view, or the level widths and first level of a cobweb or a slice), so equal
@@ -56,10 +64,14 @@ CHAIN_ENUMERATE_BUDGET = 64
 class FinitePoset:
     """A finite partial order over opaque labels.
 
-    Built from any relation whose transitive closure is a partial order.  It
-    keeps the up-sets, a topological order, the cover successors and the
-    minimal elements; the up-sets and covers come from one reverse-topological
-    sweep at construction time, and no down-sets or predecessor sets are kept.
+    Built from any relation whose transitive closure is a partial order, given
+    as pairs.  It keeps the up-sets, a topological order, the cover successors
+    and the minimal elements; the up-sets and covers come from one
+    reverse-topological sweep at construction time, and no down-sets or
+    predecessor sets are kept.  The views pass the relation as blocks
+    (x, ys) through the private `_blocks` instead, and elements whose blocks
+    share one tuple share one cover list.
+
     The instance is immutable afterwards, so concurrent reads are safe; the one
     exception is the Möbius matrix, which `mobius` stores on first use (threads
     that race there compute equal matrices, and either may be kept).
@@ -71,6 +83,8 @@ class FinitePoset:
         self,
         elements: Iterable[Label],
         leq_pairs: Iterable[tuple[Label, Label]] = (),
+        *,
+        _blocks: Iterable[tuple[Label, tuple[Label, ...]]] | None = None,
     ) -> None:
         labels: list[Label] = []
         index: dict[Label, int] = {}
@@ -81,16 +95,22 @@ class FinitePoset:
             labels.append(el)
         n = len(labels)
 
-        succ: list[set[int]] = [set() for _ in range(n)]
-        for a, b in leq_pairs:
-            try:
-                i, j = index[a], index[b]
-            except KeyError as exc:
-                raise ValueError(f"pair references unknown element {exc.args[0]!r}") from None
-            if i != j:  # reflexive pairs are implied
-                succ[i].add(j)
+        # The successor sets, each stored once, and the set of each element:
+        # element i's successors are sets[which[i]].
+        if _blocks is None:
+            sets: list[set[int]] = [set() for _ in range(n)]
+            for a, b in leq_pairs:
+                try:
+                    i, j = index[a], index[b]
+                except KeyError as exc:
+                    raise _unknown(exc) from None
+                if i != j:  # reflexive pairs are implied
+                    sets[i].add(j)
+            which = list(index.values())
+        else:
+            sets, which = _block_sets(_blocks, index, n)
 
-        topo, bottoms = _toposort(succ, labels)
+        topo, bottoms = _toposort(sets, which, labels)
         pos = [0] * n
         for t, i in enumerate(topo):
             pos[i] = t
@@ -101,16 +121,24 @@ class FinitePoset:
         # of up[k] over the successors k seen so far, any successor k < j
         # comes before j, so j is a cover exactly when acc misses j.  A
         # successor that is no cover adds nothing: its up-set is inside acc.
+        # acc and the covers depend on the successor set alone, so a run of
+        # elements that share one set computes them once and shares the list.
         up = [0] * n
-        cover_succ: list[list[int]] = [[] for _ in range(n)]
+        cover_succ: list[list[int]] = [[]] * n
+        last = -1
+        by_pos = pos.__getitem__
         for i in reversed(topo):
-            acc = 0
-            covers = cover_succ[i]
-            for j in sorted(succ[i], key=pos.__getitem__):
-                if not acc >> j & 1:
-                    covers.append(j)
-                    acc |= up[j]
-            covers.sort()
+            w = which[i]
+            if w != last:
+                last = w
+                acc = 0
+                covers = []
+                for j in sorted(sets[w], key=by_pos):
+                    if not acc >> j & 1:
+                        covers.append(j)
+                        acc |= up[j]
+                covers.sort()
+            cover_succ[i] = covers
             up[i] = acc | 1 << i
 
         self._labels = tuple(labels)
@@ -154,11 +182,11 @@ class FinitePoset:
 
     def cover_blocks(self) -> Iterator[tuple[Label, tuple[Label, ...]]]:
         """(x, the elements covering x) for every element x, in index order;
-        consecutive elements with equal cover lists share one tuple."""
+        consecutive elements that share one cover list share one tuple."""
         labels = self._labels
         last, ys = None, ()
         for x, js in zip(labels, self._cover_succ):
-            if js != last:
+            if js is not last:
                 last, ys = js, tuple(map(labels.__getitem__, js))
             yield x, ys
 
@@ -187,29 +215,92 @@ class FinitePoset:
         )
 
 
-def _toposort(succ: list[set[int]], labels: list[Label]) -> tuple[list[int], list[int]]:
+def _unknown(exc: KeyError) -> ValueError:
+    return ValueError(f"pair references unknown element {exc.args[0]!r}")
+
+
+def _block_sets(
+    blocks: Iterable[tuple[Label, tuple[Label, ...]]], index: dict[Label, int], n: int
+) -> tuple[list[set[int]], list[int]]:
+    """(sets, which) for the relation of the blocks (x, ys), that is the pairs
+    (x, y) for y in ys: element i's successors are sets[which[i]].
+
+    Consecutive blocks whose tuple is one object share one set, kept at the
+    index of the first element that takes it, and every element with no
+    block keeps one shared empty set; so, in the common case, `which` holds
+    the int objects of `index` and makes no new ones.  A block whose x is in
+    its own tuple, or whose x had a block already, gives x a set of its own,
+    so no shared set is changed.  Labels are looked up in the order of the
+    pairs, so an unknown one raises the error the pairs would.
+    """
+    empty: set[int] = set()
+    sets = [empty] * n
+    which = list(index.values())
+    last: tuple[Label, ...] | None = None
+    get = index.__getitem__
+    try:
+        for x, ys in blocks:
+            if not ys:
+                continue
+            i = get(x)
+            if ys is not last:
+                last, s, w = ys, set(map(get, ys)), None
+            if which[i] != i or sets[i] is not empty:  # x had a block already
+                own = sets[which[i]] | s
+                own.discard(i)  # reflexive pairs are implied
+                which[i] = len(sets)
+                sets.append(own)
+            elif i in s:
+                sets[i] = s - {i}
+            elif w is None:
+                sets[i], w = s, i
+            else:
+                which[i] = w
+    except KeyError as exc:
+        raise _unknown(exc) from None
+    return sets, which
+
+
+def _toposort(
+    sets: list[set[int]], which: list[int], labels: list[Label]
+) -> tuple[list[int], list[int]]:
     """Topological order of the edge digraph and its sources, the minimal
-    elements, in index order; NotAPartialOrder on any cycle."""
-    n = len(succ)
+    elements, in index order; NotAPartialOrder on any cycle.
+
+    The order is Kahn's, with a stack, taking a popped element's successors
+    in descending index order.  A set's edges are taken away at once, when
+    the last of the elements that share it is popped, so in-degrees count
+    sets, not edges: no successor of a set can reach in-degree 0 before its
+    last element is popped, so the order is the one the edges give one at a
+    time."""
+    n = len(which)
+    left = [0] * len(sets)  # the elements of each set not yet popped
+    for w in which:
+        left[w] += 1
     indeg = [0] * n
-    for js in succ:
-        for j in js:
-            indeg[j] += 1
+    for js, m in zip(sets, left):
+        if m:
+            for j in js:
+                indeg[j] += 1
     sources = [i for i in range(n) if indeg[i] == 0]
     stack = sources[::-1]
     order: list[int] = []
     while stack:
         i = stack.pop()
         order.append(i)
-        for j in sorted(succ[i], reverse=True):
+        w = which[i]
+        if left[w] > 1:
+            left[w] -= 1
+            continue
+        for j in sorted(sets[w], reverse=True):
             indeg[j] -= 1
             if indeg[j] == 0:
                 stack.append(j)
     if len(order) < n:
         remaining = {i for i in range(n) if indeg[i] > 0}
         pred: list[set[int]] = [set() for _ in range(n)]
-        for i, js in enumerate(succ):
-            for j in js:
+        for i, w in enumerate(which):
+            for j in sets[w]:
                 pred[j].add(i)
         raise NotAPartialOrder(_cycle_witness(pred, remaining, labels))
     return order, sources
@@ -237,14 +328,16 @@ def _cycle_witness(
 # The memo's bound in bytes, against the estimates of `_charge`.  It holds one
 # engine at CHAIN_COUNT_BUDGET elements, the largest a brute chain count
 # builds: in level-major order most of its 10,000 up-sets reach the last
-# element, 10,000 x 10,000 bits or 12.5 MB, and its per-element share is
-# 3 MB more.  32 MiB leaves room beside it for its covers or for the many
-# small engines a long session reuses.
+# element, 10,000 x 10,000 bits or 12.5 MB, and its per-element and
+# per-list shares are at most 3 MB more.  32 MiB leaves room beside it for
+# its covers or for the many small engines a long session reuses.
 _MEMO_BYTES = 32 << 20
-# Bytes per element (label, index entry, topological slot, cover list, up-set
-# header), per cover and per Möbius entry (key pair and dict slot), as
-# tracemalloc measures them on CPython 3.11.
-_ELEMENT_BYTES = 300
+# Bytes per element (label, index entry, topological slot, up-set header),
+# per cover list (header and spare slots; elements may share one), per
+# cover and per Möbius entry (key pair and dict slot), as tracemalloc
+# measures them on CPython 3.11.
+_ELEMENT_BYTES = 200
+_LIST_BYTES = 100
 _COVER_BYTES = 8
 _MOBIUS_ENTRY_BYTES = 100
 
@@ -252,7 +345,13 @@ _MOBIUS_ENTRY_BYTES = 100
 def _charge(p: FinitePoset) -> int:
     """Estimated bytes an engine keeps, from counts it already has."""
     size = len(p._labels) * _ELEMENT_BYTES + sum(x.bit_length() for x in p._up) // 8
-    size += _COVER_BYTES * sum(map(len, p._cover_succ))
+    # The sweep makes one cover list per run of elements in topological order,
+    # so a list that elements share is charged once, at the start of its run.
+    last = None
+    for js in map(p._cover_succ.__getitem__, p._topo):
+        if js is not last:
+            last = js
+            size += _LIST_BYTES + _COVER_BYTES * len(js)
     if p._mobius is not None:
         size += _MOBIUS_ENTRY_BYTES * len(p._mobius)
     return size
@@ -358,10 +457,15 @@ def maximal_chains(
     n = len(p)
     if mode == "count":
         check_count_budget(n)
+        # Elements that share a cover list share its count too.
         counts = [0] * n
+        last = None
         for i in reversed(p._topo):
             succ = p._cover_succ[i]
-            counts[i] = sum(counts[j] for j in succ) if succ else 1
+            if succ is not last:
+                last = succ
+                count = sum(map(counts.__getitem__, succ)) if succ else 1
+            counts[i] = count
         return sum(counts[i] for i in p._bottoms)
     if mode == "enumerate":
         if n > CHAIN_ENUMERATE_BUDGET:

@@ -119,10 +119,14 @@ def _traced_growth(call):
         # The memo keeps the engine, not the long sequence behind its widths.
         lambda: build_cobweb(from_values("long", range(1, 20_001)), 24).poset,
         lambda: layer_subposet(build_cobweb(FIBONACCI, 11), 3, 11),
+        # The slice of `chains --k 4 --n 54 --method brute`: its levels share
+        # one cover list each, so up-sets and elements make up its size.
+        lambda: layer_subposet(build_cobweb(NATURALS, 54), 4, 54),
         lambda: build_grid(20, 60, "weak").poset,
         lambda: mobius(build_grid(8, 22).poset),
     ],
-    ids=["cobweb", "cobweb-over-custom", "slice", "grid", "grid-with-mobius"],
+    ids=["cobweb", "cobweb-over-custom", "slice", "slice-naturals-54", "grid",
+         "grid-with-mobius"],
 )
 def test_charge_is_within_twice_the_traced_size(memo, build):
     build()  # loads whatever the first call loads

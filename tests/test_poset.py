@@ -472,5 +472,40 @@ def test_covers_match_the_transitive_reduction_on_random_relations(data):
     assert p.tops == tuple(x for x in order if not any((x, y) in lt for y in order))
 
 
+def _built(elements, **relation):
+    """The fingerprint of the engine over the relation, or the type, text and
+    witness of the error its construction raises."""
+    try:
+        return _engine_fingerprint(FinitePoset(elements, **relation))
+    except (ValueError, NotAPartialOrder) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "witness", None)
+
+
+@given(st.data())
+def test_blocks_build_the_engine_their_pairs_build(data):
+    """Blocks (x, ys) in place of the pairs (x, y) for y in ys.  Blocks draw
+    their tuples from a small pool, so one tuple object may serve several
+    sources, next to each other or not; tuples may be empty, repeat a target
+    or hold their own source, and a source may have several blocks.  Half the
+    draws may name the label n, which is no element, and half orient every
+    pair along a hidden linear extension (with n in it), so they build."""
+    n = data.draw(st.integers(1, 7))
+    order = data.draw(st.permutations(range(n)))
+    rank = data.draw(st.permutations(range(n + 1)))
+    labels = range(n + data.draw(st.booleans()))
+    acyclic = data.draw(st.booleans())
+    pool = data.draw(
+        st.lists(st.lists(st.sampled_from(labels), max_size=4).map(tuple), min_size=1,
+                 max_size=4)
+    )
+    blocks = []
+    for _ in range(data.draw(st.integers(0, 10))):
+        ys = data.draw(st.sampled_from(pool))
+        sources = [x for x in labels if not acyclic or all(rank[x] <= rank[y] for y in ys)]
+        blocks.append((data.draw(st.sampled_from(sources)), ys))
+    pairs = [(x, y) for x, ys in blocks for y in ys]
+    assert _built(order, _blocks=iter(blocks)) == _built(order, leq_pairs=pairs)
+
+
 if __name__ == "__main__":
     print(f'ENGINE_DIGEST = "{engine_digest()}"')

@@ -27,6 +27,10 @@ __all__ = [
 # Exhaustive string-enumeration bound for the oracle (2^(n+k)-style work).
 BRUTE_LENGTH_BUDGET = 28
 
+# Estimated result bits from which FNomialTable.fnomial builds the result from
+# primitive parts rather than dividing the falling product by F_k!.
+_KERNEL_BITS = 12_000
+
 
 def _prod(xs: Sequence[int]) -> int:
     """The product of xs, split in halves so that big factors meet big factors."""
@@ -34,6 +38,20 @@ def _prod(xs: Sequence[int]) -> int:
         return math.prod(xs)
     mid = len(xs) // 2
     return _prod(xs[:mid]) * _prod(xs[mid:])
+
+
+def _primitive_parts(vals: Sequence[int]) -> list[int] | None:
+    """[1, P_1, ..., P_n] for vals = [F_1, ..., F_n], where the primitive part
+    P_d = F_d / prod(P_e for e | d, e < d), so F_m = prod(P_d for d | m); None
+    at the first division that leaves a remainder."""
+    parts = [1, *vals]
+    for d in range(1, len(vals) // 2 + 1):
+        if (p := parts[d]) != 1:
+            for m in range(2 * d, len(parts), d):
+                parts[m], r = divmod(parts[m], p)
+                if r:
+                    return None
+    return parts
 
 
 def non_integral(vals: Sequence[int], n: int, k: int) -> NonIntegral:
@@ -47,9 +65,10 @@ class FNomialTable:
 
     F_0! = 1 and F_n! = F_1 * F_2 * ... * F_n.  The table keeps no state of
     its own, so concurrent queries are safe and deterministic.  Coefficients
-    divide no factorials: a single one is a falling product over F_k!, a
-    triangle row follows from the row ratio, each with an exact remainder
-    check.
+    divide no factorials: a single one is a falling product over F_k!, or,
+    once its estimated size reaches _KERNEL_BITS, a product of primitive
+    parts; a triangle row follows from the row ratio.  Every division is
+    checked.
     """
 
     def __init__(self, seq: FSequence) -> None:
@@ -65,16 +84,25 @@ class FNomialTable:
         """The coefficient (n over k)_F = F_n F_{n-1} ... F_{n-k+1} / F_k!;
         0 outside 0 <= k <= n.
 
-        By symmetry the shorter of the two falling products is taken.  The
-        one division is checked rather than assumed: sequences that are not
-        GCD-morphic can make it non-integral, which raises NonIntegral with
-        the quotient F_n!/(F_k! F_{n-k}!).
+        By symmetry the shorter of the two falling products is taken.  When
+        its bit lengths estimate the result at _KERNEL_BITS or more and every
+        primitive part P_d of F_1..F_n is an integer, the result is the
+        product of the P_d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1
+        (the exponent is 0 or 1): no large product is divided.  Otherwise
+        the one division is checked rather than assumed: sequences that are
+        not GCD-morphic can make it non-integral, which raises NonIntegral
+        with the quotient F_n!/(F_k! F_{n-k}!).
         """
         if k < 0 or k > n:
             return 0
         vals = self.seq.values(n)
         j = min(k, n - k)
-        q, r = divmod(_prod(vals[n - j :]), _prod(vals[:j]))
+        top, bottom = vals[n - j :], vals[:j]
+        if sum(map(int.bit_length, top)) - sum(map(int.bit_length, bottom)) >= _KERNEL_BITS and (
+            parts := _primitive_parts(vals)
+        ):
+            return _prod([parts[d] for d in range(2, n + 1) if n // d - k // d - (n - k) // d])
+        q, r = divmod(_prod(top), _prod(bottom))
         if r:
             raise non_integral(vals, n, k)
         return q

@@ -60,19 +60,15 @@ class CobwebPoset(View):
     @cached_property
     def elements(self) -> tuple[CobwebVertex, ...]:
         """Every vertex, level-major with j ascending: the engine's order."""
-        return tuple(_vertices(self.widths, 1, self.level_max))
+        return tuple(
+            CobwebVertex(s, j) for s, w in enumerate(self.widths, 1) for j in range(1, w + 1)
+        )
 
     def cover_blocks(self) -> Iterator[tuple[CobwebVertex, tuple[CobwebVertex, ...]]]:
         """(x, the vertices covering x) for every vertex x in element order:
         the vertices of one level share one tuple, the next level, cut from
         `elements`."""
-        els, widths = self.elements, self.widths
-        start = 0
-        for s, w in enumerate(widths, 1):
-            end = start + w
-            above = els[end : end + widths[s]] if s < self.level_max else ()
-            yield from zip(els[start:end], repeat(above))
-            start = end
+        return _level_blocks(self.elements, self.widths, 1, self.level_max)
 
     def __len__(self) -> int:
         return sum(self.widths)
@@ -88,24 +84,18 @@ class CobwebPoset(View):
         return {v: v.s for v in self.elements}
 
 
-def _vertices(widths: Sequence[int], lo: int, hi: int) -> Iterator[CobwebVertex]:
-    """The vertices of levels lo..hi, level-major with j ascending."""
-    for s in range(lo, hi + 1):
-        for j in range(1, widths[s - 1] + 1):
-            yield CobwebVertex(s, j)
-
-
-def _cover_blocks(
-    widths: Sequence[int], lo: int, hi: int
+def _level_blocks(
+    els: Sequence[CobwebVertex], widths: Sequence[int], lo: int, hi: int
 ) -> Iterator[tuple[CobwebVertex, tuple[CobwebVertex, ...]]]:
-    """(x, the vertices covering x) for every x on levels lo..hi, level-major:
-    every x on level s < hi shares the tuple of level s + 1, and level hi
-    shares the empty tuple."""
-    level = tuple(_vertices(widths, lo, lo))
+    """(x, the vertices covering x) for every x in els, the vertices of levels
+    lo..hi in element order: every x on level s < hi shares the tuple of level
+    s + 1, cut from els, and level hi shares the empty tuple."""
+    start = 0
     for s in range(lo, hi + 1):
-        above = tuple(_vertices(widths, s + 1, s + 1)) if s < hi else ()
-        yield from zip(level, repeat(above))
-        level = above
+        end = start + widths[s - 1]
+        above = els[end : end + widths[s]] if s < hi else ()
+        yield from zip(els[start:end], repeat(above))
+        start = end
 
 
 def build_cobweb(seq: FSequence, level_max: int) -> CobwebPoset:
@@ -132,16 +122,20 @@ def _check_slice(c: CobwebPoset, k: int, n: int) -> None:
 
 def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
     """The induced subposet on levels k..n (1 <= k < n <= level_max), as the
-    generic engine.  The widths of those levels and k determine it, so slices
-    that agree on them share one engine through the memo in `cobweb.poset`."""
+    generic engine, its vertices and cover blocks cut from `c.elements`.  The
+    widths of those levels and k determine it, so slices that agree on them
+    share one engine through the memo in `cobweb.poset`."""
     _check_slice(c, k, n)
     from .poset import _ENGINES, FinitePoset
 
     w = c.widths
-    return _ENGINES.get(
-        (w[k - 1 : n], k),
-        lambda: FinitePoset(_vertices(w, k, n), _blocks=_cover_blocks(w, k, n)),
-    )
+
+    def build() -> FinitePoset:
+        start = sum(w[: k - 1])
+        els = c.elements[start : start + sum(w[k - 1 : n])]
+        return FinitePoset(els, _blocks=_level_blocks(els, w, k, n))
+
+    return _ENGINES.get((w[k - 1 : n], k), build)
 
 
 def layer_chain_count(
@@ -198,40 +192,39 @@ def _dot_chunks(
     the header and node lines, whose size the element count bounds, then the
     edge lines, then the closing brace.
 
-    A source x with covers ys is written as `pre + pre.join(tails)`, where
-    pre is '  "x" -> ' and the tails are '"y";\n'; the tails of a tuple that
-    consecutive sources share (a cobweb level) are built once.  A chunk of
-    edge lines is cut at a source boundary once _BATCH_LINES lines are
-    pending, so every one but the last holds fewer than _BATCH_LINES + (the
-    largest fan-out) lines.
+    Each name is formatted once, in element order.  `cover_blocks()` yields
+    every element once, in that order, so a source is named by its position.
+    A source x with covers ys is written as `pre + pre.join(tails)`, where pre
+    is '  "x" -> ' and the tails are '"y";\n', looked up by element; the tails
+    of a tuple that consecutive sources share (a cobweb level) are looked up
+    once.  A chunk of edge lines is cut at a source boundary once
+    _BATCH_LINES lines are pending, so every one but the last holds fewer
+    than _BATCH_LINES + (the largest fan-out) lines.
     """
     els = poset.elements
-    if isinstance(poset, View):
-        quoted = dict(zip(els, [_VIEW_NAME % el for el in els]))
-    else:
-        quoted = {el: _quote(el) for el in els}
+    names = list(map(_VIEW_NAME.__mod__ if isinstance(poset, View) else _quote, els))
     lines = [f"digraph {_quote(name)} {{\n", "  rankdir=BT;\n"]
-    if levels is not None and quoted:
+    if levels is not None and names:
         by_level: dict[int, list[str]] = {}
-        for el, q in quoted.items():
-            by_level.setdefault(levels[el], []).append(q)
+        for q, level in zip(names, map(levels.__getitem__, els)):
+            by_level.setdefault(level, []).append(q)
         for level in sorted(by_level):
             members = " ".join(f"{q};" for q in by_level[level])
             lines.append(f"  {{ rank=same; {members} }}\n")
     else:
-        lines += [f"  {q};\n" for q in quoted.values()]
+        lines += [f"  {q};\n" for q in names]
     yield "".join(lines)
-    line_end = {el: q + ";\n" for el, q in quoted.items()}
+    line_end = dict(zip(els, [q + ";\n" for q in names]))
     chunk: list[str] = []
     pending = 0
     shared: tuple[object, ...] = ()
     tails: list[str] = []
-    for x, ys in poset.cover_blocks():
+    for q, (_, ys) in zip(names, poset.cover_blocks()):
         if not ys:
             continue
         if ys is not shared:
             shared, tails = ys, list(map(line_end.__getitem__, ys))
-        pre = f"  {quoted[x]} -> "
+        pre = f"  {q} -> "
         chunk.append(pre + pre.join(tails))
         pending += len(ys)
         if pending >= _BATCH_LINES:

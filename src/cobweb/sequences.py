@@ -61,8 +61,11 @@ class FSequence(NamedTuple):
         return self.rule(s)
 
     def values(self, count: int) -> list[int]:
-        """The prefix [F_1, ..., F_count]."""
-        return [self.value(s) for s in range(1, count + 1)]
+        """The prefix [F_1, ..., F_count]; past the limit it raises as
+        value() does at the first index beyond it."""
+        if self.limit is not None and count > self.limit:
+            self.value(self.limit + 1)
+        return list(map(self.rule, range(1, count + 1)))
 
 
 NATURALS = FSequence("naturals", lambda s: s)

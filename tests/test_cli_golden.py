@@ -8,7 +8,9 @@ tests/test_cli_golden.py` prints the new digests.
 """
 
 import hashlib
+import tempfile
 from io import StringIO
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,9 @@ from test_acceptance import CLI_MATRIX
 
 BUILTINS = ("fibonacci", "naturals", "odd", "even1", "div31")
 MODES = ("strict", "weak")
+# Custom sequence files, written afresh for each digest: an argv names one as
+# {mersenne}, and the digest hashes that placeholder, not the path.
+FILES = {"mersenne": "".join(f"{2**s - 1}\n" for s in range(1, 301))}
 
 
 def _grids(n_max):
@@ -123,6 +128,15 @@ GROUPS = {
             ["bell", "--family", "prefab", "--seq", "fibonacci", "--n", "470"],
         ]
     ],
+    # F-nomials of tens of thousands of bits on GCD-morphic sequences, and
+    # naturals, whose result stays near 6,000 bits; the file case prints
+    # text, whose output does not name the file.
+    "fnomial_large": [
+        ["fnomial", "--seq", "fibonacci", "--n", "869", "--k", "395", "--format", "csv"],
+        ["fnomial", "--seq", "fibonacci", "--n", "500", "--k", "250"],
+        ["fnomial", "--seq", "naturals", "--n", "6259", "--k", "3077", "--format", "json"],
+        ["fnomial", "--seq", "file:{mersenne}", "--n", "287", "--k", "154"],
+    ],
     # Spellings only argparse accepts or refuses: `=` values, repeats,
     # prefixes, signed or underscored ints, values starting with "-" and
     # empty values.
@@ -147,6 +161,7 @@ GOLDEN = {
     "cobweb_dot": "188fc452ef70d441cbecb44463ee70530bca09fc11168cbb3dc5b8cca2f3d867",
     "dot_large": "3a599f3f33cf7b859ffd9d0a24b7de50d4dc1a80ae0dc48beb4e1649513a2ffa",
     "domain_errors": "05844ea69698d86561f69001d3750fb6fecbc08ce76ad12be9427d04883e831b",
+    "fnomial_large": "40bc7c7d5dd3fb8646a88561ef0c9bee29a99845d63d79349dd03f769849ae17",
     "grid_chains": "d25d2955fd213bc62400836e2e7f902d709db311b4921d035ac8311b6e165c4b",
     "grid_dot": "226adf92b7b4a060958fff62474313ac1b21994f2bcf8d93a63fc7804b2dd02a",
     "json_variants": "ca2078c117f012adca1d6846e91af924a03b1a0d703bd4a97349dfe455238ad4",
@@ -159,10 +174,15 @@ GOLDEN = {
 
 def digest(argvs):
     h = hashlib.sha256()
-    for argv in argvs:
-        out, err = StringIO(), StringIO()
-        code = cli.run(list(argv), out, err)
-        h.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in FILES.items():
+            paths[name] = path = Path(tmp, f"{name}.txt")
+            path.write_text(text)
+        for argv in argvs:
+            out, err = StringIO(), StringIO()
+            code = cli.run([a.format_map(paths) for a in argv], out, err)
+            h.update(repr((argv, code, out.getvalue(), err.getvalue())).encode())
     return h.hexdigest()
 
 

@@ -1,14 +1,17 @@
 from concurrent.futures import ThreadPoolExecutor
-from math import comb
+from fractions import Fraction
+from math import comb, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import (
+    DIV31,
     EVEN1,
     FIBONACCI,
     NATURALS,
+    ODD,
     BudgetExceeded,
     FNomialTable,
     IndexOutOfDomain,
@@ -16,6 +19,7 @@ from cobweb import (
     ballot,
     catalan,
     dominated_strings_brute,
+    fnomial,
     from_values,
 )
 
@@ -148,3 +152,50 @@ def test_table_is_deterministic_under_concurrent_queries():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(shared.f_factorial, range(79, -1, -1)))
     assert results == expected[::-1]
+
+
+# -- the factored kernel: primitive parts ---------------------------------------
+
+
+def _smallest_prefix_without_parts(seq, n_max):
+    return next((n for n in range(1, n_max + 1)
+                 if fnomial._primitive_parts(seq.values(n)) is None), None)
+
+
+def test_primitive_parts_exist_for_strong_divisibility_sequences():
+    parts = fnomial._primitive_parts(NATURALS.values(1500))
+    # For the naturals P_d is p when d is a power of the prime p, else 1.
+    for d in range(2, 1501):
+        p = next(p for p in range(2, d + 1) if d % p == 0)
+        e = d
+        while e % p == 0:
+            e //= p
+        assert parts[d] == (p if e == 1 else 1), d
+    parts = fnomial._primitive_parts(FIBONACCI.values(1000))
+    assert parts is not None and parts[:13] == [1, 1, 1, 2, 3, 5, 4, 13, 7, 17, 11, 89, 6]
+
+
+def test_primitive_parts_fail_early_on_non_morphic_builtins():
+    assert _smallest_prefix_without_parts(ODD, 6) == 4  # P_4 = 7/3
+    assert _smallest_prefix_without_parts(EVEN1, 6) == 6  # P_6 = 10/(2 * 4)
+    assert _smallest_prefix_without_parts(DIV31, 6) == 6  # P_6 = 15/(3 * 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(1, 12), st.integers(1, 2**70)), min_size=1, max_size=40),
+       st.data())
+def test_kernel_matches_oracle_on_lists_with_integral_parts(qs, data):
+    # F_n = prod(Q_d for d | n) has primitive parts Q but, for most draws, is
+    # not GCD-morphic: the parts exist, so every coefficient is an integer.
+    n = len(qs)
+    vals = [prod(qs[d - 1] for d in range(1, m + 1) if m % d == 0) for m in range(1, n + 1)]
+    assert fnomial._primitive_parts(vals) == [1, *qs]
+    k = data.draw(st.integers(0, n))
+    expected = prod(Fraction(vals[n - k + i - 1], vals[i - 1]) for i in range(1, k + 1))
+    table = FNomialTable(from_values("parts", vals))
+    saved = fnomial._KERNEL_BITS
+    try:
+        fnomial._KERNEL_BITS = -(10**9)
+        assert table.fnomial(n, k) == expected
+    finally:
+        fnomial._KERNEL_BITS = saved

@@ -17,6 +17,7 @@ from cobweb import (
     bell_f,
     bell_f_table,
     cli,
+    fnomial,
     from_values,
     prefab,
     whitney_prefab,
@@ -212,6 +213,30 @@ def test_recurrences_match_product_oracle(seq, tmp_path):
     triangle = outcome(expected_triangle, seq, n_max)
     assert outcome(lambda: list(table.rows(n_max))) == triangle
     assert cli_triangle(seq, n_max, tmp_path) == triangle
+
+
+# Below every estimate (a lumpy sequence's can be negative) and above every
+# estimate: the two settings that force FNomialTable.fnomial's switch.
+FORCED_BITS = {"kernel": -(10**9), "falling": 10**9}
+
+
+@pytest.mark.parametrize("path", sorted(FORCED_BITS))
+@pytest.mark.parametrize("seq", ORACLE_SEQS + LUMPY_SEQS, ids=lambda s: s.name)
+def test_fnomial_switch_both_ways_matches_product_oracle(seq, path, monkeypatch):
+    monkeypatch.setattr(fnomial, "_KERNEL_BITS", FORCED_BITS[path])
+    calls = []
+    parts = fnomial._primitive_parts
+    monkeypatch.setattr(fnomial, "_primitive_parts", lambda vals: calls.append(0) or parts(vals))
+    n_max = min(60, seq.limit or 60)
+    table = FNomialTable(seq)
+    for n in range(n_max + 1):
+        for k in range(-1, n + 2):
+            expected = outcome(expected_fnomial, seq, n, k)
+            assert outcome(table.fnomial, n, k) == expected, (n, k)
+            if n + k >= 0:
+                assert outcome(whitney_prefab, seq, n + k, k) == expected, (n, k)
+    in_range = (n_max + 1) * (n_max + 2) // 2
+    assert len(calls) == (2 * in_range if path == "kernel" else 0)
 
 
 def test_oracle_sequences_include_non_integral_ones():

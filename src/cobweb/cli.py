@@ -12,10 +12,10 @@ from that table; any other argv, help included, goes to argparse, which
 builds options only for the subcommand it names.  Each handler imports the
 library modules it runs, so a request pays only for its own subcommand.
 
-A handler computes its whole result; the output is rendered from it and
-written in batches, never joined into one string: rows 256 at a time, each
-formatted by one %-template, and DOT edge lines about 1,024 at a time, each
-source's lines in one join.
+A handler computes its whole result, except `mobius`, which checks its bounds
+and then computes its rows as they are written.  Output is written in batches,
+never joined into one string: rows 256 at a time, each formatted by one
+%-template, and DOT edge lines about 1,024 at a time, each source's lines in one join.
 """
 
 from __future__ import annotations
@@ -215,10 +215,10 @@ def _cmd_chains(ns: argparse.Namespace) -> OutputRecord:
 
 
 def _cmd_mobius(ns: argparse.Namespace) -> OutputRecord:
-    from .grid import grid_mobius
+    from .grid import _mobius_blocks, build_grid
 
-    entries = grid_mobius(ns.k, ns.n, ns.mode).entries
-    rows = ((*x, *y, mu) for (x, y), mu in entries.items())
+    blocks = _mobius_blocks(build_grid(ns.k, ns.n, ns.mode))  # bounds checked before output
+    rows = ((*x, *y, mu) for x, ys, mus in blocks for y, mu in zip(ys, mus))
     params = {"k": ns.k, "n": ns.n, "mode": ns.mode}
     return OutputRecord("mobius", params, columns=("x_l", "x_m", "y_l", "y_m", "mu"), rows=rows)
 
@@ -465,7 +465,7 @@ def run(
     err: TextIO | None = None,
 ) -> int:
     """Execute one CLI invocation; returns the exit status.  The handler
-    computes the whole result first, so a domain error leaves `out` empty;
+    raises any domain error before it returns, so such an error leaves `out` empty;
     the output is then written to `out` chunk by chunk, and a write that
     fails on any chunk gives one error line on `err` and status 1.  An argv
     that `_plain_parse` refuses is parsed by argparse with sys.stdout/sys.stderr

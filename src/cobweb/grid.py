@@ -13,7 +13,7 @@ explicit mode:
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Iterator, Literal, NamedTuple
 
 from .base import MobiusMatrix, View, WhitneyVector
@@ -63,7 +63,8 @@ class GridPoset(View):
     @cached_property
     def elements(self) -> tuple[GridElement, ...]:
         """Every label, l-major with m ascending: the engine's order."""
-        return _elements(self.k, self.n, self.mode)
+        k, n, gap = self.k, self.n, _gap(self.mode)
+        return tuple(GridElement(l, m) for l in range(k + 1) for m in range(l + gap, n + 1))
 
     def cover_blocks(self) -> Iterator[tuple[GridElement, tuple[GridElement, ...]]]:
         """(e, its 0-2 covers) for every element e in element order: the unit
@@ -110,11 +111,6 @@ def _gap(mode: GridMode) -> int:
     return 1 if mode == "strict" else 0
 
 
-def _elements(k: int, n: int, mode: GridMode) -> tuple[GridElement, ...]:
-    gap = _gap(mode)
-    return tuple(GridElement(l, m) for l in range(k + 1) for m in range(l + gap, n + 1))
-
-
 def build_grid(k: int, n: int, mode: GridMode = "strict") -> GridPoset:
     """The poset of labels (l, m) under the componentwise order.
 
@@ -125,36 +121,36 @@ def build_grid(k: int, n: int, mode: GridMode = "strict") -> GridPoset:
     return GridPoset(k, n, mode)
 
 
-def grid_mobius(k: int, n: int, mode: GridMode = "strict") -> MobiusMatrix:
-    """The Möbius matrix of the grid, read off its lattice structure.
+def _mobius_blocks(
+    g: GridPoset,
+) -> Iterator[tuple[GridElement, tuple[GridElement, ...], list[int]]]:
+    """(x, ys, mus) for each x = (l, m) in element order and each row b >= l:
+    ys are the y >= x in row b, in element order, and mus their mu(x, y).
 
     The grid is closed under componentwise min and max, so it is a
     distributive sublattice of N^2 and mu(x, y) is nonzero only on Boolean
     intervals (Stanley, EC1 3.9): mu = 1 at x = y, -1 on a cover, +1 at
-    x + (1, 1) when x has two covers, and 0 otherwise.  Entries cover every
-    comparable pair, x-major in element order.
+    x + (1, 1) when x has two covers, and 0 otherwise.  So mus is 0 but for a
+    head, cut to len(ys): (1, -1) in row l, and (-1, 1) in row l + 1 when
+    (l + 1, m) is present.
     """
-    g = build_grid(k, n, mode)
-    els = g.elements
-    gap = _gap(mode)
-    # Block l of els holds (l, l + gap) .. (l, n) and starts at start[l].
-    start = [0]
-    for l in range(k + 1):
-        start.append(start[-1] + n + 1 - l - gap)
-    entries: dict[tuple[GridElement, GridElement], int] = {}
+    els, gap = g.elements, _gap(g.mode)
+    # Row b of els holds (b, b + gap) .. (b, n) and starts at start[b].
+    start = list(accumulate((g.n + 1 - b - gap for b in range(g.k + 1)), initial=0))
     for x in els:
         l, m = x
-        # The y >= x in block b >= l are its suffix from (b, max(m, b + gap)):
-        # all 0 first, then the nonzero values overwrite keys already in order.
-        for b in range(l, k + 1):
-            lo = start[b] + max(m - b - gap, 0)
-            entries.update(zip(zip(repeat(x), els[lo : start[b + 1]]), repeat(0)))
-        entries[x, x] = 1
-    for x, ys in g.cover_blocks():
-        for y in ys:
-            entries[x, y] = -1
-        if len(ys) == 2:  # both unit steps, so x + (1, 1) is present
-            entries[x, GridElement(x.l + 1, x.m + 1)] = 1
+        for b in range(l, g.k + 1):
+            # The y >= x in row b are its suffix from (b, max(m, b + gap)).
+            ys = els[start[b] + max(m - b - gap, 0) : start[b + 1]]
+            head = (1, -1) if b == l else (-1, 1) if b == l + 1 and m >= b + gap else ()
+            yield x, ys, [*head, *repeat(0, len(ys))][: len(ys)]
+
+
+def grid_mobius(k: int, n: int, mode: GridMode = "strict") -> MobiusMatrix:
+    """The Möbius matrix from _mobius_blocks: every comparable pair, x-major in element order."""
+    entries: dict[tuple[GridElement, GridElement], int] = {}
+    for x, ys, mus in _mobius_blocks(build_grid(k, n, mode)):
+        entries.update(zip(zip(repeat(x), ys), mus))
     return MobiusMatrix(entries)
 
 
@@ -203,7 +199,7 @@ def grid_whitney(l: int, m: int, kind: Literal["second", "first"] = "second") ->
     """Whitney vector of the strict grid, ranks 0 .. l + m - 1.
 
     Second kind: the slant counts stirling2_closed.  First kind: by the
-    Boolean-interval rule of grid_mobius, mu((0, 1), pi) is -1 at (0, 2) and
+    Boolean-interval rule of _mobius_blocks, mu((0, 1), pi) is -1 at (0, 2) and
     0 at every other element above rank 0, since (1, 1) is not strict; so the
     vector is (1, -1, 0, ...).
     """

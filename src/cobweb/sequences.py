@@ -113,7 +113,11 @@ def from_file(path: str) -> FSequence:
             try:
                 v = int(text)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected an integer, got {text!r}") from None
+                got = repr(text) if len(text) <= 32 else f"{text[:32]!r}… ({len(text)} characters)"
+                why = "expected an integer"
+                if text.isdigit():  # int() refuses a digit string only past its digit limit
+                    why = f"{len(text)} digits are past the interpreter's int digit limit"
+                raise ValueError(f"{path}:{lineno}: {why}, got {got}") from None
             if v < 1:
                 raise ValueError(f"{path}:{lineno}: values must be positive, got {v}")
             vals.append(v)

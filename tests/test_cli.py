@@ -126,6 +126,12 @@ def test_seq_from_file(tmp_path):
     code, _, err = invoke("seq", "--seq", f"file:{tmp_path/'nope.txt'}", "--count", "1")
     assert code == 1
     assert "FileNotFoundError" in err
+    # A token past int()'s digit limit is quoted in part, and named as too long.
+    path.write_text("7" * 5000 + "\n")
+    code, out, err = invoke("seq", "--seq", f"file:{path}", "--count", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err.encode()) < 200, err
+    assert f"{path}:1: 5000 digits" in err and "int digit limit" in err
 
 
 def test_grid_outputs():
@@ -220,6 +226,8 @@ def test_domain_error_exit_code():
         (("problems", "--l", "2", "--m", "2"), "got l=2, m=2"),
         (("whitney", "--family", "grid", "--l", "3", "--m", "1"), "got l=3, m=1"),
         (("bell", "--family", "grid", "--l", "3", "--m", "1"), "InvalidBounds: need 0 <= l < m"),
+        (("mobius", "--k", "2", "--n", "2", "--mode", "strict"), "InvalidBounds: strict mode"),
+        (("mobius", "--k", "-1", "--n", "3"), "InvalidBounds: need 0 <= k <= n"),
     ]:
         code, out, err = invoke(*argv)
         assert (code, out) == (1, ""), argv
@@ -651,12 +659,13 @@ def test_large_outputs_peak_near_a_scalar_request():
         "catalan --n 5",
         "fnomial --seq fibonacci --table 142 --format json",  # writes 3.9 MB
         "dot --family cobweb --seq naturals --levels 57",  # writes 1.3 MB
+        "mobius --k 30 --n 60",  # writes 7.9 MB
     ]
     done = subprocess.run([sys.executable, "-c", _PEAKS, *argvs], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
     assert (done.returncode, done.stderr) == (0, "")
     codes, peaks = zip(*(map(int, line.split()) for line in done.stdout.splitlines()))
-    assert codes == (0, 0, 0)
+    assert codes == (0, 0, 0, 0)
     unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS, else kB
     base, *large = (peak * unit / 2**20 for peak in peaks)  # MB
     assert all(peak < base + 5 for peak in large), (base, large)

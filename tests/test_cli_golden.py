@@ -65,6 +65,12 @@ GROUPS = {
         *(["mobius", "--k", str(k), "--n", str(n), "--mode", mode] for mode, k, n in _grids(8)),
         ["mobius", "--k", "2", "--n", "4", "--mode", "strict", "--format", "json"],
     ],
+    # Möbius tables of the sizes the benchmark's cli-poset workload renders.
+    "mobius_large": [
+        ["mobius", "--k", "10", "--n", "29"],
+        ["mobius", "--k", "10", "--n", "30", "--mode", "weak", "--format", "csv"],
+        ["mobius", "--k", "10", "--n", "31", "--format", "json"],
+    ],
     "domain_errors": [
         ["grid", "--k", "3", "--n", "2"],
         ["mobius", "--k", "3", "--n", "2"],
@@ -167,6 +173,7 @@ GOLDEN = {
     "json_variants": "ca2078c117f012adca1d6846e91af924a03b1a0d703bd4a97349dfe455238ad4",
     "matrix": "88e35576d833d277430d1093a2f0f6708e7f5cd0702720b338e563cfce829f08",
     "mobius": "a0e3e9d0f12a9c339bf2c4d3ec4490ebb7652dca2d05ab5d8dcc8da3fbb923b8",
+    "mobius_large": "735a27c7fc63e908f54df0d47873a1a959bbe8b89105f8d1c9c9660bf6493c36",
     "past_digit_limit": "7773038e17d945911409a9468eb232a37f1cd454b55727d88a4466f92d8fed68",
     "usage_errors": "96f306e37f69df03d2eefcc8a041e393847ad58fd97485d50be14c0a6f305792",
 }

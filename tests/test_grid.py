@@ -25,6 +25,7 @@ from cobweb import (
     to_dot,
     whitney,
 )
+from cobweb.grid import _mobius_blocks
 
 
 def _valid_grids(n_max):
@@ -170,13 +171,20 @@ def test_bell_grid():
 
 
 def test_grid_mobius_matches_engine():
-    for n in range(0, 9):
+    for n in range(0, 11):
         for k in range(0, n + 1):
             for mode in ("strict", "weak"):
                 if mode == "strict" and k == n:
                     continue
-                engine = mobius(build_grid(k, n, mode).poset).entries
-                assert grid_mobius(k, n, mode).entries == engine, (k, n, mode)
+                g = build_grid(k, n, mode)
+                engine = mobius(g.poset).entries
+                entries = grid_mobius(k, n, mode).entries
+                assert entries == engine, (k, n, mode)
+                # Dict equality ignores order: the keys are x-major in element order.
+                els = g.elements
+                pairs = [(x, y) for x in els for y in els if x.l <= y.l and x.m <= y.m]
+                assert list(entries) == pairs, (k, n, mode)
+                assert all(len(ys) == len(mus) for _, ys, mus in _mobius_blocks(g)), (k, n, mode)
 
 
 def test_grid_mobius_bounds():

@@ -89,8 +89,13 @@ def test_from_file(tmp_path):
 def test_from_file_rejects_garbage(tmp_path):
     path = tmp_path / "seq.txt"
     path.write_text("1\nzebra\n")
-    with pytest.raises(ValueError, match="zebra"):
+    with pytest.raises(ValueError) as caught:
         from_file(str(path))
+    assert str(caught.value) == f"{path}:2: expected an integer, got 'zebra'"
+    path.write_text("x" * 40 + "\n")
+    with pytest.raises(ValueError) as caught:
+        from_file(str(path))
+    assert str(caught.value) == f"{path}:1: expected an integer, got {'x' * 32!r}… (40 characters)"
     path.write_text("1\n0\n")
     with pytest.raises(ValueError, match="positive"):
         from_file(str(path))

@@ -71,7 +71,9 @@ class View:
         return f"{type(self).__name__}({args})"
 
     def cover_blocks(self) -> Iterator[tuple[Hashable, tuple[Hashable, ...]]]:
-        """(x, the elements covering x) for every element x, in element order."""
+        """(x, the elements covering x) for every element x, each once and in
+        element order, x never in its own tuple; consecutive elements may
+        share one tuple object, and then share one set in the engine."""
         raise NotImplementedError
 
     @property

@@ -169,6 +169,8 @@ def _cmd_whitney(ns: argparse.Namespace) -> OutputRecord:
 
 def _cmd_bell(ns: argparse.Namespace) -> OutputRecord:
     if ns.family == "grid":
+        if ns.table:
+            raise _UsageError("--table is not defined for --family grid")
         _need(ns, "bell --family grid", "l", "m")
         from .grid import bell_grid
 

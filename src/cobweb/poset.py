@@ -14,12 +14,13 @@ over its element's up-set.  `mobius` computes an engine's matrix once and
 keeps it on the engine.
 
 The relation comes as pairs (x, y) or, from the views, as their cover blocks
-(x, ys).  Consecutive blocks that share one tuple (a cobweb level, all
-covered by the next level) share one successor set: the topological sort
-takes its edges away once, and the sweep finds its closure and its sorted
-cover list once, for the run of elements that share it, which then share
-that one list.  `maximal_chains` counts a shared list once, and
-`cover_blocks()` yields one tuple for it.
+(x, ys), one block per element at most.  Both enter through one path: the
+pairs are grouped by source, one fresh block each.  Consecutive blocks that
+share one tuple (a cobweb level, all covered by the next level) share one
+successor set: the topological sort takes its edges away once, and the
+sweep finds its closure and its sorted cover list once, for the run of
+elements that share it, which then share that one list.  `maximal_chains`
+counts a shared list once, and `cover_blocks()` yields one tuple for it.
 
 The views' `.poset` and `layer_subposet` share their engines through one
 bounded, thread-safe LRU memo, keyed by what determines the engine (a grid
@@ -31,7 +32,8 @@ never memoized: an arbitrary relation gives no key.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Hashable, Iterable, Iterator, Literal, NamedTuple
+from collections import defaultdict
+from typing import Callable, Hashable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .base import MobiusMatrix, WhitneyVector, _cover_pairs
 from .errors import (
@@ -69,8 +71,9 @@ class FinitePoset:
     and the minimal elements; the up-sets and covers come from one
     reverse-topological sweep at construction time, and no down-sets or
     predecessor sets are kept.  The views pass the relation as blocks
-    (x, ys) through the private `_blocks` instead, and elements whose blocks
-    share one tuple share one cover list.
+    (x, ys), one per element at most, through the private `_blocks` instead,
+    and elements whose consecutive blocks share one tuple share one cover
+    list; pairs are grouped into one block per source.
 
     The instance is immutable afterwards, so concurrent reads are safe; the one
     exception is the Möbius matrix, which `mobius` stores on first use (threads
@@ -84,7 +87,7 @@ class FinitePoset:
         elements: Iterable[Label],
         leq_pairs: Iterable[tuple[Label, Label]] = (),
         *,
-        _blocks: Iterable[tuple[Label, tuple[Label, ...]]] | None = None,
+        _blocks: Iterable[tuple[Label, Sequence[Label]]] | None = None,
     ) -> None:
         labels: list[Label] = []
         index: dict[Label, int] = {}
@@ -96,19 +99,14 @@ class FinitePoset:
         n = len(labels)
 
         # The successor sets, each stored once, and the set of each element:
-        # element i's successors are sets[which[i]].
+        # element i's successors are sets[which[i]].  Pairs enter as one
+        # fresh list per source, so they never share a set.
         if _blocks is None:
-            sets: list[set[int]] = [set() for _ in range(n)]
+            groups: defaultdict[Label, list[Label]] = defaultdict(list)
             for a, b in leq_pairs:
-                try:
-                    i, j = index[a], index[b]
-                except KeyError as exc:
-                    raise _unknown(exc) from None
-                if i != j:  # reflexive pairs are implied
-                    sets[i].add(j)
-            which = list(index.values())
-        else:
-            sets, which = _block_sets(_blocks, index, n)
+                groups[a].append(b)
+            _blocks = groups.items()
+        sets, which = _block_sets(_blocks, index, n)
 
         topo, bottoms = _toposort(sets, which, labels)
         pos = [0] * n
@@ -215,49 +213,37 @@ class FinitePoset:
         )
 
 
-def _unknown(exc: KeyError) -> ValueError:
-    return ValueError(f"pair references unknown element {exc.args[0]!r}")
-
-
 def _block_sets(
-    blocks: Iterable[tuple[Label, tuple[Label, ...]]], index: dict[Label, int], n: int
+    blocks: Iterable[tuple[Label, Sequence[Label]]], index: dict[Label, int], n: int
 ) -> tuple[list[set[int]], list[int]]:
     """(sets, which) for the relation of the blocks (x, ys), that is the pairs
     (x, y) for y in ys: element i's successors are sets[which[i]].
 
-    Consecutive blocks whose tuple is one object share one set, kept at the
-    index of the first element that takes it, and every element with no
-    block keeps one shared empty set; so, in the common case, `which` holds
-    the int objects of `index` and makes no new ones.  A block whose x is in
-    its own tuple, or whose x had a block already, gives x a set of its own,
-    so no shared set is changed.  Labels are looked up in the order of the
-    pairs, so an unknown one raises the error the pairs would.
+    Each source has at most one block.  A block whose tuple is the previous
+    block's tuple object shares its set, kept at the index of the first
+    element that takes it, and every element with no block keeps one shared
+    empty set; so `which` holds the int objects of `index` and makes no new
+    ones.  Labels are looked up in block order, x before its ys; a block
+    with no ys is skipped before its x is looked up.
     """
     empty: set[int] = set()
     sets = [empty] * n
     which = list(index.values())
-    last: tuple[Label, ...] | None = None
+    last: Sequence[Label] | None = None
     get = index.__getitem__
     try:
         for x, ys in blocks:
             if not ys:
                 continue
             i = get(x)
-            if ys is not last:
-                last, s, w = ys, set(map(get, ys)), None
-            if which[i] != i or sets[i] is not empty:  # x had a block already
-                own = sets[which[i]] | s
-                own.discard(i)  # reflexive pairs are implied
-                which[i] = len(sets)
-                sets.append(own)
-            elif i in s:
-                sets[i] = s - {i}
-            elif w is None:
-                sets[i], w = s, i
-            else:
+            if ys is last:
                 which[i] = w
+            else:
+                last, w = ys, i
+                sets[i] = s = set(map(get, ys))
+                s.discard(i)  # reflexive pairs are implied
     except KeyError as exc:
-        raise _unknown(exc) from None
+        raise ValueError(f"pair references unknown element {exc.args[0]!r}") from None
     return sets, which
 
 

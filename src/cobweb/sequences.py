@@ -121,6 +121,8 @@ def from_file(path: str) -> FSequence:
             if v < 1:
                 raise ValueError(f"{path}:{lineno}: values must be positive, got {v}")
             vals.append(v)
+    if not vals:
+        raise ValueError(f"{path}: custom sequence needs at least one value")
     return from_values(f"file:{path}", vals)
 
 

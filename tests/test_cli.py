@@ -163,6 +163,12 @@ def test_whitney_prefab():
     assert "--kind first" in err
 
 
+def test_bell_grid_table_is_a_usage_error():
+    code, out, err = invoke("bell", "--family", "grid", "--l", "1", "--m", "2", "--table")
+    assert (code, out) == (2, "")
+    assert "--table" in err
+
+
 def test_bell_prefab_table():
     code, out, _ = invoke(
         "bell", "--family", "prefab", "--seq", "naturals", "--n", "8", "--table"

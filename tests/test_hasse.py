@@ -26,6 +26,7 @@ from cobweb import (
     to_dot,
 )
 from cobweb import hasse
+from test_grid import _valid_grids
 
 BUILTINS = [NATURALS, FIBONACCI, ODD, EVEN1, DIV31]
 
@@ -374,6 +375,29 @@ def test_cover_blocks_share_one_tuple_per_level():
             assert ys == tuple(v for v in c.elements if v.s == x.s + 1)
         assert by_level[4] == ()
     assert list(c.cover_blocks()) == list(c.poset.cover_blocks())
+
+
+def test_view_blocks_keep_the_engine_contract():
+    """Every view sends the engine each element once, in element order, with
+    only elements of the view as its covers and never itself among them."""
+
+    def check(elements, blocks):
+        blocks = list(blocks)
+        assert [x for x, _ in blocks] == list(elements)
+        present = set(elements)
+        assert all(x not in ys and present.issuperset(ys) for x, ys in blocks)
+
+    for k, n, mode in _valid_grids(8):
+        g = build_grid(k, n, mode)
+        check(g.elements, g.cover_blocks())
+    for seq in BUILTINS:
+        for level_max in range(1, 7):
+            c = build_cobweb(seq, level_max)
+            check(c.elements, c.cover_blocks())
+            for lo in range(1, level_max):
+                for hi in range(lo + 1, level_max + 1):
+                    els = layer_subposet(c, lo, hi).elements
+                    check(els, hasse._level_blocks(els, c.widths, lo, hi))
 
 
 def _edge_chunks(poset):

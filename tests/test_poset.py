@@ -2,10 +2,11 @@ import functools
 import hashlib
 import math
 import random
+import time
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import (
@@ -51,6 +52,20 @@ def test_three_chain_covers():
 def test_closed_input_gives_same_covers():
     p = FinitePoset("abc", [("a", "b"), ("b", "c"), ("a", "c"), ("a", "a")])
     assert p.covers == (("a", "b"), ("b", "c"))
+
+
+def test_pairs_build_in_linear_time():
+    """A 20,001-element star, each pair given twice, and every reflexive pair:
+    the pairs of one source enter as one block, so the build takes one set
+    step per pair; a union of the source's set per pair takes about 2e8."""
+    n = 20_000
+    pairs = [(0, i) for i in range(1, n + 1)] * 2 + [(i, i) for i in range(n + 1)]
+    start = time.perf_counter()
+    p = FinitePoset(range(n + 1), pairs)
+    elapsed = time.perf_counter() - start
+    assert p.covers == tuple((0, i) for i in range(1, n + 1))
+    assert p.bottoms == (0,) and p.tops == tuple(range(1, n + 1))
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_antichain():
@@ -481,14 +496,16 @@ def _built(elements, **relation):
         return type(exc).__name__, str(exc), getattr(exc, "witness", None)
 
 
+@settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_blocks_build_the_engine_their_pairs_build(data):
-    """Blocks (x, ys) in place of the pairs (x, y) for y in ys.  Blocks draw
-    their tuples from a small pool, so one tuple object may serve several
-    sources, next to each other or not; tuples may be empty, repeat a target
-    or hold their own source, and a source may have several blocks.  Half the
-    draws may name the label n, which is no element, and half orient every
-    pair along a hidden linear extension (with n in it), so they build."""
+    """Blocks (x, ys) shaped like the views' in place of the pairs (x, y) for
+    y in ys: distinct sources, none in its own tuple.  Blocks draw their
+    tuples from a small pool, so one tuple object may serve several sources,
+    next to each other or not, and tuples may be empty or repeat a target;
+    such blocks share sets, which the grouped pairs never do.  Half the draws
+    may name the label n, which is no element, and half orient every pair
+    along a hidden linear extension (with n in it), so they build."""
     n = data.draw(st.integers(1, 7))
     order = data.draw(st.permutations(range(n)))
     rank = data.draw(st.permutations(range(n + 1)))
@@ -501,8 +518,13 @@ def test_blocks_build_the_engine_their_pairs_build(data):
     blocks = []
     for _ in range(data.draw(st.integers(0, 10))):
         ys = data.draw(st.sampled_from(pool))
-        sources = [x for x in labels if not acyclic or all(rank[x] <= rank[y] for y in ys)]
-        blocks.append((data.draw(st.sampled_from(sources)), ys))
+        used = {x for x, _ in blocks}
+        sources = [
+            x for x in labels
+            if x not in used and x not in ys and (not acyclic or all(rank[x] < rank[y] for y in ys))
+        ]
+        if sources:
+            blocks.append((data.draw(st.sampled_from(sources)), ys))
     pairs = [(x, y) for x, ys in blocks for y in ys]
     assert _built(order, _blocks=iter(blocks)) == _built(order, leq_pairs=pairs)
 

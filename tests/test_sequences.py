@@ -99,6 +99,10 @@ def test_from_file_rejects_garbage(tmp_path):
     path.write_text("1\n0\n")
     with pytest.raises(ValueError, match="positive"):
         from_file(str(path))
+    path.write_text("\n  \n")
+    with pytest.raises(ValueError) as caught:
+        from_file(str(path))
+    assert str(caught.value) == f"{path}: custom sequence needs at least one value"
 
 
 @pytest.mark.parametrize("seq", [NATURALS, FIBONACCI], ids=lambda s: s.name)

@@ -81,17 +81,12 @@ class View:
         """Every cover pair (x, y), y covering x, in the engine's cover order."""
         return _cover_pairs(self.cover_blocks())
 
-    def _engine_key(self) -> Hashable:
-        """What determines the engine of `poset`: here the view itself."""
-        return self
-
     @property
     def poset(self) -> FinitePoset:
         """The generic engine over the same elements and covers (for the
         oracle and `method="brute"`), built on first use.  Equal views share
-        one engine through the bounded memo in `cobweb.poset`."""
+        one engine through the bounded memo in `cobweb.poset`, keyed by the
+        view; a cobweb overrides this with its levels-1..level_max slice."""
         from .poset import _ENGINES, FinitePoset
 
-        return _ENGINES.get(
-            self._engine_key(), lambda: FinitePoset(self.elements, _blocks=self.cover_blocks())
-        )
+        return _ENGINES.get(self, lambda: FinitePoset(self.elements, _blocks=self.cover_blocks()))

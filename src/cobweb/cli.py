@@ -8,9 +8,9 @@ integers are serialized as decimal strings).
 A subcommand is declared in one place, its `_COMMANDS` entry: help line,
 handler and options.  A plain argv (the subcommand, then each of its options
 once, spelled in full, with a value not starting with "-") is parsed straight
-from that table; any other argv, help included, goes to argparse, which
-builds options only for the subcommand it names.  Each handler imports the
-library modules it runs, so a request pays only for its own subcommand.
+from that table; any other argv, help included, goes to argparse, built
+from it too.  Each handler imports the library modules it runs, so a
+request pays only for its own subcommand.
 
 A handler computes its whole result, except `mobius`, which checks its bounds
 and then computes its rows as they are written.  Output is written in batches,
@@ -97,8 +97,6 @@ def _cmd_seq(ns: argparse.Namespace) -> OutputRecord:
             columns=("holds", "n", "m", "gcd_of_values", "f_at_gcd"),
             rows=[(0, n, m, report.gcd_of_values, report.f_at_gcd)],
         )
-    if ns.count < 0:
-        raise ValueError(f"need count >= 0, got {ns.count}")
     rows = list(enumerate(seq.values(ns.count), 1))
     return OutputRecord("seq", {"seq": ns.seq, "count": ns.count}, columns=("s", "value"), rows=rows)
 
@@ -109,8 +107,6 @@ def _cmd_fnomial(ns: argparse.Namespace) -> OutputRecord:
     seq = _seq_from_token(ns.seq)
     table = FNomialTable(seq)
     if ns.table is not None:
-        if ns.table < 0:
-            raise ValueError(f"need table >= 0, got {ns.table}")
         triangle = list(table.rows(ns.table))  # in full, so a NonIntegral is raised here
         rows = ((n, k, v) for n, row in enumerate(triangle) for k, v in enumerate(row))
         return OutputRecord(
@@ -440,9 +436,8 @@ def _plain_parse(argv: Sequence[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], handler=handler, **names)
 
 
-def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """Every subcommand name, with options only for the first one in `argv`:
-    an accepted argv names its subcommand before any option it passes."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every `_COMMANDS` entry."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -451,13 +446,11 @@ def _build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         "numbers, chain counts, and DOT exports.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    named = next((arg for arg in argv if arg in _COMMANDS), None)
     for name, (help_text, handler, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name == named:
-            for flag, kwargs in options:
-                p.add_argument(flag, **kwargs)
-            p.set_defaults(handler=handler)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -479,7 +472,7 @@ def run(
     if ns is None:
         import contextlib
 
-        parser = _build_parser(argv)
+        parser = _build_parser()
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 ns = parser.parse_args(list(argv))

@@ -108,13 +108,16 @@ class FNomialTable:
         return q
 
     def rows(self, n_max: int) -> Iterator[list[int]]:
-        """The triangle rows [(n over 0)_F, ..., (n over n)_F] for n = 0..n_max.
+        """The triangle rows [(n over 0)_F, ..., (n over n)_F] for n = 0..n_max, or
+        ValueError when read if n_max < 0.
 
         Each row follows from (n over k+1)_F = (n over k)_F * F_{n-k} / F_{k+1}
         up to the middle and is mirrored beyond it.  F_n is fetched when row n
         starts, and a non-integral entry raises at its first (n, k) in
         row-major order, as a walk over single coefficients would.
         """
+        if n_max < 0:
+            raise ValueError(f"need n_max >= 0, got {n_max}")
         vals: list[int] = []
         for n in range(n_max + 1):
             if n:

@@ -97,15 +97,6 @@ class GridPoset(View):
         return {e: e.l + e.m - gap for e in self.elements}
 
 
-def _check_bounds(k: int, n: int, mode: GridMode) -> None:
-    if mode not in ("strict", "weak"):
-        raise ValueError(f"mode must be 'strict' or 'weak', got {mode!r}")
-    if k < 0 or n < k:
-        raise InvalidBounds(f"need 0 <= k <= n, got k={k}, n={n}")
-    if mode == "strict" and k == n:
-        raise InvalidBounds(f"strict mode needs k < n, got k=n={k}")
-
-
 def _gap(mode: GridMode) -> int:
     """The smallest m - l of an element: 1 in strict mode, 0 in weak mode."""
     return 1 if mode == "strict" else 0
@@ -117,7 +108,12 @@ def build_grid(k: int, n: int, mode: GridMode = "strict") -> GridPoset:
     The order is generated by unit steps (l, m) -> (l+1, m) and
     (l, m) -> (l, m+1) inside the element set.
     """
-    _check_bounds(k, n, mode)
+    if mode not in ("strict", "weak"):
+        raise ValueError(f"mode must be 'strict' or 'weak', got {mode!r}")
+    if k < 0 or n < k:
+        raise InvalidBounds(f"need 0 <= k <= n, got k={k}, n={n}")
+    if mode == "strict" and k == n:
+        raise InvalidBounds(f"strict mode needs k < n, got k=n={k}")
     return GridPoset(k, n, mode)
 
 
@@ -241,11 +237,10 @@ def grid_chain_count(
     to each other by the test suite.  The brute budget is checked on the
     closed-form size before the engine is built.
     """
-    _check_bounds(k, n, mode)
+    g = build_grid(k, n, mode)
     if method == "brute":
         from .poset import check_count_budget, maximal_chains
 
-        g = build_grid(k, n, mode)
         check_count_budget(len(g))
         count = maximal_chains(g.poset, "count")
         assert isinstance(count, int)

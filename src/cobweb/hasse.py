@@ -73,11 +73,11 @@ class CobwebPoset(View):
     def __len__(self) -> int:
         return sum(self.widths)
 
-    def _engine_key(self) -> tuple[tuple[int, ...], int]:
-        # The widths alone determine the engine, which is the slice of levels
-        # 1..level_max: sharing layer_subposet's key keeps no sequence alive
-        # in the memo, whose bound charges engines only.
-        return (self.widths, 1)
+    @property
+    def poset(self) -> FinitePoset:
+        """The slice of levels 1..level_max from `_slice_engine`, shared with
+        every cobweb and slice of the same widths from level 1."""
+        return _slice_engine(self, 1, self.level_max)
 
     def level_of(self) -> dict[CobwebVertex, int]:
         """Vertex -> level map, e.g. for DOT rank grouping."""
@@ -122,10 +122,16 @@ def _check_slice(c: CobwebPoset, k: int, n: int) -> None:
 
 def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
     """The induced subposet on levels k..n (1 <= k < n <= level_max), as the
-    generic engine, its vertices and cover blocks cut from `c.elements`.  The
-    widths of those levels and k determine it, so slices that agree on them
-    share one engine through the memo in `cobweb.poset`."""
+    generic engine that `_slice_engine` builds or finds in the memo."""
     _check_slice(c, k, n)
+    return _slice_engine(c, k, n)
+
+
+def _slice_engine(c: CobwebPoset, k: int, n: int) -> FinitePoset:
+    """The engine of levels k..n, its vertices and cover blocks cut from
+    `c.elements`.  The widths of those levels and k determine it, so slices
+    that agree on them share one engine through the memo in `cobweb.poset`;
+    the key holds no sequence, since the memo's bound charges engines only."""
     from .poset import _ENGINES, FinitePoset
 
     w = c.widths

@@ -61,8 +61,10 @@ class FSequence(NamedTuple):
         return self.rule(s)
 
     def values(self, count: int) -> list[int]:
-        """The prefix [F_1, ..., F_count]; past the limit it raises as
-        value() does at the first index beyond it."""
+        """The prefix [F_1, ..., F_count]; ValueError if count < 0, and past
+        the limit it raises as value() does at the first index beyond it."""
+        if count < 0:
+            raise ValueError(f"need count >= 0, got {count}")
         if self.limit is not None and count > self.limit:
             self.value(self.limit + 1)
         return list(map(self.rule, range(1, count + 1)))
@@ -103,19 +105,22 @@ def from_values(name: str, values: Iterable[int]) -> FSequence:
 
 def from_file(path: str) -> FSequence:
     """Load a custom sequence: one positive decimal integer per line, line s
-    holding F_s.  Blank lines are ignored."""
+    holding F_s.  Blank lines are ignored; any other line that is not ASCII
+    digits after an optional sign is refused."""
     vals = []
-    with open(path, encoding="ascii") as fh:
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
             if not text:
                 continue
             try:
+                if not text.lstrip("+-").isdigit():
+                    raise ValueError
                 v = int(text)
             except ValueError:
                 got = repr(text) if len(text) <= 32 else f"{text[:32]!r}… ({len(text)} characters)"
                 why = "expected an integer"
-                if text.isdigit():  # int() refuses a digit string only past its digit limit
+                if text.isdigit():  # int() refuses digits only past its limit
                     why = f"{len(text)} digits are past the interpreter's int digit limit"
                 raise ValueError(f"{path}:{lineno}: {why}, got {got}") from None
             if v < 1:

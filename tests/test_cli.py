@@ -132,6 +132,11 @@ def test_seq_from_file(tmp_path):
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and len(err.encode()) < 200, err
     assert f"{path}:1: 5000 digits" in err and "int digit limit" in err
+    # A non-ASCII byte is refused with the line that holds it, not a decode error.
+    path.write_bytes(b"2\n\xd9\xa3\n")
+    code, out, err = invoke("seq", "--seq", f"file:{path}", "--count", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and f"{path}:2: expected an integer" in err, err
 
 
 def test_grid_outputs():
@@ -226,7 +231,7 @@ def test_domain_error_exit_code():
         (("whitney", "--family", "prefab", "--seq", "naturals", "--n", "-2"), "n >= 0, got -2"),
         (("bell", "--family", "prefab", "--seq", "naturals", "--n", "-2"), "n >= 0, got -2"),
         (("seq", "--seq", "naturals", "--count", "-3"), "count >= 0, got -3"),
-        (("fnomial", "--seq", "naturals", "--table", "-1"), "table >= 0, got -1"),
+        (("fnomial", "--seq", "naturals", "--table", "-1"), "n_max >= 0, got -1"),
         (("problems", "--l", "3", "--m", "1"), "InvalidBounds: strict grid needs 0 <= l < m"),
         (("problems", "--l", "-1", "--m", "2"), "got l=-1, m=2"),
         (("problems", "--l", "2", "--m", "2"), "got l=2, m=2"),
@@ -565,7 +570,7 @@ def _spellings(draw):
 def test_plain_parse_agrees_with_argparse(argv):
     ns = cli._plain_parse(argv)
     if ns is not None:
-        assert vars(ns) == vars(cli._build_parser(argv).parse_args(argv)), argv
+        assert vars(ns) == vars(cli._build_parser().parse_args(argv)), argv
 
 
 def test_plain_argvs_run_concurrently_without_redirecting(monkeypatch):

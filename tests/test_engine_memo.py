@@ -72,6 +72,25 @@ def test_slices_with_equal_widths_but_different_k_do_not_collide(memo):
     assert layer_subposet(c, 3, 5) is high
 
 
+@pytest.mark.parametrize("seq", BUILTIN_SEQUENCES.values(), ids=lambda s: s.name)
+def test_cobweb_engine_is_its_slice_from_level_one(seq, monkeypatch):
+    for level_max in range(1, 7):
+        for poset_first in (True, False):
+            memo = engine._EngineMemo()
+            monkeypatch.setattr(engine, "_ENGINES", memo)
+            c = build_cobweb(seq, level_max)
+            # One level is no slice, but it still has an engine.
+            if poset_first or level_max == 1:
+                first = c.poset
+            else:
+                first = layer_subposet(c, 1, level_max)
+            assert list(memo._entries) == [(c.widths, 1)]
+            assert _engine_fingerprint(first) == _engine_fingerprint(_fresh(c))
+            assert c.poset is first
+            if level_max > 1:
+                assert layer_subposet(c, 1, level_max) is first
+
+
 def test_memo_hits_match_fresh_builds_before_and_after_eviction(memo, monkeypatch):
     v = build_grid(3, 8)
     fresh = _engine_fingerprint(_fresh(v))

@@ -39,6 +39,13 @@ def test_f_factorial_rejects_negative():
         FNomialTable(NATURALS).f_factorial(-1)
 
 
+def test_rows_refuse_a_negative_size():
+    table = FNomialTable(NATURALS)
+    assert list(table.rows(0)) == [[1]]
+    with pytest.raises(ValueError, match=r"^need n_max >= 0, got -1$"):
+        list(table.rows(-1))
+
+
 def test_fnomial_examples():
     fib = FNomialTable(FIBONACCI)
     assert fib.fnomial(4, 2) == 6  # F_4!/(F_2! F_2!) with F = 1,1,2,3

@@ -51,6 +51,13 @@ def test_index_below_one_rejected(seq):
         seq.value(-3)
 
 
+def test_values_refuses_a_negative_count():
+    for seq in (NATURALS, from_values("custom", [4, 7, 9])):
+        assert seq.values(0) == []
+        with pytest.raises(ValueError, match=r"^need count >= 0, got -1$"):
+            seq.values(-1)
+
+
 def test_custom_sequence_bound():
     seq = from_values("custom", [4, 7, 9])
     assert seq.values(3) == [4, 7, 9]
@@ -96,6 +103,15 @@ def test_from_file_rejects_garbage(tmp_path):
     with pytest.raises(ValueError) as caught:
         from_file(str(path))
     assert str(caught.value) == f"{path}:1: expected an integer, got {'x' * 32!r}… (40 characters)"
+    # int() alone would take the underscore; the file holds decimal integers.
+    path.write_text("1\n1_000\n")
+    with pytest.raises(ValueError) as caught:
+        from_file(str(path))
+    assert str(caught.value) == f"{path}:2: expected an integer, got '1_000'"
+    path.write_bytes(b"1\n\xd9\xa3\n")
+    with pytest.raises(ValueError) as caught:
+        from_file(str(path))
+    assert str(caught.value).startswith(f"{path}:2: expected an integer, got ")
     path.write_text("1\n0\n")
     with pytest.raises(ValueError, match="positive"):
         from_file(str(path))

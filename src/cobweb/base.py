@@ -5,10 +5,7 @@ two closed-form views.  Nothing here loads the engine.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Literal, NamedTuple
-
-if TYPE_CHECKING:
-    from .poset import FinitePoset
+from typing import Hashable, Iterable, Iterator, Literal, NamedTuple
 
 __all__ = ["MobiusMatrix", "WhitneyVector", "View"]
 
@@ -80,13 +77,3 @@ class View:
     def covers(self) -> Iterator[tuple[Hashable, Hashable]]:
         """Every cover pair (x, y), y covering x, in the engine's cover order."""
         return _cover_pairs(self.cover_blocks())
-
-    @property
-    def poset(self) -> FinitePoset:
-        """The generic engine over the same elements and covers (for the
-        oracle and `method="brute"`), built on first use.  Equal views share
-        one engine through the bounded memo in `cobweb.poset`, keyed by the
-        view; a cobweb overrides this with its levels-1..level_max slice."""
-        from .poset import _ENGINES, FinitePoset
-
-        return _ENGINES.get(self, lambda: FinitePoset(self.elements, _blocks=self.cover_blocks()))

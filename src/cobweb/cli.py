@@ -139,8 +139,7 @@ def _cmd_grid(ns: argparse.Namespace) -> OutputRecord:
     if ns.what == "size":
         return OutputRecord("grid", params, value=len(g))
     if ns.what == "elements":
-        rows = [(e.l, e.m) for e in g.elements]
-        return OutputRecord("grid", params, columns=("l", "m"), rows=rows)
+        return OutputRecord("grid", params, columns=("l", "m"), rows=g.elements)
     rows = [(e.l, e.m, r) for e, r in g.level_of().items()]
     return OutputRecord("grid", params, columns=("l", "m", "rank"), rows=rows)
 

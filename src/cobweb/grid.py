@@ -14,10 +14,13 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate, repeat
-from typing import Iterator, Literal, NamedTuple
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple
 
 from .base import MobiusMatrix, View, WhitneyVector
 from .errors import InvalidBounds, UndefinedRank
+
+if TYPE_CHECKING:
+    from .poset import FinitePoset
 
 __all__ = [
     "GridElement",
@@ -70,26 +73,31 @@ class GridPoset(View):
         """(e, its 0-2 covers) for every element e in element order: the unit
         steps (l, m) -> (l, m+1), then (l, m) -> (l+1, m), each when the
         target is present; the engine's cover order."""
-        k, n, gap = self.k, self.n, _gap(self.mode)
-        els = self.elements
-        start = 0
-        for l in range(k + 1):
-            # Row l is (l, l + gap) .. (l, n); the row above it starts one m on,
-            # so row[t] steps up to above[t - 1] for every t > 0.
-            size = n + 1 - l - gap
-            row = els[start : start + size]
-            start += size
-            if l == k:
+        els, start = self.elements, _row_starts(self)
+        for l in range(self.k + 1):
+            row = els[start[l] : start[l + 1]]
+            if l == self.k:
                 yield from zip(row, zip(row[1:]))
                 yield row[-1], ()
-            else:  # size >= 2, since row l + 1 is not empty
-                above = els[start : start + size - 1]
+            else:  # row l + 1 is not empty and starts one m on: row[t] steps up to above[t - 1]
+                above = els[start[l + 1] : start[l + 2]]
                 yield row[0], row[1:2]
                 yield from zip(row[1:-1], zip(row[2:], above))
                 yield row[-1], above[-1:]
 
     def __len__(self) -> int:
         return size_formula(self.k, self.n) + (self.k + 1 if self.mode == "weak" else 0)
+
+    @property
+    def poset(self) -> FinitePoset:
+        """The generic engine over the same elements and covers, for the oracle
+        and `method="brute"`: refused past CHAIN_COUNT_BUDGET elements before
+        anything is built, else built on first use and shared by equal grids
+        through the memo in `cobweb.poset`."""
+        from .poset import _ENGINES, FinitePoset, check_count_budget
+
+        check_count_budget(len(self))
+        return _ENGINES.get(self, lambda: FinitePoset(self.elements, _blocks=self.cover_blocks()))
 
     def level_of(self) -> dict[GridElement, int]:
         """Element -> rank: l + m - 1 in strict mode, l + m in weak mode."""
@@ -100,6 +108,13 @@ class GridPoset(View):
 def _gap(mode: GridMode) -> int:
     """The smallest m - l of an element: 1 in strict mode, 0 in weak mode."""
     return 1 if mode == "strict" else 0
+
+
+def _row_starts(g: GridPoset) -> list[int]:
+    """start[b]: where row b, (b, b + gap) .. (b, n), begins in g.elements;
+    the row is elements[start[b] : start[b + 1]], for b = 0 .. k."""
+    gap = _gap(g.mode)
+    return list(accumulate((g.n + 1 - b - gap for b in range(g.k + 1)), initial=0))
 
 
 def build_grid(k: int, n: int, mode: GridMode = "strict") -> GridPoset:
@@ -130,9 +145,7 @@ def _mobius_blocks(
     head, cut to len(ys): (1, -1) in row l, and (-1, 1) in row l + 1 when
     (l + 1, m) is present.
     """
-    els, gap = g.elements, _gap(g.mode)
-    # Row b of els holds (b, b + gap) .. (b, n) and starts at start[b].
-    start = list(accumulate((g.n + 1 - b - gap for b in range(g.k + 1)), initial=0))
+    els, gap, start = g.elements, _gap(g.mode), _row_starts(g)
     for x in els:
         l, m = x
         for b in range(l, g.k + 1):
@@ -221,7 +234,7 @@ def bell_grid(l: int, m: int) -> int:
     """Bell-like number of the strict grid: the Whitney numbers of the second
     kind summed over all ranks, which is the element count size_formula(l, m)."""
     if l < 0 or m <= l:
-        raise InvalidBounds(f"need 0 <= l < m, got l={l}, m={m}")
+        raise InvalidBounds(f"strict grid needs 0 <= l < m, got l={l}, m={m}")
     return size_formula(l, m)
 
 
@@ -234,14 +247,12 @@ def grid_chain_count(
     evaluates the ballot form ((n-k+1)/(n+1)) C(n+k, k) of the weak grid.
     In strict mode m -> m - 1 maps the grid (k, n) onto the weak grid
     (k, n - 1), so the count is ballot(k, n - 1).  The two methods are pinned
-    to each other by the test suite.  The brute budget is checked on the
-    closed-form size before the engine is built.
+    to each other by the test suite.  `brute` is bounded by `GridPoset.poset`.
     """
     g = build_grid(k, n, mode)
     if method == "brute":
-        from .poset import check_count_budget, maximal_chains
+        from .poset import maximal_chains
 
-        check_count_budget(len(g))
         count = maximal_chains(g.poset, "count")
         assert isinstance(count, int)
         return count

@@ -75,8 +75,9 @@ class CobwebPoset(View):
 
     @property
     def poset(self) -> FinitePoset:
-        """The slice of levels 1..level_max from `_slice_engine`, shared with
-        every cobweb and slice of the same widths from level 1."""
+        """The generic engine of levels 1..level_max from `_slice_engine`,
+        shared with every cobweb and slice of the same widths from level 1;
+        `build_cobweb` refuses a cobweb past VERTEX_BUDGET vertices."""
         return _slice_engine(self, 1, self.level_max)
 
     def level_of(self) -> dict[CobwebVertex, int]:

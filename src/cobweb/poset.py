@@ -312,11 +312,11 @@ def _cycle_witness(
 # -- the shared engine memo ----------------------------------------------------
 
 # The memo's bound in bytes, against the estimates of `_charge`.  It holds one
-# engine at CHAIN_COUNT_BUDGET elements, the largest a brute chain count
-# builds: in level-major order most of its 10,000 up-sets reach the last
-# element, 10,000 x 10,000 bits or 12.5 MB, and its per-element and
-# per-list shares are at most 3 MB more.  32 MiB leaves room beside it for
-# its covers or for the many small engines a long session reuses.
+# engine at CHAIN_COUNT_BUDGET elements, the largest engine a view builds:
+# in level-major order most of its 10,000 up-sets reach the last element,
+# 10,000 x 10,000 bits or 12.5 MB, and its per-element and per-list shares
+# are at most 3 MB more.  32 MiB leaves room beside it for its covers or for
+# the many small engines a long session reuses.
 _MEMO_BYTES = 32 << 20
 # Bytes per element (label, index entry, topological slot, up-set header),
 # per cover list (header and spare slots; elements may share one), per
@@ -425,9 +425,9 @@ def rank_function(p: FinitePoset) -> RankLabels:
 
 
 def check_count_budget(n: int) -> None:
-    """Refuse a chain count over more than CHAIN_COUNT_BUDGET elements.  A
-    caller that knows the size in closed form checks it before it builds the
-    engine, whose closure costs memory quadratic in the element count."""
+    """Refuse a chain count or a grid engine over more than CHAIN_COUNT_BUDGET
+    elements.  `GridPoset.poset` checks its closed-form size before it builds
+    the engine, whose closure costs memory quadratic in the element count."""
     if n > CHAIN_COUNT_BUDGET:
         raise BudgetExceeded(f"{n} elements exceed the count budget {CHAIN_COUNT_BUDGET}")
 

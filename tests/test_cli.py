@@ -236,13 +236,24 @@ def test_domain_error_exit_code():
         (("problems", "--l", "-1", "--m", "2"), "got l=-1, m=2"),
         (("problems", "--l", "2", "--m", "2"), "got l=2, m=2"),
         (("whitney", "--family", "grid", "--l", "3", "--m", "1"), "got l=3, m=1"),
-        (("bell", "--family", "grid", "--l", "3", "--m", "1"), "InvalidBounds: need 0 <= l < m"),
+        (("bell", "--family", "grid", "--l", "3", "--m", "1"), "strict grid needs 0 <= l < m"),
         (("mobius", "--k", "2", "--n", "2", "--mode", "strict"), "InvalidBounds: strict mode"),
         (("mobius", "--k", "-1", "--n", "3"), "InvalidBounds: need 0 <= k <= n"),
     ]:
         code, out, err = invoke(*argv)
         assert (code, out) == (1, ""), argv
         assert err.startswith("error: ") and named in err, argv
+
+
+def test_strict_grid_bounds_print_one_line():
+    for l, m in [(3, 1), (3, 3), (-1, 2)]:
+        errs = set()
+        for argv in (("bell", "--family", "grid"), ("whitney", "--family", "grid"), ("problems",)):
+            code, out, err = invoke(*argv, "--l", str(l), "--m", str(m))
+            assert (code, out) == (1, ""), argv
+            errs.add(err)
+        want = f"error: InvalidBounds: strict grid needs 0 <= l < m, got l={l}, m={m}\n"
+        assert errs == {want}, (l, m)
 
 
 def _lifted_str(v):

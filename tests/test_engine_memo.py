@@ -1,6 +1,7 @@
-"""The engine memo behind `View.poset` and `layer_subposet`: equal views
-share one engine, the memo stays within its byte bound, a memo hit is the
-engine a fresh build gives, and threads may share it."""
+"""The engine memo behind `GridPoset.poset`, `CobwebPoset.poset` and
+`layer_subposet`: equal views share one engine, the memo stays within its
+byte bound, a memo hit is the engine a fresh build gives, and threads may
+share it."""
 
 import gc
 import random

@@ -3,7 +3,10 @@ from math import comb
 
 import pytest
 
+import cobweb.poset
 from cobweb import (
+    BudgetExceeded,
+    FinitePoset,
     GridElement,
     InvalidBounds,
     UndefinedRank,
@@ -303,3 +306,26 @@ def test_engine_view_is_built_once_on_demand():
     assert "poset" not in vars(g)
     assert g.poset is g.poset
     assert g == build_grid(2, 4, "weak")
+
+
+def test_engine_is_refused_past_the_count_budget(monkeypatch):
+    # The closed-form size is checked before anything is built.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the generic poset engine was built")
+
+    monkeypatch.setattr(FinitePoset, "__init__", refuse)
+    monkeypatch.setattr(cobweb.poset, "_ENGINES", cobweb.poset._EngineMemo())
+    refused = "^{} elements exceed the count budget 10000$"
+    with pytest.raises(BudgetExceeded, match=refused.format(15150)):
+        build_grid(100, 200).poset
+    with pytest.raises(BudgetExceeded, match=refused.format(15251)):
+        build_grid(100, 200, "weak").poset
+    with pytest.raises(BudgetExceeded, match=refused.format(33975)):
+        mobius(build_grid(150, 300).poset)
+
+
+def test_engine_at_the_benchmark_brute_size_builds(monkeypatch):
+    monkeypatch.setattr(cobweb.poset, "_ENGINES", cobweb.poset._EngineMemo())
+    g = build_grid(52, 134, "weak")
+    assert len(g.poset) == len(g) == 5777
+    assert maximal_chains(g.poset, "count") == ballot(52, 134).count

@@ -40,20 +40,6 @@ def _prod(xs: Sequence[int]) -> int:
     return _prod(xs[:mid]) * _prod(xs[mid:])
 
 
-def _primitive_parts(vals: Sequence[int]) -> list[int] | None:
-    """[1, P_1, ..., P_n] for vals = [F_1, ..., F_n], where the primitive part
-    P_d = F_d / prod(P_e for e | d, e < d), so F_m = prod(P_d for d | m); None
-    at the first division that leaves a remainder."""
-    parts = [1, *vals]
-    for d in range(1, len(vals) // 2 + 1):
-        if (p := parts[d]) != 1:
-            for m in range(2 * d, len(parts), d):
-                parts[m], r = divmod(parts[m], p)
-                if r:
-                    return None
-    return parts
-
-
 def non_integral(vals: Sequence[int], n: int, k: int) -> NonIntegral:
     """The error for a non-integral (n over k)_F, carrying the canonical
     quotient F_n!/(F_k! F_{n-k}!); vals holds at least F_1..F_n."""
@@ -87,7 +73,7 @@ class FNomialTable:
         By symmetry the shorter of the two falling products is taken.  When
         its bit lengths estimate the result at _KERNEL_BITS or more and every
         primitive part P_d of F_1..F_n is an integer, the result is the
-        product of the P_d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1
+        product of the P_d (read from the memo in cobweb._parts) with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1
         (the exponent is 0 or 1): no large product is divided.  Otherwise
         the one division is checked rather than assumed: sequences that are
         not GCD-morphic can make it non-integral, which raises NonIntegral
@@ -98,10 +84,12 @@ class FNomialTable:
         vals = self.seq.values(n)
         j = min(k, n - k)
         top, bottom = vals[n - j :], vals[:j]
-        if sum(map(int.bit_length, top)) - sum(map(int.bit_length, bottom)) >= _KERNEL_BITS and (
-            parts := _primitive_parts(vals)
-        ):
-            return _prod([parts[d] for d in range(2, n + 1) if n // d - k // d - (n - k) // d])
+        if sum(map(int.bit_length, top)) - sum(map(int.bit_length, bottom)) >= _KERNEL_BITS:
+            from . import _parts
+
+            parts, bad = _parts.parts(self.seq.rule, vals)
+            if bad is None:
+                return _prod([parts[d] for d in range(2, n + 1) if n // d - k // d - (n - k) // d])
         q, r = divmod(_prod(top), _prod(bottom))
         if r:
             raise non_integral(vals, n, k)

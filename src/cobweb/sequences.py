@@ -148,17 +148,31 @@ class GcdMorphicReport(NamedTuple):
 def is_gcd_morphic(seq: FSequence, range_max: int) -> GcdMorphicReport:
     """Check GCD[F_n, F_m] = F_GCD[n, m] for all 1 <= n, m <= range_max.
 
-    The pair (n, n) always holds and (n, m) fails exactly when (m, n) does,
-    so only n < m is scanned; the smallest failing such pair is also the
-    lexicographically smallest over the whole square.
+    A certificate settles most inputs without the pair scan.  Write F_n as
+    the product of the primitive parts P_d over d | n.  If every P_b with
+    b <= range_max is an integer and gcd(P_b, prod(P_a for a < b, a ∤ b)) = 1,
+    F is GCD-morphic on [1, range_max]: for each prime p the indices d with
+    p | P_d form a chain under divisibility, and the members of a chain that
+    divide n form a prefix of it, so min(v_p(F_n), v_p(F_m)) = v_p(F_gcd(n, m)).
+    When the certificate first fails at b0, [1, b0 - 1] is GCD-morphic, so
+    the scan starts each n at m = max(n + 1, b0).  The pair (n, n) always
+    holds and (n, m) fails exactly when (m, n) does, so only n < m is
+    scanned; the smallest failing such pair is also the lexicographically
+    smallest over the whole square.  The parts and the certificate's
+    progress are memoized per rule (value-equal custom sequences share one
+    entry), within 2**25 charged bits, least recently used out first.
     """
     if range_max < 2:
         raise InvalidBounds(f"range_max must be >= 2, got {range_max}")
     vals = seq.values(range_max)
-    for n in range(1, range_max + 1):
-        for m in range(n + 1, range_max + 1):
-            g = math.gcd(vals[n - 1], vals[m - 1])
-            expected = vals[math.gcd(n, m) - 1]
-            if g != expected:
-                return GcdMorphicReport(False, (n, m), g, expected)
+    from . import _parts
+
+    b0 = _parts.first_failure(seq.rule, vals)
+    if b0 is not None:
+        for n in range(1, range_max + 1):
+            for m in range(max(n + 1, b0), range_max + 1):
+                g = math.gcd(vals[n - 1], vals[m - 1])
+                expected = vals[math.gcd(n, m) - 1]
+                if g != expected:
+                    return GcdMorphicReport(False, (n, m), g, expected)
     return GcdMorphicReport(True)

@@ -17,6 +17,7 @@ from cobweb import (
     IndexOutOfDomain,
     NonIntegral,
     ballot,
+    _parts,
     catalan,
     dominated_strings_brute,
     fnomial,
@@ -166,11 +167,12 @@ def test_table_is_deterministic_under_concurrent_queries():
 
 def _smallest_prefix_without_parts(seq, n_max):
     return next((n for n in range(1, n_max + 1)
-                 if fnomial._primitive_parts(seq.values(n)) is None), None)
+                 if _parts.sieve(seq.values(n))[1] is not None), None)
 
 
 def test_primitive_parts_exist_for_strong_divisibility_sequences():
-    parts = fnomial._primitive_parts(NATURALS.values(1500))
+    parts, bad = _parts.sieve(NATURALS.values(1500))
+    assert bad is None
     # For the naturals P_d is p when d is a power of the prime p, else 1.
     for d in range(2, 1501):
         p = next(p for p in range(2, d + 1) if d % p == 0)
@@ -178,14 +180,23 @@ def test_primitive_parts_exist_for_strong_divisibility_sequences():
         while e % p == 0:
             e //= p
         assert parts[d] == (p if e == 1 else 1), d
-    parts = fnomial._primitive_parts(FIBONACCI.values(1000))
-    assert parts is not None and parts[:13] == [1, 1, 1, 2, 3, 5, 4, 13, 7, 17, 11, 89, 6]
+    parts, bad = _parts.sieve(FIBONACCI.values(1000))
+    assert bad is None and parts[:13] == [1, 1, 1, 2, 3, 5, 4, 13, 7, 17, 11, 89, 6]
 
 
 def test_primitive_parts_fail_early_on_non_morphic_builtins():
     assert _smallest_prefix_without_parts(ODD, 6) == 4  # P_4 = 7/3
     assert _smallest_prefix_without_parts(EVEN1, 6) == 6  # P_6 = 10/(2 * 4)
     assert _smallest_prefix_without_parts(DIV31, 6) == 6  # P_6 = 15/(3 * 6)
+
+
+def test_sieve_reports_the_smallest_non_integral_index():
+    # The d = 2 pass meets 41/2 at m = 40 before the d = 3 pass meets P_9 = 10/3.
+    vals = NATURALS.values(40)
+    vals[8], vals[39] = 10, 41
+    parts, bad = _parts.sieve(vals)
+    assert bad == 9
+    assert parts[:9] == _parts.sieve(NATURALS.values(8))[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,7 +207,7 @@ def test_kernel_matches_oracle_on_lists_with_integral_parts(qs, data):
     # not GCD-morphic: the parts exist, so every coefficient is an integer.
     n = len(qs)
     vals = [prod(qs[d - 1] for d in range(1, m + 1) if m % d == 0) for m in range(1, n + 1)]
-    assert fnomial._primitive_parts(vals) == [1, *qs]
+    assert _parts.sieve(vals) == ([1, *qs], None)
     k = data.draw(st.integers(0, n))
     expected = prod(Fraction(vals[n - k + i - 1], vals[i - 1]) for i in range(1, k + 1))
     table = FNomialTable(from_values("parts", vals))

@@ -118,6 +118,23 @@ def test_catalan_and_ballot_load_no_sequences():
     assert not loaded & {"cobweb.sequences", "cobweb.prefab"}, loaded
 
 
+def test_primitive_parts_load_only_where_a_path_reads_them():
+    session_set_up = (
+        "import cobweb\n"
+        "mersenne = cobweb.from_values('mersenne', [2**s - 1 for s in range(1, 501)])\n"
+        "cobweb.FNomialTable(cobweb.FIBONACCI), cobweb.FNomialTable(mersenne)\n"
+    )
+    small = [
+        ["catalan", "--n", "10"],
+        ["fnomial", "--seq", "naturals", "--n", "6", "--k", "2"],
+        ["fnomial", "--seq", "fibonacci", "--n", "40", "--k", "20"],
+    ]
+    for code in (session_set_up, _cli_code(small)):
+        assert "cobweb._parts" not in _loaded_after(code)
+    loaded = _loaded_after(_cli_code([["seq", "--seq", "fibonacci", "--gcd-morphic", "30"]]))
+    assert "cobweb._parts" in loaded and "cobweb.poset" not in loaded
+
+
 def test_start_up_paths_load_no_dataclasses_or_inspect():
     argvs = [
         ["seq", "--seq", "fibonacci", "--count", "5"],

@@ -1,0 +1,179 @@
+"""One registry of production paths, each with the settings that force it and
+an independent oracle.
+
+A path taken only past a size threshold, or only when a certificate holds,
+is never reached by small random inputs on its own.  So every entry lists
+its modes, each a patch that forces one path, and runs under hypothesis in
+every mode against the same oracle.
+"""
+
+from contextlib import nullcontext
+from fractions import Fraction
+import math
+from math import prod
+from types import SimpleNamespace
+from typing import Callable, ContextManager, NamedTuple
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cobweb import (
+    FNomialTable,
+    NonIntegral,
+    _parts,
+    fnomial,
+    from_values,
+    is_gcd_morphic,
+    sequences,
+)
+from test_sequences import full_square_scan
+
+
+class Path(NamedTuple):
+    modes: dict[str, Callable[[], ContextManager]]  # mode -> patch that forces it
+    args: Callable  # (data, n) -> the arguments after the sequence
+    production: Callable
+    oracle: Callable
+
+
+def _kernel_bits(bits: int) -> Callable[[], ContextManager]:
+    return lambda: mock.patch.object(fnomial, "_KERNEL_BITS", bits)
+
+
+def _fnomial_by_product(seq, n, k):
+    """(n over k)_F as prod F_{n-k+i}/F_i in exact rationals; the quotient of
+    a NonIntegral where that is not an integer."""
+    if k < 0 or k > n:
+        return 0
+    r = prod(Fraction(seq.value(n - k + i), seq.value(i)) for i in range(1, k + 1))
+    return r.numerator if r.denominator == 1 else ("NonIntegral", r)
+
+
+def _fnomial(seq, n, k):
+    try:
+        return FNomialTable(seq).fnomial(n, k)
+    except NonIntegral as exc:
+        return ("NonIntegral", Fraction(exc.numerator, exc.denominator))
+
+
+def _parts_by_definition(seq, n):
+    """P_1, ..., P_{m-1} and m, the first index whose P_m = F_m / prod(P_d for
+    d | m, d < m) is not an integer, or all n parts and None."""
+    parts = [1]
+    for m, f in enumerate(seq.values(n), 1):
+        below = prod(parts[d] for d in range(1, m) if m % d == 0)
+        if f % below:
+            return parts, m
+        parts.append(f // below)
+    return parts, None
+
+
+def _exact_prefix(parts_and_bad, n):
+    """The parts a sieve result vouches for: P_1..P_{bad-1}, or P_1..P_n."""
+    parts, bad = parts_and_bad
+    return parts[: bad or n + 1], bad
+
+
+REGISTRY = {
+    "is_gcd_morphic": Path(
+        # The helper reporting failure at b = 2 leaves the whole n < m scan.
+        modes={"certificate": nullcontext,
+               "scan": lambda: mock.patch.object(_parts, "first_failure", lambda rule, vals: 2)},
+        args=lambda data, n: (data.draw(st.integers(2, n), label="range_max"),),
+        production=is_gcd_morphic,
+        oracle=full_square_scan,
+    ),
+    "FNomialTable.fnomial": Path(
+        # Below every estimate (a lumpy list's can be negative), and above every one.
+        modes={"kernel": _kernel_bits(-(10**9)), "falling": _kernel_bits(10**9)},
+        args=lambda data, n: (m := data.draw(st.integers(0, n), label="n"),
+                              data.draw(st.integers(-1, m + 1), label="k")),
+        production=_fnomial,
+        oracle=_fnomial_by_product,
+    ),
+    "primitive parts": Path(
+        # A memo of 0 bits stores nothing, so every call sieves afresh.
+        modes={"memo": nullcontext,
+               "no memo": lambda: mock.patch.object(_parts, "MEMO", _parts.Memo(0))},
+        args=lambda data, n: (data.draw(st.integers(1, n), label="n"),),
+        production=lambda seq, n: _exact_prefix(_parts.parts(seq.rule, seq.values(n)), n),
+        oracle=_parts_by_definition,
+    ),
+}
+
+
+@st.composite
+def term_lists(draw):
+    """F_1..F_n with F_m = prod(Q_d for d | m) for drawn parts Q, or a prefix of
+    naturals, Fibonacci or Mersenne numbers, then maybe one term perturbed,
+    so failures sit deep in the prefix."""
+    n = draw(st.integers(2, 40))
+    base = draw(st.sampled_from(("parts", "naturals", "fibonacci", "mersenne")))
+    if base == "parts":
+        qs = draw(st.lists(st.sampled_from((1, 1, 1, 1, 2, 3, 5, 7, 4, 9)), min_size=n, max_size=n))
+        vals = [prod(qs[d - 1] for d in range(1, m + 1) if m % d == 0) for m in range(1, n + 1)]
+    elif base == "fibonacci":
+        vals = [1, 1]
+        while len(vals) < n:
+            vals.append(vals[-1] + vals[-2])
+    else:
+        vals = [s if base == "naturals" else 2**s - 1 for s in range(1, n + 1)]
+    if draw(st.booleans()):
+        j = draw(st.integers(2, n)) - 1
+        c = draw(st.sampled_from((2, 3, 5, 7)))
+        vals[j] = vals[j] * c if draw(st.booleans()) else vals[j] + c
+    return vals
+
+
+def _entries():
+    return [(name, mode) for name, path in REGISTRY.items() for mode in path.modes]
+
+
+@pytest.mark.parametrize("name, mode", _entries())
+@settings(max_examples=150, deadline=None)
+@given(vals=term_lists(), data=st.data())
+def test_path_matches_oracle(name, mode, vals, data):
+    path = REGISTRY[name]
+    seq = from_values("drawn", vals)
+    args = path.args(data, len(vals))
+    with path.modes[mode]():
+        assert path.production(seq, *args) == path.oracle(seq, *args), args
+
+
+def test_every_mode_takes_its_path():
+    mersenne = from_values("mersenne", [2**s - 1 for s in range(1, 61)])
+    # The scan's gcds go through cobweb.sequences.math; the certificate's do not.
+    gcds = []
+    counting = SimpleNamespace(gcd=lambda a, b: gcds.append(0) or math.gcd(a, b))
+    for mode, scans in (("certificate", False), ("scan", True)):
+        gcds.clear()
+        with REGISTRY["is_gcd_morphic"].modes[mode](), mock.patch.object(sequences, "math", counting):
+            assert is_gcd_morphic(mersenne, 60).holds
+        assert bool(gcds) == scans, mode
+    parts = _parts.parts
+    for mode, sieves in (("kernel", True), ("falling", False)):
+        calls = []
+        with REGISTRY["FNomialTable.fnomial"].modes[mode](), mock.patch.object(
+            _parts, "parts", lambda rule, vals: calls.append(0) or parts(rule, vals)
+        ):
+            assert FNomialTable(mersenne).fnomial(60, 30) == _fnomial_by_product(mersenne, 60, 30)
+        assert calls == ([0] if sieves else []), mode
+    for mode, stores in (("memo", True), ("no memo", False)):
+        with REGISTRY["primitive parts"].modes[mode]():
+            _parts.parts(mersenne.rule, mersenne.values(60))
+            assert (mersenne.rule in _parts.MEMO.entries) == stores, mode
+
+
+def test_both_gcd_modes_find_a_deep_witness():
+    # 160 naturals with F_120 tripled: the certificate first fails at b = 120.
+    vals = list(range(1, 161))
+    vals[119] *= 3
+    seq = from_values("tripled", vals)
+    assert _parts.first_failure(seq.rule, vals) == 120
+    report = full_square_scan(seq, 160)
+    assert report.witness == (9, 120)
+    for mode in REGISTRY["is_gcd_morphic"].modes.values():
+        with mode():
+            assert is_gcd_morphic(seq, 160) == report

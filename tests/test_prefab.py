@@ -14,6 +14,7 @@ from cobweb import (
     NATURALS,
     FNomialTable,
     NonIntegral,
+    _parts,
     bell_f,
     bell_f_table,
     cli,
@@ -225,8 +226,8 @@ FORCED_BITS = {"kernel": -(10**9), "falling": 10**9}
 def test_fnomial_switch_both_ways_matches_product_oracle(seq, path, monkeypatch):
     monkeypatch.setattr(fnomial, "_KERNEL_BITS", FORCED_BITS[path])
     calls = []
-    parts = fnomial._primitive_parts
-    monkeypatch.setattr(fnomial, "_primitive_parts", lambda vals: calls.append(0) or parts(vals))
+    parts = _parts.parts
+    monkeypatch.setattr(_parts, "parts", lambda rule, vals: calls.append(0) or parts(rule, vals))
     n_max = min(60, seq.limit or 60)
     table = FNomialTable(seq)
     for n in range(n_max + 1):

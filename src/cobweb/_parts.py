@@ -4,23 +4,23 @@ GCD-morphism certificate built on them.
 For a prefix F_1..F_n the primitive part P_d = F_d / prod(P_e for e | d,
 e < d), so F_m = prod(P_d for d | m).  `sieve` is the only code that divides
 the parts out.  `parts` (the F-nomial kernel) and `first_failure`
-(`is_gcd_morphic`) read it through `MEMO`, keyed by the sequence's rule, so
-value-equal custom sequences share one entry.  The package imports this
-module on first use only, so no start-up path compiles it.
+(`is_gcd_morphic`) read it through `MEMO`, a `cobweb._memo.Memo` charged by
+`_Entry.bits` and keyed by the sequence's rule, so value-equal custom
+sequences share one entry.  The package imports this module on first use
+only, so no start-up path compiles it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from typing import Callable, Sequence
 
+from ._memo import Memo
 from .sequences import _Terms
 
 # Bits the memo may hold: each stored int is charged its bit length plus
 # INT_BITS, about what its object header and its list slot take (36 bytes on
-# 64-bit CPython).  The least recently used entries go first.
+# 64-bit CPython).
 MEMO_BITS = 1 << 25
 INT_BITS = 288
 
@@ -83,68 +83,37 @@ class _Entry:
         self.bits += INT_BITS * (len(held) + len(self.parts))
 
 
-class Memo:
-    """Entries keyed by rule, at most `limit` charged bits in all, behind one
-    lock.  An entry serves a prefix only if its stored values agree with it,
-    so a rule whose values change gets fresh parts."""
-
-    def __init__(self, limit: int) -> None:
-        self.limit = limit
-        self.charged = 0
-        self.entries: OrderedDict[Callable[[int], int], _Entry] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def clear(self) -> None:
-        with self._lock:
-            self.entries.clear()
-            self.charged = 0
-
-    def entry(self, rule: Callable[[int], int], vals: list[int]) -> _Entry:
-        """An entry whose parts are exact for vals = [F_1, ..., F_n] up to
-        min(n, bad - 1), sieving and storing one if none agrees with vals."""
-        try:
-            hash(rule)
-        except TypeError:
-            return _Entry(rule, vals)
-        with self._lock:
-            old = self.entries.get(rule)
-            if old is not None:
-                self.entries.move_to_end(rule)
-        cert = (1, None)
-        if old is not None:
-            n, held = len(vals), len(old.vals)
-            if n <= held:
-                if old.vals[:n] == vals:
-                    return old
-            elif vals[:held] == old.vals:
-                if old.bad <= held:  # the first non-integral part is already known
-                    return old
-                cert = old.cert  # the certificate reads P_1..P_b only
-        new = _Entry(rule, vals, cert)
-        if new.bits <= self.limit:
-            with self._lock:
-                if (old := self.entries.pop(rule, None)) is not None:
-                    self.charged -= old.bits
-                self.entries[rule] = new
-                self.charged += new.bits
-                while self.charged > self.limit:
-                    self.charged -= self.entries.popitem(last=False)[1].bits
-        return new
-
-    def settle(self, entry: _Entry, cert: tuple[int, int | None]) -> None:
-        """Record certificate progress on entry, unless it knows as much."""
-        with self._lock:
-            if entry.cert[1] is None and cert[0] >= entry.cert[0]:
-                entry.cert = cert
-
-
 MEMO = Memo(MEMO_BITS)
+
+
+def _entry(rule: Callable[[int], int], vals: list[int]) -> _Entry:
+    """An entry whose parts are exact for vals = [F_1, ..., F_n] up to
+    min(n, bad - 1), sieving and storing one unless the memo holds one whose
+    values agree with vals, so a rule whose values change gets fresh parts."""
+    try:
+        hash(rule)
+    except TypeError:
+        return _Entry(rule, vals)
+    old = MEMO.get(rule)
+    cert = (1, None)
+    if old is not None:
+        n, held = len(vals), len(old.vals)
+        if n <= held:
+            if old.vals[:n] == vals:
+                return old
+        elif vals[:held] == old.vals:
+            if old.bad <= held:  # the first non-integral part is already known
+                return old
+            cert = old.cert  # the certificate reads P_1..P_b only
+    new = _Entry(rule, vals, cert)
+    MEMO.put(rule, new, new.bits)
+    return new
 
 
 def parts(rule: Callable[[int], int], vals: list[int]) -> tuple[list[int], int | None]:
     """sieve(vals) through the memo: parts[d] is P_d for every d <= len(vals)
     below bad, and the list may run longer."""
-    e = MEMO.entry(rule, vals)
+    e = _entry(rule, vals)
     return e.parts, (e.bad if e.bad <= len(vals) else None)
 
 
@@ -153,7 +122,7 @@ def first_failure(rule: Callable[[int], int], vals: list[int]) -> int | None:
     gcd(P_b, prod(P_a for a < b, a ∤ b)) != 1, or None: then F is
     GCD-morphic on [1, N], and otherwise on [1, b - 1]."""
     n = len(vals)
-    e = MEMO.entry(rule, vals)
+    e = _entry(rule, vals)
     checked, b0 = e.cert
     if b0 is not None and b0 <= n:
         return b0
@@ -162,5 +131,8 @@ def first_failure(rule: Callable[[int], int], vals: list[int]) -> int | None:
     b0 = _certify(e.parts, checked + 1, min(n, e.bad - 1))
     if b0 is None and e.bad <= n:
         b0 = e.bad
-    MEMO.settle(e, (n, None) if b0 is None else (b0 - 1, b0))
+    cert = (n, None) if b0 is None else (b0 - 1, b0)
+    with MEMO.lock:  # record the progress, unless the entry knows as much
+        if e.cert[1] is None and cert[0] >= e.cert[0]:
+            e.cert = cert
     return b0

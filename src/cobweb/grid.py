@@ -91,13 +91,14 @@ class GridPoset(View):
     @property
     def poset(self) -> FinitePoset:
         """The generic engine over the same elements and covers, for the oracle
-        and `method="brute"`: refused past CHAIN_COUNT_BUDGET elements before
-        anything is built, else built on first use and shared by equal grids
-        through the memo in `cobweb.poset`."""
-        from .poset import _ENGINES, FinitePoset, check_count_budget
+        and `method="brute"`, from `cobweb.poset._engine`: refused past
+        CHAIN_COUNT_BUDGET elements on the closed-form size before anything is
+        built, else built on first use and shared by equal grids."""
+        from .poset import FinitePoset, _engine
 
-        check_count_budget(len(self))
-        return _ENGINES.get(self, lambda: FinitePoset(self.elements, _blocks=self.cover_blocks()))
+        return _engine(
+            self, len(self), lambda: FinitePoset(self.elements, _blocks=self.cover_blocks())
+        )
 
     def level_of(self) -> dict[GridElement, int]:
         """Element -> rank: l + m - 1 in strict mode, l + m in weak mode."""

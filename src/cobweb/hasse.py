@@ -130,19 +130,20 @@ def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
 
 def _slice_engine(c: CobwebPoset, k: int, n: int) -> FinitePoset:
     """The engine of levels k..n, its vertices and cover blocks cut from
-    `c.elements`.  The widths of those levels and k determine it, so slices
-    that agree on them share one engine through the memo in `cobweb.poset`;
-    the key holds no sequence, since the memo's bound charges engines only."""
-    from .poset import _ENGINES, FinitePoset
+    `c.elements`, from `cobweb.poset._engine`.  The widths of those levels
+    and k determine it, so slices that agree on them share one engine; the
+    key holds no sequence, since the memo's bound charges engines only."""
+    from .poset import FinitePoset, _engine
 
     w = c.widths
+    size = sum(w[k - 1 : n])
 
     def build() -> FinitePoset:
         start = sum(w[: k - 1])
-        els = c.elements[start : start + sum(w[k - 1 : n])]
+        els = c.elements[start : start + size]
         return FinitePoset(els, _blocks=_level_blocks(els, w, k, n))
 
-    return _ENGINES.get((w[k - 1 : n], k), build)
+    return _engine((w[k - 1 : n], k), size, build)
 
 
 def layer_chain_count(

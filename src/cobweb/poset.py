@@ -22,19 +22,20 @@ sweep finds its closure and its sorted cover list once, for the run of
 elements that share it, which then share that one list.  `maximal_chains`
 counts a shared list once, and `cover_blocks()` yields one tuple for it.
 
-The views' `.poset` and `layer_subposet` share their engines through one
-bounded, thread-safe LRU memo, keyed by what determines the engine (a grid
-view, or the level widths and first level of a cobweb or a slice), so equal
-views get the same engine.  An engine built directly from `FinitePoset` is
-never memoized: an arbitrary relation gives no key.
+The views' `.poset` and `layer_subposet` find or build every engine through
+`_engine`, which checks the count budget first and keeps engines in
+`_ENGINES`, a `cobweb._memo.Memo` of 32 MiB of estimated bytes, keyed by
+what determines the engine (a grid view, or the level widths and first
+level of a cobweb or a slice), so equal views get the same engine.  A
+`FinitePoset` built directly has no key, so it is never memoized.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from typing import Callable, Hashable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
+from ._memo import Memo
 from .base import MobiusMatrix, WhitneyVector, _cover_pairs
 from .errors import (
     BudgetExceeded,
@@ -343,57 +344,19 @@ def _charge(p: FinitePoset) -> int:
     return size
 
 
-class _EngineMemo:
-    """Engines by key, least recently used first, each charged `_charge`
-    bytes; the charged total stays at or below `_MEMO_BYTES`.  One lock guards
-    every update, so threads may share it; builds run outside the lock, so
-    two threads that miss the same key may both build, and the first engine
-    kept is the one both return."""
+_ENGINES = Memo(_MEMO_BYTES)
 
-    def __init__(self) -> None:
-        self.charged = 0
-        self._entries: dict[Hashable, tuple[FinitePoset, int]] = {}
-        self._lock = threading.Lock()
 
-    def get(self, key: Hashable, build: Callable[[], FinitePoset]) -> FinitePoset:
-        """The engine kept under `key`, else build() (kept if it fits)."""
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self._entries[key] = entry
-                return entry[0]
+def _engine(key: Hashable, size: int, build: Callable[[], FinitePoset]) -> FinitePoset:
+    """The engine of `size` elements kept under `key`, else build(), kept if
+    it fits; refused past CHAIN_COUNT_BUDGET before anything is built.  Two
+    threads that miss one key may both build; the last one kept stays."""
+    check_count_budget(size)
+    p = _ENGINES.get(key)
+    if p is None:
         p = build()
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                return entry[0]
-            self._keep(key, p)
-        return p
-
-    def recharge(self, p: FinitePoset) -> None:
-        """Charge a kept engine again, once its Möbius matrix is stored."""
-        with self._lock:
-            key = next((k for k, (q, _) in self._entries.items() if q is p), None)
-            if key is not None:
-                self._keep(key, p)
-
-    def _keep(self, key: Hashable, p: FinitePoset) -> None:
-        """(Re)insert p as the most recent entry and evict from the least
-        recent end down to the bound; an engine larger than the bound is
-        not kept.  Called with the lock held."""
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self.charged -= old[1]
-        cost = _charge(p)
-        if cost > _MEMO_BYTES:
-            return
-        self._entries[key] = (p, cost)
-        self.charged += cost
-        while self.charged > _MEMO_BYTES:
-            self.charged -= self._entries.pop(next(iter(self._entries)))[1]
-
-
-_ENGINES = _EngineMemo()
+        _ENGINES.put(key, p, _charge(p))
+    return p
 
 
 class RankLabels(NamedTuple):
@@ -425,8 +388,8 @@ def rank_function(p: FinitePoset) -> RankLabels:
 
 
 def check_count_budget(n: int) -> None:
-    """Refuse a chain count or a grid engine over more than CHAIN_COUNT_BUDGET
-    elements.  `GridPoset.poset` checks its closed-form size before it builds
+    """Refuse a chain count or a view engine over more than CHAIN_COUNT_BUDGET
+    elements.  `_engine` checks a view's closed-form size before it builds
     the engine, whose closure costs memory quadratic in the element count."""
     if n > CHAIN_COUNT_BUDGET:
         raise BudgetExceeded(f"{n} elements exceed the count budget {CHAIN_COUNT_BUDGET}")
@@ -517,7 +480,7 @@ def mobius(p: FinitePoset) -> MobiusMatrix:
             for j, v in _mobius_row(p, pos[i]).items():
                 entries[(xi, labels[j])] = v
         p._mobius = entries
-        _ENGINES.recharge(p)
+        _ENGINES.recharge(p, _charge(p))
     return MobiusMatrix(dict(entries))
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import cobweb.poset
 from cobweb import BUILTIN_SEQUENCES, FIBONACCI, FinitePoset, FNomialTable, cli
+from cobweb._memo import Memo
 from test_acceptance import CLI_MATRIX
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -450,7 +451,7 @@ def test_production_paths_build_no_engine_poset(monkeypatch):
 
     monkeypatch.setattr(FinitePoset, "__init__", refuse)
     # Start from an empty engine memo, so the brute path below must build.
-    monkeypatch.setattr(cobweb.poset, "_ENGINES", cobweb.poset._EngineMemo())
+    monkeypatch.setattr(cobweb.poset, "_ENGINES", Memo(cobweb.poset._MEMO_BYTES))
     for argv in [
         ("dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "8"),
         ("dot", "--family", "grid", "--k", "3", "--n", "6", "--mode", "weak"),

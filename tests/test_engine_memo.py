@@ -24,19 +24,20 @@ from cobweb import (
     layer_subposet,
     mobius,
 )
+from cobweb._memo import Memo
 from test_poset import _engine_fingerprint
 
 
 @pytest.fixture
 def memo(monkeypatch):
     """A fresh, empty memo in place of the shared one."""
-    fresh = engine._EngineMemo()
+    fresh = Memo(engine._MEMO_BYTES)
     monkeypatch.setattr(engine, "_ENGINES", fresh)
     return fresh
 
 
 def _kept(memo):
-    return [p for p, _ in memo._entries.values()]
+    return [p for p, _ in memo.entries.values()]
 
 
 def _fresh(view):
@@ -60,7 +61,7 @@ def test_equal_views_share_one_engine(memo):
     # Views that differ in a parameter get engines of their own.
     assert build_grid(3, 7, "weak").poset is not build_grid(3, 7, "strict").poset
     assert build_cobweb(NATURALS, 5).poset is not a.poset
-    assert len(memo._entries) == 6
+    assert len(memo.entries) == 6
 
 
 def test_slices_with_equal_widths_but_different_k_do_not_collide(memo):
@@ -77,7 +78,7 @@ def test_slices_with_equal_widths_but_different_k_do_not_collide(memo):
 def test_cobweb_engine_is_its_slice_from_level_one(seq, monkeypatch):
     for level_max in range(1, 7):
         for poset_first in (True, False):
-            memo = engine._EngineMemo()
+            memo = Memo(engine._MEMO_BYTES)
             monkeypatch.setattr(engine, "_ENGINES", memo)
             c = build_cobweb(seq, level_max)
             # One level is no slice, but it still has an engine.
@@ -85,7 +86,7 @@ def test_cobweb_engine_is_its_slice_from_level_one(seq, monkeypatch):
                 first = c.poset
             else:
                 first = layer_subposet(c, 1, level_max)
-            assert list(memo._entries) == [(c.widths, 1)]
+            assert list(memo.entries) == [(c.widths, 1)]
             assert _engine_fingerprint(first) == _engine_fingerprint(_fresh(c))
             assert c.poset is first
             if level_max > 1:
@@ -99,7 +100,7 @@ def test_memo_hits_match_fresh_builds_before_and_after_eviction(memo, monkeypatc
     assert _engine_fingerprint(v.poset) == fresh  # a hit, now with its Möbius matrix
     # A bound that holds this engine alone evicts it for the next one.
     first = v.poset
-    monkeypatch.setattr(engine, "_MEMO_BYTES", engine._charge(first) + 1)
+    monkeypatch.setattr(memo, "limit", engine._charge(first) + 1)
     build_grid(4, 9).poset
     assert _kept(memo) == [build_grid(4, 9).poset]
     rebuilt = v.poset
@@ -150,7 +151,7 @@ def _traced_growth(call):
 )
 def test_charge_is_within_twice_the_traced_size(memo, build):
     build()  # loads whatever the first call loads
-    memo._entries.clear()
+    memo.entries.clear()
     memo.charged = 0
     kept = _traced_growth(build)
     (p,) = _kept(memo)
@@ -171,21 +172,21 @@ def test_charged_total_stays_within_the_bound(memo):
         v.poset
         assert memo.charged <= engine._MEMO_BYTES
         assert memo.charged == sum(engine._charge(p) for p in _kept(memo))
-    assert views[0] not in memo._entries and views[-1] in memo._entries
+    assert views[0] not in memo.entries and views[-1] in memo.entries
 
 
 def test_engine_larger_than_the_bound_is_returned_but_not_kept(memo, monkeypatch):
     small, big = build_grid(2, 5), build_grid(12, 30)
     small.poset
-    monkeypatch.setattr(engine, "_MEMO_BYTES", 4 * engine._charge(small.poset))
-    assert engine._charge(_fresh(big)) > engine._MEMO_BYTES
+    monkeypatch.setattr(memo, "limit", 4 * engine._charge(small.poset))
+    assert engine._charge(_fresh(big)) > memo.limit
     assert big.poset.elements == big.elements
     assert big.poset is not big.poset
-    assert memo._entries.keys() == {small}
+    assert memo.entries.keys() == {small}
     # A Möbius matrix that pushes a kept engine past the bound drops it.
-    monkeypatch.setattr(engine, "_MEMO_BYTES", engine._charge(small.poset) + 1)
+    monkeypatch.setattr(memo, "limit", engine._charge(small.poset) + 1)
     mobius(small.poset)
-    assert not memo._entries and memo.charged == 0
+    assert not memo.entries and memo.charged == 0
 
 
 def _views():
@@ -208,8 +209,8 @@ def test_threads_share_the_memo_under_eviction(memo, monkeypatch):
     )
     sizes = [engine._charge(_fresh(v)) for v in views]
     # A bound near a tenth of the total keeps evicting while the threads run.
-    monkeypatch.setattr(engine, "_MEMO_BYTES", sum(sizes) // 10)
-    memo._entries.clear()
+    monkeypatch.setattr(memo, "limit", sum(sizes) // 10)
+    memo.entries.clear()
     memo.charged = 0
     tasks = [*views, *slices] * 4
     random.Random(14).shuffle(tasks)
@@ -229,5 +230,5 @@ def test_threads_share_the_memo_under_eviction(memo, monkeypatch):
         sys.setswitchinterval(switch)
     for task, fingerprint in results:
         assert fingerprint == expected[task], task
-    assert memo.charged <= engine._MEMO_BYTES
+    assert memo.charged <= memo.limit
     assert memo.charged == sum(engine._charge(p) for p in _kept(memo))

@@ -28,6 +28,7 @@ from cobweb import (
     to_dot,
     whitney,
 )
+from cobweb._memo import Memo
 from cobweb.grid import _mobius_blocks
 
 
@@ -314,7 +315,7 @@ def test_engine_is_refused_past_the_count_budget(monkeypatch):
         raise AssertionError("the generic poset engine was built")
 
     monkeypatch.setattr(FinitePoset, "__init__", refuse)
-    monkeypatch.setattr(cobweb.poset, "_ENGINES", cobweb.poset._EngineMemo())
+    monkeypatch.setattr(cobweb.poset, "_ENGINES", Memo(cobweb.poset._MEMO_BYTES))
     refused = "^{} elements exceed the count budget 10000$"
     with pytest.raises(BudgetExceeded, match=refused.format(15150)):
         build_grid(100, 200).poset
@@ -325,7 +326,7 @@ def test_engine_is_refused_past_the_count_budget(monkeypatch):
 
 
 def test_engine_at_the_benchmark_brute_size_builds(monkeypatch):
-    monkeypatch.setattr(cobweb.poset, "_ENGINES", cobweb.poset._EngineMemo())
+    monkeypatch.setattr(cobweb.poset, "_ENGINES", Memo(cobweb.poset._MEMO_BYTES))
     g = build_grid(52, 134, "weak")
     assert len(g.poset) == len(g) == 5777
     assert maximal_chains(g.poset, "count") == ballot(52, 134).count

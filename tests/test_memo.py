@@ -1,0 +1,79 @@
+"""The one bounded memo class behind the engine memo and the primitive-parts
+memo, checked step by step against a plain list-based LRU model."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cobweb._memo import Memo
+
+
+class _Model:
+    """[key, value, cost] triples, least recently used first."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.kept = []
+
+    def get(self, key):
+        for i, (k, v, _) in enumerate(self.kept):
+            if k == key:
+                self.kept.append(self.kept.pop(i))
+                return v
+        return None
+
+    def put(self, key, value, cost):
+        self.kept = [e for e in self.kept if e[0] != key]
+        if cost <= self.limit:
+            self.kept.append((key, value, cost))
+        while sum(c for _, _, c in self.kept) > self.limit:
+            self.kept.pop(0)
+
+    def recharge(self, value, cost):
+        key = next((k for k, v, _ in self.kept if v is value), None)
+        if key is not None:
+            self.put(key, value, cost)
+
+    def clear(self):
+        self.kept = []
+
+
+_KEYS = st.integers(0, 5)
+# The limit is drawn from 0..60: most costs keep a few values within it, and
+# some are over it.
+_COSTS = st.integers(0, 20) | st.integers(0, 120)
+_GET = st.tuples(st.just("get"), _KEYS)
+_PUT = st.tuples(st.just("put"), _KEYS, _COSTS)
+_OPS = st.lists(
+    _GET | _PUT | _GET | _PUT
+    # The index picks a value put before, kept or not, or a fresh one.
+    | st.tuples(st.just("recharge"), st.integers(0, 15), _COSTS)
+    | st.tuples(st.just("clear")),
+    min_size=20,
+    max_size=80,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(limit=st.integers(0, 60), ops=_OPS)
+def test_memo_matches_a_list_model(limit, ops):
+    memo, model = Memo(limit), _Model(limit)
+    made = []  # every value put so far; equal lists, told apart by identity
+    for op in ops:
+        if op[0] == "get":
+            assert memo.get(op[1]) is model.get(op[1]), op
+        elif op[0] == "put":
+            made.append(value := [op[1]])
+            memo.put(op[1], value, op[2])
+            model.put(op[1], value, op[2])
+        elif op[0] == "recharge":
+            value = made[op[1]] if op[1] < len(made) else [op[1]]
+            memo.recharge(value, op[2])
+            model.recharge(value, op[2])
+        else:
+            memo.clear()
+            model.clear()
+        kept = [(k, v, c) for k, (v, c) in memo.entries.items()]
+        assert [(k, c) for k, _, c in kept] == [(k, c) for k, _, c in model.kept], op
+        assert all(v is w for (_, v, _), (_, w, _) in zip(kept, model.kept)), op
+        assert memo.charged == sum(c for _, _, c in kept) <= limit
+        assert all(c <= limit for _, _, c in kept)

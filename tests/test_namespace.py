@@ -91,11 +91,13 @@ def test_arithmetic_commands_load_no_poset_code():
     loaded = _loaded_after(_cli_code(argvs))
     assert not loaded & {"cobweb.poset", "cobweb.grid", "cobweb.hasse"}, loaded
     assert {"cobweb.sequences", "cobweb.fnomial", "cobweb.prefab"} <= loaded
+    # `--gcd-morphic` reads the primitive parts, whose memo is a cobweb._memo.Memo.
+    assert "cobweb._memo" not in loaded or "cobweb._parts" in loaded, loaded
 
 
 def test_cobweb_dot_loads_no_poset_engine():
     argvs = [["dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "6"]]
-    assert "cobweb.poset" not in _loaded_after(_cli_code(argvs))
+    assert not _loaded_after(_cli_code(argvs)) & {"cobweb.poset", "cobweb._memo"}
 
 
 def test_grid_commands_load_no_fnomial():
@@ -108,7 +110,8 @@ def test_grid_commands_load_no_fnomial():
     ]
     loaded = _loaded_after(_cli_code(argvs))
     assert "cobweb.grid" in loaded
-    assert not loaded & {"cobweb.fnomial", "cobweb.sequences", "cobweb.poset"}, loaded
+    refused = {"cobweb.fnomial", "cobweb.sequences", "cobweb.poset", "cobweb._memo"}
+    assert not loaded & refused, loaded
 
 
 def test_catalan_and_ballot_load_no_sequences():
@@ -130,9 +133,9 @@ def test_primitive_parts_load_only_where_a_path_reads_them():
         ["fnomial", "--seq", "fibonacci", "--n", "40", "--k", "20"],
     ]
     for code in (session_set_up, _cli_code(small)):
-        assert "cobweb._parts" not in _loaded_after(code)
+        assert not _loaded_after(code) & {"cobweb._parts", "cobweb._memo"}
     loaded = _loaded_after(_cli_code([["seq", "--seq", "fibonacci", "--gcd-morphic", "30"]]))
-    assert "cobweb._parts" in loaded and "cobweb.poset" not in loaded
+    assert {"cobweb._parts", "cobweb._memo"} <= loaded and "cobweb.poset" not in loaded
 
 
 def test_start_up_paths_load_no_dataclasses_or_inspect():

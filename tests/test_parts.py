@@ -19,6 +19,7 @@ from cobweb import (
     from_values,
     is_gcd_morphic,
 )
+from cobweb._memo import Memo
 from test_prefab import fnomial_by_product
 from test_sequences import full_square_scan
 
@@ -26,7 +27,7 @@ from test_sequences import full_square_scan
 @pytest.fixture
 def memo(monkeypatch):
     """A fresh memo in place of the process-wide one."""
-    fresh = _parts.Memo(_parts.MEMO_BITS)
+    fresh = Memo(_parts.MEMO_BITS)
     monkeypatch.setattr(_parts, "MEMO", fresh)
     return fresh
 
@@ -38,11 +39,11 @@ def kernel(monkeypatch):
 
 
 def _charged_in_entries(memo):
-    return sum(e.bits for e in memo.entries.values())
+    return sum(e.bits for e, _ in memo.entries.values())
 
 
 def test_many_sequences_stay_within_the_bits_least_recent_out_first(monkeypatch):
-    memo = _parts.Memo(100_000)
+    memo = Memo(100_000)
     monkeypatch.setattr(_parts, "MEMO", memo)
     seqs = [from_values(f"s{i}", [i * (2**s - 1) for s in range(1, 41)]) for i in range(1, 61)]
     recency = []
@@ -58,7 +59,7 @@ def test_many_sequences_stay_within_the_bits_least_recent_out_first(monkeypatch)
 
 
 def test_an_entry_larger_than_the_bound_is_not_kept(monkeypatch):
-    memo = _parts.Memo(10_000)
+    memo = Memo(10_000)
     monkeypatch.setattr(_parts, "MEMO", memo)
     assert is_gcd_morphic(FIBONACCI, 60).holds
     assert len(memo.entries) == 0 and memo.charged == 0
@@ -73,7 +74,7 @@ def test_value_equal_custom_sequences_share_one_entry(memo, kernel):
     assert is_gcd_morphic(b, 80).holds
     assert FNomialTable(b).fnomial(80, 40) == fnomial_by_product(a, 80, 40)
     assert len(memo.entries) == 1 and memo.charged == charged
-    assert memo.entries[b.rule].cert == (80, None)
+    assert memo.entries[b.rule][0].cert == (80, None)
 
 
 def test_a_rule_whose_values_change_gets_fresh_parts(memo, kernel):
@@ -132,10 +133,10 @@ def _run(call):
 
 def test_threads_match_a_serial_run(monkeypatch, kernel):
     calls = _mixed_calls()
-    monkeypatch.setattr(_parts, "MEMO", _parts.Memo(_parts.MEMO_BITS))
+    monkeypatch.setattr(_parts, "MEMO", Memo(_parts.MEMO_BITS))
     serial = [_run(c) for c in calls]
     # A memo that holds only a few entries, so stores and evictions race too.
-    memo = _parts.Memo(300_000)
+    memo = Memo(300_000)
     monkeypatch.setattr(_parts, "MEMO", memo)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

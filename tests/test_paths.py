@@ -1,10 +1,10 @@
 """One registry of production paths, each with the settings that force it and
 an independent oracle.
 
-A path taken only past a size threshold, or only when a certificate holds,
-is never reached by small random inputs on its own.  So every entry lists
-its modes, each a patch that forces one path, and runs under hypothesis in
-every mode against the same oracle.
+A path taken only past a size threshold, only when a certificate holds, or
+only when a memo keeps a value, is never reached by small random inputs on
+its own.  So every entry lists its modes, each a patch that forces one path,
+and runs under hypothesis in every mode against the same oracle.
 """
 
 from contextlib import nullcontext
@@ -20,14 +20,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import (
+    FinitePoset,
     FNomialTable,
     NonIntegral,
     _parts,
+    build_cobweb,
+    build_grid,
     fnomial,
     from_values,
     is_gcd_morphic,
+    layer_subposet,
+    poset,
     sequences,
 )
+from cobweb._memo import Memo
+from test_poset import _engine_fingerprint
 from test_sequences import full_square_scan
 
 
@@ -76,6 +83,27 @@ def _exact_prefix(parts_and_bad, n):
     return parts[: bad or n + 1], bad
 
 
+def _small_views(data, n):
+    """A grid, a cobweb over drawn widths and its levels lo..hi, all small
+    enough to enumerate their chains; the drawn terms are not used."""
+    gn = data.draw(st.integers(1, 7), label="grid n")
+    mode = data.draw(st.sampled_from(("strict", "weak")), label="mode")
+    grid = build_grid(data.draw(st.integers(0, gn - (mode == "strict")), label="grid k"), gn, mode)
+    widths = data.draw(st.lists(st.integers(1, 3), min_size=2, max_size=6), label="widths")
+    hi = data.draw(st.integers(2, len(widths)), label="hi")
+    lo = data.draw(st.integers(1, hi - 1), label="lo")
+    return grid, build_cobweb(from_values("widths", widths), len(widths)), lo, hi
+
+
+def _fresh_engines(seq, grid, c, lo, hi):
+    """Engines built afresh from each view's elements and cover pairs, and
+    from the cobweb's restricted to levels lo..hi."""
+    levels = [v for v in c.elements if lo <= v.s <= hi]
+    covers = [(x, y) for x, y in c.covers if lo <= x.s and y.s <= hi]
+    engines = [FinitePoset(v.elements, v.covers) for v in (grid, c)]
+    return [_engine_fingerprint(p) for p in (*engines, FinitePoset(levels, covers))]
+
+
 REGISTRY = {
     "is_gcd_morphic": Path(
         # The helper reporting failure at b = 2 leaves the whole n < m scan.
@@ -96,10 +124,20 @@ REGISTRY = {
     "primitive parts": Path(
         # A memo of 0 bits stores nothing, so every call sieves afresh.
         modes={"memo": nullcontext,
-               "no memo": lambda: mock.patch.object(_parts, "MEMO", _parts.Memo(0))},
+               "no memo": lambda: mock.patch.object(_parts, "MEMO", Memo(0))},
         args=lambda data, n: (data.draw(st.integers(1, n), label="n"),),
         production=lambda seq, n: _exact_prefix(_parts.parts(seq.rule, seq.values(n)), n),
         oracle=_parts_by_definition,
+    ),
+    "view engine": Path(
+        # A memo of 0 bytes keeps no engine, so every call builds afresh.
+        modes={"memo": nullcontext,
+               "no memo": lambda: mock.patch.object(poset, "_ENGINES", Memo(0))},
+        args=_small_views,
+        production=lambda seq, grid, c, lo, hi: [
+            _engine_fingerprint(p) for p in (grid.poset, c.poset, layer_subposet(c, lo, hi))
+        ],
+        oracle=_fresh_engines,
     ),
 }
 
@@ -164,6 +202,15 @@ def test_every_mode_takes_its_path():
         with REGISTRY["primitive parts"].modes[mode]():
             _parts.parts(mersenne.rule, mersenne.values(60))
             assert (mersenne.rule in _parts.MEMO.entries) == stores, mode
+    c = build_cobweb(from_values("widths", [1, 2, 3]), 3)
+    for mode, stores in (("memo", True), ("no memo", False)):
+        with REGISTRY["view engine"].modes[mode]():
+            grid = build_grid(2, 5)
+            grid.poset, c.poset, layer_subposet(c, 2, 3)
+            memo = poset._ENGINES
+            kept = [key in memo.entries for key in (grid, (c.widths, 1), ((2, 3), 2))]
+            assert kept == [stores] * 3, mode
+            assert stores or (not memo.entries and memo.charged == 0), mode
 
 
 def test_both_gcd_modes_find_a_deep_witness():

@@ -3,15 +3,19 @@ chains, Möbius function, and Whitney numbers of both kinds.
 
 Elements are opaque hashable labels; enumeration order everywhere is
 insertion order, so all derived artifacts are reproducible across runs.
-The engine stores four things: per-element up-set bitsets (Python ints), a
-topological order, the cover successors of each element and the minimal
-elements.  One reverse-topological sweep over the input edges builds the
-up-sets and finds the covers at the same time (Aho, Garey and Ullman, "The
-transitive reduction of a directed graph", 1972); the minimal elements are
-the sources of the topological sort.  No down-sets or predecessor sets are
-stored: z <= j is the bit j of up[z], and a Möbius row computes values only
-over its element's up-set.  `mobius` computes an engine's matrix once and
-keeps it on the engine.
+The engine stores three things: a topological order, the cover successors
+of each element and the minimal elements.  One reverse-topological sweep
+over the input edges finds the covers with per-element up-set bitsets
+(Python ints; Aho, Garey and Ullman, "The transitive reduction of a directed
+graph", 1972), and drops each up-set after the last element that reads it,
+so it holds only its frontier; the minimal elements are the sources of the
+topological sort.  Chain counts, covers, ranks, second-kind Whitney numbers
+and DOT read nothing more.  The closure, one up-set per element, is built
+from the cover lists on first use by the queries that read it (`leq`, `lt`,
+`mobius`, first-kind `whitney`) and kept on the engine: z <= j is the bit j
+of up[z], and a Möbius row computes values only over its element's up-set.
+No down-sets or predecessor sets are stored.  `mobius` computes an
+engine's matrix once and keeps it on the engine.
 
 The relation comes as pairs (x, y) or, from the views, as their cover blocks
 (x, ys), one block per element at most.  Both enter through one path: the
@@ -32,6 +36,7 @@ level of a cobweb or a slice), so equal views get the same engine.  A
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from typing import Callable, Hashable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
@@ -68,17 +73,18 @@ class FinitePoset:
     """A finite partial order over opaque labels.
 
     Built from any relation whose transitive closure is a partial order, given
-    as pairs.  It keeps the up-sets, a topological order, the cover successors
-    and the minimal elements; the up-sets and covers come from one
-    reverse-topological sweep at construction time, and no down-sets or
+    as pairs.  It keeps a topological order, the cover successors and the
+    minimal elements; the covers come from one reverse-topological sweep at
+    construction time, which keeps none of its up-sets, and no down-sets or
     predecessor sets are kept.  The views pass the relation as blocks
     (x, ys), one per element at most, through the private `_blocks` instead,
     and elements whose consecutive blocks share one tuple share one cover
     list; pairs are grouped into one block per source.
 
-    The instance is immutable afterwards, so concurrent reads are safe; the one
-    exception is the Möbius matrix, which `mobius` stores on first use (threads
-    that race there compute equal matrices, and either may be kept).
+    The instance is immutable afterwards, so concurrent reads are safe; the
+    exceptions are the up-sets, which the first closure query builds, and the
+    Möbius matrix, which `mobius` stores on first use (threads that race there
+    compute equal values, and either may be kept).
     """
 
     __slots__ = ("_labels", "_index", "_up", "_topo", "_cover_succ", "_bottoms", "_mobius")
@@ -109,19 +115,23 @@ class FinitePoset:
             _blocks = groups.items()
         sets, which = _block_sets(_blocks, index, n)
 
-        topo, bottoms = _toposort(sets, which, labels)
+        topo, bottoms, readers = _toposort(sets, which, labels)
         pos = [0] * n
         for t, i in enumerate(topo):
             pos[i] = t
 
-        # One sweep gives the closure and the covers.  up[i] holds every j with
-        # i <= j (self included).  Every cover of i is an input edge, so only
-        # the successors of i are tested, in topological order: acc is the OR
-        # of up[k] over the successors k seen so far, any successor k < j
-        # comes before j, so j is a cover exactly when acc misses j.  A
-        # successor that is no cover adds nothing: its up-set is inside acc.
-        # acc and the covers depend on the successor set alone, so a run of
-        # elements that share one set computes them once and shares the list.
+        # One sweep finds the covers.  up[i] holds every j with i <= j (self
+        # included).  Every cover of i is an input edge, so only the successors
+        # of i are tested, in topological order: acc is the OR of up[k] over
+        # the successors k seen so far, any successor k < j comes before j, so
+        # j is a cover exactly when acc misses j.  A successor that is no cover
+        # adds nothing: its up-set is inside acc.  acc and the covers depend on
+        # the successor set alone, so a run of elements that share one set
+        # computes them once and shares the list.  A repeated successor finds
+        # itself in acc the second time.  readers[j] counts the runs still to
+        # come that read up[j], once per entry of their set; up[j] is dropped
+        # after the last of them, and never kept for an element that has none,
+        # so the sweep holds only its frontier.
         up = [0] * n
         cover_succ: list[list[int]] = [[]] * n
         last = -1
@@ -136,13 +146,17 @@ class FinitePoset:
                     if not acc >> j & 1:
                         covers.append(j)
                         acc |= up[j]
+                    readers[j] -= 1
+                    if not readers[j]:
+                        up[j] = 0
                 covers.sort()
             cover_succ[i] = covers
-            up[i] = acc | 1 << i
+            if readers[i]:
+                up[i] = acc | 1 << i
 
         self._labels = tuple(labels)
         self._index = index
-        self._up = up
+        self._up: list[int] | None = None
         self._topo = topo
         self._cover_succ = cover_succ
         self._bottoms = bottoms
@@ -172,7 +186,7 @@ class FinitePoset:
 
     def leq(self, a: Label, b: Label) -> bool:
         """True iff a <= b."""
-        return bool(self._up[self._index[a]] >> self._index[b] & 1)
+        return bool(_upsets(self)[self._index[a]] >> self._index[b] & 1)
 
     def lt(self, a: Label, b: Label) -> bool:
         return a != b and self.leq(a, b)
@@ -209,16 +223,15 @@ class FinitePoset:
     @property
     def tops(self) -> tuple[Label, ...]:
         """Maximal elements, in index order."""
-        return tuple(
-            self._labels[i] for i in range(len(self._labels)) if self._up[i] == 1 << i
-        )
+        return tuple(x for x, js in zip(self._labels, self._cover_succ) if not js)
 
 
 def _block_sets(
     blocks: Iterable[tuple[Label, Sequence[Label]]], index: dict[Label, int], n: int
-) -> tuple[list[set[int]], list[int]]:
+) -> tuple[list[tuple[int, ...]], list[int]]:
     """(sets, which) for the relation of the blocks (x, ys), that is the pairs
-    (x, y) for y in ys: element i's successors are sets[which[i]].
+    (x, y) for y in ys: element i's successors are sets[which[i]], a tuple
+    without i that may repeat an entry.
 
     Each source has at most one block.  A block whose tuple is the previous
     block's tuple object shares its set, kept at the index of the first
@@ -227,7 +240,7 @@ def _block_sets(
     ones.  Labels are looked up in block order, x before its ys; a block
     with no ys is skipped before its x is looked up.
     """
-    empty: set[int] = set()
+    empty: tuple[int, ...] = ()
     sets = [empty] * n
     which = list(index.values())
     last: Sequence[Label] | None = None
@@ -241,25 +254,31 @@ def _block_sets(
                 which[i] = w
             else:
                 last, w = ys, i
-                sets[i] = s = set(map(get, ys))
-                s.discard(i)  # reflexive pairs are implied
+                s = tuple(map(get, ys))
+                if i in s:  # reflexive pairs are implied
+                    s = tuple(j for j in s if j != i)
+                sets[i] = s
     except KeyError as exc:
         raise ValueError(f"pair references unknown element {exc.args[0]!r}") from None
     return sets, which
 
 
 def _toposort(
-    sets: list[set[int]], which: list[int], labels: list[Label]
-) -> tuple[list[int], list[int]]:
-    """Topological order of the edge digraph and its sources, the minimal
-    elements, in index order; NotAPartialOrder on any cycle.
+    sets: list[tuple[int, ...]], which: list[int], labels: list[Label]
+) -> tuple[list[int], list[int], list[int]]:
+    """Topological order of the edge digraph, its sources, the minimal
+    elements, in index order, and the readers of each element: the runs of
+    consecutive elements in the order that share a set holding it, once per
+    entry; NotAPartialOrder on any cycle.
 
     The order is Kahn's, with a stack, taking a popped element's successors
     in descending index order.  A set's edges are taken away at once, when
     the last of the elements that share it is popped, so in-degrees count
-    sets, not edges: no successor of a set can reach in-degree 0 before its
-    last element is popped, so the order is the one the edges give one at a
-    time."""
+    sets' entries, not edges: no successor of a set can reach in-degree 0
+    before its last element is popped, so the order is the one the edges give
+    one at a time.  A repeated entry is counted and taken away twice.  Every
+    run of a set has started by the time its edges are taken away, so its
+    readers are added there."""
     n = len(which)
     left = [0] * len(sets)  # the elements of each set not yet popped
     for w in which:
@@ -272,14 +291,22 @@ def _toposort(
     sources = [i for i in range(n) if indeg[i] == 0]
     stack = sources[::-1]
     order: list[int] = []
+    runs = [0] * n  # the runs so far of each set
+    readers = [0] * n
+    prev = -1
     while stack:
         i = stack.pop()
         order.append(i)
         w = which[i]
+        if w != prev:
+            prev = w
+            runs[w] += 1
         if left[w] > 1:
             left[w] -= 1
             continue
+        r = runs[w]
         for j in sorted(sets[w], reverse=True):
+            readers[j] += r
             indeg[j] -= 1
             if indeg[j] == 0:
                 stack.append(j)
@@ -290,7 +317,7 @@ def _toposort(
             for j in sets[w]:
                 pred[j].add(i)
         raise NotAPartialOrder(_cycle_witness(pred, remaining, labels))
-    return order, sources
+    return order, sources, readers
 
 
 def _cycle_witness(
@@ -313,25 +340,30 @@ def _cycle_witness(
 # -- the shared engine memo ----------------------------------------------------
 
 # The memo's bound in bytes, against the estimates of `_charge`.  It holds one
-# engine at CHAIN_COUNT_BUDGET elements, the largest engine a view builds:
-# in level-major order most of its 10,000 up-sets reach the last element,
-# 10,000 x 10,000 bits or 12.5 MB, and its per-element and per-list shares
-# are at most 3 MB more.  32 MiB leaves room beside it for its covers or for
-# the many small engines a long session reuses.
+# engine at CHAIN_COUNT_BUDGET elements, the largest engine a view builds,
+# closure included: an engine has up-sets only once a closure query (`leq`,
+# `mobius`, first-kind `whitney`) has built them, and then, in level-major
+# order, most of its 10,000 up-sets reach the last element, 10,000 x 10,000
+# bits or 12.5 MB.  Its per-element and per-list shares are at most 3 MB
+# more.  32 MiB leaves room beside it for its covers or for the many small
+# engines a long session reuses.
 _MEMO_BYTES = 32 << 20
-# Bytes per element (label, index entry, topological slot, up-set header),
+# Bytes per element (label, index entry, topological and cover-list slots),
 # per cover list (header and spare slots; elements may share one), per
 # cover and per Möbius entry (key pair and dict slot), as tracemalloc
-# measures them on CPython 3.11.
-_ELEMENT_BYTES = 200
+# measures them on CPython 3.11.  Built up-sets are charged by their size.
+_ELEMENT_BYTES = 160
 _LIST_BYTES = 100
 _COVER_BYTES = 8
 _MOBIUS_ENTRY_BYTES = 100
 
 
 def _charge(p: FinitePoset) -> int:
-    """Estimated bytes an engine keeps, from counts it already has."""
-    size = len(p._labels) * _ELEMENT_BYTES + sum(x.bit_length() for x in p._up) // 8
+    """Estimated bytes an engine keeps, from counts it already has; its
+    up-sets count only once a closure query has built them."""
+    size = len(p._labels) * _ELEMENT_BYTES
+    if p._up is not None:
+        size += sum(map(sys.getsizeof, p._up))
     # The sweep makes one cover list per run of elements in topological order,
     # so a list that elements share is charged once, at the start of its run.
     last = None
@@ -390,7 +422,8 @@ def rank_function(p: FinitePoset) -> RankLabels:
 def check_count_budget(n: int) -> None:
     """Refuse a chain count or a view engine over more than CHAIN_COUNT_BUDGET
     elements.  `_engine` checks a view's closed-form size before it builds
-    the engine, whose closure costs memory quadratic in the element count."""
+    the engine, whose closure, once a query builds it, costs memory quadratic
+    in the element count."""
     if n > CHAIN_COUNT_BUDGET:
         raise BudgetExceeded(f"{n} elements exceed the count budget {CHAIN_COUNT_BUDGET}")
 
@@ -439,6 +472,31 @@ def maximal_chains(
     raise ValueError(f"mode must be 'count' or 'enumerate', got {mode!r}")
 
 
+def _upsets(p: FinitePoset) -> list[int]:
+    """The up-sets of p, bit j of the i-th set exactly when i <= j, for the
+    queries that read the closure: `leq`, `lt` and the Möbius rows.
+
+    They are built on first use by one reverse-topological pass over the
+    cover lists, in which the elements of a run that share one list share
+    one OR, and kept on the engine; a memo that keeps the engine charges it
+    again.  Threads that race here build equal lists, and either may be kept."""
+    up = p._up
+    if up is None:
+        up = [0] * len(p._labels)
+        last = None
+        for i in reversed(p._topo):
+            js = p._cover_succ[i]
+            if js is not last:
+                last = js
+                acc = 0
+                for j in js:
+                    acc |= up[j]
+            up[i] = acc | 1 << i
+        p._up = up
+        _ENGINES.recharge(p, _charge(p))
+    return up
+
+
 def _mobius_row(p: FinitePoset, t: int) -> dict[int, int]:
     """mu(i, j) for every j >= i, where i = p._topo[t], by the textbook
     recursion over the up-set of i in topological order.
@@ -446,7 +504,7 @@ def _mobius_row(p: FinitePoset, t: int) -> dict[int, int]:
     Every z with i <= z < j comes before j, so mu(i, j) sums the nonzero
     entries found so far that lie below j; zero terms add nothing.  The first
     of them, mu(i, i) = 1, lies below every j."""
-    up = p._up
+    up = _upsets(p)
     i = p._topo[t]
     up_i = up[i]
     row: dict[int, int] = {i: 1}

@@ -694,6 +694,26 @@ def test_large_outputs_peak_near_a_scalar_request():
     assert all(peak < base + 5 for peak in large), (base, large)
 
 
+@pytest.mark.skipif(not hasattr(os, "wait4") or not hasattr(os, "posix_spawn"),
+                    reason="needs os.wait4 and os.posix_spawn")
+def test_brute_counts_peak_near_a_scalar_request():
+    # The engine keeps no closure for a chain count: the largest naturals slice
+    # and the largest weak grid within the count budget (9,870 and 9,656 elements).
+    argvs = [
+        "catalan --n 5",
+        "chains --family cobweb --seq naturals --k 1 --n 140 --method brute",
+        "chains --family grid --k 70 --n 170 --mode weak --method brute",
+    ]
+    done = subprocess.run([sys.executable, "-c", _PEAKS, *argvs], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    codes, peaks = zip(*(map(int, line.split()) for line in done.stdout.splitlines()))
+    assert codes == (0, 0, 0)
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS, else kB
+    base, *brute = (peak * unit / 2**20 for peak in peaks)  # MB
+    assert all(peak < base + 5 for peak in brute), (base, brute)
+
+
 def test_console_write_to_a_closed_pipe_exits_1():
     read_end, write_end = os.pipe()
     os.close(read_end)

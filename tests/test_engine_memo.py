@@ -22,7 +22,11 @@ from cobweb import (
     build_grid,
     from_values,
     layer_subposet,
+    maximal_chains,
     mobius,
+    rank_function,
+    to_dot,
+    whitney,
 )
 from cobweb._memo import Memo
 from test_poset import _engine_fingerprint
@@ -163,13 +167,64 @@ def test_one_engine_at_the_count_budget_fits_the_bound():
     n = engine.CHAIN_COUNT_BUDGET
     chain = FinitePoset(range(n), [(i, i + 1) for i in range(n - 1)])
     assert engine._charge(chain) <= engine._MEMO_BYTES
+    assert chain.leq(0, n - 1)  # its closure, 12.5 MB, fits too
+    assert engine._charge(chain) <= engine._MEMO_BYTES
+
+
+def _serve_without_closure(p):
+    maximal_chains(p)
+    maximal_chains(p, "enumerate")
+    rank_function(p)
+    whitney(p, "second")
+    p.covers
+    list(p.cover_blocks())
+    p.tops
+    p.bottoms
+    to_dot(p)
+
+
+@pytest.mark.parametrize(
+    "first",
+    [lambda p: p.leq(p.elements[0], p.elements[-1]), mobius, lambda p: whitney(p, "first")],
+    ids=["leq", "mobius", "whitney-first"],
+)
+@pytest.mark.parametrize(
+    "view", [build_grid(3, 7, "weak"), build_cobweb(NATURALS, 5)], ids=["grid", "cobweb"]
+)
+def test_closure_is_built_once_by_the_first_query_that_reads_it(memo, view, first):
+    p = view.poset
+    _serve_without_closure(p)
+    assert p._up is None
+    charged = memo.charged
+    assert charged == engine._charge(p)
+    first(p)
+    up = p._up
+    assert up is not None
+    # The memo that keeps the engine charges its closure at once.
+    assert memo.charged == engine._charge(p) > charged
+    x, y = p.elements[0], p.elements[-1]
+    assert p.leq(x, y) and p.lt(x, y) and not p.leq(y, x)
+    mobius(p)
+    whitney(p, "first")
+    _serve_without_closure(p)
+    assert p._up is up
+    assert memo.charged == engine._charge(p)
+    assert _engine_fingerprint(p) == _engine_fingerprint(_fresh(view))
+
+
+def _closed(p):
+    """p, its closure built by one `leq`."""
+    x = p.elements[0]
+    assert p.leq(x, x)
+    return p
 
 
 def test_charged_total_stays_within_the_bound(memo):
+    # With their closures the engines outgrow the bound; each `leq` recharges.
     views = [build_grid(40, 110 + i, "weak") for i in range(12)]
-    assert sum(engine._charge(_fresh(v)) for v in views) > engine._MEMO_BYTES
+    assert sum(engine._charge(_closed(_fresh(v))) for v in views) > engine._MEMO_BYTES
     for v in views:
-        v.poset
+        _closed(v.poset)
         assert memo.charged <= engine._MEMO_BYTES
         assert memo.charged == sum(engine._charge(p) for p in _kept(memo))
     assert views[0] not in memo.entries and views[-1] in memo.entries

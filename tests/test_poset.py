@@ -496,6 +496,16 @@ def _built(elements, **relation):
         return type(exc).__name__, str(exc), getattr(exc, "witness", None)
 
 
+def test_a_shared_set_read_by_two_runs_keeps_its_up_sets_for_both():
+    # a and b share one successor tuple, but z comes between them in the
+    # topological order, so the sweep reads the up-sets of j and k in two runs.
+    t = ("j", "k")
+    p = FinitePoset("azbjk", _blocks=[("a", t), ("b", t), ("j", ("k",))])
+    assert p._topo == [0, 1, 2, 3, 4]
+    assert p.covers == (("a", "j"), ("b", "j"), ("j", "k"))
+    assert p.leq("a", "k") and not p.leq("z", "k")
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.data())
 def test_blocks_build_the_engine_their_pairs_build(data):

@@ -1,15 +1,14 @@
 """F-sequences: positive integer sequences F_1, F_2, ... that set the level
 widths of every cobweb and the weights of every F-nomial.
 
-Built-ins are pure functions of the 1-based index; custom sequences come from
-an explicit list of values (usually loaded from a text file, one value per
-line) and refuse queries beyond their bound.
+Built-ins are pure functions of the 1-based index and keep no state;
+custom sequences come from an explicit list of values (usually loaded from a
+text file, one value per line) and refuse queries beyond their bound.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import IndexOutOfDomain, InvalidBounds
@@ -28,16 +27,29 @@ __all__ = [
     "is_gcd_morphic",
 ]
 
-_fib_lock = threading.Lock()
-_fib_values = [1, 1]  # F_1, F_2; extended on demand, never evicted
+
+class _Fibonacci:
+    """F_s by fast doubling: O(log s) multiplications, and nothing kept."""
+
+    def __call__(self, s: int) -> int:
+        a, b = 0, 1  # F_k, F_k+1 for k the bits of s read so far
+        for bit in bin(s)[2:]:
+            a, b = a * (2 * b - a), a * a + b * b  # F_2k, F_2k+1
+            if bit == "1":
+                a, b = b, a + b
+        return a
+
+    def prefix(self, count: int) -> list[int]:  # F_1..F_count by the addition loop
+        vals = [1, 1]
+        while len(vals) < count:
+            vals.append(vals[-1] + vals[-2])
+        return vals[:count]
+
+    def __reduce__(self) -> str:  # copy and pickle give back the one instance
+        return "_FIBONACCI_RULE"
 
 
-def _fib(s: int) -> int:
-    if s > len(_fib_values):
-        with _fib_lock:
-            while len(_fib_values) < s:
-                _fib_values.append(_fib_values[-1] + _fib_values[-2])
-    return _fib_values[s - 1]
+_FIBONACCI_RULE = _Fibonacci()
 
 
 class FSequence(NamedTuple):
@@ -61,12 +73,15 @@ class FSequence(NamedTuple):
         return self.rule(s)
 
     def values(self, count: int) -> list[int]:
-        """The prefix [F_1, ..., F_count]; ValueError if count < 0, and past
-        the limit it raises as value() does at the first index beyond it."""
+        """The prefix [F_1, ..., F_count], by the rule's own ``prefix`` if it
+        has one; ValueError if count < 0, and past the limit it raises as
+        value() does at the first index beyond it."""
         if count < 0:
             raise ValueError(f"need count >= 0, got {count}")
         if self.limit is not None and count > self.limit:
             self.value(self.limit + 1)
+        if hasattr(self.rule, "prefix"):
+            return self.rule.prefix(count)
         return list(map(self.rule, range(1, count + 1)))
 
 
@@ -74,7 +89,7 @@ NATURALS = FSequence("naturals", lambda s: s)
 ODD = FSequence("odd", lambda s: 2 * s - 1)
 EVEN1 = FSequence("even1", lambda s: 1 if s == 1 else 2 * (s - 1))
 DIV31 = FSequence("div31", lambda s: 1 if s == 1 else 3 * (s - 1))
-FIBONACCI = FSequence("fibonacci", _fib)
+FIBONACCI = FSequence("fibonacci", _FIBONACCI_RULE)
 
 BUILTIN_SEQUENCES: dict[str, FSequence] = {
     seq.name: seq for seq in (NATURALS, ODD, EVEN1, DIV31, FIBONACCI)

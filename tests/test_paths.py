@@ -20,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import (
+    FIBONACCI,
     FinitePoset,
     FNomialTable,
+    FSequence,
     NonIntegral,
     _parts,
     build_cobweb,
@@ -35,7 +37,7 @@ from cobweb import (
 )
 from cobweb._memo import Memo
 from test_poset import _engine_fingerprint
-from test_sequences import full_square_scan
+from test_sequences import fibonacci_by_addition, full_square_scan
 
 
 class Path(NamedTuple):
@@ -139,6 +141,15 @@ REGISTRY = {
         ],
         oracle=_fresh_engines,
     ),
+    "fibonacci values": Path(
+        # A rule that is a plain function offers no prefix, so values() maps it.
+        modes={"prefix": nullcontext,
+               "per index": lambda: mock.patch.object(
+                   sequences, "FIBONACCI", FSequence("fibonacci", lambda s: FIBONACCI.rule(s)))},
+        args=lambda data, n: (data.draw(st.integers(0, 3000), label="count"),),
+        production=lambda seq, count: sequences.FIBONACCI.values(count),
+        oracle=lambda seq, count: list(fibonacci_by_addition(count)),
+    ),
 }
 
 
@@ -211,6 +222,15 @@ def test_every_mode_takes_its_path():
             kept = [key in memo.entries for key in (grid, (c.widths, 1), ((2, 3), 2))]
             assert kept == [stores] * 3, mode
             assert stores or (not memo.entries and memo.charged == 0), mode
+    fib = type(FIBONACCI.rule)
+    rule, prefix = fib.__call__, fib.prefix
+    for mode, per_index in (("prefix", False), ("per index", True)):
+        calls = []
+        with REGISTRY["fibonacci values"].modes[mode](), mock.patch.object(
+            fib, "__call__", lambda self, s: calls.append("rule") or rule(self, s)
+        ), mock.patch.object(fib, "prefix", lambda self, c: calls.append("prefix") or prefix(self, c)):
+            assert sequences.FIBONACCI.values(30) == list(fibonacci_by_addition(30))
+        assert calls == (["rule"] * 30 if per_index else ["prefix"]), mode
 
 
 def test_both_gcd_modes_find_a_deep_witness():

@@ -1,10 +1,16 @@
+import copy
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cobweb
 from cobweb import (
     BUILTIN_SEQUENCES,
     DIV31,
@@ -77,6 +83,52 @@ def test_custom_sequences_compare_by_value():
 def test_rule_sequences_keep_identity():
     assert FSequence("naturals", lambda s: 2 * s) != NATURALS
     assert FSequence("naturals", NATURALS.rule) == NATURALS
+
+
+def fibonacci_by_addition(last):
+    """F_1, F_2, ..., F_last by the addition loop."""
+    a, b = 1, 1
+    for _ in range(last):
+        yield a
+        a, b = b, a + b
+
+
+def test_fibonacci_value_matches_the_addition_loop():
+    checked = {2000, 4095, 4096, 4097, 10**4, 10**5}
+    for s, f in enumerate(fibonacci_by_addition(10**5), 1):
+        if s <= 2000 or s in checked:
+            assert FIBONACCI.value(s) == f, s
+
+
+def test_fibonacci_values_prefix():
+    assert [FIBONACCI.values(c) for c in range(4)] == [[], [1], [1, 1], [1, 1, 2]]
+    assert FIBONACCI.values(500) == [FIBONACCI.value(s) for s in range(1, 501)]
+
+
+def test_fibonacci_copies_and_pickles_as_itself():
+    for twin in (copy.copy(FIBONACCI), copy.deepcopy(FIBONACCI),
+                 pickle.loads(pickle.dumps(FIBONACCI))):
+        assert twin == FIBONACCI and twin.rule is FIBONACCI.rule
+
+
+# In a fresh interpreter, so no earlier call can have left values to reuse.
+_RETAINED = """
+import gc, tracemalloc
+from cobweb import FIBONACCI
+tracemalloc.start()
+FIBONACCI.values(25_000)
+gc.collect()
+held = tracemalloc.take_snapshot().filter_traces([tracemalloc.Filter(True, "*/cobweb/*")])
+print(sum(stat.size for stat in held.statistics("filename")))
+"""
+
+
+def test_fibonacci_values_keep_nothing():
+    src = os.path.dirname(os.path.dirname(cobweb.__file__))
+    done = subprocess.run([sys.executable, "-c", _RETAINED], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert int(done.stdout) < 0.1 * 2**20
 
 
 @pytest.mark.parametrize("bad", [[], [0], [1, -2], [1, "x"], [1, 2.5]])

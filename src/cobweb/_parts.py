@@ -6,8 +6,9 @@ e < d), so F_m = prod(P_d for d | m).  `sieve` is the only code that divides
 the parts out.  `parts` (the F-nomial kernel) and `first_failure`
 (`is_gcd_morphic`) read it through `MEMO`, a `cobweb._memo.Memo` charged by
 `_Entry.bits` and keyed by the sequence's rule, so value-equal custom
-sequences share one entry.  The package imports this module on first use
-only, so no start-up path compiles it.
+sequences share one entry; `integral_up_to` tells the CLI when a table may
+stream.  The package imports this module on first use only, so no start-up
+path compiles it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import math
 from typing import Callable, Sequence
 
 from ._memo import Memo
-from .sequences import _Terms
+from .errors import IndexOutOfDomain
+from .sequences import FSequence, _Terms
 
 # Bits the memo may hold: each stored int is charged its bit length plus
 # INT_BITS, about what its object header and its list slot take (36 bytes on
@@ -136,3 +138,17 @@ def first_failure(rule: Callable[[int], int], vals: list[int]) -> int | None:
         if e.cert[1] is None and cert[0] >= e.cert[0]:
             e.cert = cert
     return b0
+
+
+def integral_up_to(seq: FSequence, n_max: int) -> bool:
+    """True when P_1..P_{n_max} of seq are all integers.  Then every
+    (n over k)_F with n <= n_max is a product of parts with exponents 0 or 1
+    (see FNomialTable.fnomial), so no F-nomial table or Bell sum up to n_max
+    can raise NonIntegral.  False when n_max < 0 or seq stops before n_max."""
+    if n_max < 0:
+        return False
+    try:
+        vals = seq.values(n_max)
+    except IndexOutOfDomain:
+        return False
+    return parts(seq.rule, vals)[1] is None

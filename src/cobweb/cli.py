@@ -13,9 +13,12 @@ from it too.  Each handler imports the library modules it runs, so a
 request pays only for its own subcommand.
 
 A handler computes its whole result, except `mobius`, which checks its bounds
-and then computes its rows as they are written.  Output is written in batches,
-never joined into one string: rows 256 at a time, each formatted by one
-%-template, and DOT edge lines about 1,024 at a time, each source's lines in one join.
+and then computes its rows as they are written, and `fnomial --table` and
+`bell --table`, which do so when the primitive parts prove no entry
+non-integral.  Output is written in chunks, never joined into one string: rows
+in chunks of about 64k characters and at most 256 rows, each row formatted by
+one %-template, and DOT edge lines about 1,024 at a time, each source's lines
+in one join.
 """
 
 from __future__ import annotations
@@ -107,7 +110,11 @@ def _cmd_fnomial(ns: argparse.Namespace) -> OutputRecord:
     seq = _seq_from_token(ns.seq)
     table = FNomialTable(seq)
     if ns.table is not None:
-        triangle = list(table.rows(ns.table))  # in full, so a NonIntegral is raised here
+        from ._parts import integral_up_to
+
+        triangle = table.rows(ns.table)
+        if not integral_up_to(seq, ns.table):
+            triangle = list(triangle)  # in full, so a NonIntegral is raised here
         rows = ((n, k, v) for n, row in enumerate(triangle) for k, v in enumerate(row))
         return OutputRecord(
             "fnomial", {"seq": ns.seq, "table": ns.table}, columns=("n", "k", "value"), rows=rows
@@ -173,14 +180,18 @@ def _cmd_bell(ns: argparse.Namespace) -> OutputRecord:
             "bell", {"family": "grid", "l": ns.l, "m": ns.m}, value=bell_grid(ns.l, ns.m)
         )
     _need(ns, "bell --family prefab", "seq", "n")
-    from .prefab import bell_f, bell_f_table
+    from .prefab import _bell_sums, bell_f
 
     seq = _seq_from_token(ns.seq)
     params = {"family": "prefab", "seq": ns.seq, "n": ns.n}
     if ns.table:
+        from ._parts import integral_up_to
+
         params["table"] = True
-        values = bell_f_table(seq, ns.n).values
-        return OutputRecord("bell", params, columns=("n", "value"), rows=list(enumerate(values)))
+        sums = _bell_sums(seq, ns.n)
+        if not integral_up_to(seq, ns.n):
+            sums = list(sums)  # in full, so a NonIntegral is raised here
+        return OutputRecord("bell", params, columns=("n", "value"), rows=enumerate(sums))
     return OutputRecord("bell", params, value=bell_f(seq, ns.n))
 
 
@@ -267,7 +278,8 @@ def _cmd_problems(ns: argparse.Namespace) -> OutputRecord:
 
 # -- rendering ---------------------------------------------------------------
 
-_BATCH_ROWS = 256  # rows rendered, then written, per chunk
+_BATCH_ROWS = 256  # most rows rendered, then written, per chunk
+_BATCH_CHARS = 1 << 16  # characters a chunk aims at
 
 
 def _table_layout(rec: OutputRecord, sep: str, scalar_header: str) -> _Layout:
@@ -302,11 +314,13 @@ _LAYOUTS = {
 
 
 def _render(rec: OutputRecord, fmt: str) -> Iterator[str]:
-    """The output text as its format's head, the rows in chunks of
-    _BATCH_ROWS, and its tail; each chunk is rendered only when it is read,
-    so no copy of the whole text is held.  Each row is formatted by one
-    %-template: the text before the row, one %s per cell joined by the
-    format's cell separator, and the text after it.
+    """The output text as its format's head, the rows in chunks, and its
+    tail; each chunk is rendered only when it is read, so no copy of the
+    whole text is held.  The first chunk is one row; each next one takes as
+    many rows as the last chunk's rows per _BATCH_CHARS characters, but at
+    least one, at most twice the last count and at most _BATCH_ROWS.  Each
+    row is formatted by one %-template: the text before the row, one %s per
+    cell joined by the format's cell separator, and the text after it.
 
     Results of any size are exact; the int-to-str digit limit is never
     changed.  Only a batch in which str() refuses an int past the limit is
@@ -316,8 +330,8 @@ def _render(rec: OutputRecord, fmt: str) -> Iterator[str]:
     3.10-3.12 ship it."""
     head, rows, (cell_sep, start, end, between), tail = _LAYOUTS[fmt](rec)
     yield head
-    rows, lead = iter(rows), ""
-    while batch := list(islice(rows, _BATCH_ROWS)):
+    rows, lead, size = iter(rows), "", 1
+    while batch := list(islice(rows, size)):
         template = start + cell_sep.join(["%s"] * len(batch[0])) + end
         try:
             text = between.join(map(template.__mod__, batch))
@@ -327,6 +341,7 @@ def _render(rec: OutputRecord, fmt: str) -> Iterator[str]:
             text = between.join([template % tuple(map(Decimal, row)) for row in batch])
         yield lead + text
         lead = between
+        size = max(1, min(_BATCH_ROWS, 2 * size, size * _BATCH_CHARS // len(text)))
     yield tail
 
 

@@ -7,7 +7,7 @@ Fibonacci(n + 1).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .fnomial import FNomialTable, non_integral
 from .sequences import FSequence
@@ -72,8 +72,9 @@ def bell_f(seq: FSequence, n: int) -> int:
     return sum(_row(seq, n))
 
 
-def bell_f_table(seq: FSequence, n_max: int) -> BellSequence:
-    """B_0(F) .. B_{n_max}(F).
+def _bell_sums(seq: FSequence, n_max: int) -> Iterator[int]:
+    """B_0(F) .. B_{n_max}(F), each yielded as its row finishes, or
+    ValueError when read if n_max < 0.
 
     Row n of the W(n, k) = (n - k over k)_F follows from row n - 2 by the
     diagonal W(n, k) = W(n - 2, k - 1) * F_{n-k} / F_k, each step checked;
@@ -84,7 +85,6 @@ def bell_f_table(seq: FSequence, n_max: int) -> BellSequence:
         raise ValueError(f"need n_max >= 0, got {n_max}")
     vals: list[int] = []
     before, last = [], []  # rows n - 2 and n - 1
-    sums = []
     for n in range(n_max + 1):
         if n:
             vals.append(seq.value(n))
@@ -94,6 +94,10 @@ def bell_f_table(seq: FSequence, n_max: int) -> BellSequence:
             if r:
                 raise non_integral(vals, n - k, k)
             row.append(q)
-        sums.append(sum(row))
+        yield sum(row)
         before, last = last, row
-    return BellSequence(seq, tuple(sums))
+
+
+def bell_f_table(seq: FSequence, n_max: int) -> BellSequence:
+    """B_0(F) .. B_{n_max}(F), by _bell_sums."""
+    return BellSequence(seq, tuple(_bell_sums(seq, n_max)))

@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -376,6 +377,22 @@ def test_render_tables_of_any_shape_equal_lifted_str(count, width, pool, past, f
         sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_render_cuts_chunks_by_size(fmt):
+    big = 7**4000  # 3,381 digits
+    wide = cli.OutputRecord("t", {}, columns=("k", "a", "b", "c"),
+                            rows=[(k, big, big + k, big - k) for k in range(60)])
+    chunks = list(cli._render(wide, fmt))[1:-1]  # the head and the tail left out
+    assert sum(chunk.count("\n") for chunk in chunks) == 60
+    assert all(len(c) <= 2 * cli._BATCH_CHARS or c.count("\n") == 1 for c in chunks)
+    assert len(chunks) < 60
+    narrow = cli.OutputRecord("t", {}, columns=("k",), rows=[(k,) for k in range(2000)])
+    counts = [chunk.count("\n") for chunk in list(cli._render(narrow, fmt))[1:-1]]
+    ramp = [2**i for i in range(8)]  # 1 + 2 + ... + 128 = 255 rows
+    rest = 2000 - sum(ramp)
+    assert counts == ramp + [cli._BATCH_ROWS] * (rest // cli._BATCH_ROWS) + [rest % cli._BATCH_ROWS]
+
+
 def test_multi_batch_table_past_the_digit_limit_prints_as_lifted():
     argv = ["fnomial", "--seq", "fibonacci", "--table", "142", "--format", "csv"]
     outs = {}
@@ -422,12 +439,25 @@ def test_small_non_integral_and_out_of_domain_messages(tmp_path):
         (("bell", "--family", "prefab", "--seq", tok, "--n", "4"), beyond),
         (("bell", "--family", "prefab", "--seq", tok, "--n", "5", "--table"),
          "error: NonIntegral: quotient 6/4 is not an integer\n"),
+        # Tables past an uncertified prefix are computed in full before any
+        # output, so a non-integral entry leaves stdout empty.
+        (("fnomial", "--seq", "odd", "--table", "6"),
+         "error: NonIntegral: quotient 105/9 is not an integer\n"),
+        (("bell", "--family", "prefab", "--seq", "odd", "--n", "8", "--table"),
+         "error: NonIntegral: quotient 105/9 is not an integer\n"),
     ]:
         code, out, err = invoke(*argv)
         if expected is None:
             assert (code, err) == (0, ""), argv
         else:
             assert (code, out, err) == (1, "", expected), argv
+    # even1 = 1, 2, 4, 6, 8, 10 has P_6 = F_6 / (P_1 P_2 P_3) = 10 / 8, yet
+    # every (n over k)_F with n <= 6 is an integer.
+    f = [1, 2, 4, 6, 8, 10]
+    rows = [f"{n} {k} {math.prod(f[n - k:n]) // math.prod(f[:k])}" for n in range(7)
+            for k in range(n + 1)]
+    assert invoke("fnomial", "--seq", "even1", "--table", "6") == (
+        0, "\n".join(["n k value", *rows]) + "\n", "")
 
 
 def test_usage_error_exit_code():
@@ -692,6 +722,26 @@ def test_large_outputs_peak_near_a_scalar_request():
     unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS, else kB
     base, *large = (peak * unit / 2**20 for peak in peaks)  # MB
     assert all(peak < base + 5 for peak in large), (base, large)
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4") or not hasattr(os, "posix_spawn"),
+                    reason="needs os.wait4 and os.posix_spawn")
+def test_tables_and_rows_stream_near_a_scalar_request():
+    # The certified table is written as its rows are computed, and the
+    # prefab row in chunks of about _BATCH_CHARS characters.
+    argvs = [
+        "catalan --n 5",
+        "fnomial --seq naturals --table 800",  # writes 40 MB
+        "whitney --family prefab --seq fibonacci --n 700",  # 351 rows of up to 12.8k digits
+    ]
+    done = subprocess.run([sys.executable, "-c", _PEAKS, *argvs], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    codes, peaks = zip(*(map(int, line.split()) for line in done.stdout.splitlines()))
+    assert codes == (0, 0, 0)
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss is in bytes on macOS, else kB
+    base, *large = (peak * unit / 2**20 for peak in peaks)  # MB
+    assert all(peak < base + 2 for peak in large), (base, large)
 
 
 @pytest.mark.skipif(not hasattr(os, "wait4") or not hasattr(os, "posix_spawn"),

@@ -134,8 +134,14 @@ def test_primitive_parts_load_only_where_a_path_reads_them():
     ]
     for code in (session_set_up, _cli_code(small)):
         assert not _loaded_after(code) & {"cobweb._parts", "cobweb._memo"}
-    loaded = _loaded_after(_cli_code([["seq", "--seq", "fibonacci", "--gcd-morphic", "30"]]))
-    assert {"cobweb._parts", "cobweb._memo"} <= loaded and "cobweb.poset" not in loaded
+    for argv in (
+        ["seq", "--seq", "fibonacci", "--gcd-morphic", "30"],
+        # A table streams once the parts certify it.
+        ["fnomial", "--seq", "naturals", "--table", "5"],
+        ["bell", "--family", "prefab", "--seq", "fibonacci", "--n", "8", "--table"],
+    ):
+        loaded = _loaded_after(_cli_code([argv]))
+        assert {"cobweb._parts", "cobweb._memo"} <= loaded and "cobweb.poset" not in loaded, argv
 
 
 def test_start_up_paths_load_no_dataclasses_or_inspect():

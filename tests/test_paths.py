@@ -9,6 +9,9 @@ and runs under hypothesis in every mode against the same oracle.
 
 from contextlib import nullcontext
 from fractions import Fraction
+from io import StringIO
+from itertools import accumulate
+import json
 import math
 from math import prod
 from types import SimpleNamespace
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobweb import (
+    BUILTIN_SEQUENCES,
     FIBONACCI,
     FinitePoset,
     FNomialTable,
@@ -28,13 +32,16 @@ from cobweb import (
     _parts,
     build_cobweb,
     build_grid,
+    cli,
     fnomial,
     from_values,
     is_gcd_morphic,
     layer_subposet,
     poset,
+    prefab,
     sequences,
 )
+from cobweb.errors import CobwebError
 from cobweb._memo import Memo
 from test_poset import _engine_fingerprint
 from test_sequences import fibonacci_by_addition, full_square_scan
@@ -106,6 +113,66 @@ def _fresh_engines(seq, grid, c, lo, hi):
     return [_engine_fingerprint(p) for p in (*engines, FinitePoset(levels, covers))]
 
 
+def _table_request(data, n):
+    """A table request over the drawn sequence (named "drawn") or a
+    built-in: (command, sequence name, n_max, format)."""
+    return (data.draw(st.sampled_from(("fnomial", "bell")), label="command"),
+            data.draw(st.sampled_from(("drawn", *BUILTIN_SEQUENCES)), label="seq"),
+            data.draw(st.integers(0, 60), label="n_max"),
+            data.draw(st.sampled_from(("text", "csv", "json")), label="format"))
+
+
+def _table_argv(command, name, n_max, fmt):
+    if command == "fnomial":
+        return ["fnomial", "--seq", name, "--table", str(n_max), "--format", fmt]
+    return ["bell", "--family", "prefab", "--seq", name, "--n", str(n_max), "--table",
+            "--format", fmt]
+
+
+def _table_output(seq, command, name, n_max, fmt):
+    """(exit code, stdout, stderr) of the table request, through the CLI with
+    "drawn" naming the drawn sequence."""
+    out, err = StringIO(), StringIO()
+    with mock.patch.dict(BUILTIN_SEQUENCES, {"drawn": seq}):
+        code = cli.run(_table_argv(command, name, n_max, fmt), out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _table_by_factorials(seq, command, name, n_max, fmt):
+    """The output of a table computed in full before any of it is written:
+    each entry F_n!/(F_k! F_{n-k}!), F_n fetched as row n starts, the first
+    failure in row-major order reported alone, and the text formed here."""
+    seq = seq if name == "drawn" else BUILTIN_SEQUENCES[name]
+    fact = [1]
+
+    def coefficient(n, k):  # (n over k)_F
+        q, r = divmod(fact[n], fact[k] * fact[n - k])
+        if r:
+            raise NonIntegral(fact[n], fact[k] * fact[n - k])
+        return q
+
+    rows = []
+    try:
+        for n in range(n_max + 1):
+            if n:
+                fact.append(fact[-1] * seq.value(n))
+            if command == "fnomial":
+                rows += [(n, k, coefficient(n, k)) for k in range(n + 1)]
+            else:
+                rows.append((n, sum(coefficient(n - k, k) for k in range(n // 2 + 1))))
+    except CobwebError as exc:
+        return 1, "", f"error: {type(exc).__name__}: {exc}\n"
+    if command == "fnomial":
+        params, columns = {"seq": name, "table": n_max}, ["n", "k", "value"]
+    else:
+        params, columns = {"family": "prefab", "seq": name, "n": n_max, "table": True}, ["n", "value"]
+    if fmt == "json":
+        result = {"columns": columns, "rows": [list(map(str, row)) for row in rows]}
+        return 0, json.dumps({"command": command, "params": params, "result": result}) + "\n", ""
+    sep = "," if fmt == "csv" else " "
+    return 0, "".join(sep.join(map(str, row)) + "\n" for row in [columns, *rows]), ""
+
+
 REGISTRY = {
     "is_gcd_morphic": Path(
         # The helper reporting failure at b = 2 leaves the whole n < m scan.
@@ -149,6 +216,15 @@ REGISTRY = {
         args=lambda data, n: (data.draw(st.integers(0, 3000), label="count"),),
         production=lambda seq, count: sequences.FIBONACCI.values(count),
         oracle=lambda seq, count: list(fibonacci_by_addition(count)),
+    ),
+    "table streaming": Path(
+        # With the certificate refused, every table is computed in full first.
+        modes={"certified": nullcontext,
+               "materialized": lambda: mock.patch.object(
+                   _parts, "integral_up_to", lambda seq, n_max: False)},
+        args=_table_request,
+        production=_table_output,
+        oracle=_table_by_factorials,
     ),
 }
 
@@ -231,6 +307,37 @@ def test_every_mode_takes_its_path():
         ), mock.patch.object(fib, "prefix", lambda self, c: calls.append("prefix") or prefix(self, c)):
             assert sequences.FIBONACCI.values(30) == list(fibonacci_by_addition(30))
         assert calls == (["rule"] * 30 if per_index else ["prefix"]), mode
+    # How many rows each table has computed when each chunk is written: none
+    # yet at the head when streamed, all of them when materialized.
+    made = []
+    rows, sums = FNomialTable.rows, prefab._bell_sums
+    counted = {
+        "fnomial": mock.patch.object(FNomialTable, "rows", lambda self, n: (
+            made.append(0) or row for row in rows(self, n))),
+        "bell": mock.patch.object(prefab, "_bell_sums", lambda seq, n: (
+            made.append(0) or b for b in sums(seq, n))),
+    }
+
+    class Chunks:
+        def __init__(self):
+            self.rows_made = []  # per chunk written
+
+        def writelines(self, chunks):
+            self.rows_made += [len(made) for _ in chunks]
+
+        def flush(self):
+            pass
+
+    for mode, streams in (("certified", True), ("materialized", False)):
+        for command, patch in counted.items():
+            made.clear()
+            out = Chunks()
+            with REGISTRY["table streaming"].modes[mode](), patch, mock.patch.dict(
+                BUILTIN_SEQUENCES, {"drawn": mersenne}
+            ):
+                assert cli.run(_table_argv(command, "drawn", 60, "csv"), out) == 0
+            assert out.rows_made[0] == (0 if streams else 61), (mode, command)
+            assert out.rows_made[-1] == 61, (mode, command)
 
 
 def test_both_gcd_modes_find_a_deep_witness():

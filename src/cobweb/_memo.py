@@ -11,19 +11,20 @@ from typing import Hashable
 class Memo:
     """Values by key, each with the cost its owner charges it, least recently
     used first: the charged total stays at or below `limit`, and a value that
-    costs more is not kept.  One lock, `lock`, guards every update, so threads
-    may share a memo; callers build their values outside it.  `entries` maps
-    each key to its (value, cost), in order of use."""
+    costs more is not kept.  One private lock guards every update, so threads
+    may share a memo; callers build their values outside it and take no lock
+    of their own.  `entries` maps each key to its (value, cost), in order of
+    use."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
         self.charged = 0
         self.entries: OrderedDict[Hashable, tuple[object, int]] = OrderedDict()
-        self.lock = threading.Lock()
+        self._lock = threading.Lock()
 
     def get(self, key: Hashable) -> object | None:
         """The value kept under key, now the most recent, or None."""
-        with self.lock:
+        with self._lock:
             if (kept := self.entries.get(key)) is None:
                 return None
             self.entries.move_to_end(key)
@@ -32,19 +33,19 @@ class Memo:
     def put(self, key: Hashable, value: object, cost: int) -> None:
         """Keep value under key as the most recent, in place of any value
         there, unless it costs more than the limit: then neither is kept."""
-        with self.lock:
+        with self._lock:
             self._keep(key, value, cost)
 
     def recharge(self, value: object, cost: int) -> None:
         """Charge a kept value again, say once it has grown; a value no longer
         kept stays out."""
-        with self.lock:
+        with self._lock:
             key = next((k for k, (v, _) in self.entries.items() if v is value), None)
             if key is not None:
                 self._keep(key, value, cost)
 
     def clear(self) -> None:
-        with self.lock:
+        with self._lock:
             self.entries.clear()
             self.charged = 0
 

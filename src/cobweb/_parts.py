@@ -5,8 +5,9 @@ For a prefix F_1..F_n the primitive part P_d = F_d / prod(P_e for e | d,
 e < d), so F_m = prod(P_d for d | m).  `sieve` is the only code that divides
 the parts out.  `parts` (the F-nomial kernel) and `first_failure`
 (`is_gcd_morphic`) read it through `MEMO`, a `cobweb._memo.Memo` charged by
-`_Entry.bits` and keyed by the sequence's rule, so value-equal custom
-sequences share one entry; `integral_up_to` tells the CLI when a table may
+`_Entry.bits` and keyed by the sequence's rule and the prefix length, so
+value-equal custom sequences share one entry and an entry answers only the
+values it was built from; `integral_up_to` tells the CLI when a table may
 stream.  The package imports this module on first use only, so no start-up
 path compiles it.
 """
@@ -49,11 +50,11 @@ def sieve(vals: Sequence[int]) -> tuple[list[int], int | None]:
     return parts, (bad if bad < len(parts) else None)
 
 
-def _certify(parts: list[int], lo: int, hi: int) -> int | None:
-    """The first b in [lo, hi] with gcd(P_b, prod(P_a for a < b, a ∤ b)) != 1,
-    or None; P_1..P_hi must be integers."""
-    seen = [(a, p) for a in range(2, lo) if (p := parts[a]) != 1]
-    for b in range(lo, hi + 1):
+def _certify(parts: list[int], hi: int) -> int | None:
+    """The first b <= hi with gcd(P_b, prod(P_a for a < b, a ∤ b)) != 1, or
+    None; P_1..P_hi must be integers."""
+    seen: list[tuple[int, int]] = []
+    for b in range(2, hi + 1):
         q = parts[b]
         if q == 1:
             continue
@@ -68,18 +69,15 @@ def _certify(parts: list[int], lo: int, hi: int) -> int | None:
 
 
 class _Entry:
-    """The parts of one stored prefix and how far its certificate is known."""
+    """The parts of one stored prefix and, once first_failure has asked, the
+    first b where its certificate fails."""
 
-    __slots__ = ("vals", "parts", "bad", "cert", "bits")
+    __slots__ = ("vals", "parts", "bad", "b0", "bits")
 
-    def __init__(self, rule: Callable[[int], int], vals: list[int],
-                 cert: tuple[int, int | None] = (1, None)) -> None:
+    def __init__(self, rule: Callable[[int], int], vals: list[int]) -> None:
         self.vals = vals
-        self.parts, bad = sieve(vals)
-        self.bad = len(vals) + 1 if bad is None else bad
-        # (checked, b0): the certificate holds at every b <= checked, and b0
-        # is the first b where it fails (a non-integral part included), or None.
-        self.cert = cert
+        self.parts, self.bad = sieve(vals)
+        self.b0: int | None = 0  # 0 until first_failure computes it
         held = rule.vals if isinstance(rule, _Terms) else vals  # a custom key holds its values
         self.bits = sum(map(int.bit_length, held)) + sum(map(int.bit_length, self.parts))
         self.bits += INT_BITS * (len(held) + len(self.parts))
@@ -89,55 +87,36 @@ MEMO = Memo(MEMO_BITS)
 
 
 def _entry(rule: Callable[[int], int], vals: list[int]) -> _Entry:
-    """An entry whose parts are exact for vals = [F_1, ..., F_n] up to
-    min(n, bad - 1), sieving and storing one unless the memo holds one whose
-    values agree with vals, so a rule whose values change gets fresh parts."""
+    """The entry for vals = [F_1, ..., F_n] under (rule, n): the stored one
+    when its values equal vals, else a fresh sieve that replaces it, so a
+    rule whose values change gets fresh parts."""
     try:
         hash(rule)
     except TypeError:
         return _Entry(rule, vals)
-    old = MEMO.get(rule)
-    cert = (1, None)
-    if old is not None:
-        n, held = len(vals), len(old.vals)
-        if n <= held:
-            if old.vals[:n] == vals:
-                return old
-        elif vals[:held] == old.vals:
-            if old.bad <= held:  # the first non-integral part is already known
-                return old
-            cert = old.cert  # the certificate reads P_1..P_b only
-    new = _Entry(rule, vals, cert)
-    MEMO.put(rule, new, new.bits)
+    key = (rule, len(vals))
+    old = MEMO.get(key)
+    if old is not None and old.vals == vals:
+        return old
+    new = _Entry(rule, vals)
+    MEMO.put(key, new, new.bits)
     return new
 
 
 def parts(rule: Callable[[int], int], vals: list[int]) -> tuple[list[int], int | None]:
-    """sieve(vals) through the memo: parts[d] is P_d for every d <= len(vals)
-    below bad, and the list may run longer."""
+    """sieve(vals) through the memo."""
     e = _entry(rule, vals)
-    return e.parts, (e.bad if e.bad <= len(vals) else None)
+    return e.parts, e.bad
 
 
 def first_failure(rule: Callable[[int], int], vals: list[int]) -> int | None:
     """The first b <= N = len(vals) at which P_b is not an integer or
     gcd(P_b, prod(P_a for a < b, a ∤ b)) != 1, or None: then F is
     GCD-morphic on [1, N], and otherwise on [1, b - 1]."""
-    n = len(vals)
     e = _entry(rule, vals)
-    checked, b0 = e.cert
-    if b0 is not None and b0 <= n:
-        return b0
-    if checked >= n:
-        return None
-    b0 = _certify(e.parts, checked + 1, min(n, e.bad - 1))
-    if b0 is None and e.bad <= n:
-        b0 = e.bad
-    cert = (n, None) if b0 is None else (b0 - 1, b0)
-    with MEMO.lock:  # record the progress, unless the entry knows as much
-        if e.cert[1] is None and cert[0] >= e.cert[0]:
-            e.cert = cert
-    return b0
+    if e.b0 == 0:  # threads that race here store equal values
+        e.b0 = _certify(e.parts, len(vals) if e.bad is None else e.bad - 1) or e.bad
+    return e.b0
 
 
 def integral_up_to(seq: FSequence, n_max: int) -> bool:

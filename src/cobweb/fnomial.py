@@ -73,11 +73,12 @@ class FNomialTable:
         By symmetry the shorter of the two falling products is taken.  When
         its bit lengths estimate the result at _KERNEL_BITS or more and every
         primitive part P_d of F_1..F_n is an integer, the result is the
-        product of the P_d (read from the memo in cobweb._parts) with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1
-        (the exponent is 0 or 1): no large product is divided.  Otherwise
-        the one division is checked rather than assumed: sequences that are
-        not GCD-morphic can make it non-integral, which raises NonIntegral
-        with the quotient F_n!/(F_k! F_{n-k}!).
+        product of the P_d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1
+        (the exponent is 0 or 1): no large product is divided.  The parts
+        come from the memo in cobweb._parts, one entry per rule and n.
+        Otherwise the one division is checked rather than assumed: sequences
+        that are not GCD-morphic can make it non-integral, which raises
+        NonIntegral with the quotient F_n!/(F_k! F_{n-k}!).
         """
         if k < 0 or k > n:
             return 0

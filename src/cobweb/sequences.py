@@ -173,9 +173,9 @@ def is_gcd_morphic(seq: FSequence, range_max: int) -> GcdMorphicReport:
     the scan starts each n at m = max(n + 1, b0).  The pair (n, n) always
     holds and (n, m) fails exactly when (m, n) does, so only n < m is
     scanned; the smallest failing such pair is also the lexicographically
-    smallest over the whole square.  The parts and the certificate's
-    progress are memoized per rule (value-equal custom sequences share one
-    entry), within 2**25 charged bits, least recently used out first.
+    smallest over the whole square.  The parts and b0 are memoized per rule
+    and range_max (value-equal custom sequences share one entry), within
+    2**25 charged bits, least recently used out first.
     """
     if range_max < 2:
         raise InvalidBounds(f"range_max must be >= 2, got {range_max}")

@@ -20,9 +20,9 @@ from cobweb import (
     _parts,
     catalan,
     dominated_strings_brute,
-    fnomial,
     from_values,
 )
+from test_paths import REGISTRY
 
 # frozen from the enumeration oracle below
 CATALAN_ORACLE = [1, 1, 2, 5, 14, 42, 132]
@@ -211,9 +211,5 @@ def test_kernel_matches_oracle_on_lists_with_integral_parts(qs, data):
     k = data.draw(st.integers(0, n))
     expected = prod(Fraction(vals[n - k + i - 1], vals[i - 1]) for i in range(1, k + 1))
     table = FNomialTable(from_values("parts", vals))
-    saved = fnomial._KERNEL_BITS
-    try:
-        fnomial._KERNEL_BITS = -(10**9)
+    with REGISTRY["FNomialTable.fnomial"].modes["kernel"]():
         assert table.fnomial(n, k) == expected
-    finally:
-        fnomial._KERNEL_BITS = saved

@@ -1,8 +1,9 @@
 """The memo of primitive parts shared by `is_gcd_morphic` and the F-nomial
-kernel: bounded, shared by value-equal sequences, never stale, and safe
-under threads."""
+kernel: bounded, one entry per rule and prefix length, shared by
+value-equal sequences, never stale, and safe under threads."""
 
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -15,11 +16,11 @@ from cobweb import (
     FSequence,
     NonIntegral,
     _parts,
-    fnomial,
     from_values,
     is_gcd_morphic,
 )
 from cobweb._memo import Memo
+from test_paths import REGISTRY
 from test_prefab import fnomial_by_product
 from test_sequences import full_square_scan
 
@@ -33,9 +34,10 @@ def memo(monkeypatch):
 
 
 @pytest.fixture
-def kernel(monkeypatch):
+def kernel():
     """FNomialTable.fnomial takes the kernel at every size."""
-    monkeypatch.setattr(fnomial, "_KERNEL_BITS", -(10**9))
+    with REGISTRY["FNomialTable.fnomial"].modes["kernel"]():
+        yield
 
 
 def _charged_in_entries(memo):
@@ -52,10 +54,10 @@ def test_many_sequences_stay_within_the_bits_least_recent_out_first(monkeypatch)
             assert is_gcd_morphic(used, 40) == full_square_scan(used, 40)
             assert 0 < memo.charged <= memo.limit
             assert memo.charged == _charged_in_entries(memo)
-            recency = [r for r in recency if r != used.rule] + [used.rule]
+            recency = [r for r in recency if r != (used.rule, 40)] + [(used.rule, 40)]
     assert 2 < len(memo.entries) < len(seqs)
     assert list(memo.entries) == recency[-len(memo.entries):]
-    assert seqs[56].rule in memo.entries and seqs[55].rule not in memo.entries
+    assert (seqs[56].rule, 40) in memo.entries and (seqs[55].rule, 40) not in memo.entries
 
 
 def test_an_entry_larger_than_the_bound_is_not_kept(monkeypatch):
@@ -74,7 +76,7 @@ def test_value_equal_custom_sequences_share_one_entry(memo, kernel):
     assert is_gcd_morphic(b, 80).holds
     assert FNomialTable(b).fnomial(80, 40) == fnomial_by_product(a, 80, 40)
     assert len(memo.entries) == 1 and memo.charged == charged
-    assert memo.entries[b.rule][0].cert == (80, None)
+    assert memo.entries[b.rule, 80][0].b0 is None
 
 
 def test_a_rule_whose_values_change_gets_fresh_parts(memo, kernel):
@@ -106,7 +108,7 @@ def test_an_unhashable_rule_is_answered_without_the_memo(memo):
 
     seq = FSequence("unhashable", Rule())
     assert is_gcd_morphic(seq, 50) == is_gcd_morphic(NATURALS, 50)
-    assert list(memo.entries) == [NATURALS.rule]
+    assert list(memo.entries) == [(NATURALS.rule, 50)]
 
 
 def _mixed_calls():
@@ -129,6 +131,32 @@ def _run(call):
         return FNomialTable(call[1]).fnomial(*call[2:])
     except NonIntegral as exc:
         return ("NonIntegral", exc.numerator, exc.denominator)
+
+
+def test_each_rule_and_length_is_sieved_and_certified_once(memo, kernel, monkeypatch):
+    def mersenne():  # rebuilt for each call, so only its value finds the entry
+        return from_values("mersenne", [2**s - 1 for s in range(1, 161)])
+
+    calls = []
+    for n in (80, 160) * 3:
+        calls += [("gcd", FIBONACCI, n), ("fnomial", FIBONACCI, n, n // 2),
+                  ("gcd", mersenne(), n), ("fnomial", mersenne(), n, n // 2)]
+    with REGISTRY["primitive parts"].modes["no memo"]():
+        unmemoized = [_run(c) for c in calls]
+    expected = Counter()
+    for seq in (FIBONACCI, mersenne()):
+        for n in (80, 160):
+            vals = seq.values(n)
+            expected.update([("sieve", *vals), ("certify", *_parts.sieve(vals)[0])])
+    counts = Counter()
+    sieve, certify = _parts.sieve, _parts._certify
+    monkeypatch.setattr(_parts, "sieve", lambda vals: counts.update([("sieve", *vals)]) or sieve(vals))
+    monkeypatch.setattr(_parts, "_certify", lambda parts, hi: counts.update(
+        [("certify", *parts[:hi + 1])]) or certify(parts, hi))
+    assert [_run(c) for c in calls] == unmemoized
+    assert counts == expected and set(expected.values()) == {1}
+    rules = (FIBONACCI.rule, mersenne().rule)
+    assert set(memo.entries) == {(rule, n) for rule in rules for n in (80, 160)}
 
 
 def test_threads_match_a_serial_run(monkeypatch, kernel):

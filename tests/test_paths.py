@@ -288,7 +288,7 @@ def test_every_mode_takes_its_path():
     for mode, stores in (("memo", True), ("no memo", False)):
         with REGISTRY["primitive parts"].modes[mode]():
             _parts.parts(mersenne.rule, mersenne.values(60))
-            assert (mersenne.rule in _parts.MEMO.entries) == stores, mode
+            assert ((mersenne.rule, 60) in _parts.MEMO.entries) == stores, mode
     c = build_cobweb(from_values("widths", [1, 2, 3]), 3)
     for mode, stores in (("memo", True), ("no memo", False)):
         with REGISTRY["view engine"].modes[mode]():

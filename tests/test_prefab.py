@@ -18,12 +18,12 @@ from cobweb import (
     bell_f,
     bell_f_table,
     cli,
-    fnomial,
     from_values,
     prefab,
     whitney_prefab,
     whitney_row,
 )
+from test_paths import REGISTRY
 
 
 def fnomial_by_product(seq, n, k):
@@ -216,26 +216,21 @@ def test_recurrences_match_product_oracle(seq, tmp_path):
     assert cli_triangle(seq, n_max, tmp_path) == triangle
 
 
-# Below every estimate (a lumpy sequence's can be negative) and above every
-# estimate: the two settings that force FNomialTable.fnomial's switch.
-FORCED_BITS = {"kernel": -(10**9), "falling": 10**9}
-
-
-@pytest.mark.parametrize("path", sorted(FORCED_BITS))
+@pytest.mark.parametrize("path", sorted(REGISTRY["FNomialTable.fnomial"].modes))
 @pytest.mark.parametrize("seq", ORACLE_SEQS + LUMPY_SEQS, ids=lambda s: s.name)
 def test_fnomial_switch_both_ways_matches_product_oracle(seq, path, monkeypatch):
-    monkeypatch.setattr(fnomial, "_KERNEL_BITS", FORCED_BITS[path])
     calls = []
     parts = _parts.parts
     monkeypatch.setattr(_parts, "parts", lambda rule, vals: calls.append(0) or parts(rule, vals))
     n_max = min(60, seq.limit or 60)
     table = FNomialTable(seq)
-    for n in range(n_max + 1):
-        for k in range(-1, n + 2):
-            expected = outcome(expected_fnomial, seq, n, k)
-            assert outcome(table.fnomial, n, k) == expected, (n, k)
-            if n + k >= 0:
-                assert outcome(whitney_prefab, seq, n + k, k) == expected, (n, k)
+    with REGISTRY["FNomialTable.fnomial"].modes[path]():
+        for n in range(n_max + 1):
+            for k in range(-1, n + 2):
+                expected = outcome(expected_fnomial, seq, n, k)
+                assert outcome(table.fnomial, n, k) == expected, (n, k)
+                if n + k >= 0:
+                    assert outcome(whitney_prefab, seq, n + k, k) == expected, (n, k)
     in_range = (n_max + 1) * (n_max + 2) // 2
     assert len(calls) == (2 * in_range if path == "kernel" else 0)
 

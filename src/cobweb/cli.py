@@ -100,7 +100,7 @@ def _cmd_seq(ns: argparse.Namespace) -> OutputRecord:
             columns=("holds", "n", "m", "gcd_of_values", "f_at_gcd"),
             rows=[(0, n, m, report.gcd_of_values, report.f_at_gcd)],
         )
-    rows = list(enumerate(seq.values(ns.count), 1))
+    rows = enumerate(seq.values(ns.count), 1)
     return OutputRecord("seq", {"seq": ns.seq, "count": ns.count}, columns=("s", "value"), rows=rows)
 
 
@@ -147,7 +147,7 @@ def _cmd_grid(ns: argparse.Namespace) -> OutputRecord:
         return OutputRecord("grid", params, value=len(g))
     if ns.what == "elements":
         return OutputRecord("grid", params, columns=("l", "m"), rows=g.elements)
-    rows = [(e.l, e.m, r) for e, r in g.level_of().items()]
+    rows = ((e.l, e.m, r) for e, r in g.level_of().items())
     return OutputRecord("grid", params, columns=("l", "m", "rank"), rows=rows)
 
 
@@ -166,7 +166,7 @@ def _cmd_whitney(ns: argparse.Namespace) -> OutputRecord:
 
         values = whitney_row(_seq_from_token(ns.seq), ns.n).values
         params = {"family": "prefab", "seq": ns.seq, "n": ns.n, "kind": "second"}
-    return OutputRecord("whitney", params, columns=("k", "value"), rows=list(enumerate(values)))
+    return OutputRecord("whitney", params, columns=("k", "value"), rows=enumerate(values))
 
 
 def _cmd_bell(ns: argparse.Namespace) -> OutputRecord:

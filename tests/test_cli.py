@@ -139,6 +139,10 @@ def test_seq_from_file(tmp_path):
     code, out, err = invoke("seq", "--seq", f"file:{path}", "--count", "1")
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and f"{path}:2: expected an integer" in err, err
+    # A file with no values is refused by its path.
+    code, out, err = invoke("seq", "--seq", f"file:{os.devnull}", "--count", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: ValueError: {os.devnull}: custom sequence needs at least one value\n"
 
 
 def test_grid_outputs():
@@ -233,7 +237,7 @@ def test_domain_error_exit_code():
         (("whitney", "--family", "prefab", "--seq", "naturals", "--n", "-2"), "n >= 0, got -2"),
         (("bell", "--family", "prefab", "--seq", "naturals", "--n", "-2"), "n >= 0, got -2"),
         (("seq", "--seq", "naturals", "--count", "-3"), "count >= 0, got -3"),
-        (("fnomial", "--seq", "naturals", "--table", "-1"), "n_max >= 0, got -1"),
+        (("fnomial", "--seq", "naturals", "--table", "-1"), "need n_max >= 0, got -1"),
         (("problems", "--l", "3", "--m", "1"), "InvalidBounds: strict grid needs 0 <= l < m"),
         (("problems", "--l", "-1", "--m", "2"), "got l=-1, m=2"),
         (("problems", "--l", "2", "--m", "2"), "got l=2, m=2"),
@@ -465,6 +469,9 @@ def test_usage_error_exit_code():
     assert code == 2
     code, _, err = invoke("nonsense")
     assert code == 2
+    code, out, err = invoke("whitney", "--family", "grid")
+    assert (code, out) == (2, "")
+    assert "whitney --family grid needs --l and --m" in err
     code, _, err = invoke("fnomial", "--seq", "martian", "--n", "1", "--k", "1")
     assert code == 2
     assert "--seq" in err
@@ -538,6 +545,10 @@ def test_help_lists_every_command_and_option():
         extra = {"dot": ("--out",), "bell": ("--table",)}.get(command, ())
         for option in (*required, *other, *extra):
             assert re.search(rf"{option}\b", out), (command, option)
+    # The module entry point prints the help too.
+    done = _console(["--help"], subprocess.PIPE)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert all(command in done.stdout for command in _OPTIONS)
 
 
 @st.composite

@@ -323,6 +323,8 @@ def test_engine_is_refused_past_the_count_budget(monkeypatch):
         build_grid(100, 200, "weak").poset
     with pytest.raises(BudgetExceeded, match=refused.format(33975)):
         mobius(build_grid(150, 300).poset)
+    with pytest.raises(BudgetExceeded, match=refused.format(135450)):
+        build_grid(300, 600).poset
 
 
 def test_engine_at_the_benchmark_brute_size_builds(monkeypatch):

@@ -72,6 +72,15 @@ def _cli_code(argvs: list[list[str]]) -> str:
     return code + f"for argv in {argvs!r}:\n    assert cli.run(argv, io.StringIO()) == 0, argv\n"
 
 
+def _imported(*args: str) -> set[str]:
+    """The modules `python -X importtime <args>` reports it imported."""
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert done.returncode == 0, done.stderr
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
 def test_bare_cli_import_loads_no_library_module():
     assert _loaded_after("import cobweb.cli") == {"cobweb", "cobweb.cli", "cobweb.errors"}
 
@@ -174,6 +183,10 @@ def test_start_up_paths_load_no_dataclasses_or_inspect():
     heavy = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
     for code in (_cli_code(argvs), session):
         assert not _new_modules(code) & heavy
+    # The module entry point, run by `python -m`, adds none of them either,
+    # unless the bare interpreter already imports them.
+    started = _imported("-m", "cobweb.cli", "catalan", "--n", "5") - _imported("-c", "pass")
+    assert not started & heavy
 
 
 def test_public_names_resolve_to_their_home_objects():

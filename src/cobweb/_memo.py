@@ -4,7 +4,6 @@ primitive parts of `cobweb._parts`."""
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from typing import Hashable
 
 
@@ -14,20 +13,22 @@ class Memo:
     costs more is not kept.  One private lock guards every update, so threads
     may share a memo; callers build their values outside it and take no lock
     of their own.  `entries` maps each key to its (value, cost), in order of
-    use."""
+    use: a plain dict, re-inserted on use, as iterating an OrderedDict's
+    values hashes each key again, and a custom sequence's key hashes all its
+    terms."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
         self.charged = 0
-        self.entries: OrderedDict[Hashable, tuple[object, int]] = OrderedDict()
+        self.entries: dict[Hashable, tuple[object, int]] = {}
         self._lock = threading.Lock()
 
     def get(self, key: Hashable) -> object | None:
         """The value kept under key, now the most recent, or None."""
         with self._lock:
-            if (kept := self.entries.get(key)) is None:
+            if (kept := self.entries.pop(key, None)) is None:
                 return None
-            self.entries.move_to_end(key)
+            self.entries[key] = kept
             return kept[0]
 
     def put(self, key: Hashable, value: object, cost: int) -> None:
@@ -59,4 +60,4 @@ class Memo:
         self.entries[key] = (value, cost)
         self.charged += cost
         while self.charged > self.limit:
-            self.charged -= self.entries.popitem(last=False)[1][1]
+            self.charged -= self.entries.pop(next(iter(self.entries)))[1]

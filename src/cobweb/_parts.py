@@ -1,13 +1,16 @@
-"""Primitive parts of F-sequence prefixes, one bounded memo of them, and the
-GCD-morphism certificate built on them.
+"""Primitive parts of F-sequence prefixes, one bounded memo of results
+computed from a prefix, and the GCD-morphism certificate built on the parts.
 
 For a prefix F_1..F_n the primitive part P_d = F_d / prod(P_e for e | d,
 e < d), so F_m = prod(P_d for d | m).  `sieve` is the only code that divides
-the parts out.  `parts` (the F-nomial kernel) and `first_failure`
-(`is_gcd_morphic`) read it through `MEMO`, a `cobweb._memo.Memo` charged by
-`_Entry.bits` and keyed by the sequence's rule and the prefix length, so
-value-equal custom sequences share one entry and an entry answers only the
-values it was built from; `integral_up_to` tells the CLI when a table may
+the parts out.  `MEMO`, a `cobweb._memo.Memo` charged by `_Entry.bits`, keeps
+one entry per sequence rule and prefix length, so value-equal custom
+sequences share one entry and an entry answers only the values it was built
+from.  An entry fills each result on first use: the parts for `parts` (the
+F-nomial kernel), the certificate's first failure for `first_failure`
+(`is_gcd_morphic`), and the Whitney row and Bell table for `kept`
+(`cobweb.prefab`); a result that would take the entry past the memo's bound
+is returned but not stored.  `integral_up_to` tells the CLI when a table may
 stream.  The package imports this module on first use only, so no start-up
 path compiles it.
 """
@@ -69,18 +72,31 @@ def _certify(parts: list[int], hi: int) -> int | None:
 
 
 class _Entry:
-    """The parts of one stored prefix and, once first_failure has asked, the
-    first b where its certificate fails."""
+    """One stored prefix F_1..F_N and what has been computed from it, each
+    filled on first use: its parts and the first index bad where they fail,
+    the first b0 where its certificate fails, and the prefab Whitney row
+    W(N, 0..N//2) and Bell table B_0..B_N of `cobweb.prefab`."""
 
-    __slots__ = ("vals", "parts", "bad", "b0", "bits")
+    __slots__ = ("vals", "held_bits", "parts", "bad", "b0", "row", "bell")
 
     def __init__(self, rule: Callable[[int], int], vals: list[int]) -> None:
         self.vals = vals
-        self.parts, self.bad = sieve(vals)
+        # A custom sequence's key holds all of its values.
+        self.held_bits = _bits(rule.vals if isinstance(rule, _Terms) else vals)
+        self.parts: list[int] | None = None
+        self.bad: int | None = None
         self.b0: int | None = 0  # 0 until first_failure computes it
-        held = rule.vals if isinstance(rule, _Terms) else vals  # a custom key holds its values
-        self.bits = sum(map(int.bit_length, held)) + sum(map(int.bit_length, self.parts))
-        self.bits += INT_BITS * (len(held) + len(self.parts))
+        self.row: tuple[int, ...] | None = None
+        self.bell: tuple[int, ...] | None = None
+
+    @property
+    def bits(self) -> int:
+        """The charge of everything the entry holds."""
+        return self.held_bits + sum(_bits(xs) for xs in (self.parts, self.row, self.bell) if xs)
+
+
+def _bits(xs: Sequence[int]) -> int:
+    return sum(map(int.bit_length, xs)) + INT_BITS * len(xs)
 
 
 MEMO = Memo(MEMO_BITS)
@@ -88,8 +104,8 @@ MEMO = Memo(MEMO_BITS)
 
 def _entry(rule: Callable[[int], int], vals: list[int]) -> _Entry:
     """The entry for vals = [F_1, ..., F_n] under (rule, n): the stored one
-    when its values equal vals, else a fresh sieve that replaces it, so a
-    rule whose values change gets fresh parts."""
+    when its values equal vals, else a fresh one that replaces it, so a rule
+    whose values change gets fresh results."""
     try:
         hash(rule)
     except TypeError:
@@ -103,10 +119,32 @@ def _entry(rule: Callable[[int], int], vals: list[int]) -> _Entry:
     return new
 
 
+def _fill(e: _Entry, name: str, value: Sequence[int]) -> None:
+    """Store value as e.<name> and charge e again, unless e would then cost
+    more than the memo may hold.  Threads that fill one entry at once each
+    charge it again until the charge they made is what it holds."""
+    if e.bits + _bits(value) > MEMO.limit:
+        return
+    setattr(e, name, value)
+    while True:
+        bits = e.bits
+        MEMO.recharge(e, bits)
+        if e.bits == bits:
+            return
+
+
+def _sieved(e: _Entry) -> tuple[list[int], int | None]:
+    """sieve(e.vals), kept on e from its first use."""
+    if e.parts is None:
+        parts, e.bad = sieve(e.vals)  # threads that race here store equal values
+        _fill(e, "parts", parts)
+        return parts, e.bad
+    return e.parts, e.bad
+
+
 def parts(rule: Callable[[int], int], vals: list[int]) -> tuple[list[int], int | None]:
     """sieve(vals) through the memo."""
-    e = _entry(rule, vals)
-    return e.parts, e.bad
+    return _sieved(_entry(rule, vals))
 
 
 def first_failure(rule: Callable[[int], int], vals: list[int]) -> int | None:
@@ -115,8 +153,23 @@ def first_failure(rule: Callable[[int], int], vals: list[int]) -> int | None:
     GCD-morphic on [1, N], and otherwise on [1, b - 1]."""
     e = _entry(rule, vals)
     if e.b0 == 0:  # threads that race here store equal values
-        e.b0 = _certify(e.parts, len(vals) if e.bad is None else e.bad - 1) or e.bad
+        parts, bad = _sieved(e)
+        e.b0 = _certify(parts, len(vals) if bad is None else bad - 1) or bad
     return e.b0
+
+
+def kept(
+    rule: Callable[[int], int], vals: list[int], name: str, compute: Callable[[], tuple[int, ...]]
+) -> tuple[int, ...]:
+    """The prefab result `name` ("row" or "bell") of the entry for vals, made
+    by compute() on first use; an error it raises is not kept, so each call
+    raises it afresh."""
+    e = _entry(rule, vals)
+    value = getattr(e, name)
+    if value is None:
+        value = compute()
+        _fill(e, name, value)
+    return value
 
 
 def integral_up_to(seq: FSequence, n_max: int) -> bool:

@@ -3,12 +3,18 @@ F-sequence: W_k = (n-k over k)_F and B_n(F) = sum of the row.
 
 For F = naturals this is the diagonal-of-Pascal identity, so B_n recovers
 Fibonacci(n + 1).
+
+The row W(n, 0..n//2) and the table B_0..B_n are computed once per prefix
+F_1..F_n and kept on its entry in the bounded memo of `cobweb._parts`, which
+value-equal custom sequences share; a rule whose values change gets fresh
+results, and an error is raised afresh on every call.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple
 
+from .errors import IndexOutOfDomain
 from .fnomial import FNomialTable, non_integral
 from .sequences import FSequence
 
@@ -46,12 +52,10 @@ def whitney_prefab(seq: FSequence, n: int, k: int) -> int:
     return FNomialTable(seq).fnomial(n - k, k)
 
 
-def _row(seq: FSequence, n: int) -> list[int]:
-    """W_0 .. W_{n//2} by the row ratio
+def _row(vals: list[int]) -> tuple[int, ...]:
+    """W_0 .. W_{n//2} for vals = F_1..F_n by the row ratio
     W_{k+1} = W_k * F_{n-2k} F_{n-2k-1} / (F_{n-k} F_{k+1}), each step checked."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    vals = seq.values(n)
+    n = len(vals)
     row = [1]
     for k in range(n // 2):
         q, r = divmod(
@@ -60,16 +64,25 @@ def _row(seq: FSequence, n: int) -> list[int]:
         if r:
             raise non_integral(vals, n - k - 1, k + 1)
         row.append(q)
-    return row
+    return tuple(row)
+
+
+def _kept_row(seq: FSequence, n: int) -> tuple[int, ...]:
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    vals = seq.values(n)
+    from . import _parts
+
+    return _parts.kept(seq.rule, vals, "row", lambda: _row(vals))
 
 
 def whitney_row(seq: FSequence, n: int) -> PrefabWhitneyRow:
-    return PrefabWhitneyRow(seq, n, tuple(_row(seq, n)))
+    return PrefabWhitneyRow(seq, n, _kept_row(seq, n))
 
 
 def bell_f(seq: FSequence, n: int) -> int:
     """B_n(F): the diagonal sum over k of (n - k over k)_F."""
-    return sum(_row(seq, n))
+    return sum(_kept_row(seq, n))
 
 
 def _bell_sums(seq: FSequence, n_max: int) -> Iterator[int]:
@@ -99,5 +112,18 @@ def _bell_sums(seq: FSequence, n_max: int) -> Iterator[int]:
 
 
 def bell_f_table(seq: FSequence, n_max: int) -> BellSequence:
-    """B_0(F) .. B_{n_max}(F), by _bell_sums."""
-    return BellSequence(seq, tuple(_bell_sums(seq, n_max)))
+    """B_0(F) .. B_{n_max}(F) by _bell_sums, kept on the memo entry of
+    F_1..F_{n_max}.  When n_max < 0 or the sequence stops before n_max, only
+    the walk runs, so it raises what it meets first: a NonIntegral row or
+    the missing term."""
+    try:
+        vals = seq.values(n_max) if n_max >= 0 else None
+    except IndexOutOfDomain:
+        vals = None
+    if vals is None:
+        return BellSequence(seq, tuple(_bell_sums(seq, n_max)))
+    from . import _parts
+
+    return BellSequence(
+        seq, _parts.kept(seq.rule, vals, "bell", lambda: tuple(_bell_sums(seq, n_max)))
+    )

@@ -106,6 +106,9 @@ class _Terms(NamedTuple):
     def __call__(self, s: int) -> int:
         return self.vals[s - 1]
 
+    def prefix(self, count: int) -> list[int]:  # F_1..F_count by one slice
+        return list(self.vals[:count])
+
 
 def from_values(name: str, values: Iterable[int]) -> FSequence:
     """Custom sequence from an explicit list; index s maps to values[s-1]."""

@@ -148,6 +148,9 @@ def test_primitive_parts_load_only_where_a_path_reads_them():
         # A table streams once the parts certify it.
         ["fnomial", "--seq", "naturals", "--table", "5"],
         ["bell", "--family", "prefab", "--seq", "fibonacci", "--n", "8", "--table"],
+        # Prefab rows and Bell numbers are kept on the parts' memo entries.
+        ["whitney", "--family", "prefab", "--seq", "fibonacci", "--n", "9"],
+        ["bell", "--family", "prefab", "--seq", "naturals", "--n", "8"],
     ):
         loaded = _loaded_after(_cli_code([argv]))
         assert {"cobweb._parts", "cobweb._memo"} <= loaded and "cobweb.poset" not in loaded, argv

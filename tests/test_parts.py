@@ -1,6 +1,7 @@
-"""The memo of primitive parts shared by `is_gcd_morphic` and the F-nomial
-kernel: bounded, one entry per rule and prefix length, shared by
-value-equal sequences, never stale, and safe under threads."""
+"""The memo of primitive parts and prefab results shared by `is_gcd_morphic`,
+the F-nomial kernel and `cobweb.prefab`: bounded, one entry per rule and
+prefix length, shared by value-equal sequences, never stale, and safe under
+threads."""
 
 import sys
 from collections import Counter
@@ -21,7 +22,7 @@ from cobweb import (
 )
 from cobweb._memo import Memo
 from test_paths import REGISTRY
-from test_prefab import fnomial_by_product
+from test_prefab import fnomial_by_product, prefab_results
 from test_sequences import full_square_scan
 
 
@@ -121,12 +122,15 @@ def _mixed_calls():
                     from_values("p", perturbed)):
             calls.append(("gcd", seq, r))
             calls.append(("fnomial", seq, r, r // 3))
+            calls.append(("prefab", seq, r))
     return calls
 
 
 def _run(call):
     if call[0] == "gcd":
         return is_gcd_morphic(*call[1:])
+    if call[0] == "prefab":  # the Whitney row and Bell table fill the same entry
+        return prefab_results(*call[1:])
     try:
         return FNomialTable(call[1]).fnomial(*call[2:])
     except NonIntegral as exc:

@@ -92,6 +92,28 @@ def _exact_prefix(parts_and_bad, n):
     return parts[: bad or n + 1], bad
 
 
+def _prefab_results(seq, n):
+    """The Whitney row, B_n and B_0..B_n, each as its value or the quotient
+    of the NonIntegral it raises; B_n reads the row whitney_row kept."""
+    out = []
+    for fn in (lambda: prefab.whitney_row(seq, n).values, lambda: prefab.bell_f(seq, n),
+               lambda: prefab.bell_f_table(seq, n).values):
+        try:
+            out.append(fn())
+        except NonIntegral as exc:
+            out.append(("NonIntegral", Fraction(exc.numerator, exc.denominator)))
+    return out
+
+
+def _prefab_by_product(seq, n):
+    """The same from sums of _fnomial_by_product: a row, and so its sum, fails
+    at its first non-integral entry, and the table at its first failing row."""
+    rows = [[_fnomial_by_product(seq, m - k, k) for k in range(m // 2 + 1)] for m in range(n + 1)]
+    sums = [next((w for w in row if isinstance(w, tuple)), None) or sum(row) for row in rows]
+    row = sums[n] if isinstance(sums[n], tuple) else tuple(rows[n])
+    return [row, sums[n], next((b for b in sums if isinstance(b, tuple)), tuple(sums))]
+
+
 def _small_views(data, n):
     """A grid, a cobweb over drawn widths and its levels lo..hi, all small
     enough to enumerate their chains; the drawn terms are not used."""
@@ -198,6 +220,14 @@ REGISTRY = {
         production=lambda seq, n: _exact_prefix(_parts.parts(seq.rule, seq.values(n)), n),
         oracle=_parts_by_definition,
     ),
+    "prefab results": Path(
+        # A memo of 0 bits keeps no entry, so every call computes afresh.
+        modes={"memo": nullcontext,
+               "no memo": lambda: mock.patch.object(_parts, "MEMO", Memo(0))},
+        args=lambda data, n: (data.draw(st.integers(0, n), label="n"),),
+        production=_prefab_results,
+        oracle=_prefab_by_product,
+    ),
     "view engine": Path(
         # A memo of 0 bytes keeps no engine, so every call builds afresh.
         modes={"memo": nullcontext,
@@ -289,6 +319,21 @@ def test_every_mode_takes_its_path():
         with REGISTRY["primitive parts"].modes[mode]():
             _parts.parts(mersenne.rule, mersenne.values(60))
             assert ((mersenne.rule, 60) in _parts.MEMO.entries) == stores, mode
+    # A fresh memo computes each row and table once; no memo, on every call.
+    row, sums = prefab._row, prefab._bell_sums
+    expected = _prefab_by_product(mersenne, 60)
+    for mode, once in (("memo", True), ("no memo", False)):
+        computed = []
+        with mock.patch.object(_parts, "MEMO", Memo(_parts.MEMO_BITS)), REGISTRY[
+            "prefab results"
+        ].modes[mode](), mock.patch.object(
+            prefab, "_row", lambda vals: computed.append("row") or row(vals)
+        ), mock.patch.object(
+            prefab, "_bell_sums", lambda seq, n: computed.append("bell") or sums(seq, n)
+        ):
+            for _ in range(3):
+                assert _prefab_results(mersenne, 60) == expected
+        assert computed == (["row", "bell"] if once else ["row", "row", "bell"] * 3), mode
     c = build_cobweb(from_values("widths", [1, 2, 3]), 3)
     for mode, stores in (("memo", True), ("no memo", False)):
         with REGISTRY["view engine"].modes[mode]():

@@ -1,10 +1,10 @@
 import functools
-import gc
 import math
 import random
-import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from io import StringIO
+from unittest import mock
 
 import pytest
 
@@ -13,17 +13,29 @@ from cobweb import (
     FIBONACCI,
     NATURALS,
     FNomialTable,
+    FSequence,
+    IndexOutOfDomain,
     NonIntegral,
     _parts,
     bell_f,
     bell_f_table,
     cli,
+    from_file,
     from_values,
     prefab,
     whitney_prefab,
     whitney_row,
 )
-from test_paths import REGISTRY
+from cobweb._memo import Memo
+from test_paths import REGISTRY, _prefab_by_product
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """A fresh memo in place of the process-wide one."""
+    fresh = Memo(_parts.MEMO_BITS)
+    monkeypatch.setattr(_parts, "MEMO", fresh)
+    return fresh
 
 
 def fnomial_by_product(seq, n, k):
@@ -108,20 +120,112 @@ def test_non_integral_propagates():
         bell_f(lumpy, 3)
 
 
-def test_value_equal_sequences_share_one_table():
-    # prefab keeps no table or cache at all, so rebuilds leave nothing behind
+def test_value_equal_sequences_share_one_table(memo):
     vals = [2**s - 1 for s in range(1, 20)]
     expected = sum(fnomial_by_product(from_values("m", vals), 6 - k, k) for k in range(4))
-    tracemalloc.start()
-    try:
-        for _ in range(1000):
-            assert bell_f(from_values("m", vals), 6) == expected
-        gc.collect()
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    in_prefab = snapshot.filter_traces([tracemalloc.Filter(True, prefab.__file__)])
-    assert sum(stat.size for stat in in_prefab.statistics("filename")) == 0
+    for _ in range(1000):
+        assert bell_f(from_values("m", vals), 6) == expected
+    assert list(memo.entries) == [(from_values("m", vals).rule, 6)]
+
+
+# -- one row and one table per prefix, kept on its entry in _parts.MEMO --------
+
+
+def prefab_results(seq, n):
+    """whitney_row, bell_f and bell_f_table of seq at n, each as its value or
+    as the type, message and quotient of the error it raises."""
+    out = []
+    for fn in (lambda: whitney_row(seq, n).values, lambda: bell_f(seq, n),
+               lambda: bell_f_table(seq, n).values):
+        try:
+            out.append(fn())
+        except Exception as exc:
+            out.append((type(exc), str(exc), getattr(exc, "numerator", None)))
+    return out
+
+
+def _mersenne(count):  # rebuilt for each call, so only its values find the entry
+    return from_values("mersenne", [2**s - 1 for s in range(1, count + 1)])
+
+
+def test_each_row_and_table_is_computed_once_per_prefix(memo, monkeypatch):
+    seqs = (lambda: FIBONACCI, lambda: NATURALS, lambda: _mersenne(100))
+    calls = [(seq, n) for _ in range(3) for n in (40, 80) for seq in seqs]
+    with mock.patch.object(_parts, "MEMO", Memo(0)):
+        unmemoized = [prefab_results(seq(), n) for seq, n in calls]
+    counts = Counter()
+    row, sums = prefab._row, prefab._bell_sums
+    monkeypatch.setattr(prefab, "_row", lambda vals: counts.update([("row", *vals)]) or row(vals))
+    monkeypatch.setattr(prefab, "_bell_sums", lambda seq, n: counts.update(
+        [("bell", *seq.values(n))]) or sums(seq, n))
+    assert [prefab_results(seq(), n) for seq, n in calls] == unmemoized
+    expected = {(kind, *seq().values(n)) for kind in ("row", "bell") for seq in seqs
+                for n in (40, 80)}
+    assert set(counts) == expected and set(counts.values()) == {1}
+    assert set(memo.entries) == {(seq().rule, n) for seq in seqs for n in (40, 80)}
+    assert all(e.parts is None for e, _ in memo.entries.values())  # prefab needs no sieve
+
+
+def test_a_rule_whose_values_change_gets_fresh_results(memo):
+    terms = list(range(1, 41))
+    seq = FSequence("mutable", lambda s: terms[s - 1])
+    naturals = _prefab_by_product(seq, 40)
+    assert prefab_results(seq, 40) == naturals
+    terms[:] = [1, 1]
+    while len(terms) < 40:
+        terms.append(terms[-1] + terms[-2])
+    fibonacci = _prefab_by_product(seq, 40)
+    assert fibonacci != naturals and prefab_results(seq, 40) == fibonacci
+    terms[:] = range(1, 41)
+    terms[29] = 31  # (30 over 2)_F = 31 * 29 / 2
+    assert [r[0] for r in prefab_results(seq, 40)] == [NonIntegral] * 3
+    terms[29] = 30
+    assert prefab_results(seq, 40) == naturals
+
+
+def test_errors_are_raised_afresh_on_every_call(memo, tmp_path):
+    short = tmp_path / "short.txt"
+    short.write_text("".join(f"{s}\n" for s in range(1, 11)))
+    lumpy = tmp_path / "lumpy.txt"
+    lumpy.write_text("2\n3\n4\n")
+    cases = {
+        (from_values("lumpy", [2, 3, 4]), 3): [NonIntegral] * 3,
+        (from_file(str(short)), 12): [IndexOutOfDomain] * 3,
+        # The table stops at the NonIntegral of row 3 before it runs out of terms.
+        (from_file(str(lumpy)), 10): [IndexOutOfDomain, IndexOutOfDomain, NonIntegral],
+        (NATURALS, -1): [ValueError] * 3,
+    }
+    with mock.patch.object(_parts, "MEMO", Memo(0)):
+        unmemoized = {case: prefab_results(*case) for case in cases}
+    for _ in range(3):
+        for case, errors in cases.items():
+            results = prefab_results(*case)
+            assert results == unmemoized[case] and [r[0] for r in results] == errors, case
+    assert unmemoized[from_file(str(short)), 12][2][1].endswith("up to index 10, got 11")
+    assert [r[1] for r in unmemoized[NATURALS, -1]] == [
+        "need n >= 0, got -1", "need n >= 0, got -1", "need n_max >= 0, got -1"]
+    assert all(e.row is None and e.bell is None for e, _ in memo.entries.values())
+
+
+def test_prefab_results_filling_the_memo_stay_within_its_bits(memo):
+    for n in range(100, 251):
+        seq = _mersenne(250)
+        assert whitney_row(seq, n).values[-1] == fnomial_by_product(seq, n - n // 2, n // 2)
+        assert memo.charged == sum(e.bits for e, _ in memo.entries.values()) <= _parts.MEMO_BITS
+    assert 10 < len(memo.entries) < 151
+    assert all(e.row is not None for e, _ in memo.entries.values())
+
+
+def test_a_result_past_the_bound_is_returned_but_not_stored(monkeypatch):
+    seq = _mersenne(100)
+    entry_bits = _parts._bits(seq.rule.vals)
+    memo = Memo(entry_bits + 1000)
+    monkeypatch.setattr(_parts, "MEMO", memo)
+    expected = _prefab_by_product(seq, 100)
+    for _ in range(2):
+        assert prefab_results(seq, 100) == expected
+        [(e, charged)] = memo.entries.values()
+        assert (e.row, e.bell, charged) == (None, None, entry_bits)
 
 
 # -- the ratio recurrences against the product oracle --------------------------

@@ -71,6 +71,19 @@ def test_custom_sequence_bound():
         seq.value(4)
 
 
+def test_custom_values_slice_the_terms_as_the_per_index_map_reads_them():
+    seq = from_values("custom", [3, 1, 4, 1, 5, 9, 2, 6])
+    for count in range(9):
+        assert seq.values(count) == seq.rule.prefix(count) == list(map(seq.rule, range(1, count + 1)))
+    with pytest.raises(IndexOutOfDomain) as sliced:
+        seq.values(9)
+    with pytest.raises(IndexOutOfDomain) as per_index:
+        seq.value(9)
+    assert str(sliced.value) == str(per_index.value) == (
+        "sequence 'custom' is defined up to index 8, got 9"
+    )
+
+
 def test_custom_sequences_compare_by_value():
     a = from_values("m", [1, 3, 7])
     b = from_values("m", (1, 3, 7))

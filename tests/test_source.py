@@ -24,6 +24,21 @@ def test_no_threading_and_no_lock_outside_the_memo_class():
     assert found == [], "only cobweb._memo may import threading or take a lock"
 
 
+# functools' unbounded caches, by name or as a decorator; a per-instance
+# cached_property is not one of them.
+_UNBOUNDED_CACHE = re.compile(r"\blru_cache\b|\bfunctools\.cache\b|@cache\b|import\s.*\bcache\b")
+
+
+def test_every_memo_is_a_bounded_memo():
+    found = [
+        f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
+        for path in MODULES
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if _UNBOUNDED_CACHE.search(line)
+    ]
+    assert found == [], "memoize through cobweb._memo.Memo, which is bounded"
+
+
 def test_every_module_compiles_with_warnings_as_errors():
     # Compiled from source, so a warning shows whatever the bytecode caches hold.
     with warnings.catch_warnings():

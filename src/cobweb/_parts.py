@@ -6,19 +6,20 @@ e < d), so F_m = prod(P_d for d | m).  `sieve` is the only code that divides
 the parts out.  `MEMO`, a `cobweb._memo.Memo` charged by `_Entry.bits`, keeps
 one entry per sequence rule and prefix length, so value-equal custom
 sequences share one entry and an entry answers only the values it was built
-from.  An entry fills each result on first use: the parts for `parts` (the
-F-nomial kernel), the certificate's first failure for `first_failure`
-(`is_gcd_morphic`), and the Whitney row and Bell table for `kept`
-(`cobweb.prefab`); a result that would take the entry past the memo's bound
-is returned but not stored.  `integral_up_to` tells the CLI when a table may
-stream.  The package imports this module on first use only, so no start-up
-path compiles it.
+from; a lookup hashes the rule once.  An entry fills each result on first
+use: the parts for `parts`, the certificate's first failure for
+`first_failure` (`is_gcd_morphic`), the F-nomial kernel's coefficients
+(n over j)_F, j = min(k, n - k), for `coefficient`, and the Whitney row and
+Bell table for `kept` (`cobweb.prefab`); a result that would take the entry
+past the memo's bound is returned but not stored.  `integral_up_to` tells
+the CLI when a table may stream.  The package imports this module on first
+use only, so no start-up path compiles it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from ._memo import Memo
 from .errors import IndexOutOfDomain
@@ -74,10 +75,11 @@ def _certify(parts: list[int], hi: int) -> int | None:
 class _Entry:
     """One stored prefix F_1..F_N and what has been computed from it, each
     filled on first use: its parts and the first index bad where they fail,
-    the first b0 where its certificate fails, and the prefab Whitney row
-    W(N, 0..N//2) and Bell table B_0..B_N of `cobweb.prefab`."""
+    the first b0 where its certificate fails, the kernel coefficients
+    (N over j)_F by j, and the prefab Whitney row W(N, 0..N//2) and Bell
+    table B_0..B_N of `cobweb.prefab`."""
 
-    __slots__ = ("vals", "held_bits", "parts", "bad", "b0", "row", "bell")
+    __slots__ = ("vals", "held_bits", "parts", "bad", "b0", "coefficients", "row", "bell")
 
     def __init__(self, rule: Callable[[int], int], vals: list[int]) -> None:
         self.vals = vals
@@ -86,17 +88,33 @@ class _Entry:
         self.parts: list[int] | None = None
         self.bad: int | None = None
         self.b0: int | None = 0  # 0 until first_failure computes it
+        # Replaced, never changed in place, so a reader never sees it grow.
+        self.coefficients: dict[int, int] = {}
         self.row: tuple[int, ...] | None = None
         self.bell: tuple[int, ...] | None = None
 
     @property
     def bits(self) -> int:
         """The charge of everything the entry holds."""
-        return self.held_bits + sum(_bits(xs) for xs in (self.parts, self.row, self.bell) if xs)
+        held = (self.parts, self.coefficients.values(), self.row, self.bell)
+        return self.held_bits + sum(_bits(xs) for xs in held if xs)
 
 
-def _bits(xs: Sequence[int]) -> int:
+def _bits(xs: Collection[int]) -> int:
     return sum(map(int.bit_length, xs)) + INT_BITS * len(xs)
+
+
+class _Key(tuple):
+    """The memo key (rule, N), hashed once: a custom rule hashes all of its
+    terms, and the memo hashes a key on every read and store."""
+
+    def __new__(cls, rule: Callable[[int], int], n: int) -> _Key:
+        key = super().__new__(cls, (rule, n))
+        key.hash = tuple.__hash__(key)  # TypeError for an unhashable rule
+        return key
+
+    def __hash__(self) -> int:
+        return self.hash
 
 
 MEMO = Memo(MEMO_BITS)
@@ -107,10 +125,9 @@ def _entry(rule: Callable[[int], int], vals: list[int]) -> _Entry:
     when its values equal vals, else a fresh one that replaces it, so a rule
     whose values change gets fresh results."""
     try:
-        hash(rule)
+        key = _Key(rule, len(vals))
     except TypeError:
         return _Entry(rule, vals)
-    key = (rule, len(vals))
     old = MEMO.get(key)
     if old is not None and old.vals == vals:
         return old
@@ -119,17 +136,18 @@ def _entry(rule: Callable[[int], int], vals: list[int]) -> _Entry:
     return new
 
 
-def _fill(e: _Entry, name: str, value: Sequence[int]) -> None:
-    """Store value as e.<name> and charge e again, unless e would then cost
-    more than the memo may hold.  Threads that fill one entry at once each
-    charge it again until the charge they made is what it holds."""
-    if e.bits + _bits(value) > MEMO.limit:
+def _fill(e: _Entry, name: str, value: object, bits: int) -> None:
+    """Store value as e.<name>, which adds bits to what e holds, and charge e
+    again, unless e would then cost more than the memo may hold.  Threads
+    that fill one entry at once each charge it again until the charge they
+    made is what it holds."""
+    if e.bits + bits > MEMO.limit:
         return
     setattr(e, name, value)
     while True:
-        bits = e.bits
-        MEMO.recharge(e, bits)
-        if e.bits == bits:
+        charge = e.bits
+        MEMO.recharge(e, charge)
+        if e.bits == charge:
             return
 
 
@@ -137,7 +155,7 @@ def _sieved(e: _Entry) -> tuple[list[int], int | None]:
     """sieve(e.vals), kept on e from its first use."""
     if e.parts is None:
         parts, e.bad = sieve(e.vals)  # threads that race here store equal values
-        _fill(e, "parts", parts)
+        _fill(e, "parts", parts, _bits(parts))
         return parts, e.bad
     return e.parts, e.bad
 
@@ -158,6 +176,22 @@ def first_failure(rule: Callable[[int], int], vals: list[int]) -> int | None:
     return e.b0
 
 
+def coefficient(
+    rule: Callable[[int], int], vals: list[int], j: int, kernel: Callable[[list[int]], int]
+) -> int | None:
+    """The coefficient (N over j)_F, N = len(vals), as kernel(parts) of the
+    entry for vals, kept on it under j; None, with nothing kept, when some
+    P_d with d <= N is not an integer."""
+    e = _entry(rule, vals)
+    if (c := e.coefficients.get(j)) is None:
+        parts, bad = _sieved(e)
+        if bad is not None:
+            return None
+        c = kernel(parts)
+        _fill(e, "coefficients", {**e.coefficients, j: c}, _bits((c,)))
+    return c
+
+
 def kept(
     rule: Callable[[int], int], vals: list[int], name: str, compute: Callable[[], tuple[int, ...]]
 ) -> tuple[int, ...]:
@@ -168,7 +202,7 @@ def kept(
     value = getattr(e, name)
     if value is None:
         value = compute()
-        _fill(e, name, value)
+        _fill(e, name, value, _bits(value))
     return value
 
 

@@ -40,6 +40,13 @@ def _prod(xs: Sequence[int]) -> int:
     return _prod(xs[:mid]) * _prod(xs[mid:])
 
 
+def _kernel(parts: list[int], n: int, k: int) -> int:
+    """(n over k)_F as the product of the primitive parts P_d, 2 <= d <= n,
+    whose exponent floor(n/d) - floor(k/d) - floor((n-k)/d) is 1 (it is 0
+    or 1); parts = [1, P_1, ..., P_n], all integers."""
+    return _prod([parts[d] for d in range(2, n + 1) if n // d - k // d - (n - k) // d])
+
+
 def non_integral(vals: Sequence[int], n: int, k: int) -> NonIntegral:
     """The error for a non-integral (n over k)_F, carrying the canonical
     quotient F_n!/(F_k! F_{n-k}!); vals holds at least F_1..F_n."""
@@ -49,12 +56,13 @@ def non_integral(vals: Sequence[int], n: int, k: int) -> NonIntegral:
 class FNomialTable:
     """Exact F-factorials and F-nomial coefficients of one sequence.
 
-    F_0! = 1 and F_n! = F_1 * F_2 * ... * F_n.  The table keeps no state of
-    its own, so concurrent queries are safe and deterministic.  Coefficients
-    divide no factorials: a single one is a falling product over F_k!, or,
-    once its estimated size reaches _KERNEL_BITS, a product of primitive
-    parts; a triangle row follows from the row ratio.  Every division is
-    checked.
+    F_0! = 1 and F_n! = F_1 * F_2 * ... * F_n.  The table holds only its
+    sequence.  Coefficients divide no factorials: a single one is a falling
+    product over F_k!, or, once its estimated size reaches _KERNEL_BITS, a
+    product of primitive parts, kept in the bounded memo of cobweb._parts
+    that every table over a value-equal sequence shares; a triangle row
+    follows from the row ratio.  Concurrent queries are safe and
+    deterministic, and every division is checked.
     """
 
     def __init__(self, seq: FSequence) -> None:
@@ -74,11 +82,14 @@ class FNomialTable:
         its bit lengths estimate the result at _KERNEL_BITS or more and every
         primitive part P_d of F_1..F_n is an integer, the result is the
         product of the P_d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1
-        (the exponent is 0 or 1): no large product is divided.  The parts
-        come from the memo in cobweb._parts, one entry per rule and n.
-        Otherwise the one division is checked rather than assumed: sequences
-        that are not GCD-morphic can make it non-integral, which raises
-        NonIntegral with the quotient F_n!/(F_k! F_{n-k}!).
+        (the exponent is 0 or 1): no large product is divided.  The parts,
+        and the result under j = min(k, n - k), are kept on the entry for the
+        rule and n in the memo of cobweb._parts, so a repeat, or n - k in
+        place of k, reads the result back once the entry's values match; a
+        result past the memo's bound is returned but not kept.  Otherwise the
+        one division is checked rather than assumed: sequences that are not
+        GCD-morphic can make it non-integral, which raises NonIntegral with
+        the quotient F_n!/(F_k! F_{n-k}!), and nothing is kept.
         """
         if k < 0 or k > n:
             return 0
@@ -88,9 +99,9 @@ class FNomialTable:
         if sum(map(int.bit_length, top)) - sum(map(int.bit_length, bottom)) >= _KERNEL_BITS:
             from . import _parts
 
-            parts, bad = _parts.parts(self.seq.rule, vals)
-            if bad is None:
-                return _prod([parts[d] for d in range(2, n + 1) if n // d - k // d - (n - k) // d])
+            c = _parts.coefficient(self.seq.rule, vals, j, lambda parts: _kernel(parts, n, j))
+            if c is not None:
+                return c
         q, r = divmod(_prod(top), _prod(bottom))
         if r:
             raise non_integral(vals, n, k)

@@ -1,11 +1,13 @@
-"""The memo of primitive parts and prefab results shared by `is_gcd_morphic`,
-the F-nomial kernel and `cobweb.prefab`: bounded, one entry per rule and
-prefix length, shared by value-equal sequences, never stale, and safe under
-threads."""
+"""The memo of primitive parts, kernel coefficients and prefab results shared
+by `is_gcd_morphic`, the F-nomial kernel and `cobweb.prefab`: bounded, one
+entry per rule and prefix length, shared by value-equal sequences, never
+stale, and safe under threads."""
 
+import math
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 
@@ -17,8 +19,12 @@ from cobweb import (
     FSequence,
     NonIntegral,
     _parts,
+    bell_f,
+    bell_f_table,
+    fnomial,
     from_values,
     is_gcd_morphic,
+    whitney_row,
 )
 from cobweb._memo import Memo
 from test_paths import REGISTRY
@@ -36,8 +42,9 @@ def memo(monkeypatch):
 
 @pytest.fixture
 def kernel():
-    """FNomialTable.fnomial takes the kernel at every size."""
-    with REGISTRY["FNomialTable.fnomial"].modes["kernel"]():
+    """FNomialTable.fnomial takes the kernel at every size, with the memo in
+    place."""
+    with mock.patch.object(fnomial, "_KERNEL_BITS", -(10**9)):
         yield
 
 
@@ -68,16 +75,30 @@ def test_an_entry_larger_than_the_bound_is_not_kept(monkeypatch):
     assert len(memo.entries) == 0 and memo.charged == 0
 
 
-def test_value_equal_custom_sequences_share_one_entry(memo, kernel):
+def test_value_equal_custom_sequences_share_one_entry(memo, kernel, monkeypatch):
     vals = [2**s - 1 for s in range(1, 81)]
     a, b = from_values("mersenne", vals), from_values("file:mersenne.txt", vals)
     assert is_gcd_morphic(a, 80).holds
     assert len(memo.entries) == 1
     charged = memo.charged
     assert is_gcd_morphic(b, 80).holds
-    assert FNomialTable(b).fnomial(80, 40) == fnomial_by_product(a, 80, 40)
     assert len(memo.entries) == 1 and memo.charged == charged
-    assert memo.entries[b.rule, 80][0].b0 is None
+    products = _counted_kernel(monkeypatch)
+    expected = fnomial_by_product(a, 80, 40)
+    assert FNomialTable(b).fnomial(80, 40) == FNomialTable(a).fnomial(80, 40) == expected
+    assert products == [(80, 40)]  # b's coefficient is a's
+    [(e, cost)] = memo.entries.values()
+    assert e.b0 is None and e.coefficients == {40: expected}
+    assert cost == e.bits == charged + _parts._bits([expected])
+
+
+def _counted_kernel(monkeypatch):
+    """The (n, k) of every kernel product computed from now on."""
+    products = []
+    kernel = fnomial._kernel
+    monkeypatch.setattr(fnomial, "_kernel", lambda parts, n, k: products.append((n, k)) or kernel(
+        parts, n, k))
+    return products
 
 
 def test_a_rule_whose_values_change_gets_fresh_parts(memo, kernel):
@@ -98,6 +119,109 @@ def test_a_rule_whose_values_change_gets_fresh_parts(memo, kernel):
     terms[29] = 30
     assert is_gcd_morphic(seq, 40).holds
     assert table.fnomial(40, 20) == fnomial_by_product(seq, 40, 20)
+
+
+# -- kernel coefficients kept on their prefix's entry --------------------------
+
+
+def _mersenne(count):  # rebuilt for each call, so only its values find the entry
+    return from_values("mersenne", [2**s - 1 for s in range(1, count + 1)])
+
+
+def test_a_coefficient_past_the_bound_is_returned_but_not_stored(kernel, monkeypatch):
+    seq = _mersenne(100)
+    entry_bits = _parts._bits(seq.rule.vals) + _parts._bits(_parts.sieve(seq.values(100))[0])
+    memo = Memo(entry_bits + 1000)
+    monkeypatch.setattr(_parts, "MEMO", memo)
+    products = _counted_kernel(monkeypatch)
+    middle, first = fnomial_by_product(seq, 100, 50), fnomial_by_product(seq, 100, 1)
+    assert middle.bit_length() > 1000 > first.bit_length() + _parts.INT_BITS
+    for _ in range(2):
+        assert FNomialTable(_mersenne(100)).fnomial(100, 50) == middle
+        assert FNomialTable(_mersenne(100)).fnomial(100, 99) == first
+    assert products == [(100, 50), (100, 1), (100, 50)]
+    [(e, charged)] = memo.entries.values()
+    assert e.coefficients == {1: first}
+    assert charged == e.bits == entry_bits + _parts._bits([first]) == memo.charged
+
+
+def test_coefficients_filling_the_memo_stay_within_its_bits(memo, kernel):
+    for n in range(100, 251, 3):
+        seq = _mersenne(250)
+        for k in range(n + 1):
+            if k in (n // 2, n // 3):
+                assert FNomialTable(seq).fnomial(n, k) == fnomial_by_product(seq, n, k)
+            else:
+                FNomialTable(seq).fnomial(n, k)
+        assert memo.charged == _charged_in_entries(memo) <= _parts.MEMO_BITS
+    assert 3 < len(memo.entries) < 51
+    assert all(len(e.coefficients) == n // 2 + 1 for (_, n), (e, _) in memo.entries.items())
+
+
+def test_an_uncertified_sequence_keeps_no_coefficient(memo, kernel, monkeypatch):
+    vals = list(range(1, 61))
+    vals[29] = 31  # P_30 = 31/30 is not an integer, and (30 over 2)_F = 31 * 29 / 2
+    seq = from_values("perturbed", vals)
+    table = FNomialTable(seq)
+    products = _counted_kernel(monkeypatch)
+    raised = []
+    for _ in range(3):
+        with pytest.raises(NonIntegral) as info:
+            table.fnomial(30, 2)
+        raised.append((str(info.value), info.value.numerator, info.value.denominator))
+        assert table.fnomial(60, 1) == table.fnomial(60, 59) == 60
+        assert table.fnomial(40, 20) == fnomial_by_product(seq, 40, 20)
+    num, den = math.prod(vals[:30]), math.prod(vals[:2]) * math.prod(vals[:28])
+    assert raised == [(f"quotient {num}/{den} is not an integer", num, den)] * 3
+    assert products == []
+    assert {n for _, n in memo.entries} == {30, 40, 60}
+    assert all(e.bad == 30 and e.coefficients == {} for e, _ in memo.entries.values())
+
+
+def test_a_rule_whose_values_change_gets_a_fresh_coefficient(memo, kernel):
+    terms = list(range(1, 41))
+    seq = FSequence("mutable", lambda s: terms[s - 1])
+    table = FNomialTable(seq)
+    assert table.fnomial(40, 20) == table.fnomial(40, 20) == math.comb(40, 20)
+    terms[:] = FIBONACCI.values(40)
+    fibonomial = fnomial_by_product(FIBONACCI, 40, 20)
+    assert table.fnomial(40, 20) == table.fnomial(40, 20) == fibonomial
+    [(e, _)] = memo.entries.values()
+    assert e.coefficients == {20: fibonomial}
+
+
+def test_filling_each_result_slot_raises_the_entry_bits():
+    not_results = {"vals", "held_bits", "bad", "b0"}  # the prefix, and two indices
+    results = [name for name in _parts._Entry.__slots__ if name not in not_results]
+    assert results == ["parts", "coefficients", "row", "bell"]
+    for name in results:
+        e = _parts._Entry(NATURALS.rule, NATURALS.values(10))
+        empty = e.bits
+        setattr(e, name, {7: 2**100} if isinstance(getattr(e, name), dict) else [2**100])
+        assert e.bits == empty + 101 + _parts.INT_BITS, name
+
+
+class _CountedInt(int):
+    hashes = 0
+
+    def __hash__(self):
+        _CountedInt.hashes += 1
+        return super().__hash__()
+
+
+def test_a_lookup_hashes_a_custom_sequence_once(memo, kernel):
+    terms = [_CountedInt(2**s - 1) for s in range(1, 501)]
+    calls = [lambda seq: is_gcd_morphic(seq, 120), lambda seq: FNomialTable(seq).fnomial(120, 60),
+             lambda seq: whitney_row(seq, 120), lambda seq: bell_f(seq, 120),
+             lambda seq: bell_f_table(seq, 120)]
+    hashes = []
+    for _ in range(2):  # each a miss, then each a hit
+        for call in calls:
+            before = _CountedInt.hashes
+            call(from_values("counted", terms))
+            hashes.append(_CountedInt.hashes - before)
+    assert hashes == [len(terms)] * 10
+    assert len(memo.entries) == 1
 
 
 def test_an_unhashable_rule_is_answered_without_the_memo(memo):
@@ -121,7 +245,11 @@ def _mixed_calls():
         for seq in (NATURALS, FIBONACCI, ODD, from_values("m", mersenne),
                     from_values("p", perturbed)):
             calls.append(("gcd", seq, r))
+            # Each coefficient is kept, read back by its mirror, and then
+            # either one races its first fill under threads.
             calls.append(("fnomial", seq, r, r // 3))
+            calls.append(("fnomial", seq, r, r // 2))
+            calls.append(("fnomial", seq, r, r - r // 3))
             calls.append(("prefab", seq, r))
     return calls
 

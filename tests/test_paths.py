@@ -7,7 +7,7 @@ its own.  So every entry lists its modes, each a patch that forces one path,
 and runs under hypothesis in every mode against the same oracle.
 """
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from io import StringIO
 from itertools import accumulate
@@ -54,8 +54,18 @@ class Path(NamedTuple):
     oracle: Callable
 
 
-def _kernel_bits(bits: int) -> Callable[[], ContextManager]:
-    return lambda: mock.patch.object(fnomial, "_KERNEL_BITS", bits)
+def _kernel_bits(bits: int, memo_bits: int = _parts.MEMO_BITS) -> Callable[[], ContextManager]:
+    """Estimates from bits on take the kernel, whose results go to a fresh
+    memo of memo_bits, so no result kept before can hide the path."""
+
+    @contextmanager
+    def mode():
+        with mock.patch.object(fnomial, "_KERNEL_BITS", bits), mock.patch.object(
+            _parts, "MEMO", Memo(memo_bits)
+        ):
+            yield
+
+    return mode
 
 
 def _fnomial_by_product(seq, n, k):
@@ -205,8 +215,10 @@ REGISTRY = {
         oracle=full_square_scan,
     ),
     "FNomialTable.fnomial": Path(
-        # Below every estimate (a lumpy list's can be negative), and above every one.
-        modes={"kernel": _kernel_bits(-(10**9)), "falling": _kernel_bits(10**9)},
+        # Below every estimate (a lumpy list's can be negative), and above every
+        # one; a memo of 0 bits keeps no coefficient, so every call computes it.
+        modes={"kernel": _kernel_bits(-(10**9)), "falling": _kernel_bits(10**9),
+               "no memo": _kernel_bits(-(10**9), 0)},
         args=lambda data, n: (m := data.draw(st.integers(0, n), label="n"),
                               data.draw(st.integers(-1, m + 1), label="k")),
         production=_fnomial,
@@ -307,14 +319,22 @@ def test_every_mode_takes_its_path():
         with REGISTRY["is_gcd_morphic"].modes[mode](), mock.patch.object(sequences, "math", counting):
             assert is_gcd_morphic(mersenne, 60).holds
         assert bool(gcds) == scans, mode
-    parts = _parts.parts
-    for mode, sieves in (("kernel", True), ("falling", False)):
-        calls = []
+    # The kernel with its memo computes each (n, min(k, n - k)) once, k and
+    # n - k alike; with no memo, on every call; the falling product keeps nothing.
+    kernel = fnomial._kernel
+    ks = (30, 30, 30, 20, 40, 40, 20)
+    for mode, products in (("kernel", [30, 20]), ("no memo", [30, 30, 30, 20, 20, 20, 20]),
+                           ("falling", [])):
+        computed = []
         with REGISTRY["FNomialTable.fnomial"].modes[mode](), mock.patch.object(
-            _parts, "parts", lambda rule, vals: calls.append(0) or parts(rule, vals)
+            fnomial, "_kernel", lambda parts, n, k: computed.append(k) or kernel(parts, n, k)
         ):
-            assert FNomialTable(mersenne).fnomial(60, 30) == _fnomial_by_product(mersenne, 60, 30)
-        assert calls == ([0] if sieves else []), mode
+            for k in ks:
+                assert FNomialTable(mersenne).fnomial(60, k) == _fnomial_by_product(mersenne, 60, k)
+            kept = [e.coefficients for e, _ in _parts.MEMO.entries.values()]
+        assert computed == products, mode
+        stored = {j: _fnomial_by_product(mersenne, 60, j) for j in (30, 20)}
+        assert kept == ([stored] if mode == "kernel" else []), mode
     for mode, stores in (("memo", True), ("no memo", False)):
         with REGISTRY["primitive parts"].modes[mode]():
             _parts.parts(mersenne.rule, mersenne.values(60))

@@ -20,6 +20,7 @@ from cobweb import (
     bell_f,
     bell_f_table,
     cli,
+    fnomial,
     from_file,
     from_values,
     prefab,
@@ -323,20 +324,26 @@ def test_recurrences_match_product_oracle(seq, tmp_path):
 @pytest.mark.parametrize("path", sorted(REGISTRY["FNomialTable.fnomial"].modes))
 @pytest.mark.parametrize("seq", ORACLE_SEQS + LUMPY_SEQS, ids=lambda s: s.name)
 def test_fnomial_switch_both_ways_matches_product_oracle(seq, path, monkeypatch):
-    calls = []
-    parts = _parts.parts
-    monkeypatch.setattr(_parts, "parts", lambda rule, vals: calls.append(0) or parts(rule, vals))
+    products = []
+    kernel = fnomial._kernel
+    monkeypatch.setattr(fnomial, "_kernel", lambda parts, n, k: products.append((n, k)) or kernel(
+        parts, n, k))
     n_max = min(60, seq.limit or 60)
     table = FNomialTable(seq)
-    with REGISTRY["FNomialTable.fnomial"].modes[path]():
+    with REGISTRY["FNomialTable.fnomial"].modes[path]():  # each on a fresh memo
         for n in range(n_max + 1):
             for k in range(-1, n + 2):
                 expected = outcome(expected_fnomial, seq, n, k)
                 assert outcome(table.fnomial, n, k) == expected, (n, k)
                 if n + k >= 0:
                     assert outcome(whitney_prefab, seq, n + k, k) == expected, (n, k)
-    in_range = (n_max + 1) * (n_max + 2) // 2
-    assert len(calls) == (2 * in_range if path == "kernel" else 0)
+    # Each in-range (n, k) is asked for twice.  Where P_1..P_n are integers the
+    # kernel builds it: once per (n, min(k, n - k)) with the memo, on every
+    # call without it, and never on the falling product.
+    integral = [n for n in range(n_max + 1) if _parts.sieve(seq.values(n))[1] is None]
+    asked = Counter((n, min(k, n - k)) for n in integral for k in range(n + 1) for _ in range(2))
+    built = {"kernel": Counter(set(asked)), "no memo": asked, "falling": Counter()}
+    assert Counter(products) == built[path]
 
 
 def test_oracle_sequences_include_non_integral_ones():

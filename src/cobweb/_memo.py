@@ -4,18 +4,18 @@ primitive parts of `cobweb._parts`."""
 from __future__ import annotations
 
 import threading
-from typing import Hashable
+from typing import Callable, Hashable
 
 
 class Memo:
     """Values by key, each with the cost its owner charges it, least recently
     used first: the charged total stays at or below `limit`, and a value that
-    costs more is not kept.  One private lock guards every update, so threads
-    may share a memo; callers build their values outside it and take no lock
-    of their own.  `entries` maps each key to its (value, cost), in order of
-    use: a plain dict, re-inserted on use, as iterating an OrderedDict's
-    values hashes each key again, and a custom sequence's key hashes all its
-    terms."""
+    costs more is not kept.  One private lock guards every update and every
+    recharge's measure, so threads may share a memo; callers build their
+    values outside it and take no lock of their own.  `entries` maps each key
+    to its (value, cost), in order of use: a plain dict, re-inserted on use,
+    as iterating an OrderedDict's values hashes each key again, and a custom
+    sequence's key hashes all its terms."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
@@ -37,13 +37,14 @@ class Memo:
         with self._lock:
             self._keep(key, value, cost)
 
-    def recharge(self, value: object, cost: int) -> None:
-        """Charge a kept value again, say once it has grown; a value no longer
-        kept stays out."""
+    def recharge(self, value: object, measure: Callable[[], int]) -> None:
+        """Charge a kept value again, say once it has grown, by measure(),
+        called under the lock, so a charge is never older than one made by a
+        thread that grew the value later; a value no longer kept stays out."""
         with self._lock:
             key = next((k for k, (v, _) in self.entries.items() if v is value), None)
             if key is not None:
-                self._keep(key, value, cost)
+                self._keep(key, value, measure())
 
     def clear(self) -> None:
         with self._lock:

@@ -6,14 +6,14 @@ e < d), so F_m = prod(P_d for d | m).  `sieve` is the only code that divides
 the parts out.  `MEMO`, a `cobweb._memo.Memo` charged by `_Entry.bits`, keeps
 one entry per sequence rule and prefix length, so value-equal custom
 sequences share one entry and an entry answers only the values it was built
-from; a lookup hashes the rule once.  An entry fills each result on first
-use: the parts for `parts`, the certificate's first failure for
-`first_failure` (`is_gcd_morphic`), the F-nomial kernel's coefficients
-(n over j)_F, j = min(k, n - k), for `coefficient`, and the Whitney row and
-Bell table for `kept` (`cobweb.prefab`); a result that would take the entry
-past the memo's bound is returned but not stored.  `integral_up_to` tells
-the CLI when a table may stream.  The package imports this module on first
-use only, so no start-up path compiles it.
+from; a lookup hashes the rule once.  `_result` fills an entry's result
+table on first use: "parts" for `parts`, the certificate's first failure
+"b0" for `first_failure` (`is_gcd_morphic`), the F-nomial kernel's
+(n over j)_F under j = min(k, n - k) for `coefficient`, and the Whitney row
+"row" and Bell table "bell" for `kept` (`cobweb.prefab`); a result that
+would take the entry past the memo's bound is returned but not stored.
+`integral_up_to` tells the CLI when a table may stream.  The package imports
+this module on first use only, so no start-up path compiles it.
 """
 
 from __future__ import annotations
@@ -73,31 +73,23 @@ def _certify(parts: list[int], hi: int) -> int | None:
 
 
 class _Entry:
-    """One stored prefix F_1..F_N and what has been computed from it, each
-    filled on first use: its parts and the first index bad where they fail,
-    the first b0 where its certificate fails, the kernel coefficients
-    (N over j)_F by j, and the prefab Whitney row W(N, 0..N//2) and Bell
-    table B_0..B_N of `cobweb.prefab`."""
+    """One stored prefix F_1..F_N, the charge of holding it, and `results`,
+    each result computed from the prefix by name, with the bits it adds.  The
+    table is replaced, never changed in place, so a reader never sees it
+    grow."""
 
-    __slots__ = ("vals", "held_bits", "parts", "bad", "b0", "coefficients", "row", "bell")
+    __slots__ = ("vals", "held_bits", "results")
 
     def __init__(self, rule: Callable[[int], int], vals: list[int]) -> None:
         self.vals = vals
-        # A custom sequence's key holds all of its values.
+        # Charged per entry: `Memo.get` keeps each caller's key, so its own tuple.
         self.held_bits = _bits(rule.vals if isinstance(rule, _Terms) else vals)
-        self.parts: list[int] | None = None
-        self.bad: int | None = None
-        self.b0: int | None = 0  # 0 until first_failure computes it
-        # Replaced, never changed in place, so a reader never sees it grow.
-        self.coefficients: dict[int, int] = {}
-        self.row: tuple[int, ...] | None = None
-        self.bell: tuple[int, ...] | None = None
+        self.results: dict[object, tuple[object, int]] = {}
 
     @property
     def bits(self) -> int:
         """The charge of everything the entry holds."""
-        held = (self.parts, self.coefficients.values(), self.row, self.bell)
-        return self.held_bits + sum(_bits(xs) for xs in held if xs)
+        return self.held_bits + sum(bits for _, bits in self.results.values())
 
 
 def _bits(xs: Collection[int]) -> int:
@@ -136,28 +128,22 @@ def _entry(rule: Callable[[int], int], vals: list[int]) -> _Entry:
     return new
 
 
-def _fill(e: _Entry, name: str, value: object, bits: int) -> None:
-    """Store value as e.<name>, which adds bits to what e holds, and charge e
-    again, unless e would then cost more than the memo may hold.  Threads
-    that fill one entry at once each charge it again until the charge they
-    made is what it holds."""
-    if e.bits + bits > MEMO.limit:
-        return
-    setattr(e, name, value)
-    while True:
-        charge = e.bits
-        MEMO.recharge(e, charge)
-        if e.bits == charge:
-            return
+def _result(e: _Entry, name: object, compute: Callable[[], tuple[object, int]]) -> object:
+    """e's result `name`, made on first use by compute() as (value, the bits
+    it adds) and stored unless e would then cost more than the memo may hold;
+    the memo measures e again under its lock, so threads that fill e at once
+    leave its charge exact."""
+    if (kept := e.results.get(name)) is None:
+        kept = compute()
+        if e.bits + kept[1] <= MEMO.limit:
+            e.results = {**e.results, name: kept}
+            MEMO.recharge(e, lambda: e.bits)
+    return kept[0]
 
 
 def _sieved(e: _Entry) -> tuple[list[int], int | None]:
-    """sieve(e.vals), kept on e from its first use."""
-    if e.parts is None:
-        parts, e.bad = sieve(e.vals)  # threads that race here store equal values
-        _fill(e, "parts", parts, _bits(parts))
-        return parts, e.bad
-    return e.parts, e.bad
+    """sieve(e.vals), kept on e."""
+    return _result(e, "parts", lambda: (sieved := sieve(e.vals), _bits(sieved[0])))
 
 
 def parts(rule: Callable[[int], int], vals: list[int]) -> tuple[list[int], int | None]:
@@ -170,10 +156,12 @@ def first_failure(rule: Callable[[int], int], vals: list[int]) -> int | None:
     gcd(P_b, prod(P_a for a < b, a ∤ b)) != 1, or None: then F is
     GCD-morphic on [1, N], and otherwise on [1, b - 1]."""
     e = _entry(rule, vals)
-    if e.b0 == 0:  # threads that race here store equal values
+
+    def b0() -> tuple[int | None, int]:
         parts, bad = _sieved(e)
-        e.b0 = _certify(parts, len(vals) if bad is None else bad - 1) or bad
-    return e.b0
+        return _certify(parts, len(vals) if bad is None else bad - 1) or bad, 0
+
+    return _result(e, "b0", b0)
 
 
 def coefficient(
@@ -183,13 +171,10 @@ def coefficient(
     entry for vals, kept on it under j; None, with nothing kept, when some
     P_d with d <= N is not an integer."""
     e = _entry(rule, vals)
-    if (c := e.coefficients.get(j)) is None:
-        parts, bad = _sieved(e)
-        if bad is not None:
-            return None
-        c = kernel(parts)
-        _fill(e, "coefficients", {**e.coefficients, j: c}, _bits((c,)))
-    return c
+    parts, bad = _sieved(e)
+    if bad is not None:
+        return None
+    return _result(e, j, lambda: (c := kernel(parts), _bits((c,))))
 
 
 def kept(
@@ -198,12 +183,7 @@ def kept(
     """The prefab result `name` ("row" or "bell") of the entry for vals, made
     by compute() on first use; an error it raises is not kept, so each call
     raises it afresh."""
-    e = _entry(rule, vals)
-    value = getattr(e, name)
-    if value is None:
-        value = compute()
-        _fill(e, name, value, _bits(value))
-    return value
+    return _result(_entry(rule, vals), name, lambda: (value := compute(), _bits(value)))
 
 
 def integral_up_to(seq: FSequence, n_max: int) -> bool:

@@ -83,8 +83,8 @@ class FNomialTable:
         primitive part P_d of F_1..F_n is an integer, the result is the
         product of the P_d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1
         (the exponent is 0 or 1): no large product is divided.  The parts,
-        and the result under j = min(k, n - k), are kept on the entry for the
-        rule and n in the memo of cobweb._parts, so a repeat, or n - k in
+        and the result under j = min(k, n - k), are results of the entry for
+        the rule and n in the memo of cobweb._parts, so a repeat, or n - k in
         place of k, reads the result back once the entry's values match; a
         result past the memo's bound is returned but not kept.  Otherwise the
         one division is checked rather than assumed: sequences that are not

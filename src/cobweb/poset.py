@@ -493,7 +493,7 @@ def _upsets(p: FinitePoset) -> list[int]:
                     acc |= up[j]
             up[i] = acc | 1 << i
         p._up = up
-        _ENGINES.recharge(p, _charge(p))
+        _ENGINES.recharge(p, lambda: _charge(p))
     return up
 
 
@@ -538,7 +538,7 @@ def mobius(p: FinitePoset) -> MobiusMatrix:
             for j, v in _mobius_row(p, pos[i]).items():
                 entries[(xi, labels[j])] = v
         p._mobius = entries
-        _ENGINES.recharge(p, _charge(p))
+        _ENGINES.recharge(p, lambda: _charge(p))
     return MobiusMatrix(dict(entries))
 
 

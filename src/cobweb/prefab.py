@@ -5,8 +5,8 @@ For F = naturals this is the diagonal-of-Pascal identity, so B_n recovers
 Fibonacci(n + 1).
 
 The row W(n, 0..n//2) and the table B_0..B_n are computed once per prefix
-F_1..F_n and kept on its entry in the bounded memo of `cobweb._parts`, which
-value-equal custom sequences share; a rule whose values change gets fresh
+F_1..F_n and kept as results of its entry in the bounded memo of
+`cobweb._parts`, which value-equal custom sequences share; a rule whose values change gets fresh
 results, and an error is raised afresh on every call.
 """
 

@@ -219,6 +219,22 @@ def _closed(p):
     return p
 
 
+def test_a_charge_overtaken_by_a_later_fill_is_not_lost(memo, monkeypatch):
+    p = build_grid(6, 14, "weak").poset
+    recharge, calls = memo.recharge, []
+
+    def late(*args):  # the closure's charge lands after the Möbius matrix's
+        if not calls:
+            calls.append(args)
+            mobius(p)
+        return recharge(*args)
+
+    monkeypatch.setattr(memo, "recharge", late)
+    assert p.leq(p.elements[0], p.elements[-1])
+    assert len(calls) == 1 and p._mobius is not None
+    assert memo.charged == engine._charge(p)
+
+
 def test_charged_total_stays_within_the_bound(memo):
     # With their closures the engines outgrow the bound; each `leq` recharges.
     views = [build_grid(40, 110 + i, "weak") for i in range(12)]

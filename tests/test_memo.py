@@ -67,7 +67,7 @@ def test_memo_matches_a_list_model(limit, ops):
             model.put(op[1], value, op[2])
         elif op[0] == "recharge":
             value = made[op[1]] if op[1] < len(made) else [op[1]]
-            memo.recharge(value, op[2])
+            memo.recharge(value, lambda: op[2])
             model.recharge(value, op[2])
         else:
             memo.clear()
@@ -77,3 +77,19 @@ def test_memo_matches_a_list_model(limit, ops):
         assert all(v is w for (_, v, _), (_, w, _) in zip(kept, model.kept)), op
         assert memo.charged == sum(c for _, _, c in kept) <= limit
         assert all(c <= limit for _, _, c in kept)
+
+
+def test_recharge_measures_a_kept_value_under_the_lock():
+    memo = Memo(100)
+    kept, dropped = [0], [1]
+    memo.put(0, kept, 10)
+    measured = []
+
+    def measure():
+        measured.append(memo._lock.locked())
+        return 20
+
+    memo.recharge(kept, measure)
+    memo.recharge(dropped, measure)
+    assert measured == [True]
+    assert memo.entries == {0: (kept, 20)} and memo.charged == 20

@@ -27,7 +27,7 @@ from cobweb import (
     whitney_row,
 )
 from cobweb._memo import Memo
-from test_paths import REGISTRY
+from test_paths import REGISTRY, _prefab_by_product, entry_results
 from test_prefab import fnomial_by_product, prefab_results
 from test_sequences import full_square_scan
 
@@ -88,7 +88,7 @@ def test_value_equal_custom_sequences_share_one_entry(memo, kernel, monkeypatch)
     assert FNomialTable(b).fnomial(80, 40) == FNomialTable(a).fnomial(80, 40) == expected
     assert products == [(80, 40)]  # b's coefficient is a's
     [(e, cost)] = memo.entries.values()
-    assert e.b0 is None and e.coefficients == {40: expected}
+    assert entry_results(e) == {"parts": _parts.sieve(vals), "b0": None, 40: expected}
     assert cost == e.bits == charged + _parts._bits([expected])
 
 
@@ -141,7 +141,7 @@ def test_a_coefficient_past_the_bound_is_returned_but_not_stored(kernel, monkeyp
         assert FNomialTable(_mersenne(100)).fnomial(100, 99) == first
     assert products == [(100, 50), (100, 1), (100, 50)]
     [(e, charged)] = memo.entries.values()
-    assert e.coefficients == {1: first}
+    assert entry_results(e) == {"parts": _parts.sieve(seq.values(100)), 1: first}
     assert charged == e.bits == entry_bits + _parts._bits([first]) == memo.charged
 
 
@@ -155,7 +155,8 @@ def test_coefficients_filling_the_memo_stay_within_its_bits(memo, kernel):
                 FNomialTable(seq).fnomial(n, k)
         assert memo.charged == _charged_in_entries(memo) <= _parts.MEMO_BITS
     assert 3 < len(memo.entries) < 51
-    assert all(len(e.coefficients) == n // 2 + 1 for (_, n), (e, _) in memo.entries.items())
+    for (_, n), (e, _) in memo.entries.items():
+        assert set(entry_results(e)) == {"parts", *range(n // 2 + 1)}
 
 
 def test_an_uncertified_sequence_keeps_no_coefficient(memo, kernel, monkeypatch):
@@ -175,7 +176,8 @@ def test_an_uncertified_sequence_keeps_no_coefficient(memo, kernel, monkeypatch)
     assert raised == [(f"quotient {num}/{den} is not an integer", num, den)] * 3
     assert products == []
     assert {n for _, n in memo.entries} == {30, 40, 60}
-    assert all(e.bad == 30 and e.coefficients == {} for e, _ in memo.entries.values())
+    for e, _ in memo.entries.values():
+        assert entry_results(e) == {"parts": _parts.sieve(e.vals)} and _parts.sieve(e.vals)[1] == 30
 
 
 def test_a_rule_whose_values_change_gets_a_fresh_coefficient(memo, kernel):
@@ -187,18 +189,48 @@ def test_a_rule_whose_values_change_gets_a_fresh_coefficient(memo, kernel):
     fibonomial = fnomial_by_product(FIBONACCI, 40, 20)
     assert table.fnomial(40, 20) == table.fnomial(40, 20) == fibonomial
     [(e, _)] = memo.entries.values()
-    assert e.coefficients == {20: fibonomial}
+    assert entry_results(e) == {"parts": _parts.sieve(FIBONACCI.values(40)), 20: fibonomial}
 
 
-def test_filling_each_result_slot_raises_the_entry_bits():
-    not_results = {"vals", "held_bits", "bad", "b0"}  # the prefix, and two indices
-    results = [name for name in _parts._Entry.__slots__ if name not in not_results]
-    assert results == ["parts", "coefficients", "row", "bell"]
-    for name in results:
-        e = _parts._Entry(NATURALS.rule, NATURALS.values(10))
-        empty = e.bits
-        setattr(e, name, {7: 2**100} if isinstance(getattr(e, name), dict) else [2**100])
-        assert e.bits == empty + 101 + _parts.INT_BITS, name
+def test_each_result_raises_the_entry_bits_by_what_it_stores(memo, kernel):
+    seq = _mersenne(60)
+    parts = _parts.sieve(seq.values(60))
+    c = fnomial_by_product(seq, 60, 25)
+    row, _, bell = _prefab_by_product(seq, 60)
+    fills = [  # each result by its public caller: name, call, value stored, bits it adds
+        ("parts", lambda: _parts.integral_up_to(seq, 60), parts, _parts._bits(parts[0])),
+        ("b0", lambda: is_gcd_morphic(seq, 60), None, 0),
+        (25, lambda: FNomialTable(seq).fnomial(60, 35), c, _parts._bits([c])),
+        ("row", lambda: whitney_row(seq, 60), row, _parts._bits(row)),
+        ("bell", lambda: bell_f_table(seq, 60), bell, _parts._bits(bell)),
+    ]
+    held, bits, tables = {}, _parts._bits(seq.rule.vals), []
+    for name, call, value, adds in fills:
+        call()
+        [(e, charged)] = memo.entries.values()
+        held[name] = value
+        bits += adds
+        assert entry_results(e) == held and e.bits == bits == charged == memo.charged, name
+        tables.append((e.results, list(e.results.items())))
+    # Each fill replaced the table, so a thread that sums an older one sees it unchanged.
+    assert all(list(table.items()) == items for table, items in tables)
+
+
+def test_a_charge_overtaken_by_a_later_fill_is_not_lost(memo, kernel, monkeypatch):
+    seq = _mersenne(60)
+    recharge, calls = memo.recharge, []
+
+    def late(*args):  # the parts' charge lands after a coefficient's
+        if not calls:
+            calls.append(args)
+            FNomialTable(seq).fnomial(60, 30)
+        return recharge(*args)
+
+    monkeypatch.setattr(memo, "recharge", late)
+    _parts.parts(seq.rule, seq.values(60))
+    [(e, _)] = memo.entries.values()
+    assert set(entry_results(e)) == {"parts", 30}
+    assert memo.charged == e.bits
 
 
 class _CountedInt(int):

@@ -28,7 +28,7 @@ from cobweb import (
     whitney_row,
 )
 from cobweb._memo import Memo
-from test_paths import REGISTRY, _prefab_by_product
+from test_paths import REGISTRY, _prefab_by_product, entry_results
 
 
 @pytest.fixture
@@ -164,7 +164,8 @@ def test_each_row_and_table_is_computed_once_per_prefix(memo, monkeypatch):
                 for n in (40, 80)}
     assert set(counts) == expected and set(counts.values()) == {1}
     assert set(memo.entries) == {(seq().rule, n) for seq in seqs for n in (40, 80)}
-    assert all(e.parts is None for e, _ in memo.entries.values())  # prefab needs no sieve
+    # prefab needs no sieve
+    assert all(set(entry_results(e)) == {"row", "bell"} for e, _ in memo.entries.values())
 
 
 def test_a_rule_whose_values_change_gets_fresh_results(memo):
@@ -205,7 +206,7 @@ def test_errors_are_raised_afresh_on_every_call(memo, tmp_path):
     assert unmemoized[from_file(str(short)), 12][2][1].endswith("up to index 10, got 11")
     assert [r[1] for r in unmemoized[NATURALS, -1]] == [
         "need n >= 0, got -1", "need n >= 0, got -1", "need n_max >= 0, got -1"]
-    assert all(e.row is None and e.bell is None for e, _ in memo.entries.values())
+    assert all(entry_results(e) == {} for e, _ in memo.entries.values())
 
 
 def test_prefab_results_filling_the_memo_stay_within_its_bits(memo):
@@ -214,7 +215,7 @@ def test_prefab_results_filling_the_memo_stay_within_its_bits(memo):
         assert whitney_row(seq, n).values[-1] == fnomial_by_product(seq, n - n // 2, n // 2)
         assert memo.charged == sum(e.bits for e, _ in memo.entries.values()) <= _parts.MEMO_BITS
     assert 10 < len(memo.entries) < 151
-    assert all(e.row is not None for e, _ in memo.entries.values())
+    assert all("row" in entry_results(e) for e, _ in memo.entries.values())
 
 
 def test_a_result_past_the_bound_is_returned_but_not_stored(monkeypatch):
@@ -226,7 +227,7 @@ def test_a_result_past_the_bound_is_returned_but_not_stored(monkeypatch):
     for _ in range(2):
         assert prefab_results(seq, 100) == expected
         [(e, charged)] = memo.entries.values()
-        assert (e.row, e.bell, charged) == (None, None, entry_bits)
+        assert (entry_results(e), charged) == ({}, entry_bits)
 
 
 # -- the ratio recurrences against the product oracle --------------------------

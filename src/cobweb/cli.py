@@ -104,17 +104,22 @@ def _cmd_seq(ns: argparse.Namespace) -> OutputRecord:
     return OutputRecord("seq", {"seq": ns.seq, "count": ns.count}, columns=("s", "value"), rows=rows)
 
 
+def _certified(rows: Iterator[Any], seq: FSequence, n_max: int) -> Iterable[Any]:
+    """The rows, to be computed as they are written, when the primitive parts
+    of F_1..F_n_max prove no entry non-integral; otherwise the rows in full,
+    so that a NonIntegral is raised before any output."""
+    from . import _parts
+
+    return rows if _parts.integral_up_to(seq, n_max) else list(rows)
+
+
 def _cmd_fnomial(ns: argparse.Namespace) -> OutputRecord:
     from .fnomial import FNomialTable
 
     seq = _seq_from_token(ns.seq)
     table = FNomialTable(seq)
     if ns.table is not None:
-        from ._parts import integral_up_to
-
-        triangle = table.rows(ns.table)
-        if not integral_up_to(seq, ns.table):
-            triangle = list(triangle)  # in full, so a NonIntegral is raised here
+        triangle = _certified(table.rows(ns.table), seq, ns.table)
         rows = ((n, k, v) for n, row in enumerate(triangle) for k, v in enumerate(row))
         return OutputRecord(
             "fnomial", {"seq": ns.seq, "table": ns.table}, columns=("n", "k", "value"), rows=rows
@@ -185,12 +190,8 @@ def _cmd_bell(ns: argparse.Namespace) -> OutputRecord:
     seq = _seq_from_token(ns.seq)
     params = {"family": "prefab", "seq": ns.seq, "n": ns.n}
     if ns.table:
-        from ._parts import integral_up_to
-
         params["table"] = True
-        sums = _bell_sums(seq, ns.n)
-        if not integral_up_to(seq, ns.n):
-            sums = list(sums)  # in full, so a NonIntegral is raised here
+        sums = _certified(_bell_sums(seq, ns.n), seq, ns.n)
         return OutputRecord("bell", params, columns=("n", "value"), rows=enumerate(sums))
     return OutputRecord("bell", params, value=bell_f(seq, ns.n))
 
@@ -327,7 +328,7 @@ def _render(rec: OutputRecord, fmt: str) -> Iterator[str]:
     rendered again through Decimal, which converts any int exactly, before
     any of it is yielded.  That needs the C `_decimal` (the pure-Python
     `_pydecimal` converts through str() and hits the same limit); CPython
-    3.10-3.12 ship it."""
+    3.10-3.13 ship it."""
     head, rows, (cell_sep, start, end, between), tail = _LAYOUTS[fmt](rec)
     yield head
     rows, lead, size = iter(rows), "", 1

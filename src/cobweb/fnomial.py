@@ -47,10 +47,14 @@ def _kernel(parts: list[int], n: int, k: int) -> int:
     return _prod([parts[d] for d in range(2, n + 1) if n // d - k // d - (n - k) // d])
 
 
-def non_integral(vals: Sequence[int], n: int, k: int) -> NonIntegral:
-    """The error for a non-integral (n over k)_F, carrying the canonical
-    quotient F_n!/(F_k! F_{n-k}!); vals holds at least F_1..F_n."""
-    return NonIntegral(_prod(vals[:n]), _prod(vals[:k]) * _prod(vals[: n - k]))
+def _exact(num: int, den: int, vals: Sequence[int], n: int, k: int) -> int:
+    """num // den, or NonIntegral for (n over k)_F, carrying the canonical
+    quotient F_n!/(F_k! F_{n-k}!), when den leaves a remainder; vals holds at
+    least F_1..F_n.  Every F-nomial, row and Bell-sum division goes here."""
+    q, r = divmod(num, den)
+    if r:
+        raise NonIntegral(_prod(vals[:n]), _prod(vals[:k]) * _prod(vals[: n - k]))
+    return q
 
 
 class FNomialTable:
@@ -102,10 +106,7 @@ class FNomialTable:
             c = _parts.coefficient(self.seq.rule, vals, j, lambda parts: _kernel(parts, n, j))
             if c is not None:
                 return c
-        q, r = divmod(_prod(top), _prod(bottom))
-        if r:
-            raise non_integral(vals, n, k)
-        return q
+        return _exact(_prod(top), _prod(bottom), vals, n, k)
 
     def rows(self, n_max: int) -> Iterator[list[int]]:
         """The triangle rows [(n over 0)_F, ..., (n over n)_F] for n = 0..n_max, or
@@ -124,10 +125,7 @@ class FNomialTable:
                 vals.append(self.seq.value(n))
             row = [1]
             for k in range(n // 2):
-                q, r = divmod(row[-1] * vals[n - k - 1], vals[k])
-                if r:
-                    raise non_integral(vals, n, k + 1)
-                row.append(q)
+                row.append(_exact(row[-1] * vals[n - k - 1], vals[k], vals, n, k + 1))
             yield row + row[: (n + 1) // 2][::-1]
 
 

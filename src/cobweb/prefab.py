@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .errors import IndexOutOfDomain
-from .fnomial import FNomialTable, non_integral
+from .fnomial import FNomialTable, _exact
 from .sequences import FSequence
 
 __all__ = [
@@ -58,12 +58,8 @@ def _row(vals: list[int]) -> tuple[int, ...]:
     n = len(vals)
     row = [1]
     for k in range(n // 2):
-        q, r = divmod(
-            row[-1] * (vals[n - 2 * k - 1] * vals[n - 2 * k - 2]), vals[n - k - 1] * vals[k]
-        )
-        if r:
-            raise non_integral(vals, n - k - 1, k + 1)
-        row.append(q)
+        num = row[-1] * (vals[n - 2 * k - 1] * vals[n - 2 * k - 2])
+        row.append(_exact(num, vals[n - k - 1] * vals[k], vals, n - k - 1, k + 1))
     return tuple(row)
 
 
@@ -103,10 +99,7 @@ def _bell_sums(seq: FSequence, n_max: int) -> Iterator[int]:
             vals.append(seq.value(n))
         row = [1]
         for k in range(1, n // 2 + 1):
-            q, r = divmod(before[k - 1] * vals[n - k - 1], vals[k - 1])
-            if r:
-                raise non_integral(vals, n - k, k)
-            row.append(q)
+            row.append(_exact(before[k - 1] * vals[n - k - 1], vals[k - 1], vals, n - k, k))
         yield sum(row)
         before, last = last, row
 

@@ -304,6 +304,27 @@ def cli_triangle(seq, n_max, tmp_path):
     return rows
 
 
+def cli_bell_table(seq, n_max, tmp_path):
+    """The `bell --family prefab --table` sums for seq, read back from CSV, or
+    the NonIntegral quotient parsed from the error line."""
+    path = tmp_path / "bell.txt"
+    path.write_text("".join(f"{v}\n" for v in seq.values(n_max)))
+    out, err = StringIO(), StringIO()
+    code = cli.run(["bell", "--family", "prefab", "--seq", f"file:{path}", "--n", str(n_max),
+                    "--table", "--format", "csv"], out, err)
+    if code:
+        prefix, suffix = "error: NonIntegral: quotient ", " is not an integer\n"
+        text = err.getvalue()
+        assert (code, text[: len(prefix)], text[-len(suffix) :]) == (1, prefix, suffix)
+        num, den = text[len(prefix) : -len(suffix)].split("/")
+        return ("NonIntegral", int(num), int(den))
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "n,value"
+    rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
+    assert [n for n, _ in rows] == list(range(n_max + 1))
+    return tuple(v for _, v in rows)
+
+
 @pytest.mark.parametrize("seq", ORACLE_SEQS + LUMPY_SEQS, ids=lambda s: s.name)
 def test_recurrences_match_product_oracle(seq, tmp_path):
     n_max = min(60, seq.limit or 60)
@@ -320,6 +341,7 @@ def test_recurrences_match_product_oracle(seq, tmp_path):
     triangle = outcome(expected_triangle, seq, n_max)
     assert outcome(lambda: list(table.rows(n_max))) == triangle
     assert cli_triangle(seq, n_max, tmp_path) == triangle
+    assert cli_bell_table(seq, n_max, tmp_path) == outcome(expected_bell_table, seq, n_max)
 
 
 @pytest.mark.parametrize("path", sorted(REGISTRY["FNomialTable.fnomial"].modes))

@@ -5,12 +5,16 @@ For a prefix F_1..F_n the primitive part P_d = F_d / prod(P_e for e | d,
 e < d), so F_m = prod(P_d for d | m).  `sieve` is the only code that divides
 the parts out.  `MEMO`, a `cobweb._memo.Memo` charged by `_Entry.bits`, keeps
 one entry per sequence rule and prefix length, so value-equal custom
-sequences share one entry and an entry answers only the values it was built
-from; a lookup hashes the rule once.  `_result` fills an entry's result
-table on first use: "parts" for `parts`, the certificate's first failure
-"b0" for `first_failure` (`is_gcd_morphic`), the F-nomial kernel's
-(n over j)_F under j = min(k, n - k) for `coefficient`, and the Whitney row
-"row" and Bell table "bell" for `kept` (`cobweb.prefab`); a result that
+sequences share one entry; a lookup hashes the rule once.  The value-stable
+rules, the five built-ins (pure and stateless) and a custom sequence's terms
+(whose key holds every value), are answered from their entry before any
+value is fetched, so a repeat on one fetches no values; any other rule's
+values are fetched and compared, and an entry answers only the values it was
+built from.  `_result` fills an entry's result table on first use: "parts"
+for `parts`, the certificate's first failure "b0" for `first_failure`
+(`is_gcd_morphic`), the F-nomial kernel's (n over j)_F under
+j = min(k, n - k) for `coefficient`, and the Whitney row "row", its sum B_n
+"sum" and the Bell table "bell" for `kept` (`cobweb.prefab`); a result that
 would take the entry past the memo's bound is returned but not stored.
 `integral_up_to` tells the CLI when a table may stream.  The package imports
 this module on first use only, so no start-up path compiles it.
@@ -23,7 +27,7 @@ from typing import Callable, Collection, Sequence
 
 from ._memo import Memo
 from .errors import IndexOutOfDomain
-from .sequences import FSequence, _Terms
+from .sequences import DIV31, EVEN1, FIBONACCI, NATURALS, ODD, FSequence, _Terms
 
 # Bits the memo may hold: each stored int is charged its bit length plus
 # INT_BITS, about what its object header and its list slot take (36 bytes on
@@ -111,19 +115,43 @@ class _Key(tuple):
 
 MEMO = Memo(MEMO_BITS)
 
+# The built-in rules by id, each pure and stateless, so it cannot change its
+# values; held here, so no other object can take one of their ids.
+_PURE = {id(rule): rule for rule in (NATURALS.rule, ODD.rule, EVEN1.rule, DIV31.rule,
+                                     FIBONACCI.rule)}
 
-def _entry(rule: Callable[[int], int], vals: list[int]) -> _Entry:
-    """The entry for vals = [F_1, ..., F_n] under (rule, n): the stored one
-    when its values equal vals, else a fresh one that replaces it, so a rule
-    whose values change gets fresh results."""
+
+def _value_stable(seq: FSequence, n: int) -> bool:
+    """True when an entry stored under (seq.rule, n) holds F_1..F_n of seq
+    without a look at them: seq reaches n, and its rule is a built-in or a
+    custom sequence's terms, whose key holds every value it answers."""
+    rule = seq.rule
+    return (type(rule) is _Terms or id(rule) in _PURE) and (seq.limit is None or n <= seq.limit)
+
+
+def _entry(
+    seq: FSequence, n: int, admit: Callable[[list[int]], bool] = lambda vals: True
+) -> _Entry | list[int]:
+    """The entry for F_1..F_n of seq under (rule, n).  A stored one answers a
+    value-stable rule before any value is fetched; for any other rule the
+    values are fetched, and the stored entry answers only when its values
+    equal them, so a rule whose values change gets fresh results.  Without
+    such an entry, a fresh one is made and stored in its place when
+    admit(vals) holds; otherwise the values are returned instead."""
     try:
-        key = _Key(rule, len(vals))
+        key = _Key(seq.rule, n)
     except TypeError:
-        return _Entry(rule, vals)
+        vals = seq.values(n)
+        return _Entry(seq.rule, vals) if admit(vals) else vals
     old = MEMO.get(key)
+    if old is not None and _value_stable(seq, n):
+        return old
+    vals = seq.values(n)
     if old is not None and old.vals == vals:
         return old
-    new = _Entry(rule, vals)
+    if not admit(vals):
+        return vals
+    new = _Entry(seq.rule, vals)
     MEMO.put(key, new, new.bits)
     return new
 
@@ -146,44 +174,67 @@ def _sieved(e: _Entry) -> tuple[list[int], int | None]:
     return _result(e, "parts", lambda: (sieved := sieve(e.vals), _bits(sieved[0])))
 
 
-def parts(rule: Callable[[int], int], vals: list[int]) -> tuple[list[int], int | None]:
-    """sieve(vals) through the memo."""
-    return _sieved(_entry(rule, vals))
+def parts(seq: FSequence, n: int) -> tuple[list[int], int | None]:
+    """sieve(seq.values(n)) through the memo."""
+    return _sieved(_entry(seq, n))
 
 
-def first_failure(rule: Callable[[int], int], vals: list[int]) -> int | None:
-    """The first b <= N = len(vals) at which P_b is not an integer or
+def first_failure(seq: FSequence, n: int) -> int | None:
+    """The first b <= n at which P_b of seq is not an integer or
     gcd(P_b, prod(P_a for a < b, a ∤ b)) != 1, or None: then F is
-    GCD-morphic on [1, N], and otherwise on [1, b - 1]."""
-    e = _entry(rule, vals)
+    GCD-morphic on [1, n], and otherwise on [1, b - 1]."""
+    e = _entry(seq, n)
 
     def b0() -> tuple[int | None, int]:
         parts, bad = _sieved(e)
-        return _certify(parts, len(vals) if bad is None else bad - 1) or bad, 0
+        return _certify(parts, n if bad is None else bad - 1) or bad, 0
 
     return _result(e, "b0", b0)
 
 
 def coefficient(
-    rule: Callable[[int], int], vals: list[int], j: int, kernel: Callable[[list[int]], int]
-) -> int | None:
-    """The coefficient (N over j)_F, N = len(vals), as kernel(parts) of the
-    entry for vals, kept on it under j; None, with nothing kept, when some
-    P_d with d <= N is not an integer."""
-    e = _entry(rule, vals)
+    seq: FSequence,
+    n: int,
+    j: int,
+    kernel: Callable[[list[int]], int],
+    wanted: Callable[[list[int]], bool],
+) -> tuple[int | None, list[int]]:
+    """(c, vals) for vals = F_1..F_n of seq: c is (n over j)_F, kept on the
+    entry for vals under j and made by kernel(parts) on first use when
+    wanted(vals) holds.  c is None, with nothing kept, when wanted(vals)
+    fails (and then no entry is made for vals) or some P_d with d <= n is
+    not an integer."""
+    e = _entry(seq, n, wanted)
+    if isinstance(e, list):
+        return None, e
+    if (kept := e.results.get(j)) is not None:
+        return kept[0], e.vals
+    if not wanted(e.vals):
+        return None, e.vals
     parts, bad = _sieved(e)
     if bad is not None:
-        return None
-    return _result(e, j, lambda: (c := kernel(parts), _bits((c,))))
+        return None, e.vals
+    return _result(e, j, lambda: (c := kernel(parts), _bits((c,)))), e.vals
 
 
 def kept(
-    rule: Callable[[int], int], vals: list[int], name: str, compute: Callable[[], tuple[int, ...]]
-) -> tuple[int, ...]:
-    """The prefab result `name` ("row" or "bell") of the entry for vals, made
-    by compute() on first use; an error it raises is not kept, so each call
-    raises it afresh."""
-    return _result(_entry(rule, vals), name, lambda: (value := compute(), _bits(value)))
+    seq: FSequence, n: int, name: str, compute: Callable[[list[int], Callable], object]
+) -> object:
+    """The prefab result `name` of the entry for F_1..F_n of seq (the Whitney
+    row "row", its sum "sum" or the Bell table "bell"), made on first use by
+    compute(vals, read), where read(name, compute) reads another result of
+    the same entry the same way; an error compute raises is not kept, so
+    each call raises it afresh."""
+    e = _entry(seq, n)
+
+    def read(name: str, compute: Callable) -> object:
+        def made() -> tuple[object, int]:
+            value = compute(e.vals, read)
+            return value, _bits(value if isinstance(value, tuple) else (value,))
+
+        return _result(e, name, made)
+
+    return read(name, compute)
 
 
 def integral_up_to(seq: FSequence, n_max: int) -> bool:
@@ -194,7 +245,6 @@ def integral_up_to(seq: FSequence, n_max: int) -> bool:
     if n_max < 0:
         return False
     try:
-        vals = seq.values(n_max)
+        return parts(seq, n_max)[1] is None
     except IndexOutOfDomain:
         return False
-    return parts(seq.rule, vals)[1] is None

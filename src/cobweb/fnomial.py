@@ -7,6 +7,7 @@ Everything is exact integer arithmetic; there are no floating-point paths.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
@@ -89,24 +90,34 @@ class FNomialTable:
         (the exponent is 0 or 1): no large product is divided.  The parts,
         and the result under j = min(k, n - k), are results of the entry for
         the rule and n in the memo of cobweb._parts, so a repeat, or n - k in
-        place of k, reads the result back once the entry's values match; a
-        result past the memo's bound is returned but not kept.  Otherwise the
-        one division is checked rather than assumed: sequences that are not
-        GCD-morphic can make it non-integral, which raises NonIntegral with
-        the quotient F_n!/(F_k! F_{n-k}!), and nothing is kept.
+        place of k, reads the result back: for a built-in or custom sequence
+        before any value is fetched, for any other rule once the entry's
+        values match; a result past the memo's bound is returned but not
+        kept.  Otherwise the one division is checked rather than assumed:
+        sequences that are not GCD-morphic can make it non-integral, which
+        raises NonIntegral with the quotient F_n!/(F_k! F_{n-k}!), and
+        nothing is kept.  Once that memo is loaded, every call looks up the
+        entry, whose values the falling product then reads.
         """
         if k < 0 or k > n:
             return 0
-        vals = self.seq.values(n)
         j = min(k, n - k)
-        top, bottom = vals[n - j :], vals[:j]
-        if sum(map(int.bit_length, top)) - sum(map(int.bit_length, bottom)) >= _KERNEL_BITS:
-            from . import _parts
 
-            c = _parts.coefficient(self.seq.rule, vals, j, lambda parts: _kernel(parts, n, j))
+        def wanted(vals: list[int]) -> bool:  # the estimate picks the kernel
+            bits = sum(map(int.bit_length, vals[n - j :])) - sum(map(int.bit_length, vals[:j]))
+            return bits >= _KERNEL_BITS
+
+        # Until cobweb._parts is loaded, no coefficient can be kept.
+        parts = sys.modules.get(f"{__package__}._parts")
+        if parts is None:
+            vals = self.seq.values(n)
+            if wanted(vals):
+                from . import _parts as parts
+        if parts is not None:
+            c, vals = parts.coefficient(self.seq, n, j, lambda ps: _kernel(ps, n, j), wanted)
             if c is not None:
                 return c
-        return _exact(_prod(top), _prod(bottom), vals, n, k)
+        return _exact(_prod(vals[n - j :]), _prod(vals[:j]), vals, n, k)
 
     def rows(self, n_max: int) -> Iterator[list[int]]:
         """The triangle rows [(n over 0)_F, ..., (n over n)_F] for n = 0..n_max, or

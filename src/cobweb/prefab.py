@@ -4,15 +4,17 @@ F-sequence: W_k = (n-k over k)_F and B_n(F) = sum of the row.
 For F = naturals this is the diagonal-of-Pascal identity, so B_n recovers
 Fibonacci(n + 1).
 
-The row W(n, 0..n//2) and the table B_0..B_n are computed once per prefix
-F_1..F_n and kept as results of its entry in the bounded memo of
-`cobweb._parts`, which value-equal custom sequences share; a rule whose values change gets fresh
-results, and an error is raised afresh on every call.
+The row W(n, 0..n//2), its sum B_n and the table B_0..B_n are computed once
+per prefix F_1..F_n and kept as results of its entry in the bounded memo of
+`cobweb._parts`, which value-equal custom sequences share: `bell_f` reads
+the kept B_n, and a repeat on a built-in or custom sequence fetches no
+values.  A rule whose values change gets fresh results, and an error is
+raised afresh on every call.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import IndexOutOfDomain
 from .fnomial import FNomialTable, _exact
@@ -63,22 +65,27 @@ def _row(vals: list[int]) -> tuple[int, ...]:
     return tuple(row)
 
 
-def _kept_row(seq: FSequence, n: int) -> tuple[int, ...]:
+def _kept(seq: FSequence, n: int, name: str, compute: Callable) -> object:
+    """The result `name` of F_1..F_n's memo entry, made by compute(vals, read)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    vals = seq.values(n)
     from . import _parts
 
-    return _parts.kept(seq.rule, vals, "row", lambda: _row(vals))
+    return _parts.kept(seq, n, name, compute)
+
+
+def _row_of(vals: list[int], read: Callable) -> tuple[int, ...]:
+    return _row(vals)
 
 
 def whitney_row(seq: FSequence, n: int) -> PrefabWhitneyRow:
-    return PrefabWhitneyRow(seq, n, _kept_row(seq, n))
+    return PrefabWhitneyRow(seq, n, _kept(seq, n, "row", _row_of))
 
 
 def bell_f(seq: FSequence, n: int) -> int:
-    """B_n(F): the diagonal sum over k of (n - k over k)_F."""
-    return sum(_kept_row(seq, n))
+    """B_n(F): the diagonal sum over k of (n - k over k)_F, the sum of the
+    kept row, itself kept."""
+    return _kept(seq, n, "sum", lambda vals, read: sum(read("row", _row_of)))
 
 
 def _bell_sums(seq: FSequence, n_max: int) -> Iterator[int]:
@@ -109,14 +116,11 @@ def bell_f_table(seq: FSequence, n_max: int) -> BellSequence:
     F_1..F_{n_max}.  When n_max < 0 or the sequence stops before n_max, only
     the walk runs, so it raises what it meets first: a NonIntegral row or
     the missing term."""
-    try:
-        vals = seq.values(n_max) if n_max >= 0 else None
-    except IndexOutOfDomain:
-        vals = None
-    if vals is None:
-        return BellSequence(seq, tuple(_bell_sums(seq, n_max)))
-    from . import _parts
-
-    return BellSequence(
-        seq, _parts.kept(seq.rule, vals, "bell", lambda: tuple(_bell_sums(seq, n_max)))
-    )
+    if n_max >= 0:
+        try:
+            return BellSequence(
+                seq, _kept(seq, n_max, "bell", lambda vals, read: tuple(_bell_sums(seq, n_max)))
+            )
+        except IndexOutOfDomain:
+            pass
+    return BellSequence(seq, tuple(_bell_sums(seq, n_max)))

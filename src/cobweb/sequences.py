@@ -9,6 +9,7 @@ text file, one value per line) and refuse queries beyond their bound.
 from __future__ import annotations
 
 import math
+from operator import countOf
 from typing import Callable, Iterable, NamedTuple
 
 from .errors import IndexOutOfDomain, InvalidBounds
@@ -115,9 +116,12 @@ def from_values(name: str, values: Iterable[int]) -> FSequence:
     vals = tuple(values)
     if not vals:
         raise ValueError("custom sequence needs at least one value")
-    for i, v in enumerate(vals, 1):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ValueError(f"value at index {i} must be a positive integer, got {v!r}")
+    # Plain ints are checked at C speed; only other terms, or a term below 1,
+    # take the loop that names the first bad index.
+    if countOf(map(type, vals), int) != len(vals) or min(vals) < 1:
+        for i, v in enumerate(vals, 1):
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+                raise ValueError(f"value at index {i} must be a positive integer, got {v!r}")
     return FSequence(name, _Terms(vals), limit=len(vals))
 
 
@@ -178,15 +182,16 @@ def is_gcd_morphic(seq: FSequence, range_max: int) -> GcdMorphicReport:
     scanned; the smallest failing such pair is also the lexicographically
     smallest over the whole square.  The parts and b0 are memoized per rule
     and range_max (value-equal custom sequences share one entry), within
-    2**25 charged bits, least recently used out first.
+    2**25 charged bits, least recently used out first; a repeat on a
+    built-in or custom sequence that holds fetches no values.
     """
     if range_max < 2:
         raise InvalidBounds(f"range_max must be >= 2, got {range_max}")
-    vals = seq.values(range_max)
     from . import _parts
 
-    b0 = _parts.first_failure(seq.rule, vals)
+    b0 = _parts.first_failure(seq, range_max)
     if b0 is not None:
+        vals = seq.values(range_max)
         for n in range(1, range_max + 1):
             for m in range(max(n + 1, b0), range_max + 1):
                 g = math.gcd(vals[n - 1], vals[m - 1])

@@ -17,6 +17,7 @@ from cobweb import (
     ODD,
     FNomialTable,
     FSequence,
+    IndexOutOfDomain,
     NonIntegral,
     _parts,
     bell_f,
@@ -202,6 +203,7 @@ def test_each_result_raises_the_entry_bits_by_what_it_stores(memo, kernel):
         ("b0", lambda: is_gcd_morphic(seq, 60), None, 0),
         (25, lambda: FNomialTable(seq).fnomial(60, 35), c, _parts._bits([c])),
         ("row", lambda: whitney_row(seq, 60), row, _parts._bits(row)),
+        ("sum", lambda: bell_f(seq, 60), bell[-1], _parts._bits([bell[-1]])),
         ("bell", lambda: bell_f_table(seq, 60), bell, _parts._bits(bell)),
     ]
     held, bits, tables = {}, _parts._bits(seq.rule.vals), []
@@ -227,10 +229,26 @@ def test_a_charge_overtaken_by_a_later_fill_is_not_lost(memo, kernel, monkeypatc
         return recharge(*args)
 
     monkeypatch.setattr(memo, "recharge", late)
-    _parts.parts(seq.rule, seq.values(60))
+    _parts.parts(seq, 60)
     [(e, _)] = memo.entries.values()
     assert set(entry_results(e)) == {"parts", 30}
     assert memo.charged == e.bits
+
+
+def test_a_hit_refuses_an_index_past_the_sequence_limit(memo, kernel):
+    # A value-stable rule under a shorter limit finds the entries its
+    # unlimited sequence filled, and still raises as values() would.
+    mersenne = _mersenne(60)
+    reads = [lambda seq: whitney_row(seq, 60), lambda seq: bell_f(seq, 60),
+             lambda seq: bell_f_table(seq, 60), lambda seq: FNomialTable(seq).fnomial(60, 30),
+             lambda seq: is_gcd_morphic(seq, 60)]
+    for full in (NATURALS, mersenne):
+        capped = FSequence("capped", full.rule, limit=40)
+        for read in reads:
+            read(full)
+            with pytest.raises(IndexOutOfDomain, match="up to index 40, got 41"):
+                read(capped)
+        assert _parts.integral_up_to(full, 60) and not _parts.integral_up_to(capped, 60)
 
 
 class _CountedInt(int):
@@ -272,27 +290,34 @@ def _mixed_calls():
     mersenne = [2**s - 1 for s in range(1, 121)]
     perturbed = list(range(1, 121))
     perturbed[95] *= 5
+    # Custom sequences are rebuilt for every call, so only their values
+    # find the entry, and a repeat is read back without fetching a value.
+    seqs = (lambda: NATURALS, lambda: FIBONACCI, lambda: ODD,
+            lambda: from_values("m", mersenne), lambda: from_values("p", perturbed))
     calls = []
     for r in (30, 60, 90, 120):
-        for seq in (NATURALS, FIBONACCI, ODD, from_values("m", mersenne),
-                    from_values("p", perturbed)):
-            calls.append(("gcd", seq, r))
+        for seq in seqs:
+            calls.append(("gcd", seq(), r))
             # Each coefficient is kept, read back by its mirror, and then
             # either one races its first fill under threads.
-            calls.append(("fnomial", seq, r, r // 3))
-            calls.append(("fnomial", seq, r, r // 2))
-            calls.append(("fnomial", seq, r, r - r // 3))
-            calls.append(("prefab", seq, r))
+            calls.append(("fnomial", seq(), r, r // 3))
+            calls.append(("fnomial", seq(), r, r // 2))
+            calls.append(("fnomial", seq(), r, r - r // 3))
+            # B_n keeps the row it sums first, and then races the row's own fill.
+            calls.append(("bell_f", seq(), r))
+            calls.append(("prefab", seq(), r))
+            calls.append(("gcd", seq(), r))
     return calls
 
 
 def _run(call):
-    if call[0] == "gcd":
-        return is_gcd_morphic(*call[1:])
-    if call[0] == "prefab":  # the Whitney row and Bell table fill the same entry
-        return prefab_results(*call[1:])
+    kind, seq, *args = call
+    if kind == "gcd":
+        return is_gcd_morphic(seq, *args)
+    if kind == "prefab":  # the Whitney row, B_n and Bell table fill the same entry
+        return prefab_results(seq, *args)
     try:
-        return FNomialTable(call[1]).fnomial(*call[2:])
+        return (bell_f(seq, *args) if kind == "bell_f" else FNomialTable(seq).fnomial(*args))
     except NonIntegral as exc:
         return ("NonIntegral", exc.numerator, exc.denominator)
 

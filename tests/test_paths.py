@@ -7,7 +7,7 @@ its own.  So every entry lists its modes, each a patch that forces one path,
 and runs under hypothesis in every mode against the same oracle.
 """
 
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from fractions import Fraction
 from io import StringIO
 from itertools import accumulate
@@ -210,11 +210,54 @@ def _table_by_factorials(seq, command, name, n_max, fmt):
     return 0, "".join(sep.join(map(str, row)) + "\n" for row in [columns, *rows]), ""
 
 
+# How a memo-read path sees its sequence: as given, or under the "compared"
+# mode with its rule wrapped once in a plain lambda.
+_views = SimpleNamespace(of=lambda seq: seq)
+
+
+def _memo_hits(compared: bool) -> Callable[[], ContextManager]:
+    """The kernel at every size over a fresh memo; when compared, each rule is
+    wrapped once in a plain lambda, which the memo cannot tell from a rule
+    whose values change, so every read fetches the values and compares."""
+
+    @contextmanager
+    def mode():
+        wrapped = {}
+
+        def of(seq):
+            rule = wrapped.setdefault(seq.rule, lambda s, rule=seq.rule: rule(s))
+            return FSequence(seq.name, rule, seq.limit)
+
+        with _kernel_bits(-(10**9))(), (
+            mock.patch.object(_views, "of", of) if compared else nullcontext()
+        ):
+            yield
+
+    return mode
+
+
+def _memo_reads(seq, n):
+    """The Whitney row, B_n, B_0..B_n, (n over n//2)_F and the GCD report, as
+    _prefab_results and _fnomial give them."""
+    return [*_prefab_results(seq, n), _fnomial(seq, n, n // 2), is_gcd_morphic(seq, n)]
+
+
+def _read_twice(seq, n):
+    """Each result made on a rebuilt copy of seq, then read back from another."""
+    vals = seq.values(seq.limit)
+    return [_memo_reads(_views.of(from_values(seq.name, vals)), n) for _ in range(2)]
+
+
+def _read_by_product(seq, n):
+    return [[*_prefab_by_product(seq, n), _fnomial_by_product(seq, n, n // 2),
+             full_square_scan(seq, n)]] * 2
+
+
 REGISTRY = {
     "is_gcd_morphic": Path(
         # The helper reporting failure at b = 2 leaves the whole n < m scan.
         modes={"certificate": nullcontext,
-               "scan": lambda: mock.patch.object(_parts, "first_failure", lambda rule, vals: 2)},
+               "scan": lambda: mock.patch.object(_parts, "first_failure", lambda seq, n: 2)},
         args=lambda data, n: (data.draw(st.integers(2, n), label="range_max"),),
         production=is_gcd_morphic,
         oracle=full_square_scan,
@@ -234,7 +277,7 @@ REGISTRY = {
         modes={"memo": nullcontext,
                "no memo": lambda: mock.patch.object(_parts, "MEMO", Memo(0))},
         args=lambda data, n: (data.draw(st.integers(1, n), label="n"),),
-        production=lambda seq, n: _exact_prefix(_parts.parts(seq.rule, seq.values(n)), n),
+        production=lambda seq, n: _exact_prefix(_parts.parts(seq, n), n),
         oracle=_parts_by_definition,
     ),
     "prefab results": Path(
@@ -244,6 +287,15 @@ REGISTRY = {
         args=lambda data, n: (data.draw(st.integers(0, n), label="n"),),
         production=_prefab_results,
         oracle=_prefab_by_product,
+    ),
+    "memo hits": Path(
+        # A value-stable rule (a built-in, or a custom sequence's terms) is
+        # answered from its entry before any value is fetched; any other rule
+        # fetches and compares.
+        modes={"value-stable": _memo_hits(False), "compared": _memo_hits(True)},
+        args=lambda data, n: (data.draw(st.integers(2, n), label="n"),),
+        production=_read_twice,
+        oracle=_read_by_product,
     ),
     "view engine": Path(
         # A memo of 0 bytes keeps no engine, so every call builds afresh.
@@ -343,7 +395,7 @@ def test_every_mode_takes_its_path():
         assert kept == ([{"parts": parts, **stored}] if mode == "kernel" else []), mode
     for mode, stores in (("memo", True), ("no memo", False)):
         with REGISTRY["primitive parts"].modes[mode]():
-            _parts.parts(mersenne.rule, mersenne.values(60))
+            _parts.parts(mersenne, 60)
             assert ((mersenne.rule, 60) in _parts.MEMO.entries) == stores, mode
     # A fresh memo computes each row and table once; no memo, on every call.
     row, sums = prefab._row, prefab._bell_sums
@@ -360,6 +412,37 @@ def test_every_mode_takes_its_path():
             for _ in range(3):
                 assert _prefab_results(mersenne, 60) == expected
         assert computed == (["row", "bell"] if once else ["row", "row", "bell"] * 3), mode
+    # Read back, each kept result makes no rule or prefix call on a
+    # value-stable rule, and on the same rule wrapped in a lambda it fetches
+    # the values once, index by index.
+    calls = []
+
+    @contextmanager
+    def counted():
+        with ExitStack() as stack:
+            for cls in (type(FIBONACCI.rule), sequences._Terms):
+                for name in ("__call__", "prefix"):
+                    f = getattr(cls, name)
+                    stack.enter_context(mock.patch.object(
+                        cls, name, lambda self, *a, f=f, name=name: calls.append(name) or f(self, *a)))
+            yield
+
+    reads = {
+        "whitney_row": lambda seq: prefab.whitney_row(seq, 60),
+        "bell_f": lambda seq: prefab.bell_f(seq, 60),
+        "bell_f_table": lambda seq: prefab.bell_f_table(seq, 60),
+        "fnomial": lambda seq: FNomialTable(seq).fnomial(60, 30),
+        "is_gcd_morphic": lambda seq: is_gcd_morphic(seq, 60).holds,
+    }
+    terms = mersenne.values(60)
+    for mode, fetch in (("value-stable", []), ("compared", ["__call__"] * 60)):
+        for build in (lambda: FIBONACCI, lambda: from_values("mersenne", terms)):
+            with REGISTRY["memo hits"].modes[mode](), counted():
+                for name, read in reads.items():
+                    first = read(_views.of(build()))
+                    calls.clear()
+                    assert read(_views.of(build())) == first
+                    assert calls == fetch, (mode, build().name, name)
     c = build_cobweb(from_values("widths", [1, 2, 3]), 3)
     for mode, stores in (("memo", True), ("no memo", False)):
         with REGISTRY["view engine"].modes[mode]():
@@ -416,7 +499,7 @@ def test_both_gcd_modes_find_a_deep_witness():
     vals = list(range(1, 161))
     vals[119] *= 3
     seq = from_values("tripled", vals)
-    assert _parts.first_failure(seq.rule, vals) == 120
+    assert _parts.first_failure(seq, 160) == 120
     report = full_square_scan(seq, 160)
     assert report.witness == (9, 120)
     for mode in REGISTRY["is_gcd_morphic"].modes.values():

@@ -165,7 +165,7 @@ def test_each_row_and_table_is_computed_once_per_prefix(memo, monkeypatch):
     assert set(counts) == expected and set(counts.values()) == {1}
     assert set(memo.entries) == {(seq().rule, n) for seq in seqs for n in (40, 80)}
     # prefab needs no sieve
-    assert all(set(entry_results(e)) == {"row", "bell"} for e, _ in memo.entries.values())
+    assert all(set(entry_results(e)) == {"row", "sum", "bell"} for e, _ in memo.entries.values())
 
 
 def test_a_rule_whose_values_change_gets_fresh_results(memo):

@@ -144,10 +144,30 @@ def test_fibonacci_values_keep_nothing():
     assert int(done.stdout) < 0.1 * 2**20
 
 
-@pytest.mark.parametrize("bad", [[], [0], [1, -2], [1, "x"], [1, 2.5]])
+@pytest.mark.parametrize("bad", [
+    ([], "custom sequence needs at least one value"),
+    ([0], "value at index 1 must be a positive integer, got 0"),
+    ([1, -2], "value at index 2 must be a positive integer, got -2"),
+    ([1, "x"], "value at index 2 must be a positive integer, got 'x'"),
+    ([1, 2.5], "value at index 2 must be a positive integer, got 2.5"),
+    ([1, True], "value at index 2 must be a positive integer, got True"),
+    ([1, 0, "x"], "value at index 2 must be a positive integer, got 0"),  # the first bad index
+    ([3, 2**70, 1, 0], "value at index 4 must be a positive integer, got 0"),
+])
 def test_custom_sequence_rejects_bad_values(bad):
-    with pytest.raises(ValueError):
-        from_values("bad", bad)
+    values, message = bad
+    with pytest.raises(ValueError) as caught:
+        from_values("bad", values)
+    assert str(caught.value) == message
+
+
+def test_custom_sequence_accepts_int_subclasses():
+    class Count(int):
+        pass
+
+    seq = from_values("counts", [Count(1), 2, Count(7)])
+    assert seq.values(3) == [1, 2, 7] and seq == from_values("counts", [1, 2, 7])
+    assert [type(v) for v in seq.values(3)] == [Count, int, Count]
 
 
 def test_from_file(tmp_path):

@@ -14,8 +14,7 @@ class Memo:
     recharge's measure, so threads may share a memo; callers build their
     values outside it and take no lock of their own.  `entries` maps each key
     to its (value, cost), in order of use: a plain dict, re-inserted on use,
-    as iterating an OrderedDict's values hashes each key again, and a custom
-    sequence's key hashes all its terms."""
+    as iterating an OrderedDict's values hashes each key again."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit

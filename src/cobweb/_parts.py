@@ -5,17 +5,20 @@ For a prefix F_1..F_n the primitive part P_d = F_d / prod(P_e for e | d,
 e < d), so F_m = prod(P_d for d | m).  `sieve` is the only code that divides
 the parts out.  `MEMO`, a `cobweb._memo.Memo` charged by `_Entry.bits`, keeps
 one entry per sequence rule and prefix length, so value-equal custom
-sequences share one entry; a lookup hashes the rule once.  The value-stable
-rules, the five built-ins (pure and stateless) and a custom sequence's terms
-(whose key holds every value), are answered from their entry before any
-value is fetched, so a repeat on one fetches no values; any other rule's
-values are fetched and compared, and an entry answers only the values it was
-built from.  `_result` fills an entry's result table on first use: "parts"
-for `parts`, the certificate's first failure "b0" for `first_failure`
-(`is_gcd_morphic`), the F-nomial kernel's (n over j)_F under
-j = min(k, n - k) for `coefficient`, and the Whitney row "row", its sum B_n
-"sum" and the Bell table "bell" for `kept` (`cobweb.prefab`); a result that
-would take the entry past the memo's bound is returned but not stored.
+sequences share one entry; a lookup hashes the rule once, and a custom
+rule hashes its length and a few terms.  The value-stable rules, the five
+built-ins (pure and stateless) and a custom sequence's terms (whose key
+holds every value), are answered from their entry before any value is
+fetched, so a repeat on one fetches no values; any other rule's values are
+fetched and compared, and an entry answers only the values it was built
+from.  `_result` fills an entry's result table on first use: "parts" for
+`parts`, the certificate's first failure "b0" for `first_failure`, the
+first failing pair "witness" of a failing `witness` (`is_gcd_morphic`),
+every (n over j)_F that `coefficient` returns (`FNomialTable.fnomial`, by
+the kernel or the falling product) under j = min(k, n - k), and the
+Whitney row "row", its sum B_n "sum" and the Bell table "bell" for `kept`
+(`cobweb.prefab`); a result that would take the entry past the memo's bound
+is returned but not stored, and an error is raised afresh on every call.
 `integral_up_to` tells the CLI when a table may stream.  The package imports
 this module on first use only, so no start-up path compiles it.
 """
@@ -101,8 +104,8 @@ def _bits(xs: Collection[int]) -> int:
 
 
 class _Key(tuple):
-    """The memo key (rule, N), hashed once: a custom rule hashes all of its
-    terms, and the memo hashes a key on every read and store."""
+    """The memo key (rule, N), hashed once, as the memo hashes a key on every
+    read and store."""
 
     def __new__(cls, rule: Callable[[int], int], n: int) -> _Key:
         key = super().__new__(cls, (rule, n))
@@ -129,28 +132,22 @@ def _value_stable(seq: FSequence, n: int) -> bool:
     return (type(rule) is _Terms or id(rule) in _PURE) and (seq.limit is None or n <= seq.limit)
 
 
-def _entry(
-    seq: FSequence, n: int, admit: Callable[[list[int]], bool] = lambda vals: True
-) -> _Entry | list[int]:
+def _entry(seq: FSequence, n: int) -> _Entry:
     """The entry for F_1..F_n of seq under (rule, n).  A stored one answers a
     value-stable rule before any value is fetched; for any other rule the
     values are fetched, and the stored entry answers only when its values
     equal them, so a rule whose values change gets fresh results.  Without
-    such an entry, a fresh one is made and stored in its place when
-    admit(vals) holds; otherwise the values are returned instead."""
+    such an entry, a fresh one is made and stored in its place."""
     try:
         key = _Key(seq.rule, n)
     except TypeError:
-        vals = seq.values(n)
-        return _Entry(seq.rule, vals) if admit(vals) else vals
+        return _Entry(seq.rule, seq.values(n))
     old = MEMO.get(key)
     if old is not None and _value_stable(seq, n):
         return old
     vals = seq.values(n)
     if old is not None and old.vals == vals:
         return old
-    if not admit(vals):
-        return vals
     new = _Entry(seq.rule, vals)
     MEMO.put(key, new, new.bits)
     return new
@@ -179,11 +176,8 @@ def parts(seq: FSequence, n: int) -> tuple[list[int], int | None]:
     return _sieved(_entry(seq, n))
 
 
-def first_failure(seq: FSequence, n: int) -> int | None:
-    """The first b <= n at which P_b of seq is not an integer or
-    gcd(P_b, prod(P_a for a < b, a ∤ b)) != 1, or None: then F is
-    GCD-morphic on [1, n], and otherwise on [1, b - 1]."""
-    e = _entry(seq, n)
+def _first_failure(e: _Entry, n: int) -> int | None:
+    """first_failure on the entry e for F_1..F_n."""
 
     def b0() -> tuple[int | None, int]:
         parts, bad = _sieved(e)
@@ -192,29 +186,37 @@ def first_failure(seq: FSequence, n: int) -> int | None:
     return _result(e, "b0", b0)
 
 
+def first_failure(seq: FSequence, n: int) -> int | None:
+    """The first b <= n at which P_b of seq is not an integer or
+    gcd(P_b, prod(P_a for a < b, a ∤ b)) != 1, or None: then F is
+    GCD-morphic on [1, n], and otherwise on [1, b - 1]."""
+    return _first_failure(_entry(seq, n), n)
+
+
+def witness(
+    seq: FSequence, n: int, scan: Callable[[list[int], int], tuple[int, ...] | None]
+) -> tuple[int, ...] | None:
+    """None when first_failure(seq, n) is None; otherwise scan(vals, b0) for
+    vals = F_1..F_n of seq and that first failure b0, kept on the entry for
+    vals as "witness", so a repeat neither fetches the values nor scans."""
+    e = _entry(seq, n)
+    if (b0 := _first_failure(e, n)) is None:
+        return None
+    return _result(e, "witness", lambda: (w := scan(e.vals, b0), 0 if w is None else _bits(w)))
+
+
 def coefficient(
     seq: FSequence,
     n: int,
     j: int,
-    kernel: Callable[[list[int]], int],
-    wanted: Callable[[list[int]], bool],
-) -> tuple[int | None, list[int]]:
-    """(c, vals) for vals = F_1..F_n of seq: c is (n over j)_F, kept on the
-    entry for vals under j and made by kernel(parts) on first use when
-    wanted(vals) holds.  c is None, with nothing kept, when wanted(vals)
-    fails (and then no entry is made for vals) or some P_d with d <= n is
-    not an integer."""
-    e = _entry(seq, n, wanted)
-    if isinstance(e, list):
-        return None, e
-    if (kept := e.results.get(j)) is not None:
-        return kept[0], e.vals
-    if not wanted(e.vals):
-        return None, e.vals
-    parts, bad = _sieved(e)
-    if bad is not None:
-        return None, e.vals
-    return _result(e, j, lambda: (c := kernel(parts), _bits((c,)))), e.vals
+    compute: Callable[[list[int], Callable[[], tuple[list[int], int | None]]], int],
+) -> int:
+    """(n over j)_F of seq, kept on the entry for F_1..F_n under j and made on
+    first use by compute(vals, sieved), where sieved() gives the parts of
+    vals as `parts` does, kept on the same entry; an error compute raises is
+    not kept, so each call raises it afresh."""
+    e = _entry(seq, n)
+    return _result(e, j, lambda: (c := compute(e.vals, lambda: _sieved(e)), _bits((c,))))
 
 
 def kept(

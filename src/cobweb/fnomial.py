@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import sys
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, IndexOutOfDomain, NonIntegral
 
@@ -87,37 +87,46 @@ class FNomialTable:
         its bit lengths estimate the result at _KERNEL_BITS or more and every
         primitive part P_d of F_1..F_n is an integer, the result is the
         product of the P_d with floor(n/d) - floor(k/d) - floor((n-k)/d) = 1
-        (the exponent is 0 or 1): no large product is divided.  The parts,
-        and the result under j = min(k, n - k), are results of the entry for
-        the rule and n in the memo of cobweb._parts, so a repeat, or n - k in
-        place of k, reads the result back: for a built-in or custom sequence
-        before any value is fetched, for any other rule once the entry's
-        values match; a result past the memo's bound is returned but not
-        kept.  Otherwise the one division is checked rather than assumed:
-        sequences that are not GCD-morphic can make it non-integral, which
-        raises NonIntegral with the quotient F_n!/(F_k! F_{n-k}!), and
-        nothing is kept.  Once that memo is loaded, every call looks up the
-        entry, whose values the falling product then reads.
+        (the exponent is 0 or 1): no large product is divided.  Otherwise the
+        one division is checked rather than assumed: sequences that are not
+        GCD-morphic can make it non-integral, which raises NonIntegral with
+        the quotient F_n!/(F_k! F_{n-k}!).
+
+        A kernel-sized estimate loads the memo of cobweb._parts.  Once it is
+        loaded, every result, by either product, is kept under
+        j = min(k, n - k) on the entry for the rule and n, beside the parts,
+        so a repeat, or n - k in place of k, reads it back: for a built-in or
+        custom sequence before any value is fetched, for any other rule once
+        the entry's values match.  A result past the memo's bound is returned
+        but not kept, and a NonIntegral is raised afresh on every call.
+        Until the memo is loaded, nothing is kept.
         """
         if k < 0 or k > n:
             return 0
         j = min(k, n - k)
 
-        def wanted(vals: list[int]) -> bool:  # the estimate picks the kernel
+        def kernel_sized(vals: list[int]) -> bool:  # the estimate picks the kernel
             bits = sum(map(int.bit_length, vals[n - j :])) - sum(map(int.bit_length, vals[:j]))
             return bits >= _KERNEL_BITS
+
+        def falling(vals: list[int]) -> int:
+            return _exact(_prod(vals[n - j :]), _prod(vals[:j]), vals, n, k)
+
+        def compute(vals: list[int], sieved: Callable[[], tuple[list[int], int | None]]) -> int:
+            if kernel_sized(vals):
+                parts, bad = sieved()
+                if bad is None:
+                    return _kernel(parts, n, j)
+            return falling(vals)
 
         # Until cobweb._parts is loaded, no coefficient can be kept.
         parts = sys.modules.get(f"{__package__}._parts")
         if parts is None:
             vals = self.seq.values(n)
-            if wanted(vals):
-                from . import _parts as parts
-        if parts is not None:
-            c, vals = parts.coefficient(self.seq, n, j, lambda ps: _kernel(ps, n, j), wanted)
-            if c is not None:
-                return c
-        return _exact(_prod(vals[n - j :]), _prod(vals[:j]), vals, n, k)
+            if not kernel_sized(vals):
+                return falling(vals)
+            from . import _parts as parts
+        return parts.coefficient(self.seq, n, j, compute)
 
     def rows(self, n_max: int) -> Iterator[list[int]]:
         """The triangle rows [(n over 0)_F, ..., (n over n)_F] for n = 0..n_max, or

@@ -104,6 +104,11 @@ class _Terms(NamedTuple):
 
     vals: tuple[int, ...]
 
+    def __hash__(self) -> int:
+        """The length and the first and last four terms, so a cache key costs
+        O(1); equality still compares every term."""
+        return hash((len(self.vals), self.vals[:4], self.vals[-4:]))
+
     def __call__(self, s: int) -> int:
         return self.vals[s - 1]
 
@@ -180,22 +185,30 @@ def is_gcd_morphic(seq: FSequence, range_max: int) -> GcdMorphicReport:
     the scan starts each n at m = max(n + 1, b0).  The pair (n, n) always
     holds and (n, m) fails exactly when (m, n) does, so only n < m is
     scanned; the smallest failing such pair is also the lexicographically
-    smallest over the whole square.  The parts and b0 are memoized per rule
-    and range_max (value-equal custom sequences share one entry), within
-    2**25 charged bits, least recently used out first; a repeat on a
-    built-in or custom sequence that holds fetches no values.
+    smallest over the whole square.  The parts, b0 and a failing check's
+    witness are memoized per rule and range_max (value-equal custom
+    sequences share one entry), within 2**25 charged bits, least recently
+    used out first; a repeat on a built-in or custom sequence fetches no
+    values and scans nothing.
     """
     if range_max < 2:
         raise InvalidBounds(f"range_max must be >= 2, got {range_max}")
     from . import _parts
 
-    b0 = _parts.first_failure(seq, range_max)
-    if b0 is not None:
-        vals = seq.values(range_max)
-        for n in range(1, range_max + 1):
-            for m in range(max(n + 1, b0), range_max + 1):
-                g = math.gcd(vals[n - 1], vals[m - 1])
-                expected = vals[math.gcd(n, m) - 1]
-                if g != expected:
-                    return GcdMorphicReport(False, (n, m), g, expected)
-    return GcdMorphicReport(True)
+    if (w := _parts.witness(seq, range_max, _scan)) is None:
+        return GcdMorphicReport(True)
+    n, m, g, expected = w
+    return GcdMorphicReport(False, (n, m), g, expected)
+
+
+def _scan(vals: list[int], b0: int) -> tuple[int, int, int, int] | None:
+    """The smallest pair n < m with m >= b0 at which GCD[F_n, F_m] differs
+    from F_GCD[n, m], as (n, m, GCD[F_n, F_m], F_GCD[n, m]), or None; vals
+    holds F_1..F_N."""
+    for n in range(1, len(vals) + 1):
+        for m in range(max(n + 1, b0), len(vals) + 1):
+            g = math.gcd(vals[n - 1], vals[m - 1])
+            expected = vals[math.gcd(n, m) - 1]
+            if g != expected:
+                return n, m, g, expected
+    return None

@@ -1,7 +1,7 @@
-"""The memo of primitive parts, kernel coefficients and prefab results shared
-by `is_gcd_morphic`, the F-nomial kernel and `cobweb.prefab`: bounded, one
-entry per rule and prefix length, shared by value-equal sequences, never
-stale, and safe under threads."""
+"""The memo of primitive parts, GCD-check witnesses, F-nomial coefficients
+and prefab results shared by `is_gcd_morphic`, `FNomialTable.fnomial` and
+`cobweb.prefab`: bounded, one entry per rule and prefix length, shared by
+value-equal sequences, never stale, and safe under threads."""
 
 import math
 import sys
@@ -25,6 +25,7 @@ from cobweb import (
     fnomial,
     from_values,
     is_gcd_morphic,
+    sequences,
     whitney_row,
 )
 from cobweb._memo import Memo
@@ -46,6 +47,17 @@ def kernel():
     """FNomialTable.fnomial takes the kernel at every size, with the memo in
     place."""
     with mock.patch.object(fnomial, "_KERNEL_BITS", -(10**9)):
+        yield
+
+
+@pytest.fixture
+def mixed():
+    """FNomialTable.fnomial takes the kernel from an estimate of 128 bits on:
+    in _mixed_calls, (r over 1)_F of every sequence and each coefficient of
+    the naturals, the odd numbers and the perturbed naturals take the falling
+    product, and the middle coefficients of Fibonacci and Mersenne numbers
+    take the kernel."""
+    with mock.patch.object(fnomial, "_KERNEL_BITS", 128):
         yield
 
 
@@ -122,7 +134,7 @@ def test_a_rule_whose_values_change_gets_fresh_parts(memo, kernel):
     assert table.fnomial(40, 20) == fnomial_by_product(seq, 40, 20)
 
 
-# -- kernel coefficients kept on their prefix's entry --------------------------
+# -- coefficients and witnesses kept on their prefix's entry ------------------
 
 
 def _mersenne(count):  # rebuilt for each call, so only its values find the entry
@@ -160,12 +172,22 @@ def test_coefficients_filling_the_memo_stay_within_its_bits(memo, kernel):
         assert set(entry_results(e)) == {"parts", *range(n // 2 + 1)}
 
 
-def test_an_uncertified_sequence_keeps_no_coefficient(memo, kernel, monkeypatch):
+def _counted_divisions(monkeypatch):
+    """The (n, k) of every checked division made for a coefficient from now on."""
+    divisions = []
+    exact = fnomial._exact
+    monkeypatch.setattr(fnomial, "_exact", lambda num, den, vals, n, k: divisions.append(
+        (n, k)) or exact(num, den, vals, n, k))
+    return divisions
+
+
+def test_an_uncertified_sequence_keeps_its_integral_coefficients(memo, kernel, monkeypatch):
     vals = list(range(1, 61))
     vals[29] = 31  # P_30 = 31/30 is not an integer, and (30 over 2)_F = 31 * 29 / 2
     seq = from_values("perturbed", vals)
     table = FNomialTable(seq)
     products = _counted_kernel(monkeypatch)
+    divisions = _counted_divisions(monkeypatch)
     raised = []
     for _ in range(3):
         with pytest.raises(NonIntegral) as info:
@@ -176,9 +198,96 @@ def test_an_uncertified_sequence_keeps_no_coefficient(memo, kernel, monkeypatch)
     num, den = math.prod(vals[:30]), math.prod(vals[:2]) * math.prod(vals[:28])
     assert raised == [(f"quotient {num}/{den} is not an integer", num, den)] * 3
     assert products == []
-    assert {n for _, n in memo.entries} == {30, 40, 60}
-    for e, _ in memo.entries.values():
-        assert entry_results(e) == {"parts": _parts.sieve(e.vals)} and _parts.sieve(e.vals)[1] == 30
+    # The falling product runs once per kept coefficient, and the failing
+    # division on every call.
+    assert divisions == [(30, 2), (60, 1), (40, 20), (30, 2), (30, 2)]
+    kept = {n: entry_results(e) for (_, n), (e, _) in memo.entries.items()}
+    assert kept == {
+        30: {"parts": _parts.sieve(vals[:30])},
+        40: {"parts": _parts.sieve(vals[:40]), 20: fnomial_by_product(seq, 40, 20)},
+        60: {"parts": _parts.sieve(vals), 1: 60},
+    }
+    assert all(_parts.sieve(e.vals)[1] == 30 for e, _ in memo.entries.values())
+
+
+def _spoiled(seq, n):
+    """F_1..F_n of seq with F_n times F_7, as a custom sequence: for 7 ∤ n,
+    GCD[F_7, F_n] is then F_7, not F_1 = 1."""
+    vals = seq.values(n)
+    return from_values(f"{seq.name}, spoiled", [*vals[:-1], vals[-1] * vals[6]])
+
+
+def _witness(report):
+    """A failing report as the flat tuple its entry keeps."""
+    return (*report.witness, report.gcd_of_values, report.f_at_gcd)
+
+
+def test_a_witness_and_a_falling_coefficient_each_raise_the_bits_by_what_they_store(memo):
+    seq = _spoiled(_mersenne(60), 60)
+    report, c = full_square_scan(seq, 60), fnomial_by_product(seq, 60, 3)
+    assert not report.holds
+    assert _parts.first_failure(seq, 60) == 60
+    [(e, _)] = memo.entries.values()
+    bits = _parts._bits(seq.rule.vals) + _parts._bits(_parts.sieve(seq.values(60))[0])
+    assert e.bits == bits == memo.charged
+    fills = [  # by its public caller: name, call, value stored, bits it adds
+        ("witness", lambda: is_gcd_morphic(seq, 60), _witness(report), _parts._bits(_witness(report))),
+        (3, lambda: FNomialTable(seq).fnomial(60, 57), c, _parts._bits([c])),
+    ]
+    held = entry_results(e)
+    for name, call, value, adds in fills:
+        for _ in range(2):
+            assert call() == (report if name == "witness" else c)
+        held[name] = value
+        bits += adds
+        [(e, charged)] = memo.entries.values()
+        assert entry_results(e) == held and e.bits == bits == charged == memo.charged, name
+
+
+def test_a_falling_result_or_witness_past_the_bound_is_returned_but_not_stored(monkeypatch):
+    seq = _spoiled(_mersenne(60), 60)
+    vals = seq.values(60)
+    entry_bits = _parts._bits(vals) + _parts._bits(_parts.sieve(vals)[0])
+    memo = Memo(entry_bits + 1000)
+    monkeypatch.setattr(_parts, "MEMO", memo)
+    divisions = _counted_divisions(monkeypatch)
+    scans = []
+    scan = sequences._scan
+    monkeypatch.setattr(sequences, "_scan", lambda vals, b0: scans.append(b0) or scan(vals, b0))
+    report = full_square_scan(seq, 60)
+    first, tenth = fnomial_by_product(seq, 60, 1), fnomial_by_product(seq, 60, 10)
+    assert _parts._bits(_witness(report)) > 1000 > _parts._bits([first])
+    assert _parts._bits([tenth]) > 1000 - _parts._bits([first])
+    for _ in range(2):
+        assert FNomialTable(_spoiled(_mersenne(60), 60)).fnomial(60, 59) == first
+        assert is_gcd_morphic(_spoiled(_mersenne(60), 60), 60) == report
+        assert FNomialTable(_spoiled(_mersenne(60), 60)).fnomial(60, 10) == tenth
+    assert divisions == [(60, 59), (60, 10), (60, 10)] and scans == [60, 60]
+    [(e, charged)] = memo.entries.values()
+    assert entry_results(e) == {"parts": _parts.sieve(vals), "b0": 60, 1: first}
+    assert charged == e.bits == entry_bits + _parts._bits([first]) == memo.charged
+
+
+def test_custom_sequences_equal_on_the_hashed_terms_keep_apart(memo, kernel):
+    mersenne = _mersenne(40)
+    vals = mersenne.values(40)
+    vals[29] *= 127  # F_30 shares F_7 = 127, between the hashed terms
+    spoiled = from_values("mersenne", vals)
+    assert hash(spoiled.rule) == hash(mersenne.rule) and spoiled.rule != mersenne.rule
+    for seq in (mersenne, spoiled):
+        assert [is_gcd_morphic(seq, 40) for _ in range(2)] == [full_square_scan(seq, 40)] * 2
+        c = fnomial_by_product(seq, 40, 20)
+        assert FNomialTable(seq).fnomial(40, 20) == FNomialTable(seq).fnomial(40, 20) == c
+    assert is_gcd_morphic(mersenne, 40).holds and not is_gcd_morphic(spoiled, 40).holds
+    kept = [entry_results(e) for e, _ in memo.entries.values()]
+    assert kept == [
+        {"parts": _parts.sieve(seq.values(40)), "b0": b0, **witness,
+         20: fnomial_by_product(seq, 40, 20)}
+        for seq, b0, witness in (
+            (mersenne, None, {}),
+            (spoiled, 30, {"witness": _witness(full_square_scan(spoiled, 40))}),
+        )
+    ]
 
 
 def test_a_rule_whose_values_change_gets_a_fresh_coefficient(memo, kernel):
@@ -270,7 +379,7 @@ def test_a_lookup_hashes_a_custom_sequence_once(memo, kernel):
             before = _CountedInt.hashes
             call(from_values("counted", terms))
             hashes.append(_CountedInt.hashes - before)
-    assert hashes == [len(terms)] * 10
+    assert hashes == [8] * 10  # the first and last four terms, once per call
     assert len(memo.entries) == 1
 
 
@@ -303,10 +412,12 @@ def _mixed_calls():
             calls.append(("fnomial", seq(), r, r // 3))
             calls.append(("fnomial", seq(), r, r // 2))
             calls.append(("fnomial", seq(), r, r - r // 3))
+            calls.append(("fnomial", seq(), r, r - 1))  # by the falling product
             # B_n keeps the row it sums first, and then races the row's own fill.
             calls.append(("bell_f", seq(), r))
             calls.append(("prefab", seq(), r))
             calls.append(("gcd", seq(), r))
+            calls.append(("gcd", _spoiled(seq(), r), r))  # fails, and keeps its witness
     return calls
 
 
@@ -348,7 +459,7 @@ def test_each_rule_and_length_is_sieved_and_certified_once(memo, kernel, monkeyp
     assert set(memo.entries) == {(rule, n) for rule in rules for n in (80, 160)}
 
 
-def test_threads_match_a_serial_run(monkeypatch, kernel):
+def test_threads_match_a_serial_run(monkeypatch, mixed):
     calls = _mixed_calls()
     monkeypatch.setattr(_parts, "MEMO", Memo(_parts.MEMO_BITS))
     serial = [_run(c) for c in calls]
@@ -367,7 +478,7 @@ def test_threads_match_a_serial_run(monkeypatch, kernel):
     assert memo.charged == _charged_in_entries(memo) <= memo.limit
 
 
-def test_clearing_the_memo_changes_no_result(memo, kernel):
+def test_clearing_the_memo_changes_no_result(memo, mixed):
     calls = _mixed_calls()
     warm = [_run(c) for c in calls] + [_run(c) for c in calls]
     cleared = []

@@ -210,6 +210,16 @@ def _table_by_factorials(seq, command, name, n_max, fmt):
     return 0, "".join(sep.join(map(str, row)) + "\n" for row in [columns, *rows]), ""
 
 
+@contextmanager
+def _scan_all():
+    """The certificate fails at b = 2, which leaves the whole n < m scan, on a
+    fresh memo, so no witness kept before can hide it."""
+    with mock.patch.object(_parts, "_certify", lambda parts, hi: 2), mock.patch.object(
+        _parts, "MEMO", Memo(_parts.MEMO_BITS)
+    ):
+        yield
+
+
 # How a memo-read path sees its sequence: as given, or under the "compared"
 # mode with its rule wrapped once in a plain lambda.
 _views = SimpleNamespace(of=lambda seq: seq)
@@ -255,9 +265,7 @@ def _read_by_product(seq, n):
 
 REGISTRY = {
     "is_gcd_morphic": Path(
-        # The helper reporting failure at b = 2 leaves the whole n < m scan.
-        modes={"certificate": nullcontext,
-               "scan": lambda: mock.patch.object(_parts, "first_failure", lambda seq, n: 2)},
+        modes={"certificate": nullcontext, "scan": _scan_all},
         args=lambda data, n: (data.draw(st.integers(2, n), label="range_max"),),
         production=is_gcd_morphic,
         oracle=full_square_scan,
@@ -368,6 +376,8 @@ def test_path_matches_oracle(name, mode, vals, data):
 
 def test_every_mode_takes_its_path():
     mersenne = from_values("mersenne", [2**s - 1 for s in range(1, 61)])
+    terms = mersenne.values(60)
+    spoiled = [*terms[:-1], terms[-1] * terms[6]]  # F_60 shares F_7 = 127
     # The scan's gcds go through cobweb.sequences.math; the certificate's do not.
     gcds = []
     counting = SimpleNamespace(gcd=lambda a, b: gcds.append(0) or math.gcd(a, b))
@@ -376,23 +386,44 @@ def test_every_mode_takes_its_path():
         with REGISTRY["is_gcd_morphic"].modes[mode](), mock.patch.object(sequences, "math", counting):
             assert is_gcd_morphic(mersenne, 60).holds
         assert bool(gcds) == scans, mode
-    # The kernel with its memo computes each (n, min(k, n - k)) once, k and
-    # n - k alike; with no memo, on every call; the falling product keeps nothing.
-    kernel = fnomial._kernel
+    # A failing check scans once in either mode, and keeps its witness.
+    report = full_square_scan(from_values("spoiled", spoiled), 60)
+    for mode in ("certificate", "scan"):
+        with mock.patch.object(_parts, "MEMO", Memo(_parts.MEMO_BITS)), REGISTRY[
+            "is_gcd_morphic"
+        ].modes[mode](), mock.patch.object(sequences, "math", counting):
+            scanned = []
+            for _ in range(3):
+                gcds.clear()
+                assert is_gcd_morphic(from_values("spoiled", spoiled), 60) == report
+                scanned.append(bool(gcds))
+            [e] = [e for e, _ in _parts.MEMO.entries.values()]
+        assert scanned == [True, False, False], mode
+        kept = entry_results(e)["witness"]
+        assert kept == (*report.witness, report.gcd_of_values, report.f_at_gcd), mode
+    # With its memo, the kernel computes each (n, min(k, n - k)) once, k and
+    # n - k alike, and so does the falling product; with no memo, the kernel
+    # runs on every call.
+    kernel, exact = fnomial._kernel, fnomial._exact
     ks = (30, 30, 30, 20, 40, 40, 20)
-    for mode, products in (("kernel", [30, 20]), ("no memo", [30, 30, 30, 20, 20, 20, 20]),
-                           ("falling", [])):
-        computed = []
+    for mode, products, divisions in (("kernel", [30, 20], []),
+                                      ("no memo", [30, 30, 30, 20, 20, 20, 20], []),
+                                      ("falling", [], [30, 20])):
+        computed, divided = [], []
         with REGISTRY["FNomialTable.fnomial"].modes[mode](), mock.patch.object(
             fnomial, "_kernel", lambda parts, n, k: computed.append(k) or kernel(parts, n, k)
+        ), mock.patch.object(fnomial, "_exact", lambda num, den, vals, n, k: divided.append(
+            min(k, n - k)) or exact(num, den, vals, n, k)
         ):
             for k in ks:
                 assert FNomialTable(mersenne).fnomial(60, k) == _fnomial_by_product(mersenne, 60, k)
             kept = [entry_results(e) for e, _ in _parts.MEMO.entries.values()]
-        assert computed == products, mode
+        assert (computed, divided) == (products, divisions), mode
         stored = {j: _fnomial_by_product(mersenne, 60, j) for j in (30, 20)}
         parts = _parts.sieve(mersenne.values(60))
-        assert kept == ([{"parts": parts, **stored}] if mode == "kernel" else []), mode
+        # Only the kernel sieves; the falling product reads the values alone.
+        assert kept == {"kernel": [{"parts": parts, **stored}], "falling": [stored],
+                        "no memo": []}[mode], mode
     for mode, stores in (("memo", True), ("no memo", False)):
         with REGISTRY["primitive parts"].modes[mode]():
             _parts.parts(mersenne, 60)
@@ -427,18 +458,25 @@ def test_every_mode_takes_its_path():
                         cls, name, lambda self, *a, f=f, name=name: calls.append(name) or f(self, *a)))
             yield
 
+    def falling(seq):  # below every estimate, so by the falling product
+        with mock.patch.object(fnomial, "_KERNEL_BITS", 10**9):
+            return FNomialTable(seq).fnomial(60, 20)
+
+    holding = (lambda: FIBONACCI, lambda: from_values("mersenne", terms))
     reads = {
-        "whitney_row": lambda seq: prefab.whitney_row(seq, 60),
-        "bell_f": lambda seq: prefab.bell_f(seq, 60),
-        "bell_f_table": lambda seq: prefab.bell_f_table(seq, 60),
-        "fnomial": lambda seq: FNomialTable(seq).fnomial(60, 30),
-        "is_gcd_morphic": lambda seq: is_gcd_morphic(seq, 60).holds,
+        "whitney_row": (holding, lambda seq: prefab.whitney_row(seq, 60)),
+        "bell_f": (holding, lambda seq: prefab.bell_f(seq, 60)),
+        "bell_f_table": (holding, lambda seq: prefab.bell_f_table(seq, 60)),
+        "fnomial": (holding, lambda seq: FNomialTable(seq).fnomial(60, 30)),
+        "falling fnomial": (holding, falling),
+        "is_gcd_morphic": (holding, lambda seq: is_gcd_morphic(seq, 60).holds),
+        "failing is_gcd_morphic": ((lambda: from_values("spoiled", spoiled),),
+                                   lambda seq: is_gcd_morphic(seq, 60)),
     }
-    terms = mersenne.values(60)
     for mode, fetch in (("value-stable", []), ("compared", ["__call__"] * 60)):
-        for build in (lambda: FIBONACCI, lambda: from_values("mersenne", terms)):
-            with REGISTRY["memo hits"].modes[mode](), counted():
-                for name, read in reads.items():
+        for name, (builds, read) in reads.items():
+            for build in builds:
+                with REGISTRY["memo hits"].modes[mode](), counted():
                     first = read(_views.of(build()))
                     calls.clear()
                     assert read(_views.of(build())) == first

@@ -19,7 +19,8 @@ the kernel or the falling product) under j = min(k, n - k), and the
 Whitney row "row", its sum B_n "sum" and the Bell table "bell" for `kept`
 (`cobweb.prefab`); a result that would take the entry past the memo's bound
 is returned but not stored, and an error is raised afresh on every call.
-`integral_up_to` tells the CLI when a table may stream.  The package imports
+`integral_up_to` tells the CLI when a table may stream, and when a table
+or prefab row may be computed in `Decimal`.  The package imports
 this module on first use only, so no start-up path compiles it.
 """
 

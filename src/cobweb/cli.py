@@ -15,7 +15,8 @@ request pays only for its own subcommand.
 A handler computes its whole result, except `mobius`, which checks its bounds
 and then computes its rows as they are written, and `fnomial --table` and
 `bell --table`, which do so when the primitive parts prove no entry
-non-integral.  Output is written in chunks, never joined into one string: rows
+non-integral, as `whitney --family prefab` does when that proof lets it
+compute its row in Decimal.  Output is written in chunks, never joined into one string: rows
 in chunks of about 64k characters and at most 256 rows, each row formatted by
 one %-template, and DOT edge lines about 1,024 at a time, each source's lines
 in one join.
@@ -114,12 +115,12 @@ def _certified(rows: Iterator[Any], seq: FSequence, n_max: int) -> Iterable[Any]
 
 
 def _cmd_fnomial(ns: argparse.Namespace) -> OutputRecord:
-    from .fnomial import FNomialTable
+    from .fnomial import FNomialTable, _decimal_rows
 
     seq = _seq_from_token(ns.seq)
     table = FNomialTable(seq)
     if ns.table is not None:
-        triangle = _certified(table.rows(ns.table), seq, ns.table)
+        triangle = _decimal_rows(seq, ns.table) or _certified(table.rows(ns.table), seq, ns.table)
         rows = ((n, k, v) for n, row in enumerate(triangle) for k, v in enumerate(row))
         return OutputRecord(
             "fnomial", {"seq": ns.seq, "table": ns.table}, columns=("n", "k", "value"), rows=rows
@@ -167,9 +168,10 @@ def _cmd_whitney(ns: argparse.Namespace) -> OutputRecord:
         if ns.kind == "first":
             raise _UsageError("--kind first is not defined for --family prefab")
         _need(ns, "whitney --family prefab", "seq", "n")
-        from .prefab import whitney_row
+        from .prefab import _decimal_row, whitney_row
 
-        values = whitney_row(_seq_from_token(ns.seq), ns.n).values
+        seq = _seq_from_token(ns.seq)
+        values = _decimal_row(seq, ns.n) or whitney_row(seq, ns.n).values
         params = {"family": "prefab", "seq": ns.seq, "n": ns.n, "kind": "second"}
     return OutputRecord("whitney", params, columns=("k", "value"), rows=enumerate(values))
 
@@ -325,10 +327,11 @@ def _render(rec: OutputRecord, fmt: str) -> Iterator[str]:
 
     Results of any size are exact; the int-to-str digit limit is never
     changed.  Only a batch in which str() refuses an int past the limit is
-    rendered again through Decimal, which converts any int exactly, before
-    any of it is yielded.  That needs the C `_decimal` (the pure-Python
-    `_pydecimal` converts through str() and hits the same limit); CPython
-    3.10-3.13 ship it."""
+    rendered again, before any of it is yielded, each int by
+    `cobweb._digits.text`: through Decimal in subquadratic time with the C
+    `_decimal` core, by halving it by powers of ten without it.  A Decimal
+    cell, as certified large tables and prefab rows give, is written as %s
+    writes it: plain digits, since each is an integer of exponent 0."""
     head, rows, (cell_sep, start, end, between), tail = _LAYOUTS[fmt](rec)
     yield head
     rows, lead, size = iter(rows), "", 1
@@ -337,9 +340,9 @@ def _render(rec: OutputRecord, fmt: str) -> Iterator[str]:
         try:
             text = between.join(map(template.__mod__, batch))
         except ValueError:
-            from decimal import Decimal
+            from ._digits import text as digits
 
-            text = between.join([template % tuple(map(Decimal, row)) for row in batch])
+            text = between.join([template % tuple(map(digits, row)) for row in batch])
         yield lead + text
         lead = between
         size = max(1, min(_BATCH_ROWS, 2 * size, size * _BATCH_CHARS // len(text)))

@@ -2,6 +2,8 @@
 Catalan path counts backed by a brute-force string oracle.
 
 Everything is exact integer arithmetic; there are no floating-point paths.
+The CLI's large certified tables run the same recurrences over integer
+Decimals, in a context of `cobweb._digits` where any rounding raises.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
 from .errors import BudgetExceeded, IndexOutOfDomain, NonIntegral
 
 if TYPE_CHECKING:
+    from decimal import Decimal
+
     from .sequences import FSequence
 
 __all__ = [
@@ -28,9 +32,15 @@ __all__ = [
 # Exhaustive string-enumeration bound for the oracle (2^(n+k)-style work).
 BRUTE_LENGTH_BUDGET = 28
 
-# Estimated result bits from which FNomialTable.fnomial builds the result from
-# primitive parts rather than dividing the falling product by F_k!.
+# Estimated result bits (_estimated_bits) from which FNomialTable.fnomial
+# builds the result from primitive parts rather than dividing the falling
+# product by F_k!.
 _KERNEL_BITS = 12_000
+
+# Estimated bits of the largest entry of a certified table or prefab row from
+# which the CLI computes it in Decimal (_decimal_prefix), so that no entry is
+# converted from int to decimal text.
+_DECIMAL_BITS = 3_000
 
 
 def _prod(xs: Sequence[int]) -> int:
@@ -48,10 +58,39 @@ def _kernel(parts: list[int], n: int, k: int) -> int:
     return _prod([parts[d] for d in range(2, n + 1) if n // d - k // d - (n - k) // d])
 
 
+def _estimated_bits(vals: Sequence[int], n: int, k: int) -> int:
+    """The estimated bit length of (n over k)_F, 0 <= k <= n <= len(vals)
+    for vals = F_1, F_2, ...: the bits of F_{n-k+1}..F_n less those of
+    F_1..F_k.  Every size switch reads it."""
+    return sum(map(int.bit_length, vals[n - k : n])) - sum(map(int.bit_length, vals[:k]))
+
+
+def _decimal_prefix(seq: FSequence, n_max: int, n: int, k: int) -> list[Decimal] | None:
+    """F_1..F_n_max of seq as exact Decimals, over which the CLI computes
+    rows whose largest entry is (n over k)_F, n <= n_max: when that entry's
+    estimate reaches _DECIMAL_BITS, the primitive parts prove no entry up to
+    n_max non-integral, and the C `_decimal` core is loaded.  Otherwise
+    None, and the rows stay ints; so also when n_max < 0 or seq stops
+    before n_max, whose errors the int rows raise."""
+    try:
+        vals = seq.values(n_max)
+    except (IndexOutOfDomain, ValueError):
+        return None
+    if _estimated_bits(vals, n, k) < _DECIMAL_BITS:
+        return None
+    from . import _digits, _parts
+
+    if _digits.EXACT is None or not _parts.integral_up_to(seq, n_max):
+        return None
+    return [_digits.to_decimal(v) for v in vals]
+
+
 def _exact(num: int, den: int, vals: Sequence[int], n: int, k: int) -> int:
     """num // den, or NonIntegral for (n over k)_F, carrying the canonical
     quotient F_n!/(F_k! F_{n-k}!), when den leaves a remainder; vals holds at
-    least F_1..F_n.  Every F-nomial, row and Bell-sum division goes here."""
+    least F_1..F_n.  Every F-nomial, row and Bell-sum division goes here,
+    also those of the Decimal rows, for which divmod is exact under the
+    context of cobweb._digits."""
     q, r = divmod(num, den)
     if r:
         raise NonIntegral(_prod(vals[:n]), _prod(vals[:k]) * _prod(vals[: n - k]))
@@ -106,8 +145,7 @@ class FNomialTable:
         j = min(k, n - k)
 
         def kernel_sized(vals: list[int]) -> bool:  # the estimate picks the kernel
-            bits = sum(map(int.bit_length, vals[n - j :])) - sum(map(int.bit_length, vals[:j]))
-            return bits >= _KERNEL_BITS
+            return _estimated_bits(vals, n, j) >= _KERNEL_BITS
 
         def falling(vals: list[int]) -> int:
             return _exact(_prod(vals[n - j :]), _prod(vals[:j]), vals, n, k)
@@ -147,6 +185,20 @@ class FNomialTable:
             for k in range(n // 2):
                 row.append(_exact(row[-1] * vals[n - k - 1], vals[k], vals, n, k + 1))
             yield row + row[: (n + 1) // 2][::-1]
+
+
+def _decimal_rows(seq: FSequence, n_max: int) -> Iterator[list[Decimal]] | None:
+    """FNomialTable(seq).rows(n_max), each computed over the Decimal values
+    of _decimal_prefix under the exact context of cobweb._digits, when they
+    are given for the largest entry (n_max over n_max // 2)_F; else None."""
+    dvals = _decimal_prefix(seq, n_max, n_max, n_max // 2)
+    if dvals is None:
+        return None
+    from . import _digits
+    from .sequences import FSequence
+
+    decimal_seq = FSequence(seq.name, lambda s: dvals[s - 1], n_max)
+    return _digits.exact_steps(FNomialTable(decimal_seq).rows(n_max))
 
 
 class BallotCount(NamedTuple):

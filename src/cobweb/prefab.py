@@ -9,16 +9,20 @@ per prefix F_1..F_n and kept as results of its entry in the bounded memo of
 `cobweb._parts`, which value-equal custom sequences share: `bell_f` reads
 the kept B_n, and a repeat on a built-in or custom sequence fetches no
 values.  A rule whose values change gets fresh results, and an error is
-raised afresh on every call.
+raised afresh on every call.  The CLI's large certified rows are computed in
+Decimal instead (`_decimal_row`), and are not kept.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
 
 from .errors import IndexOutOfDomain
-from .fnomial import FNomialTable, _exact
+from .fnomial import FNomialTable, _decimal_prefix, _exact
 from .sequences import FSequence
+
+if TYPE_CHECKING:
+    from decimal import Decimal
 
 __all__ = [
     "PrefabWhitneyRow",
@@ -54,15 +58,28 @@ def whitney_prefab(seq: FSequence, n: int, k: int) -> int:
     return FNomialTable(seq).fnomial(n - k, k)
 
 
-def _row(vals: list[int]) -> tuple[int, ...]:
+def _row(vals: list[int]) -> Iterator[int]:
     """W_0 .. W_{n//2} for vals = F_1..F_n by the row ratio
-    W_{k+1} = W_k * F_{n-2k} F_{n-2k-1} / (F_{n-k} F_{k+1}), each step checked."""
+    W_{k+1} = W_k * F_{n-2k} F_{n-2k-1} / (F_{n-k} F_{k+1}), each step checked
+    as it is read."""
     n = len(vals)
-    row = [1]
+    yield (w := 1)
     for k in range(n // 2):
-        num = row[-1] * (vals[n - 2 * k - 1] * vals[n - 2 * k - 2])
-        row.append(_exact(num, vals[n - k - 1] * vals[k], vals, n - k - 1, k + 1))
-    return tuple(row)
+        num = w * (vals[n - 2 * k - 1] * vals[n - 2 * k - 2])
+        yield (w := _exact(num, vals[n - k - 1] * vals[k], vals, n - k - 1, k + 1))
+
+
+def _decimal_row(seq: FSequence, n: int) -> Iterator[Decimal] | None:
+    """The Whitney row of F_1..F_n by _row over the Decimal values of
+    _decimal_prefix, each step under the exact context of cobweb._digits,
+    when they are given for the largest entry, taken as
+    W_{n//4} = (n - n//4 over n//4)_F; else None."""
+    dvals = _decimal_prefix(seq, n, n - n // 4, n // 4)
+    if dvals is None:
+        return None
+    from . import _digits
+
+    return _digits.exact_steps(_row(dvals))
 
 
 def _kept(seq: FSequence, n: int, name: str, compute: Callable) -> object:
@@ -75,7 +92,7 @@ def _kept(seq: FSequence, n: int, name: str, compute: Callable) -> object:
 
 
 def _row_of(vals: list[int], read: Callable) -> tuple[int, ...]:
-    return _row(vals)
+    return tuple(_row(vals))
 
 
 def whitney_row(seq: FSequence, n: int) -> PrefabWhitneyRow:

@@ -411,6 +411,40 @@ def test_multi_batch_table_past_the_digit_limit_prints_as_lifted():
     assert max(map(len, outs["0"].splitlines())) > 640 + len("142,71,")
 
 
+# Runs the CLI as `python -m cobweb.cli` would, with the C `_decimal` core
+# blocked, so that `decimal` falls back to the pure-Python `_pydecimal`.
+_NO_C_DECIMAL = (
+    "import sys\n"
+    "sys.modules['_decimal'] = None\n"
+    "from cobweb.cli import main\n"
+    "sys.argv[1:] = sys.argv[2:]\n"
+    "main()\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_without_the_c_decimal_core_output_is_whole(fmt):
+    # Past the digit limit, each record is written whole, as lifted str()
+    # writes it, and the certified table that the C core builds in Decimal
+    # takes the int rows and prints the same bytes.
+    from cobweb import catalan
+
+    digits = _lifted_str(catalan(2000))
+    expected = {
+        "text": f"{digits}\n",
+        "csv": f"value\n{digits}\n",
+        "json": f'{{"command": "catalan", "params": {{"n": 2000}}, "result": "{digits}"}}\n',
+    }[fmt]
+    table = ["fnomial", "--seq", "fibonacci", "--table", "142", "--format", fmt]
+    code, with_core, err = invoke(*table)
+    assert (code, err) == (0, "")
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONINTMAXSTRDIGITS="640")
+    for argv, want in ((["catalan", "--n", "2000", "--format", fmt], expected), (table, with_core)):
+        done = subprocess.run([sys.executable, "-c", _NO_C_DECIMAL, "-", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, ""), argv
+
+
 @pytest.mark.parametrize("argv", [
     ("fnomial", "--seq", "odd", "--n", "3000", "--k", "1500"),
     ("bell", "--family", "prefab", "--seq", "odd", "--n", "3000"),

@@ -20,6 +20,7 @@ from cobweb import (
     _parts,
     catalan,
     dominated_strings_brute,
+    fnomial,
     from_values,
 )
 from test_paths import REGISTRY
@@ -92,6 +93,17 @@ def test_pascal_recurrence_on_naturals():
     for n in range(1, 41):
         for k in range(1, n):
             assert table.fnomial(n, k) == table.fnomial(n - 1, k - 1) + table.fnomial(n - 1, k)
+
+
+@pytest.mark.parametrize("seq", [NATURALS, ODD, EVEN1, DIV31, FIBONACCI], ids=lambda s: s.name)
+def test_size_estimate_is_within_k_plus_one_bits(seq):
+    # Each F_i lies in [2**(b_i - 1), 2**b_i), so the quotient of the k top
+    # terms by the k bottom ones is within 2**k of 2**estimate either way.
+    vals = seq.values(120)
+    for n in range(121):
+        for k in range(n + 1):
+            actual = (prod(vals[n - k : n]) // prod(vals[:k])).bit_length()
+            assert abs(fnomial._estimated_bits(vals, n, k) - actual) <= k + 1, (n, k)
 
 
 def test_catalan_matches_enumeration_oracle():

@@ -182,14 +182,17 @@ def test_start_up_paths_load_no_dataclasses_or_inspect():
         "cobweb.build_cobweb(cobweb.FIBONACCI, 5).elements\n"
     )
     # A plain argv is parsed without argparse, so neither it nor the
-    # gettext and locale it pulls in are loaded.
+    # gettext and locale it pulls in are loaded; and a small table is built
+    # and written without `decimal`.
     heavy = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
-    for code in (_cli_code(argvs), session):
-        assert not _new_modules(code) & heavy
+    decimals = {"decimal", "_decimal", "_pydecimal"}
+    table = [["fnomial", "--seq", "fibonacci", "--table", "5"]]
+    for code in (_cli_code(argvs + table), session):
+        assert not _new_modules(code) & (heavy | decimals)
     # The module entry point, run by `python -m`, adds none of them either,
     # unless the bare interpreter already imports them.
     started = _imported("-m", "cobweb.cli", "catalan", "--n", "5") - _imported("-c", "pass")
-    assert not started & heavy
+    assert not started & (heavy | decimals)
 
 
 def test_public_names_resolve_to_their_home_objects():

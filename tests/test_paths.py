@@ -8,11 +8,14 @@ and runs under hypothesis in every mode against the same oracle.
 """
 
 from contextlib import ExitStack, contextmanager, nullcontext
+from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 from io import StringIO
 from itertools import accumulate
 import json
 import math
+import sys
 from math import prod
 from types import SimpleNamespace
 from typing import Callable, ContextManager, NamedTuple
@@ -29,6 +32,7 @@ from cobweb import (
     FNomialTable,
     FSequence,
     NonIntegral,
+    _digits,
     _parts,
     build_cobweb,
     build_grid,
@@ -43,6 +47,7 @@ from cobweb import (
 )
 from cobweb.errors import CobwebError
 from cobweb._memo import Memo
+from test_cli import _record_texts
 from test_poset import _engine_fingerprint
 from test_sequences import fibonacci_by_addition, full_square_scan
 
@@ -150,10 +155,11 @@ def _fresh_engines(seq, grid, c, lo, hi):
     return [_engine_fingerprint(p) for p in (*engines, FinitePoset(levels, covers))]
 
 
-def _table_request(data, n):
-    """A table request over the drawn sequence (named "drawn") or a
-    built-in: (command, sequence name, n_max, format)."""
-    return (data.draw(st.sampled_from(("fnomial", "bell")), label="command"),
+def _table_request(data, n, commands=("fnomial", "bell")):
+    """A table request, an F-nomial triangle, a Bell table or a Whitney row,
+    over the drawn sequence (named "drawn") or a built-in: (command,
+    sequence name, n_max, format)."""
+    return (data.draw(st.sampled_from(commands), label="command"),
             data.draw(st.sampled_from(("drawn", *BUILTIN_SEQUENCES)), label="seq"),
             data.draw(st.integers(0, 60), label="n_max"),
             data.draw(st.sampled_from(("text", "csv", "json")), label="format"))
@@ -162,6 +168,8 @@ def _table_request(data, n):
 def _table_argv(command, name, n_max, fmt):
     if command == "fnomial":
         return ["fnomial", "--seq", name, "--table", str(n_max), "--format", fmt]
+    if command == "whitney":
+        return ["whitney", "--family", "prefab", "--seq", name, "--n", str(n_max), "--format", fmt]
     return ["bell", "--family", "prefab", "--seq", name, "--n", str(n_max), "--table",
             "--format", fmt]
 
@@ -177,8 +185,9 @@ def _table_output(seq, command, name, n_max, fmt):
 
 def _table_by_factorials(seq, command, name, n_max, fmt):
     """The output of a table computed in full before any of it is written:
-    each entry F_n!/(F_k! F_{n-k}!), F_n fetched as row n starts, the first
-    failure in row-major order reported alone, and the text formed here."""
+    each entry F_n!/(F_k! F_{n-k}!), F_n fetched as row n starts (a Whitney
+    row fetches them all first), the first failure in row-major order
+    reported alone, and the text formed here."""
     seq = seq if name == "drawn" else BUILTIN_SEQUENCES[name]
     fact = [1]
 
@@ -195,12 +204,17 @@ def _table_by_factorials(seq, command, name, n_max, fmt):
                 fact.append(fact[-1] * seq.value(n))
             if command == "fnomial":
                 rows += [(n, k, coefficient(n, k)) for k in range(n + 1)]
-            else:
+            elif command == "bell":
                 rows.append((n, sum(coefficient(n - k, k) for k in range(n // 2 + 1))))
+        if command == "whitney":  # (n_max - k over k)_F
+            rows = [(k, coefficient(n_max - k, k)) for k in range(n_max // 2 + 1)]
     except CobwebError as exc:
         return 1, "", f"error: {type(exc).__name__}: {exc}\n"
     if command == "fnomial":
         params, columns = {"seq": name, "table": n_max}, ["n", "k", "value"]
+    elif command == "whitney":
+        params = {"family": "prefab", "seq": name, "n": n_max, "kind": "second"}
+        columns = ["k", "value"]
     else:
         params, columns = {"family": "prefab", "seq": name, "n": n_max, "table": True}, ["n", "value"]
     if fmt == "json":
@@ -208,6 +222,49 @@ def _table_by_factorials(seq, command, name, n_max, fmt):
         return 0, json.dumps({"command": command, "params": params, "result": result}) + "\n", ""
     sep = "," if fmt == "csv" else " "
     return 0, "".join(sep.join(map(str, row)) + "\n" for row in [columns, *rows]), ""
+
+
+def _decimal_bits(bits):
+    """Certified rows whose largest entry is estimated at bits or more are
+    built in Decimal."""
+    return lambda: mock.patch.object(fnomial, "_DECIMAL_BITS", bits)
+
+
+@contextmanager
+def _digit_limit(digits):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _past_the_limit(data, n):
+    """An int of 2,000 to 40,000 bits, most of them past 640 digits, or a
+    power of ten moved by a little, whose halves have leading zeros; and a
+    format."""
+    bits = data.draw(st.integers(2_000, 40_000), label="bits")
+    v = data.draw(st.one_of(
+        st.integers(2 ** (bits - 1), 2**bits - 1),
+        st.builds(lambda d, o: 10**d + o, st.integers(600, 12_000), st.integers(-(10**6), 10**6)),
+    ), label="magnitude")
+    v = -v if data.draw(st.booleans(), label="negative") else v
+    return v, data.draw(st.sampled_from(("text", "csv", "json")), label="format")
+
+
+def _past_records(v):
+    """v alone, and in a table between smaller rows."""
+    rows = [(0, 1), (1, v), (2, -v), (3, v // 3)]
+    return [cli.OutputRecord("t", {}, value=v),
+            cli.OutputRecord("t", {}, columns=("k", "value"), rows=rows)]
+
+
+def _rendered_at_640(seq, v, fmt):
+    """The records of v as the renderer writes them under the lowest digit
+    limit, 640 digits, so that most of them take its retry."""
+    with _digit_limit(640):
+        return ["".join(cli._render(rec, fmt)) for rec in _past_records(v)]
 
 
 @contextmanager
@@ -332,6 +389,23 @@ REGISTRY = {
         args=_table_request,
         production=_table_output,
         oracle=_table_by_factorials,
+    ),
+    "table digits": Path(
+        # Certified rows are built in Decimal at every estimate, or at none.
+        modes={"decimal rows": _decimal_bits(-(10**9)), "int rows": _decimal_bits(10**9)},
+        args=partial(_table_request, commands=("fnomial", "whitney")),
+        production=_table_output,
+        oracle=_table_by_factorials,
+    ),
+    "digit retry": Path(
+        # An int str() refuses goes through the converter's chunks, one
+        # Decimal() call, or, as without the C core, halving by powers of ten.
+        modes={"converter": nullcontext,
+               "Decimal()": lambda: mock.patch.object(_digits, "_CHUNK_BITS", 10**9),
+               "halving": lambda: mock.patch.object(_digits, "EXACT", None)},
+        args=_past_the_limit,
+        production=_rendered_at_640,
+        oracle=lambda seq, v, fmt: [_record_texts(rec, fmt) for rec in _past_records(v)],
     ),
 }
 
@@ -530,6 +604,43 @@ def test_every_mode_takes_its_path():
                 assert cli.run(_table_argv(command, "drawn", 60, "csv"), out) == 0
             assert out.rows_made[0] == (0 if streams else 61), (mode, command)
             assert out.rows_made[-1] == 61, (mode, command)
+    # A certified table or prefab row whose largest entry is estimated at
+    # _DECIMAL_BITS or more converts each value of its prefix to Decimal once
+    # and writes Decimal cells; a small one, an uncertified one (odd) and
+    # one over a short file convert nothing, in either mode.
+    converted = []
+    to_decimal = _digits.to_decimal
+    short = from_values("short", FIBONACCI.values(100))
+    large = {"fnomial": 140, "whitney": 400}  # estimates 3,400 and 13,900 bits
+    for mode in ("decimal rows", "int rows", None):  # None: the default _DECIMAL_BITS
+        for command, n_max in large.items():
+            for name, n, taken in (("fibonacci", n_max, mode != "int rows"),
+                                   ("fibonacci", 20, mode == "decimal rows"),
+                                   ("odd", n_max, False), ("drawn", n_max, False)):
+                converted.clear()
+                forced = REGISTRY["table digits"].modes[mode]() if mode else nullcontext()
+                with forced, mock.patch.object(
+                    _digits, "to_decimal", lambda v: converted.append(v) or to_decimal(v)
+                ), mock.patch.dict(BUILTIN_SEQUENCES, {"drawn": short}):
+                    ns = cli._plain_parse(_table_argv(command, name, n, "csv"))
+                    try:
+                        cells = {type(row[-1]) for row in ns.handler(ns).rows}
+                    except CobwebError:
+                        cells = None
+                assert len(converted) == (n if taken else 0), (mode, command, name, n)
+                assert cells == ({int, Decimal} if taken else {int} if name == "fibonacci"
+                                 else None), (mode, command, name, n)
+    # Past the digit limit, the converter splits a 16,610-bit int into 17
+    # chunks; the Decimal() mode converts it in one call, halving in none.
+    made = []
+    real = _digits.Decimal
+    for mode, calls in (("converter", 17), ("Decimal()", 1), ("halving", 0)):
+        made.clear()
+        with REGISTRY["digit retry"].modes[mode](), mock.patch.object(
+            _digits, "Decimal", lambda v: made.append(v) or real(v)
+        ), _digit_limit(640):
+            assert _digits.text(10**5000 + 7) == "1" + "0" * 4999 + "7"
+        assert len([v for v in made if v != 2]) == calls, mode
 
 
 def test_both_gcd_modes_find_a_deep_witness():
@@ -543,3 +654,14 @@ def test_both_gcd_modes_find_a_deep_witness():
     for mode in REGISTRY["is_gcd_morphic"].modes.values():
         with mode():
             assert is_gcd_morphic(seq, 160) == report
+    # Fibonacci with F_900 tripled, at range 2000: the certificate first fails
+    # at b = 900, and the smallest witness is (108, 900).
+    vals = FIBONACCI.values(2000)
+    vals[899] *= 3
+    seq = from_values("tripled", vals)
+    assert _parts.first_failure(seq, 2000) == 900
+    report = full_square_scan(seq, 2000)
+    assert report.witness == (108, 900)
+    for mode in REGISTRY["is_gcd_morphic"].modes.values():
+        with mode():
+            assert is_gcd_morphic(seq, 2000) == report

@@ -48,7 +48,7 @@ def test_every_module_compiles_with_warnings_as_errors():
 
 
 def test_every_module_imports_with_warnings_as_errors():
-    code = "import cobweb.cli, cobweb._parts; from cobweb import *"
+    code = "import cobweb.cli, cobweb._parts, cobweb._digits; from cobweb import *"
     done = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
     assert (done.returncode, done.stderr) == (0, "")

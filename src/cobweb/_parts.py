@@ -4,24 +4,23 @@ computed from a prefix, and the GCD-morphism certificate built on the parts.
 For a prefix F_1..F_n the primitive part P_d = F_d / prod(P_e for e | d,
 e < d), so F_m = prod(P_d for d | m).  `sieve` is the only code that divides
 the parts out.  `MEMO`, a `cobweb._memo.Memo` charged by `_Entry.bits`, keeps
-one entry per sequence rule and prefix length, so value-equal custom
-sequences share one entry; a lookup hashes the rule once, and a custom
-rule hashes its length and a few terms.  The value-stable rules, the five
-built-ins (pure and stateless) and a custom sequence's terms (whose key
-holds every value), are answered from their entry before any value is
-fetched, so a repeat on one fetches no values; any other rule's values are
-fetched and compared, and an entry answers only the values it was built
-from.  `_result` fills an entry's result table on first use: "parts" for
-`parts`, the certificate's first failure "b0" for `first_failure`, the
-first failing pair "witness" of a failing `witness` (`is_gcd_morphic`),
-every (n over j)_F that `coefficient` returns (`FNomialTable.fnomial`, by
-the kernel or the falling product) under j = min(k, n - k), and the
-Whitney row "row", its sum B_n "sum" and the Bell table "bell" for `kept`
-(`cobweb.prefab`); a result that would take the entry past the memo's bound
-is returned but not stored, and an error is raised afresh on every call.
-`integral_up_to` tells the CLI when a table may stream, and when a table
-or prefab row may be computed in `Decimal`.  The package imports
-this module on first use only, so no start-up path compiles it.
+one entry per value-stable rule and prefix length under the plain key
+(rule, n), so value-equal custom sequences share one entry.  The
+value-stable rules are the five built-ins (pure and stateless) and a custom
+sequence's terms (whose key holds every value): `entry` answers them from
+their entry before any value is fetched, so a repeat fetches no values.  Any
+other rule is computed afresh on every call and never kept.  `_Entry.kept`
+is the one fill: it makes a result by name on first use and charges it by
+`_charge`.  The results are "parts" (`_Entry.parts`), the certificate's
+first failure "b0" (`_Entry.first_failure`), the first failing pair
+"witness" of `is_gcd_morphic`, every (n over j)_F that
+`FNomialTable.fnomial` returns under j = min(k, n - k), and the Whitney row
+"row", its sum B_n "sum" and the Bell table "bell" of `cobweb.prefab`; a
+result that would take the entry past the memo's bound is returned but not
+stored, and an error is raised afresh on every call.  `integral_up_to` tells
+the CLI when a table may stream, and when a table or prefab row may be
+computed in `Decimal`.  The package imports this module on first use only,
+so no start-up path compiles it.
 """
 
 from __future__ import annotations
@@ -81,8 +80,8 @@ def _certify(parts: list[int], hi: int) -> int | None:
 
 
 class _Entry:
-    """One stored prefix F_1..F_N, the charge of holding it, and `results`,
-    each result computed from the prefix by name, with the bits it adds.  The
+    """One prefix F_1..F_N, the charge of holding it, and `results`, each
+    result computed from the prefix by name, with the bits it adds.  The
     table is replaced, never changed in place, so a reader never sees it
     grow."""
 
@@ -99,22 +98,50 @@ class _Entry:
         """The charge of everything the entry holds."""
         return self.held_bits + sum(bits for _, bits in self.results.values())
 
+    def kept(self, name: object, compute: Callable[[_Entry], object]) -> object:
+        """The result `name`, made on first use by compute(self) and stored,
+        charged by _charge, unless the entry would then cost more than the
+        memo may hold; the memo measures the entry again under its lock, so
+        threads that fill it at once leave its charge exact.  An error
+        compute raises is not kept, so each call raises it afresh."""
+        if (kept := self.results.get(name)) is None:
+            value = compute(self)
+            kept = (value, _charge(value))
+            if self.bits + kept[1] <= MEMO.limit:
+                self.results = {**self.results, name: kept}
+                MEMO.recharge(self, lambda: self.bits)
+        return kept[0]
+
+    def parts(self) -> tuple[list[int], int | None]:
+        """sieve(self.vals), kept."""
+        return self.kept("parts", lambda e: sieve(e.vals))
+
+    def first_failure(self) -> int | None:
+        """first_failure of the prefix, kept as "b0"."""
+
+        def b0(e: _Entry) -> int | None:
+            parts, bad = e.parts()
+            return _certify(parts, len(e.vals) if bad is None else bad - 1) or bad
+
+        return self.kept("b0", b0)
+
 
 def _bits(xs: Collection[int]) -> int:
     return sum(map(int.bit_length, xs)) + INT_BITS * len(xs)
 
 
-class _Key(tuple):
-    """The memo key (rule, N), hashed once, as the memo hashes a key on every
-    read and store."""
-
-    def __new__(cls, rule: Callable[[int], int], n: int) -> _Key:
-        key = super().__new__(cls, (rule, n))
-        key.hash = tuple.__hash__(key)  # TypeError for an unhashable rule
-        return key
-
-    def __hash__(self) -> int:
-        return self.hash
+def _charge(result: object) -> int:
+    """The bits of holding a result: every int it holds costs its bit length
+    plus INT_BITS, and None costs 0.  A result is an int, None, a tuple or
+    list of ints, or a pair of such, as the sieve's (parts, bad)."""
+    if result is None:
+        return 0
+    if isinstance(result, int):
+        return result.bit_length() + INT_BITS
+    try:
+        return _bits(result)  # ints alone, at C speed
+    except TypeError:
+        return sum(map(_charge, result))
 
 
 MEMO = Memo(MEMO_BITS)
@@ -125,119 +152,31 @@ _PURE = {id(rule): rule for rule in (NATURALS.rule, ODD.rule, EVEN1.rule, DIV31.
                                      FIBONACCI.rule)}
 
 
-def _value_stable(seq: FSequence, n: int) -> bool:
-    """True when an entry stored under (seq.rule, n) holds F_1..F_n of seq
-    without a look at them: seq reaches n, and its rule is a built-in or a
-    custom sequence's terms, whose key holds every value it answers."""
+def entry(seq: FSequence, n: int) -> _Entry:
+    """The entry for F_1..F_n of seq.  A value-stable rule, a built-in or a
+    custom sequence's terms within its limit, has its entry kept under
+    (rule, n) and answered before any value is fetched.  Any other rule gets
+    a fresh entry that is never stored, so its values are fetched and its
+    results computed on every call."""
     rule = seq.rule
-    return (type(rule) is _Terms or id(rule) in _PURE) and (seq.limit is None or n <= seq.limit)
-
-
-def _entry(seq: FSequence, n: int) -> _Entry:
-    """The entry for F_1..F_n of seq under (rule, n).  A stored one answers a
-    value-stable rule before any value is fetched; for any other rule the
-    values are fetched, and the stored entry answers only when its values
-    equal them, so a rule whose values change gets fresh results.  Without
-    such an entry, a fresh one is made and stored in its place."""
-    try:
-        key = _Key(seq.rule, n)
-    except TypeError:
-        return _Entry(seq.rule, seq.values(n))
-    old = MEMO.get(key)
-    if old is not None and _value_stable(seq, n):
-        return old
-    vals = seq.values(n)
-    if old is not None and old.vals == vals:
-        return old
-    new = _Entry(seq.rule, vals)
-    MEMO.put(key, new, new.bits)
-    return new
-
-
-def _result(e: _Entry, name: object, compute: Callable[[], tuple[object, int]]) -> object:
-    """e's result `name`, made on first use by compute() as (value, the bits
-    it adds) and stored unless e would then cost more than the memo may hold;
-    the memo measures e again under its lock, so threads that fill e at once
-    leave its charge exact."""
-    if (kept := e.results.get(name)) is None:
-        kept = compute()
-        if e.bits + kept[1] <= MEMO.limit:
-            e.results = {**e.results, name: kept}
-            MEMO.recharge(e, lambda: e.bits)
-    return kept[0]
-
-
-def _sieved(e: _Entry) -> tuple[list[int], int | None]:
-    """sieve(e.vals), kept on e."""
-    return _result(e, "parts", lambda: (sieved := sieve(e.vals), _bits(sieved[0])))
+    if not ((type(rule) is _Terms or id(rule) in _PURE) and (seq.limit is None or n <= seq.limit)):
+        return _Entry(rule, seq.values(n))
+    if (e := MEMO.get((rule, n))) is None:
+        e = _Entry(rule, seq.values(n))
+        MEMO.put((rule, n), e, e.bits)
+    return e
 
 
 def parts(seq: FSequence, n: int) -> tuple[list[int], int | None]:
     """sieve(seq.values(n)) through the memo."""
-    return _sieved(_entry(seq, n))
-
-
-def _first_failure(e: _Entry, n: int) -> int | None:
-    """first_failure on the entry e for F_1..F_n."""
-
-    def b0() -> tuple[int | None, int]:
-        parts, bad = _sieved(e)
-        return _certify(parts, n if bad is None else bad - 1) or bad, 0
-
-    return _result(e, "b0", b0)
+    return entry(seq, n).parts()
 
 
 def first_failure(seq: FSequence, n: int) -> int | None:
     """The first b <= n at which P_b of seq is not an integer or
     gcd(P_b, prod(P_a for a < b, a ∤ b)) != 1, or None: then F is
     GCD-morphic on [1, n], and otherwise on [1, b - 1]."""
-    return _first_failure(_entry(seq, n), n)
-
-
-def witness(
-    seq: FSequence, n: int, scan: Callable[[list[int], int], tuple[int, ...] | None]
-) -> tuple[int, ...] | None:
-    """None when first_failure(seq, n) is None; otherwise scan(vals, b0) for
-    vals = F_1..F_n of seq and that first failure b0, kept on the entry for
-    vals as "witness", so a repeat neither fetches the values nor scans."""
-    e = _entry(seq, n)
-    if (b0 := _first_failure(e, n)) is None:
-        return None
-    return _result(e, "witness", lambda: (w := scan(e.vals, b0), 0 if w is None else _bits(w)))
-
-
-def coefficient(
-    seq: FSequence,
-    n: int,
-    j: int,
-    compute: Callable[[list[int], Callable[[], tuple[list[int], int | None]]], int],
-) -> int:
-    """(n over j)_F of seq, kept on the entry for F_1..F_n under j and made on
-    first use by compute(vals, sieved), where sieved() gives the parts of
-    vals as `parts` does, kept on the same entry; an error compute raises is
-    not kept, so each call raises it afresh."""
-    e = _entry(seq, n)
-    return _result(e, j, lambda: (c := compute(e.vals, lambda: _sieved(e)), _bits((c,))))
-
-
-def kept(
-    seq: FSequence, n: int, name: str, compute: Callable[[list[int], Callable], object]
-) -> object:
-    """The prefab result `name` of the entry for F_1..F_n of seq (the Whitney
-    row "row", its sum "sum" or the Bell table "bell"), made on first use by
-    compute(vals, read), where read(name, compute) reads another result of
-    the same entry the same way; an error compute raises is not kept, so
-    each call raises it afresh."""
-    e = _entry(seq, n)
-
-    def read(name: str, compute: Callable) -> object:
-        def made() -> tuple[object, int]:
-            value = compute(e.vals, read)
-            return value, _bits(value if isinstance(value, tuple) else (value,))
-
-        return _result(e, name, made)
-
-    return read(name, compute)
+    return entry(seq, n).first_failure()
 
 
 def integral_up_to(seq: FSequence, n_max: int) -> bool:

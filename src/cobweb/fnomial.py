@@ -11,13 +11,14 @@ from __future__ import annotations
 import math
 import sys
 from itertools import combinations
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, IndexOutOfDomain, NonIntegral
 
 if TYPE_CHECKING:
     from decimal import Decimal
 
+    from ._parts import _Entry
     from .sequences import FSequence
 
 __all__ = [
@@ -135,10 +136,10 @@ class FNomialTable:
         loaded, every result, by either product, is kept under
         j = min(k, n - k) on the entry for the rule and n, beside the parts,
         so a repeat, or n - k in place of k, reads it back: for a built-in or
-        custom sequence before any value is fetched, for any other rule once
-        the entry's values match.  A result past the memo's bound is returned
-        but not kept, and a NonIntegral is raised afresh on every call.
-        Until the memo is loaded, nothing is kept.
+        custom sequence before any value is fetched.  Any other rule is
+        computed afresh and never kept.  A result past the memo's bound is
+        returned but not kept, and a NonIntegral is raised afresh on every
+        call.  Until the memo is loaded, nothing is kept.
         """
         if k < 0 or k > n:
             return 0
@@ -150,12 +151,12 @@ class FNomialTable:
         def falling(vals: list[int]) -> int:
             return _exact(_prod(vals[n - j :]), _prod(vals[:j]), vals, n, k)
 
-        def compute(vals: list[int], sieved: Callable[[], tuple[list[int], int | None]]) -> int:
-            if kernel_sized(vals):
-                parts, bad = sieved()
+        def compute(e: _Entry) -> int:
+            if kernel_sized(e.vals):
+                parts, bad = e.parts()
                 if bad is None:
                     return _kernel(parts, n, j)
-            return falling(vals)
+            return falling(e.vals)
 
         # Until cobweb._parts is loaded, no coefficient can be kept.
         parts = sys.modules.get(f"{__package__}._parts")
@@ -164,7 +165,7 @@ class FNomialTable:
             if not kernel_sized(vals):
                 return falling(vals)
             from . import _parts as parts
-        return parts.coefficient(self.seq, n, j, compute)
+        return parts.entry(self.seq, n).kept(j, compute)
 
     def rows(self, n_max: int) -> Iterator[list[int]]:
         """The triangle rows [(n over 0)_F, ..., (n over n)_F] for n = 0..n_max, or

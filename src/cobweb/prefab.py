@@ -8,14 +8,14 @@ The row W(n, 0..n//2), its sum B_n and the table B_0..B_n are computed once
 per prefix F_1..F_n and kept as results of its entry in the bounded memo of
 `cobweb._parts`, which value-equal custom sequences share: `bell_f` reads
 the kept B_n, and a repeat on a built-in or custom sequence fetches no
-values.  A rule whose values change gets fresh results, and an error is
+values.  Any other rule is computed afresh and never kept, and an error is
 raised afresh on every call.  The CLI's large certified rows are computed in
 Decimal instead (`_decimal_row`), and are not kept.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import IndexOutOfDomain
 from .fnomial import FNomialTable, _decimal_prefix, _exact
@@ -23,6 +23,8 @@ from .sequences import FSequence
 
 if TYPE_CHECKING:
     from decimal import Decimal
+
+    from ._parts import _Entry
 
 __all__ = [
     "PrefabWhitneyRow",
@@ -82,27 +84,27 @@ def _decimal_row(seq: FSequence, n: int) -> Iterator[Decimal] | None:
     return _digits.exact_steps(_row(dvals))
 
 
-def _kept(seq: FSequence, n: int, name: str, compute: Callable) -> object:
-    """The result `name` of F_1..F_n's memo entry, made by compute(vals, read)."""
+def _entry(seq: FSequence, n: int) -> _Entry:
+    """The memo entry of F_1..F_n."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     from . import _parts
 
-    return _parts.kept(seq, n, name, compute)
+    return _parts.entry(seq, n)
 
 
-def _row_of(vals: list[int], read: Callable) -> tuple[int, ...]:
-    return tuple(_row(vals))
+def _row_of(e: _Entry) -> tuple[int, ...]:
+    return tuple(_row(e.vals))
 
 
 def whitney_row(seq: FSequence, n: int) -> PrefabWhitneyRow:
-    return PrefabWhitneyRow(seq, n, _kept(seq, n, "row", _row_of))
+    return PrefabWhitneyRow(seq, n, _entry(seq, n).kept("row", _row_of))
 
 
 def bell_f(seq: FSequence, n: int) -> int:
     """B_n(F): the diagonal sum over k of (n - k over k)_F, the sum of the
     kept row, itself kept."""
-    return _kept(seq, n, "sum", lambda vals, read: sum(read("row", _row_of)))
+    return _entry(seq, n).kept("sum", lambda e: sum(e.kept("row", _row_of)))
 
 
 def _bell_sums(seq: FSequence, n_max: int) -> Iterator[int]:
@@ -136,7 +138,7 @@ def bell_f_table(seq: FSequence, n_max: int) -> BellSequence:
     if n_max >= 0:
         try:
             return BellSequence(
-                seq, _kept(seq, n_max, "bell", lambda vals, read: tuple(_bell_sums(seq, n_max)))
+                seq, _entry(seq, n_max).kept("bell", lambda e: tuple(_bell_sums(seq, n_max)))
             )
         except IndexOutOfDomain:
             pass

@@ -189,13 +189,16 @@ def is_gcd_morphic(seq: FSequence, range_max: int) -> GcdMorphicReport:
     witness are memoized per rule and range_max (value-equal custom
     sequences share one entry), within 2**25 charged bits, least recently
     used out first; a repeat on a built-in or custom sequence fetches no
-    values and scans nothing.
+    values and scans nothing, and any other rule is computed afresh and
+    never kept.
     """
     if range_max < 2:
         raise InvalidBounds(f"range_max must be >= 2, got {range_max}")
     from . import _parts
 
-    if (w := _parts.witness(seq, range_max, _scan)) is None:
+    e = _parts.entry(seq, range_max)
+    b0 = e.first_failure()
+    if b0 is None or (w := e.kept("witness", lambda e: _scan(e.vals, b0))) is None:
         return GcdMorphicReport(True)
     n, m, g, expected = w
     return GcdMorphicReport(False, (n, m), g, expected)

@@ -229,6 +229,7 @@ def test_a_witness_and_a_falling_coefficient_each_raise_the_bits_by_what_they_st
     assert _parts.first_failure(seq, 60) == 60
     [(e, _)] = memo.entries.values()
     bits = _parts._bits(seq.rule.vals) + _parts._bits(_parts.sieve(seq.values(60))[0])
+    bits += _parts._charge(60)  # b0
     assert e.bits == bits == memo.charged
     fills = [  # by its public caller: name, call, value stored, bits it adds
         ("witness", lambda: is_gcd_morphic(seq, 60), _witness(report), _parts._bits(_witness(report))),
@@ -265,7 +266,8 @@ def test_a_falling_result_or_witness_past_the_bound_is_returned_but_not_stored(m
     assert divisions == [(60, 59), (60, 10), (60, 10)] and scans == [60, 60]
     [(e, charged)] = memo.entries.values()
     assert entry_results(e) == {"parts": _parts.sieve(vals), "b0": 60, 1: first}
-    assert charged == e.bits == entry_bits + _parts._bits([first]) == memo.charged
+    stored = entry_bits + _parts._charge(60) + _parts._bits([first])
+    assert charged == e.bits == stored == memo.charged
 
 
 def test_custom_sequences_equal_on_the_hashed_terms_keep_apart(memo, kernel):
@@ -298,8 +300,7 @@ def test_a_rule_whose_values_change_gets_a_fresh_coefficient(memo, kernel):
     terms[:] = FIBONACCI.values(40)
     fibonomial = fnomial_by_product(FIBONACCI, 40, 20)
     assert table.fnomial(40, 20) == table.fnomial(40, 20) == fibonomial
-    [(e, _)] = memo.entries.values()
-    assert entry_results(e) == {"parts": _parts.sieve(FIBONACCI.values(40)), 20: fibonomial}
+    assert memo.entries == {} and memo.charged == 0
 
 
 def test_each_result_raises_the_entry_bits_by_what_it_stores(memo, kernel):
@@ -368,7 +369,7 @@ class _CountedInt(int):
         return super().__hash__()
 
 
-def test_a_lookup_hashes_a_custom_sequence_once(memo, kernel):
+def test_a_lookup_hashes_eight_terms_of_a_custom_sequence_per_key_hash(memo, kernel):
     terms = [_CountedInt(2**s - 1) for s in range(1, 501)]
     calls = [lambda seq: is_gcd_morphic(seq, 120), lambda seq: FNomialTable(seq).fnomial(120, 60),
              lambda seq: whitney_row(seq, 120), lambda seq: bell_f(seq, 120),
@@ -379,7 +380,11 @@ def test_a_lookup_hashes_a_custom_sequence_once(memo, kernel):
             before = _CountedInt.hashes
             call(from_values("counted", terms))
             hashes.append(_CountedInt.hashes - before)
-    assert hashes == [8] * 10  # the first and last four terms, once per call
+    # Each hash of the key (rule, 120) reads the first and last four of the
+    # 500 terms.  The first miss stores the key in an empty memo (one hash),
+    # and a call that fills a result pops and re-inserts it twice, on the
+    # read and on the recharge (four); a hit only on the read (two).
+    assert hashes == [8 + 4 * 8] + [4 * 8] * 4 + [2 * 8] * 5
     assert len(memo.entries) == 1
 
 
@@ -393,6 +398,37 @@ def test_an_unhashable_rule_is_answered_without_the_memo(memo):
     seq = FSequence("unhashable", Rule())
     assert is_gcd_morphic(seq, 50) == is_gcd_morphic(NATURALS, 50)
     assert list(memo.entries) == [(NATURALS.rule, 50)]
+
+
+def test_a_rule_that_is_not_value_stable_is_never_kept(memo):
+    mersenne = [2**s - 1 for s in range(1, 61)]
+    # Holding, failing (F_60 shares F_7 = 127) and holding again.
+    prefixes = (mersenne, [*mersenne[:-1], mersenne[-1] * 127], FIBONACCI.values(60))
+    terms = []
+    seq = FSequence("changing", lambda s: terms[s - 1])
+
+    def fnomial_at(bits):  # the kernel below every estimate, the falling product above
+        def read():
+            with mock.patch.object(fnomial, "_KERNEL_BITS", bits):
+                return FNomialTable(seq).fnomial(60, 25)
+        return read
+
+    reads = [  # each call and its oracle over the values it sees
+        (lambda: whitney_row(seq, 60).values, lambda: _prefab_by_product(seq, 60)[0]),
+        (lambda: bell_f(seq, 60), lambda: _prefab_by_product(seq, 60)[1]),
+        (lambda: bell_f_table(seq, 60).values, lambda: _prefab_by_product(seq, 60)[2]),
+        (fnomial_at(-(10**9)), lambda: fnomial_by_product(seq, 60, 25)),
+        (fnomial_at(10**9), lambda: fnomial_by_product(seq, 60, 25)),
+        (lambda: is_gcd_morphic(seq, 60), lambda: full_square_scan(seq, 60)),
+    ]
+    holds = []
+    for turn in range(3):
+        for i, (read, oracle) in enumerate(reads):
+            terms[:] = prefixes[(turn + i) % 3]  # new values on every call
+            assert read() == oracle(), (turn, i)
+        holds.append(is_gcd_morphic(seq, 60).holds)
+    assert holds == [True, True, False]
+    assert memo.entries == {} and memo.charged == 0
 
 
 def _mixed_calls():

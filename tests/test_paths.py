@@ -277,15 +277,16 @@ def _scan_all():
         yield
 
 
-# How a memo-read path sees its sequence: as given, or under the "compared"
+# How a memo-read path sees its sequence: as given, or under the "unkept"
 # mode with its rule wrapped once in a plain lambda.
 _views = SimpleNamespace(of=lambda seq: seq)
 
 
-def _memo_hits(compared: bool) -> Callable[[], ContextManager]:
-    """The kernel at every size over a fresh memo; when compared, each rule is
+def _memo_hits(unkept: bool) -> Callable[[], ContextManager]:
+    """The kernel at every size over a fresh memo; when unkept, each rule is
     wrapped once in a plain lambda, which the memo cannot tell from a rule
-    whose values change, so every read fetches the values and compares."""
+    whose values change, so every call fetches the values, computes afresh
+    and keeps nothing."""
 
     @contextmanager
     def mode():
@@ -296,7 +297,7 @@ def _memo_hits(compared: bool) -> Callable[[], ContextManager]:
             return FSequence(seq.name, rule, seq.limit)
 
         with _kernel_bits(-(10**9))(), (
-            mock.patch.object(_views, "of", of) if compared else nullcontext()
+            mock.patch.object(_views, "of", of) if unkept else nullcontext()
         ):
             yield
 
@@ -356,8 +357,8 @@ REGISTRY = {
     "memo hits": Path(
         # A value-stable rule (a built-in, or a custom sequence's terms) is
         # answered from its entry before any value is fetched; any other rule
-        # fetches and compares.
-        modes={"value-stable": _memo_hits(False), "compared": _memo_hits(True)},
+        # is computed afresh and never kept.
+        modes={"value-stable": _memo_hits(False), "unkept": _memo_hits(True)},
         args=lambda data, n: (data.draw(st.integers(2, n), label="n"),),
         production=_read_twice,
         oracle=_read_by_product,
@@ -518,8 +519,9 @@ def test_every_mode_takes_its_path():
                 assert _prefab_results(mersenne, 60) == expected
         assert computed == (["row", "bell"] if once else ["row", "row", "bell"] * 3), mode
     # Read back, each kept result makes no rule or prefix call on a
-    # value-stable rule, and on the same rule wrapped in a lambda it fetches
-    # the values once, index by index.
+    # value-stable rule.  On the same rule wrapped in a lambda nothing is
+    # kept: each call fetches the values again, index by index (the Bell
+    # table's walk fetches them a second time), and the memo stays empty.
     calls = []
 
     @contextmanager
@@ -547,14 +549,16 @@ def test_every_mode_takes_its_path():
         "failing is_gcd_morphic": ((lambda: from_values("spoiled", spoiled),),
                                    lambda seq: is_gcd_morphic(seq, 60)),
     }
-    for mode, fetch in (("value-stable", []), ("compared", ["__call__"] * 60)):
+    for mode in ("value-stable", "unkept"):
         for name, (builds, read) in reads.items():
+            fetch = 0 if mode == "value-stable" else 120 if name == "bell_f_table" else 60
             for build in builds:
                 with REGISTRY["memo hits"].modes[mode](), counted():
                     first = read(_views.of(build()))
                     calls.clear()
                     assert read(_views.of(build())) == first
-                    assert calls == fetch, (mode, build().name, name)
+                    assert calls == ["__call__"] * fetch, (mode, build().name, name)
+                    assert bool(_parts.MEMO.entries) == (mode == "value-stable"), (mode, name)
     c = build_cobweb(from_values("widths", [1, 2, 3]), 3)
     for mode, stores in (("memo", True), ("no memo", False)):
         with REGISTRY["view engine"].modes[mode]():

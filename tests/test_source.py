@@ -39,6 +39,20 @@ def test_every_memo_is_a_bounded_memo():
     assert found == [], "memoize through cobweb._memo.Memo, which is bounded"
 
 
+# The prefix memo, its entries and its charge, named from outside cobweb._parts.
+_PREFIX_MEMO = re.compile(r"_parts\.(MEMO|_Entry|_bits|_charge)\b")
+
+
+def test_only_the_parts_module_fills_or_charges_the_prefix_memo():
+    found = [
+        f"{path.relative_to(SRC)}:{lineno}: {line.strip()}"
+        for path in MODULES if path != SRC / "cobweb" / "_parts.py"
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if _PREFIX_MEMO.search(line)
+    ]
+    assert found == [], "keep a prefix result through _parts.entry(seq, n).kept(name, compute)"
+
+
 def test_every_module_compiles_with_warnings_as_errors():
     # Compiled from source, so a warning shows whatever the bytecode caches hold.
     with warnings.catch_warnings():

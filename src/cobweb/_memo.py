@@ -1,5 +1,5 @@
 """The one bounded memo class, behind the engines of `cobweb.poset` and the
-primitive parts of `cobweb._parts`."""
+primitive parts of `cobweb._parts`; every operation reads one key."""
 
 from __future__ import annotations
 
@@ -13,8 +13,7 @@ class Memo:
     costs more is not kept.  One private lock guards every update and every
     recharge's measure, so threads may share a memo; callers build their
     values outside it and take no lock of their own.  `entries` maps each key
-    to its (value, cost), in order of use: a plain dict, re-inserted on use,
-    as iterating an OrderedDict's values hashes each key again."""
+    to its (value, cost), in order of use: a plain dict, re-inserted on use."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
@@ -36,13 +35,14 @@ class Memo:
         with self._lock:
             self._keep(key, value, cost)
 
-    def recharge(self, value: object, measure: Callable[[], int]) -> None:
-        """Charge a kept value again, say once it has grown, by measure(),
-        called under the lock, so a charge is never older than one made by a
-        thread that grew the value later; a value no longer kept stays out."""
+    def recharge(self, key: Hashable, value: object, measure: Callable[[], int]) -> None:
+        """Charge value again, say once it has grown, by measure(), called
+        under the lock, so a charge is never older than one made by a thread
+        that grew the value later; only while key holds this very value, so a
+        value not kept (say, under key None) stays out."""
         with self._lock:
-            key = next((k for k, (v, _) in self.entries.items() if v is value), None)
-            if key is not None:
+            kept = self.entries.get(key)
+            if kept is not None and kept[0] is value:
                 self._keep(key, value, measure())
 
     def clear(self) -> None:

@@ -7,20 +7,22 @@ the parts out.  `MEMO`, a `cobweb._memo.Memo` charged by `_Entry.bits`, keeps
 one entry per value-stable rule and prefix length under the plain key
 (rule, n), so value-equal custom sequences share one entry.  The
 value-stable rules are the five built-ins (pure and stateless) and a custom
-sequence's terms (whose key holds every value): `entry` answers them from
-their entry before any value is fetched, so a repeat fetches no values.  Any
-other rule is computed afresh on every call and never kept.  `_Entry.kept`
-is the one fill: it makes a result by name on first use and charges it by
-`_charge`.  The results are "parts" (`_Entry.parts`), the certificate's
-first failure "b0" (`_Entry.first_failure`), the first failing pair
-"witness" of `is_gcd_morphic`, every (n over j)_F that
-`FNomialTable.fnomial` returns under j = min(k, n - k), and the Whitney row
-"row", its sum B_n "sum" and the Bell table "bell" of `cobweb.prefab`; a
-result that would take the entry past the memo's bound is returned but not
-stored, and an error is raised afresh on every call.  `integral_up_to` tells
-the CLI when a table may stream, and when a table or prefab row may be
-computed in `Decimal`.  The package imports this module on first use only,
-so no start-up path compiles it.
+sequence's terms (whose key holds every value).  `entry` is the one lookup
+and the only way into `MEMO`: it answers them from their entry before any
+value is fetched, so a repeat fetches no values, and gives the entry its
+key.  Any other rule is computed afresh on every call and never kept.
+`_Entry.kept` is the one fill: it makes a result by name on first use,
+charges it by `_charge` and recharges the entry under its key.  The results
+are "parts" (`_Entry.parts`), the certificate's first failure "b0"
+(`_Entry.first_failure`), the first failing pair "witness" of
+`is_gcd_morphic`, every (n over j)_F that `FNomialTable.fnomial` returns
+under j = min(k, n - k), and the Whitney row "row", its sum B_n "sum" and
+the Bell table "bell" of `cobweb.prefab`; a result that would take the
+entry past the memo's bound is returned but not stored, and an error is
+raised afresh on every call.  `integral_up_to` tells the CLI when a table
+may stream, and when a table or prefab row may be computed in `Decimal`.
+The package imports this module on first use only, or with
+`cobweb.prefab`, so no start-up path compiles it.
 """
 
 from __future__ import annotations
@@ -80,18 +82,20 @@ def _certify(parts: list[int], hi: int) -> int | None:
 
 
 class _Entry:
-    """One prefix F_1..F_N, the charge of holding it, and `results`, each
-    result computed from the prefix by name, with the bits it adds.  The
-    table is replaced, never changed in place, so a reader never sees it
-    grow."""
+    """One prefix F_1..F_N, the charge of holding it, its memo `key` (None
+    when not kept), and `results`, each result computed from the prefix by
+    name, with the bits it adds.  The table is replaced, never changed in
+    place, so a reader never sees it grow."""
 
-    __slots__ = ("vals", "held_bits", "results")
+    __slots__ = ("vals", "held_bits", "results", "key")
 
     def __init__(self, rule: Callable[[int], int], vals: list[int]) -> None:
         self.vals = vals
-        # Charged per entry: `Memo.get` keeps each caller's key, so its own tuple.
+        # Charged per entry: `Memo.get` keeps each caller's key, and `key` is
+        # that same object, so the entry holds one tuple of values.
         self.held_bits = _bits(rule.vals if isinstance(rule, _Terms) else vals)
         self.results: dict[object, tuple[object, int]] = {}
+        self.key: tuple[Callable[[int], int], int] | None = None
 
     @property
     def bits(self) -> int:
@@ -101,15 +105,15 @@ class _Entry:
     def kept(self, name: object, compute: Callable[[_Entry], object]) -> object:
         """The result `name`, made on first use by compute(self) and stored,
         charged by _charge, unless the entry would then cost more than the
-        memo may hold; the memo measures the entry again under its lock, so
-        threads that fill it at once leave its charge exact.  An error
-        compute raises is not kept, so each call raises it afresh."""
+        memo may hold; the memo measures the entry again under its lock and
+        `key`, so threads that fill it at once leave its charge exact.  An
+        error compute raises is not kept, so each call raises it afresh."""
         if (kept := self.results.get(name)) is None:
             value = compute(self)
             kept = (value, _charge(value))
             if self.bits + kept[1] <= MEMO.limit:
                 self.results = {**self.results, name: kept}
-                MEMO.recharge(self, lambda: self.bits)
+                MEMO.recharge(self.key, self, lambda: self.bits)
         return kept[0]
 
     def parts(self) -> tuple[list[int], int | None]:
@@ -117,7 +121,8 @@ class _Entry:
         return self.kept("parts", lambda e: sieve(e.vals))
 
     def first_failure(self) -> int | None:
-        """first_failure of the prefix, kept as "b0"."""
+        """The first b <= N with P_b not an integer or gcd(P_b, prod(P_a for
+        a < b, a ∤ b)) != 1, kept as "b0", or None: F is GCD-morphic on [1, N]."""
 
         def b0(e: _Entry) -> int | None:
             parts, bad = e.parts()
@@ -153,30 +158,23 @@ _PURE = {id(rule): rule for rule in (NATURALS.rule, ODD.rule, EVEN1.rule, DIV31.
 
 
 def entry(seq: FSequence, n: int) -> _Entry:
-    """The entry for F_1..F_n of seq.  A value-stable rule, a built-in or a
-    custom sequence's terms within its limit, has its entry kept under
-    (rule, n) and answered before any value is fetched.  Any other rule gets
-    a fresh entry that is never stored, so its values are fetched and its
-    results computed on every call."""
+    """The entry for F_1..F_n of seq, the memo's only door; ValueError when
+    n < 0.  A value-stable rule, a built-in or a custom sequence's terms
+    within its limit, has its entry kept under key = (rule, n), the very
+    object each lookup leaves in `e.key`, and answered before any value is
+    fetched.  Any other rule gets a fresh entry, never stored, with key
+    None, so its values are fetched and its results computed on every call."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
     rule = seq.rule
     if not ((type(rule) is _Terms or id(rule) in _PURE) and (seq.limit is None or n <= seq.limit)):
         return _Entry(rule, seq.values(n))
-    if (e := MEMO.get((rule, n))) is None:
+    key = (rule, n)
+    if (e := MEMO.get(key)) is None:
         e = _Entry(rule, seq.values(n))
-        MEMO.put((rule, n), e, e.bits)
+        MEMO.put(key, e, e.bits)
+    e.key = key
     return e
-
-
-def parts(seq: FSequence, n: int) -> tuple[list[int], int | None]:
-    """sieve(seq.values(n)) through the memo."""
-    return entry(seq, n).parts()
-
-
-def first_failure(seq: FSequence, n: int) -> int | None:
-    """The first b <= n at which P_b of seq is not an integer or
-    gcd(P_b, prod(P_a for a < b, a ∤ b)) != 1, or None: then F is
-    GCD-morphic on [1, n], and otherwise on [1, b - 1]."""
-    return entry(seq, n).first_failure()
 
 
 def integral_up_to(seq: FSequence, n_max: int) -> bool:
@@ -187,6 +185,6 @@ def integral_up_to(seq: FSequence, n_max: int) -> bool:
     if n_max < 0:
         return False
     try:
-        return parts(seq, n_max)[1] is None
+        return entry(seq, n_max).parts()[1] is None
     except IndexOutOfDomain:
         return False

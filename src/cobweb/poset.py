@@ -82,12 +82,13 @@ class FinitePoset:
     list; pairs are grouped into one block per source.
 
     The instance is immutable afterwards, so concurrent reads are safe; the
-    exceptions are the up-sets, which the first closure query builds, and the
+    exceptions are the up-sets, which the first closure query builds, the
     Möbius matrix, which `mobius` stores on first use (threads that race there
-    compute equal values, and either may be kept).
+    compute equal values, and either may be kept), and the memo key, which
+    `_engine` sets on each lookup.
     """
 
-    __slots__ = ("_labels", "_index", "_up", "_topo", "_cover_succ", "_bottoms", "_mobius")
+    __slots__ = ("_labels", "_index", "_up", "_topo", "_cover_succ", "_bottoms", "_mobius", "_key")
 
     def __init__(
         self,
@@ -161,6 +162,7 @@ class FinitePoset:
         self._cover_succ = cover_succ
         self._bottoms = bottoms
         self._mobius: dict[tuple[Label, Label], int] | None = None
+        self._key: Hashable = None  # its `_ENGINES` key
 
     # -- basic queries ----------------------------------------------------
 
@@ -381,13 +383,16 @@ _ENGINES = Memo(_MEMO_BYTES)
 
 def _engine(key: Hashable, size: int, build: Callable[[], FinitePoset]) -> FinitePoset:
     """The engine of `size` elements kept under `key`, else build(), kept if
-    it fits; refused past CHAIN_COUNT_BUDGET before anything is built.  Two
-    threads that miss one key may both build; the last one kept stays."""
+    it fits; refused past CHAIN_COUNT_BUDGET before anything is built.  Its
+    `_key` is then the very key object the memo holds, so it pins no older
+    equal view.  Two threads that miss one key may both build; the last one
+    kept stays."""
     check_count_budget(size)
     p = _ENGINES.get(key)
     if p is None:
         p = build()
         _ENGINES.put(key, p, _charge(p))
+    p._key = key
     return p
 
 
@@ -478,8 +483,9 @@ def _upsets(p: FinitePoset) -> list[int]:
 
     They are built on first use by one reverse-topological pass over the
     cover lists, in which the elements of a run that share one list share
-    one OR, and kept on the engine; a memo that keeps the engine charges it
-    again.  Threads that race here build equal lists, and either may be kept."""
+    one OR, and kept on the engine, which `_ENGINES` charges again under
+    `p._key`.  Threads that race here build equal lists, and either may be
+    kept."""
     up = p._up
     if up is None:
         up = [0] * len(p._labels)
@@ -493,7 +499,7 @@ def _upsets(p: FinitePoset) -> list[int]:
                     acc |= up[j]
             up[i] = acc | 1 << i
         p._up = up
-        _ENGINES.recharge(p, lambda: _charge(p))
+        _ENGINES.recharge(p._key, p, lambda: _charge(p))
     return up
 
 
@@ -525,8 +531,9 @@ def mobius(p: FinitePoset) -> MobiusMatrix:
     """The full Möbius matrix: mu(x, x) = 1, mu(x, y) = -sum over x <= z < y.
 
     Entries are x-major in element order, each row in topological order.  The
-    matrix is computed once per engine and kept on it; each call returns a
-    record with a dict of its own, which the caller may change."""
+    matrix is computed once per engine and kept on it, charged again under
+    `p._key`; each call returns a record with a dict of its own, which the
+    caller may change."""
     entries = p._mobius
     if entries is None:
         pos = [0] * len(p)
@@ -538,7 +545,7 @@ def mobius(p: FinitePoset) -> MobiusMatrix:
             for j, v in _mobius_row(p, pos[i]).items():
                 entries[(xi, labels[j])] = v
         p._mobius = entries
-        _ENGINES.recharge(p, lambda: _charge(p))
+        _ENGINES.recharge(p._key, p, lambda: _charge(p))
     return MobiusMatrix(dict(entries))
 
 

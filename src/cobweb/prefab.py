@@ -6,10 +6,11 @@ Fibonacci(n + 1).
 
 The row W(n, 0..n//2), its sum B_n and the table B_0..B_n are computed once
 per prefix F_1..F_n and kept as results of its entry in the bounded memo of
-`cobweb._parts`, which value-equal custom sequences share: `bell_f` reads
-the kept B_n, and a repeat on a built-in or custom sequence fetches no
-values.  Any other rule is computed afresh and never kept, and an error is
-raised afresh on every call.  The CLI's large certified rows are computed in
+`cobweb._parts`, which value-equal custom sequences share.  Each is read
+through `_parts.entry`, which also refuses n < 0: `bell_f` reads the kept
+B_n, and a repeat on a built-in or custom sequence fetches no values.  Any
+other rule is computed afresh and never kept, and an error is raised afresh
+on every call.  The CLI's large certified rows are computed in
 Decimal instead (`_decimal_row`), and are not kept.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
+from . import _parts
 from .errors import IndexOutOfDomain
 from .fnomial import FNomialTable, _decimal_prefix, _exact
 from .sequences import FSequence
@@ -84,27 +86,18 @@ def _decimal_row(seq: FSequence, n: int) -> Iterator[Decimal] | None:
     return _digits.exact_steps(_row(dvals))
 
 
-def _entry(seq: FSequence, n: int) -> _Entry:
-    """The memo entry of F_1..F_n."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    from . import _parts
-
-    return _parts.entry(seq, n)
-
-
 def _row_of(e: _Entry) -> tuple[int, ...]:
     return tuple(_row(e.vals))
 
 
 def whitney_row(seq: FSequence, n: int) -> PrefabWhitneyRow:
-    return PrefabWhitneyRow(seq, n, _entry(seq, n).kept("row", _row_of))
+    return PrefabWhitneyRow(seq, n, _parts.entry(seq, n).kept("row", _row_of))
 
 
 def bell_f(seq: FSequence, n: int) -> int:
     """B_n(F): the diagonal sum over k of (n - k over k)_F, the sum of the
     kept row, itself kept."""
-    return _entry(seq, n).kept("sum", lambda e: sum(e.kept("row", _row_of)))
+    return _parts.entry(seq, n).kept("sum", lambda e: sum(e.kept("row", _row_of)))
 
 
 def _bell_sums(seq: FSequence, n_max: int) -> Iterator[int]:
@@ -138,7 +131,7 @@ def bell_f_table(seq: FSequence, n_max: int) -> BellSequence:
     if n_max >= 0:
         try:
             return BellSequence(
-                seq, _entry(seq, n_max).kept("bell", lambda e: tuple(_bell_sums(seq, n_max)))
+                seq, _parts.entry(seq, n_max).kept("bell", lambda e: tuple(_bell_sums(seq, n_max)))
             )
         except IndexOutOfDomain:
             pass

@@ -68,6 +68,18 @@ def test_equal_views_share_one_engine(memo):
     assert len(memo.entries) == 6
 
 
+def test_an_engine_holds_the_very_key_the_memo_keeps_it_under(memo):
+    first, second = build_grid(3, 7, "weak"), build_grid(3, 7, "weak")
+    p = first.poset
+    assert second.poset is p
+    # `Memo.get` re-inserted the engine under the second view, and the
+    # engine's key is that view, so the first view and its elements are free.
+    [key] = memo.entries
+    assert key is second and p._key is second
+    p.leq(p.elements[0], p.elements[-1])  # the closure recharges under that key
+    assert memo.charged == engine._charge(p)
+
+
 def test_slices_with_equal_widths_but_different_k_do_not_collide(memo):
     c = build_cobweb(from_values("flat", [2] * 6), 6)
     low, high = layer_subposet(c, 1, 3), layer_subposet(c, 3, 5)

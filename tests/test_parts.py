@@ -11,10 +11,12 @@ from unittest import mock
 
 import pytest
 
+import cobweb.poset as engine
 from cobweb import (
     FIBONACCI,
     NATURALS,
     ODD,
+    FinitePoset,
     FNomialTable,
     FSequence,
     IndexOutOfDomain,
@@ -22,9 +24,11 @@ from cobweb import (
     _parts,
     bell_f,
     bell_f_table,
+    build_grid,
     fnomial,
     from_values,
     is_gcd_morphic,
+    mobius,
     sequences,
     whitney_row,
 )
@@ -226,7 +230,7 @@ def test_a_witness_and_a_falling_coefficient_each_raise_the_bits_by_what_they_st
     seq = _spoiled(_mersenne(60), 60)
     report, c = full_square_scan(seq, 60), fnomial_by_product(seq, 60, 3)
     assert not report.holds
-    assert _parts.first_failure(seq, 60) == 60
+    assert _parts.entry(seq, 60).first_failure() == 60
     [(e, _)] = memo.entries.values()
     bits = _parts._bits(seq.rule.vals) + _parts._bits(_parts.sieve(seq.values(60))[0])
     bits += _parts._charge(60)  # b0
@@ -339,7 +343,7 @@ def test_a_charge_overtaken_by_a_later_fill_is_not_lost(memo, kernel, monkeypatc
         return recharge(*args)
 
     monkeypatch.setattr(memo, "recharge", late)
-    _parts.parts(seq, 60)
+    _parts.entry(seq, 60).parts()
     [(e, _)] = memo.entries.values()
     assert set(entry_results(e)) == {"parts", 30}
     assert memo.charged == e.bits
@@ -381,11 +385,45 @@ def test_a_lookup_hashes_eight_terms_of_a_custom_sequence_per_key_hash(memo, ker
             call(from_values("counted", terms))
             hashes.append(_CountedInt.hashes - before)
     # Each hash of the key (rule, 120) reads the first and last four of the
-    # 500 terms.  The first miss stores the key in an empty memo (one hash),
-    # and a call that fills a result pops and re-inserts it twice, on the
-    # read and on the recharge (four); a hit only on the read (two).
-    assert hashes == [8 + 4 * 8] + [4 * 8] * 4 + [2 * 8] * 5
+    # 500 terms.  The first miss stores the key in an empty memo (one hash).
+    # Each fill's recharge looks the key up, pops and re-inserts it (three),
+    # and the first call fills two results, the parts and b0 (8 + 48).  A
+    # later call that fills a result also pops and re-inserts the key on the
+    # read (two, so 16 + 24); a hit hashes only on the read (two).
+    assert hashes == [56] + [40] * 4 + [16] * 5
     assert len(memo.entries) == 1
+
+
+def test_an_entry_holds_the_very_key_the_memo_keeps_it_under(memo):
+    mersenne = [2**s - 1 for s in range(1, 61)]
+    first, second = from_values("m", mersenne), from_values("m", mersenne)
+    assert first.rule == second.rule and first.rule.vals is not second.rule.vals
+    e = _parts.entry(first, 60)
+    assert _parts.entry(second, 60) is e
+    # `Memo.get` re-inserted the entry under the second key, and the entry
+    # holds that same key, so only the second tuple of values is held.
+    [key] = memo.entries
+    assert e.key is key and key[0] is second.rule
+    e.parts()  # a fill recharges the entry under that key
+    assert memo.charged == e.bits > _parts._bits(mersenne)
+
+
+def test_what_no_memo_keeps_leaves_both_memos_unchanged(memo, monkeypatch):
+    engines = Memo(engine._MEMO_BYTES)
+    monkeypatch.setattr(engine, "_ENGINES", engines)
+    view = build_grid(3, 7, "weak")
+    mobius(view.poset)
+    is_gcd_morphic(NATURALS, 60)
+    before = [(list(m.entries.items()), m.charged) for m in (memo, engines)]
+    p = FinitePoset(view.elements, view.covers)  # built directly, so never kept
+    assert p.leq(p.elements[0], p.elements[-1])
+    mobius(p)
+    terms = FIBONACCI.values(60)
+    seq = FSequence("unstable", lambda s: terms[s - 1])  # results never kept
+    for read in (is_gcd_morphic, whitney_row, bell_f, bell_f_table):
+        read(seq, 60)
+    FNomialTable(seq).fnomial(60, 30)
+    assert [(list(m.entries.items()), m.charged) for m in (memo, engines)] == before
 
 
 def test_an_unhashable_rule_is_answered_without_the_memo(memo):

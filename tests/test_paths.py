@@ -343,7 +343,7 @@ REGISTRY = {
         modes={"memo": nullcontext,
                "no memo": lambda: mock.patch.object(_parts, "MEMO", Memo(0))},
         args=lambda data, n: (data.draw(st.integers(1, n), label="n"),),
-        production=lambda seq, n: _exact_prefix(_parts.parts(seq, n), n),
+        production=lambda seq, n: _exact_prefix(_parts.entry(seq, n).parts(), n),
         oracle=_parts_by_definition,
     ),
     "prefab results": Path(
@@ -501,7 +501,7 @@ def test_every_mode_takes_its_path():
                         "no memo": []}[mode], mode
     for mode, stores in (("memo", True), ("no memo", False)):
         with REGISTRY["primitive parts"].modes[mode]():
-            _parts.parts(mersenne, 60)
+            _parts.entry(mersenne, 60).parts()
             assert ((mersenne.rule, 60) in _parts.MEMO.entries) == stores, mode
     # A fresh memo computes each row and table once; no memo, on every call.
     row, sums = prefab._row, prefab._bell_sums
@@ -652,7 +652,7 @@ def test_both_gcd_modes_find_a_deep_witness():
     vals = list(range(1, 161))
     vals[119] *= 3
     seq = from_values("tripled", vals)
-    assert _parts.first_failure(seq, 160) == 120
+    assert _parts.entry(seq, 160).first_failure() == 120
     report = full_square_scan(seq, 160)
     assert report.witness == (9, 120)
     for mode in REGISTRY["is_gcd_morphic"].modes.values():
@@ -663,7 +663,7 @@ def test_both_gcd_modes_find_a_deep_witness():
     vals = FIBONACCI.values(2000)
     vals[899] *= 3
     seq = from_values("tripled", vals)
-    assert _parts.first_failure(seq, 2000) == 900
+    assert _parts.entry(seq, 2000).first_failure() == 900
     report = full_square_scan(seq, 2000)
     assert report.witness == (108, 900)
     for mode in REGISTRY["is_gcd_morphic"].modes.values():

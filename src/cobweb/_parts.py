@@ -19,10 +19,10 @@ are "parts" (`_Entry.parts`), the certificate's first failure "b0"
 under j = min(k, n - k), and the Whitney row "row", its sum B_n "sum" and
 the Bell table "bell" of `cobweb.prefab`; a result that would take the
 entry past the memo's bound is returned but not stored, and an error is
-raised afresh on every call.  `integral_up_to` tells the CLI when a table
-may stream, and when a table or prefab row may be computed in `Decimal`.
-The package imports this module on first use only, or with
-`cobweb.prefab`, so no start-up path compiles it.
+raised afresh on every call.  `cobweb.fnomial._cli_rows` reads an entry's
+parts to decide when a CLI table may stream, and when a table or prefab row
+may be computed in `Decimal`.  The package imports this module on first use
+only, or with `cobweb.prefab`, so no start-up path compiles it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import math
 from typing import Callable, Collection, Sequence
 
 from ._memo import Memo
-from .errors import IndexOutOfDomain
 from .sequences import DIV31, EVEN1, FIBONACCI, NATURALS, ODD, FSequence, _Terms
 
 # Bits the memo may hold: each stored int is charged its bit length plus
@@ -175,16 +174,3 @@ def entry(seq: FSequence, n: int) -> _Entry:
         MEMO.put(key, e, e.bits)
     e.key = key
     return e
-
-
-def integral_up_to(seq: FSequence, n_max: int) -> bool:
-    """True when P_1..P_{n_max} of seq are all integers.  Then every
-    (n over k)_F with n <= n_max is a product of parts with exponents 0 or 1
-    (see FNomialTable.fnomial), so no F-nomial table or Bell sum up to n_max
-    can raise NonIntegral.  False when n_max < 0 or seq stops before n_max."""
-    if n_max < 0:
-        return False
-    try:
-        return entry(seq, n_max).parts()[1] is None
-    except IndexOutOfDomain:
-        return False

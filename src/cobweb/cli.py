@@ -13,10 +13,11 @@ from it too.  Each handler imports the library modules it runs, so a
 request pays only for its own subcommand.
 
 A handler computes its whole result, except `mobius`, which checks its bounds
-and then computes its rows as they are written, and `fnomial --table` and
-`bell --table`, which do so when the primitive parts prove no entry
-non-integral, as `whitney --family prefab` does when that proof lets it
-compute its row in Decimal.  Output is written in chunks, never joined into one string: rows
+and then computes its rows as they are written, and the F-nomial tables,
+prefab Whitney rows and Bell tables, which `cobweb.fnomial._cli_rows`
+produces: `fnomial --table` and `bell --table` as they are written when the
+primitive parts prove no entry non-integral, and a large certified table or
+row in Decimal.  Output is written in chunks, never joined into one string: rows
 in chunks of about 64k characters and at most 256 rows, each row formatted by
 one %-template, and DOT edge lines about 1,024 at a time, each source's lines
 in one join.
@@ -105,31 +106,20 @@ def _cmd_seq(ns: argparse.Namespace) -> OutputRecord:
     return OutputRecord("seq", {"seq": ns.seq, "count": ns.count}, columns=("s", "value"), rows=rows)
 
 
-def _certified(rows: Iterator[Any], seq: FSequence, n_max: int) -> Iterable[Any]:
-    """The rows, to be computed as they are written, when the primitive parts
-    of F_1..F_n_max prove no entry non-integral; otherwise the rows in full,
-    so that a NonIntegral is raised before any output."""
-    from . import _parts
-
-    return rows if _parts.integral_up_to(seq, n_max) else list(rows)
-
-
 def _cmd_fnomial(ns: argparse.Namespace) -> OutputRecord:
-    from .fnomial import FNomialTable, _decimal_rows
+    from .fnomial import FNomialTable, _cli_rows
 
     seq = _seq_from_token(ns.seq)
-    table = FNomialTable(seq)
-    if ns.table is not None:
-        triangle = _decimal_rows(seq, ns.table) or _certified(table.rows(ns.table), seq, ns.table)
+    if (m := ns.table) is not None:
+        triangle = _cli_rows(seq, m, lambda s: FNomialTable(s).rows(m), (m, m // 2))
         rows = ((n, k, v) for n, row in enumerate(triangle) for k, v in enumerate(row))
         return OutputRecord(
             "fnomial", {"seq": ns.seq, "table": ns.table}, columns=("n", "k", "value"), rows=rows
         )
     if ns.n is None or ns.k is None:
         raise _UsageError("fnomial needs --n and --k (or --table)")
-    return OutputRecord(
-        "fnomial", {"seq": ns.seq, "n": ns.n, "k": ns.k}, value=table.fnomial(ns.n, ns.k)
-    )
+    value = FNomialTable(seq).fnomial(ns.n, ns.k)
+    return OutputRecord("fnomial", {"seq": ns.seq, "n": ns.n, "k": ns.k}, value=value)
 
 
 def _cmd_catalan(ns: argparse.Namespace) -> OutputRecord:
@@ -168,10 +158,13 @@ def _cmd_whitney(ns: argparse.Namespace) -> OutputRecord:
         if ns.kind == "first":
             raise _UsageError("--kind first is not defined for --family prefab")
         _need(ns, "whitney --family prefab", "seq", "n")
-        from .prefab import _decimal_row, whitney_row
+        from .fnomial import _cli_rows
+        from .prefab import _row, whitney_row
 
-        seq = _seq_from_token(ns.seq)
-        values = _decimal_row(seq, ns.n) or whitney_row(seq, ns.n).values
+        seq, n = _seq_from_token(ns.seq), ns.n
+        # The kept row over seq's ints; the walk over the prefix as Decimals.
+        values = _cli_rows(seq, n, lambda s: whitney_row(s, n).values if s is seq
+                           else _row(s.values(n)), (n - n // 4, n // 4))
         params = {"family": "prefab", "seq": ns.seq, "n": ns.n, "kind": "second"}
     return OutputRecord("whitney", params, columns=("k", "value"), rows=enumerate(values))
 
@@ -187,13 +180,14 @@ def _cmd_bell(ns: argparse.Namespace) -> OutputRecord:
             "bell", {"family": "grid", "l": ns.l, "m": ns.m}, value=bell_grid(ns.l, ns.m)
         )
     _need(ns, "bell --family prefab", "seq", "n")
+    from .fnomial import _cli_rows
     from .prefab import _bell_sums, bell_f
 
     seq = _seq_from_token(ns.seq)
     params = {"family": "prefab", "seq": ns.seq, "n": ns.n}
     if ns.table:
         params["table"] = True
-        sums = _certified(_bell_sums(seq, ns.n), seq, ns.n)
+        sums = _cli_rows(seq, ns.n, lambda s: _bell_sums(s, ns.n))
         return OutputRecord("bell", params, columns=("n", "value"), rows=enumerate(sums))
     return OutputRecord("bell", params, value=bell_f(seq, ns.n))
 

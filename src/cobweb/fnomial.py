@@ -2,8 +2,11 @@
 Catalan path counts backed by a brute-force string oracle.
 
 Everything is exact integer arithmetic; there are no floating-point paths.
-The CLI's large certified tables run the same recurrences over integer
-Decimals, in a context of `cobweb._digits` where any rounding raises.
+`_cli_rows` is the one rule by which the CLI produces its F-nomial tables,
+prefab Whitney rows and Bell tables: computed as they are written when the
+primitive parts prove no entry non-integral, else listed in full; a large
+certified table or row runs the same recurrences over integer Decimals, in a
+context of `cobweb._digits` where any rounding raises.
 """
 
 from __future__ import annotations
@@ -11,13 +14,11 @@ from __future__ import annotations
 import math
 import sys
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, IndexOutOfDomain, NonIntegral
 
 if TYPE_CHECKING:
-    from decimal import Decimal
-
     from ._parts import _Entry
     from .sequences import FSequence
 
@@ -39,7 +40,7 @@ BRUTE_LENGTH_BUDGET = 28
 _KERNEL_BITS = 12_000
 
 # Estimated bits of the largest entry of a certified table or prefab row from
-# which the CLI computes it in Decimal (_decimal_prefix), so that no entry is
+# which the CLI computes it in Decimal (_cli_rows), so that no entry is
 # converted from int to decimal text.
 _DECIMAL_BITS = 3_000
 
@@ -66,24 +67,40 @@ def _estimated_bits(vals: Sequence[int], n: int, k: int) -> int:
     return sum(map(int.bit_length, vals[n - k : n])) - sum(map(int.bit_length, vals[:k]))
 
 
-def _decimal_prefix(seq: FSequence, n_max: int, n: int, k: int) -> list[Decimal] | None:
-    """F_1..F_n_max of seq as exact Decimals, over which the CLI computes
-    rows whose largest entry is (n over k)_F, n <= n_max: when that entry's
-    estimate reaches _DECIMAL_BITS, the primitive parts prove no entry up to
-    n_max non-integral, and the C `_decimal` core is loaded.  Otherwise
-    None, and the rows stay ints; so also when n_max < 0 or seq stops
-    before n_max, whose errors the int rows raise."""
-    try:
-        vals = seq.values(n_max)
-    except (IndexOutOfDomain, ValueError):
-        return None
-    if _estimated_bits(vals, n, k) < _DECIMAL_BITS:
-        return None
-    from . import _digits, _parts
+def _cli_rows(
+    seq: FSequence,
+    n_max: int,
+    make: Callable[[FSequence], Iterable[Any]],
+    largest: tuple[int, int] | None = None,
+) -> Iterable[Any]:
+    """The CLI's rows make(seq) of an F-nomial table, prefab Whitney row or
+    Bell table over F_1..F_n_max, chosen by one fetch of the prefix and its
+    certificate, `_parts.entry(seq, n_max)`.  When the primitive parts prove
+    no entry non-integral: make over the prefix as exact Decimals, each row
+    computed under the context of cobweb._digits, if the C `_decimal` core
+    is loaded and the largest entry, (n over k)_F for largest = (n, k), is
+    estimated at _DECIMAL_BITS or more; else make(seq), to be computed as it
+    is written.  Otherwise, so also when n_max < 0 or seq stops before n_max,
+    make(seq) in full, so that it raises its own first error before any
+    output."""
+    from . import _parts
 
-    if _digits.EXACT is None or not _parts.integral_up_to(seq, n_max):
-        return None
-    return [_digits.to_decimal(v) for v in vals]
+    try:
+        e = _parts.entry(seq, n_max)
+        certified = e.parts()[1] is None
+    except (IndexOutOfDomain, ValueError):
+        certified = False
+    if not certified:
+        return list(make(seq))
+    if largest is not None and _estimated_bits(e.vals, *largest) >= _DECIMAL_BITS:
+        from . import _digits
+
+        if _digits.EXACT is not None:
+            from .sequences import FSequence
+
+            dvals = [_digits.to_decimal(v) for v in e.vals]
+            return _digits.exact_steps(make(FSequence(seq.name, lambda s: dvals[s - 1], n_max)))
+    return make(seq)
 
 
 def _exact(num: int, den: int, vals: Sequence[int], n: int, k: int) -> int:
@@ -186,20 +203,6 @@ class FNomialTable:
             for k in range(n // 2):
                 row.append(_exact(row[-1] * vals[n - k - 1], vals[k], vals, n, k + 1))
             yield row + row[: (n + 1) // 2][::-1]
-
-
-def _decimal_rows(seq: FSequence, n_max: int) -> Iterator[list[Decimal]] | None:
-    """FNomialTable(seq).rows(n_max), each computed over the Decimal values
-    of _decimal_prefix under the exact context of cobweb._digits, when they
-    are given for the largest entry (n_max over n_max // 2)_F; else None."""
-    dvals = _decimal_prefix(seq, n_max, n_max, n_max // 2)
-    if dvals is None:
-        return None
-    from . import _digits
-    from .sequences import FSequence
-
-    decimal_seq = FSequence(seq.name, lambda s: dvals[s - 1], n_max)
-    return _digits.exact_steps(FNomialTable(decimal_seq).rows(n_max))
 
 
 class BallotCount(NamedTuple):

@@ -97,14 +97,15 @@ class FinitePoset:
         *,
         _blocks: Iterable[tuple[Label, Sequence[Label]]] | None = None,
     ) -> None:
-        labels: list[Label] = []
-        index: dict[Label, int] = {}
-        for el in elements:
-            if el in index:
-                raise ValueError(f"duplicate element {el!r}")
-            index[el] = len(labels)
-            labels.append(el)
+        labels = tuple(elements)  # a tuple given is kept, not copied
         n = len(labels)
+        index = dict(zip(labels, range(n)))
+        if len(index) < n:
+            seen: set[Label] = set()
+            for el in labels:
+                if el in seen:
+                    raise ValueError(f"duplicate element {el!r}")
+                seen.add(el)
 
         # The successor sets, each stored once, and the set of each element:
         # element i's successors are sets[which[i]].  Pairs enter as one
@@ -155,7 +156,7 @@ class FinitePoset:
             if readers[i]:
                 up[i] = acc | 1 << i
 
-        self._labels = tuple(labels)
+        self._labels = labels
         self._index = index
         self._up: list[int] | None = None
         self._topo = topo
@@ -266,7 +267,7 @@ def _block_sets(
 
 
 def _toposort(
-    sets: list[tuple[int, ...]], which: list[int], labels: list[Label]
+    sets: list[tuple[int, ...]], which: list[int], labels: Sequence[Label]
 ) -> tuple[list[int], list[int], list[int]]:
     """Topological order of the edge digraph, its sources, the minimal
     elements, in index order, and the readers of each element: the runs of
@@ -323,7 +324,7 @@ def _toposort(
 
 
 def _cycle_witness(
-    pred: list[set[int]], remaining: set[int], labels: list[Label]
+    pred: list[set[int]], remaining: set[int], labels: Sequence[Label]
 ) -> tuple[Label, Label]:
     """A pair (x, y), x != y, reachable from each other inside `remaining`.
 

@@ -10,8 +10,9 @@ per prefix F_1..F_n and kept as results of its entry in the bounded memo of
 through `_parts.entry`, which also refuses n < 0: `bell_f` reads the kept
 B_n, and a repeat on a built-in or custom sequence fetches no values.  Any
 other rule is computed afresh and never kept, and an error is raised afresh
-on every call.  The CLI's large certified rows are computed in
-Decimal instead (`_decimal_row`), and are not kept.
+on every call.  The CLI produces its rows and Bell tables through
+`fnomial._cli_rows`; a large certified row is walked by `_row` over its
+values as Decimals there, and not kept.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import _parts
 from .errors import IndexOutOfDomain
-from .fnomial import FNomialTable, _decimal_prefix, _exact
+from .fnomial import FNomialTable, _exact
 from .sequences import FSequence
 
 if TYPE_CHECKING:
-    from decimal import Decimal
-
     from ._parts import _Entry
 
 __all__ = [
@@ -71,19 +70,6 @@ def _row(vals: list[int]) -> Iterator[int]:
     for k in range(n // 2):
         num = w * (vals[n - 2 * k - 1] * vals[n - 2 * k - 2])
         yield (w := _exact(num, vals[n - k - 1] * vals[k], vals, n - k - 1, k + 1))
-
-
-def _decimal_row(seq: FSequence, n: int) -> Iterator[Decimal] | None:
-    """The Whitney row of F_1..F_n by _row over the Decimal values of
-    _decimal_prefix, each step under the exact context of cobweb._digits,
-    when they are given for the largest entry, taken as
-    W_{n//4} = (n - n//4 over n//4)_F; else None."""
-    dvals = _decimal_prefix(seq, n, n - n // 4, n // 4)
-    if dvals is None:
-        return None
-    from . import _digits
-
-    return _digits.exact_steps(_row(dvals))
 
 
 def _row_of(e: _Entry) -> tuple[int, ...]:

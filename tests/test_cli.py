@@ -789,6 +789,35 @@ def test_tables_and_rows_stream_near_a_scalar_request():
     assert all(peak < base + 2 for peak in large), (base, large)
 
 
+@pytest.mark.parametrize("argv, large", [
+    (["fnomial", "--seq", "fibonacci", "--table"], 140),
+    (["whitney", "--family", "prefab", "--seq", "fibonacci", "--n"], 400),
+    (["bell", "--family", "prefab", "--seq", "fibonacci", "--table", "--n"], 140),
+])
+def test_a_table_request_fetches_its_prefix_once_and_sieves_it_once(argv, large, monkeypatch):
+    from cobweb import _digits, _parts
+    from cobweb.sequences import FSequence
+
+    fetched, sieved, converted = [], [], []
+    values, sieve, to_decimal = FSequence.values, _parts.sieve, _digits.to_decimal
+    # Fetches of Fibonacci's own prefix; a Decimal table reads the Decimal
+    # copy of it through a sequence of its own.
+    monkeypatch.setattr(FSequence, "values", lambda self, count: (
+        self.rule is FIBONACCI.rule and fetched.append(count)) or values(self, count))
+    monkeypatch.setattr(_parts, "sieve", lambda vals: sieved.append(len(vals)) or sieve(vals))
+    monkeypatch.setattr(_digits, "to_decimal", lambda v: converted.append(v) or to_decimal(v))
+    # The largest entry of the F-nomial table and the Whitney row is estimated
+    # below _DECIMAL_BITS at 60 and above it at `large`; a Bell table is never
+    # computed in Decimal.
+    for n, decimal in ((60, False), (large, argv[0] != "bell")):
+        monkeypatch.setattr(_parts, "MEMO", Memo(_parts.MEMO_BITS))
+        for made in (fetched, sieved, converted):
+            made.clear()
+        code, out, _ = invoke(*argv, str(n))
+        assert code == 0 and out.count("\n") > n // 2
+        assert (fetched, sieved, len(converted)) == ([n], [n], n if decimal else 0), n
+
+
 @pytest.mark.skipif(not hasattr(os, "wait4") or not hasattr(os, "posix_spawn"),
                     reason="needs os.wait4 and os.posix_spawn")
 def test_brute_counts_peak_near_a_scalar_request():

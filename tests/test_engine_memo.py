@@ -68,6 +68,11 @@ def test_equal_views_share_one_engine(memo):
     assert len(memo.entries) == 6
 
 
+def test_a_grid_engine_keeps_the_labels_tuple_of_its_view(memo):
+    g = build_grid(40, 150, "weak")
+    assert g.poset.elements is g.elements
+
+
 def test_an_engine_holds_the_very_key_the_memo_keeps_it_under(memo):
     first, second = build_grid(3, 7, "weak"), build_grid(3, 7, "weak")
     p = first.poset

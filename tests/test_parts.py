@@ -313,7 +313,7 @@ def test_each_result_raises_the_entry_bits_by_what_it_stores(memo, kernel):
     c = fnomial_by_product(seq, 60, 25)
     row, _, bell = _prefab_by_product(seq, 60)
     fills = [  # each result by its public caller: name, call, value stored, bits it adds
-        ("parts", lambda: _parts.integral_up_to(seq, 60), parts, _parts._bits(parts[0])),
+        ("parts", lambda: _parts.entry(seq, 60).parts(), parts, _parts._bits(parts[0])),
         ("b0", lambda: is_gcd_morphic(seq, 60), None, 0),
         (25, lambda: FNomialTable(seq).fnomial(60, 35), c, _parts._bits([c])),
         ("row", lambda: whitney_row(seq, 60), row, _parts._bits(row)),
@@ -362,7 +362,9 @@ def test_a_hit_refuses_an_index_past_the_sequence_limit(memo, kernel):
             read(full)
             with pytest.raises(IndexOutOfDomain, match="up to index 40, got 41"):
                 read(capped)
-        assert _parts.integral_up_to(full, 60) and not _parts.integral_up_to(capped, 60)
+        assert _parts.entry(full, 60).parts()[1] is None
+        with pytest.raises(IndexOutOfDomain, match="up to index 40, got 41"):
+            _parts.entry(capped, 60)
 
 
 class _CountedInt(int):

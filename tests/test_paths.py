@@ -386,7 +386,7 @@ REGISTRY = {
         # With the certificate refused, every table is computed in full first.
         modes={"certified": nullcontext,
                "materialized": lambda: mock.patch.object(
-                   _parts, "integral_up_to", lambda seq, n_max: False)},
+                   _parts._Entry, "parts", lambda e: (None, 1))},
         args=_table_request,
         production=_table_output,
         oracle=_table_by_factorials,

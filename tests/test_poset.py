@@ -89,6 +89,9 @@ def test_longer_cycle_detected():
 def test_duplicate_and_unknown_elements():
     with pytest.raises(ValueError):
         FinitePoset([1, 1], [])
+    # The first label seen again is named, though "a" repeats too.
+    with pytest.raises(ValueError, match="duplicate element 'b'"):
+        FinitePoset("abba", [])
     with pytest.raises(ValueError):
         FinitePoset([1, 2], [(1, 3)])
 

@@ -53,6 +53,23 @@ def test_only_the_parts_module_fills_or_charges_the_prefix_memo():
     assert found == [], "keep a prefix result through _parts.entry(seq, n).kept(name, compute)"
 
 
+# cobweb._parts, or a name of cobweb._digits other than `text`, the
+# renderer's retry for an int past the digit limit.
+_TABLE_RULE = re.compile(r"\b_parts\b|\b_digits\b(?!(\.| import )text\b)")
+
+
+def test_the_cli_leaves_how_a_table_is_produced_to_the_fnomial_module():
+    # Streamed, listed in full or computed in Decimal: `fnomial._cli_rows`
+    # decides, so no CLI request compiles the rule as part of cli.py.
+    found = [
+        f"{lineno}: {line.strip()}"
+        for lineno, line in enumerate((SRC / "cobweb" / "cli.py").read_text(
+            encoding="utf-8").splitlines(), 1)
+        if _TABLE_RULE.search(line)
+    ]
+    assert found == [], "produce CLI tables and prefab rows through fnomial._cli_rows"
+
+
 def test_every_module_compiles_with_warnings_as_errors():
     # Compiled from source, so a warning shows whatever the bytecode caches hold.
     with warnings.catch_warnings():

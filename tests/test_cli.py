@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import itertools
 import json
 import math
@@ -849,3 +850,72 @@ def test_console_write_to_a_closed_pipe_exits_1():
     pipe_line = "error: BrokenPipeError: [Errno 32] Broken pipe\n"
     assert (rows.returncode, rows.stderr) == (1, pipe_line)
     assert (help_text.returncode, help_text.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalan", "--n", "5"],
+    ["fnomial", "--seq", "fibonacci", "--table", "60", "--format", "json"],  # streamed
+    ["dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "5"],
+    ["fnomial", "--seq", "odd", "--table", "4"],  # exit 1, NonIntegral
+    ["whitney", "--family", "prefab", "--kind", "first", "--seq", "naturals", "--n", "3"],  # exit 2
+    ["--help"],
+])
+def test_the_console_script_prints_and_exits_as_run_does(argv, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    want = invoke(*argv)
+    done = _console(argv, subprocess.PIPE)
+    assert (done.returncode, done.stdout, done.stderr) == want
+    if argv[0] == "dot":
+        assert want[0] == 0 and want[1].startswith('digraph "cobweb_fibonacci" {')
+        target = tmp_path / "fib.dot"
+        done = _console([*argv, "--out", str(target)], subprocess.PIPE)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert target.read_bytes() == want[1].encode("ascii")
+
+
+# One argv per subcommand.
+_EACH_COMMAND = [
+    ["seq", "--seq", "fibonacci", "--count", "10"],
+    ["fnomial", "--seq", "fibonacci", "--table", "12"],
+    ["catalan", "--n", "5"],
+    ["ballot", "--k", "2", "--n", "4"],
+    ["grid", "--k", "2", "--n", "3", "--what", "ranks"],
+    ["whitney", "--family", "prefab", "--seq", "fibonacci", "--n", "9"],
+    ["bell", "--family", "prefab", "--seq", "naturals", "--n", "12", "--table"],
+    ["chains", "--family", "cobweb", "--seq", "fibonacci", "--k", "2", "--n", "4", "--method", "brute"],
+    ["mobius", "--k", "1", "--n", "2"],
+    ["dot", "--family", "grid", "--k", "2", "--n", "3", "--mode", "weak"],
+    ["problems", "--l", "2", "--m", "4"],
+]
+
+
+def test_run_leaves_the_collector_as_it_found_it():
+    assert [argv[0] for argv in _EACH_COMMAND] == list(cli._COMMANDS)
+    for argv in _EACH_COMMAND:
+        before = gc.get_freeze_count(), gc.isenabled()
+        code, out, _ = invoke(*argv)
+        assert code == 0 and out, argv
+        assert (gc.get_freeze_count(), gc.isenabled()) == before, argv
+
+
+# A child that registers an exit hook and then runs the console script.
+_MAIN_WITH_HOOK = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count() > 0, file=sys.stderr))
+import cobweb.cli
+cobweb.cli.main()
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalan", "--n", "5"],
+    ["fnomial", "--seq", "odd", "--table", "4"],
+    ["catalan", "--n", "x"],
+])
+def test_main_freezes_the_collector_and_exit_hooks_still_run(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal's width
+    code, out, err = invoke(*argv)
+    done = subprocess.run([sys.executable, "-c", _MAIN_WITH_HOOK, *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert (done.returncode, done.stdout) == (code, out)
+    assert done.stderr == err + "frozen at exit: True\n"

@@ -1,5 +1,6 @@
 """Checks over the package's source files, not its behaviour."""
 
+import ast
 import os
 import re
 import subprocess
@@ -68,6 +69,37 @@ def test_the_cli_leaves_how_a_table_is_produced_to_the_fnomial_module():
         if _TABLE_RULE.search(line)
     ]
     assert found == [], "produce CLI tables and prefab rows through fnomial._cli_rows"
+
+
+# Calls that change the collector or skip interpreter shutdown, as attributes
+# or imported names.
+_EXIT_AND_COLLECTOR = {("gc", "freeze"), ("gc", "disable"), ("gc", "set_threshold"), ("os", "_exit")}
+
+
+def _exit_and_collector_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if (node.value.id, node.attr) in _EXIT_AND_COLLECTOR:
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if any((node.module, alias.name) in _EXIT_AND_COLLECTOR for alias in node.names):
+                yield node.lineno
+
+
+def test_only_the_console_script_freezes_the_collector():
+    # The library never changes a caller's collector, and no path skips
+    # interpreter shutdown: only cli.main, which ends its own process, freezes.
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path == SRC / "cobweb" / "cli.py":
+            main = next(node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "main")
+            allowed = set(_exit_and_collector_uses(main))
+        found += [f"{path.relative_to(SRC)}:{lineno}"
+                  for lineno in _exit_and_collector_uses(tree) if lineno not in allowed]
+    assert found == [], "only cobweb.cli.main may freeze the collector or call os._exit"
 
 
 def test_every_module_compiles_with_warnings_as_errors():

@@ -12,15 +12,16 @@ from that table; any other argv, help included, goes to argparse, built
 from it too.  Each handler imports the library modules it runs, so a
 request pays only for its own subcommand.
 
-A handler computes its whole result, except `mobius`, which checks its bounds
-and then computes its rows as they are written, and the F-nomial tables,
-prefab Whitney rows and Bell tables, which `cobweb.fnomial._cli_rows`
-produces: `fnomial --table` and `bell --table` as they are written when the
-primitive parts prove no entry non-integral, and a large certified table or
-row in Decimal.  Output is written in chunks, never joined into one string: rows
-in chunks of about 64k characters and at most 256 rows, each row formatted by
-one %-template, and DOT edge lines about 1,024 at a time, each source's lines
-in one join.
+A handler computes its whole result, except `mobius` and `grid --what
+ranks|elements`, which check their bounds and then compute their rows as they
+are written, and the F-nomial tables, prefab Whitney rows and Bell tables,
+which `cobweb.fnomial._cli_rows` produces: `fnomial --table` and `bell --table`
+as they are written when the primitive parts prove no entry non-integral, and
+a large certified table or row in Decimal.  Output is written in chunks, never
+joined into one string: rows in about 64k characters and at most 256 rows a
+chunk, each by one %-template; Möbius rows in the format's row frame by
+`cobweb.grid._mobius_chunks`, about 64k characters a chunk, each block's zero
+run in one join; DOT edge lines about 1,024 a chunk, each source's in one join.
 
 `main`, the console script, serves one request per process.  Once the output
 is flushed it freezes the collector (`gc.freeze()`), so the interpreter's
@@ -35,7 +36,7 @@ from __future__ import annotations
 import os
 import sys
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
@@ -70,7 +71,7 @@ class OutputRecord(NamedTuple):
     rows: Iterable[tuple[int, ...]] | None = None  # read once, as the output is written
     value: int | None = None
     agreement: bool | None = None
-    raw: Iterable[str] | None = None  # preformatted chunks (DOT) that bypass --format
+    raw: Iterable[str] | None = None  # chunks written as they are: DOT, or rows already framed
 
 
 def _seq_from_token(token: str) -> FSequence:
@@ -142,16 +143,14 @@ def _cmd_ballot(ns: argparse.Namespace) -> OutputRecord:
 
 
 def _cmd_grid(ns: argparse.Namespace) -> OutputRecord:
-    from .grid import build_grid
+    from .grid import _label_rows, build_grid
 
     params = {"k": ns.k, "n": ns.n, "mode": ns.mode, "what": ns.what}
     g = build_grid(ns.k, ns.n, ns.mode)
     if ns.what == "size":
         return OutputRecord("grid", params, value=len(g))
-    if ns.what == "elements":
-        return OutputRecord("grid", params, columns=("l", "m"), rows=g.elements)
-    rows = ((e.l, e.m, r) for e, r in g.level_of().items())
-    return OutputRecord("grid", params, columns=("l", "m", "rank"), rows=rows)
+    columns = ("l", "m", "rank") if (ranks := ns.what == "ranks") else ("l", "m")
+    return OutputRecord("grid", params, columns=columns, rows=_label_rows(g, ranks))
 
 
 def _cmd_whitney(ns: argparse.Namespace) -> OutputRecord:
@@ -227,12 +226,13 @@ def _cmd_chains(ns: argparse.Namespace) -> OutputRecord:
 
 
 def _cmd_mobius(ns: argparse.Namespace) -> OutputRecord:
-    from .grid import _mobius_blocks, build_grid
+    from .grid import _mobius_chunks, build_grid
 
-    blocks = _mobius_blocks(build_grid(ns.k, ns.n, ns.mode))  # bounds checked before output
-    rows = ((*x, *y, mu) for x, ys, mus in blocks for y, mu in zip(ys, mus))
-    params = {"k": ns.k, "n": ns.n, "mode": ns.mode}
-    return OutputRecord("mobius", params, columns=("x_l", "x_m", "y_l", "y_m", "mu"), rows=rows)
+    g = build_grid(ns.k, ns.n, ns.mode)  # bounds checked before output
+    rec = OutputRecord("mobius", {"k": ns.k, "n": ns.n, "mode": ns.mode},
+                       columns=("x_l", "x_m", "y_l", "y_m", "mu"), rows=())
+    head, _, frame, tail = _LAYOUTS[ns.format](rec)
+    return rec._replace(raw=chain((head,), _mobius_chunks(g, frame, _BATCH_CHARS), (tail,)))
 
 
 def _cmd_dot(ns: argparse.Namespace) -> OutputRecord:

@@ -13,8 +13,8 @@ explicit mode:
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, repeat
-from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple
+from itertools import accumulate, chain, repeat, starmap
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence, TypeVar
 
 from .base import MobiusMatrix, View, WhitneyVector
 from .errors import InvalidBounds, UndefinedRank
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 GridMode = Literal["strict", "weak"]
+_T = TypeVar("_T")
 
 
 class GridElement(NamedTuple):
@@ -66,8 +67,7 @@ class GridPoset(View):
     @cached_property
     def elements(self) -> tuple[GridElement, ...]:
         """Every label, l-major with m ascending: the engine's order."""
-        k, n, gap = self.k, self.n, _gap(self.mode)
-        return tuple(GridElement(l, m) for l in range(k + 1) for m in range(l + gap, n + 1))
+        return tuple(starmap(GridElement, _label_rows(self, False)))
 
     def cover_blocks(self) -> Iterator[tuple[GridElement, tuple[GridElement, ...]]]:
         """(e, its 0-2 covers) for every element e in element order: the unit
@@ -111,6 +111,15 @@ def _gap(mode: GridMode) -> int:
     return 1 if mode == "strict" else 0
 
 
+def _label_rows(g: GridPoset, ranks: bool) -> Iterator[tuple[int, ...]]:
+    """(l, m) for every label in element order, or (l, m, l + m - gap) when
+    `ranks`, from range arithmetic alone: no GridElement and no dict."""
+    gap = _gap(g.mode)
+    for l in range(g.k + 1):
+        ls, ms = repeat(l), range(l + gap, g.n + 1)
+        yield from zip(ls, ms, range(2 * l, l + g.n + 1 - gap)) if ranks else zip(ls, ms)
+
+
 def _row_starts(g: GridPoset) -> list[int]:
     """start[b]: where row b, (b, b + gap) .. (b, n), begins in g.elements;
     the row is elements[start[b] : start[b + 1]], for b = 0 .. k."""
@@ -134,34 +143,68 @@ def build_grid(k: int, n: int, mode: GridMode = "strict") -> GridPoset:
 
 
 def _mobius_blocks(
-    g: GridPoset,
-) -> Iterator[tuple[GridElement, tuple[GridElement, ...], list[int]]]:
-    """(x, ys, mus) for each x = (l, m) in element order and each row b >= l:
-    ys are the y >= x in row b, in element order, and mus their mu(x, y).
+    g: GridPoset, labels: Sequence[_T]
+) -> Iterator[tuple[_T, Sequence[_T], tuple[int, ...]]]:
+    """(x, ys, head) for each x = (l, m) in element order and each row b >= l:
+    ys are the y >= x in row b, in element order, and head the nonzero mu(x, y)
+    that lead them; every later y in ys has mu 0.  Each element is given as
+    its entry of `labels`, one per element in element order: the elements
+    themselves, or their text.
 
     The grid is closed under componentwise min and max, so it is a
     distributive sublattice of N^2 and mu(x, y) is nonzero only on Boolean
     intervals (Stanley, EC1 3.9): mu = 1 at x = y, -1 on a cover, +1 at
-    x + (1, 1) when x has two covers, and 0 otherwise.  So mus is 0 but for a
-    head, cut to len(ys): (1, -1) in row l, and (-1, 1) in row l + 1 when
-    (l + 1, m) is present.
+    x + (1, 1) when x has two covers, and 0 otherwise.  So the head, cut to
+    len(ys), is (1, -1) in row l, (-1, 1) in row l + 1 when (l + 1, m) is
+    present, and empty otherwise.
     """
-    els, gap, start = g.elements, _gap(g.mode), _row_starts(g)
-    for x in els:
-        l, m = x
+    gap, start = _gap(g.mode), _row_starts(g)
+    for x, (l, m) in zip(labels, _label_rows(g, False)):
         for b in range(l, g.k + 1):
             # The y >= x in row b are its suffix from (b, max(m, b + gap)).
-            ys = els[start[b] + max(m - b - gap, 0) : start[b + 1]]
+            ys = labels[start[b] + max(m - b - gap, 0) : start[b + 1]]
             head = (1, -1) if b == l else (-1, 1) if b == l + 1 and m >= b + gap else ()
-            yield x, ys, [*head, *repeat(0, len(ys))][: len(ys)]
+            yield x, ys, head[: len(ys)]
 
 
 def grid_mobius(k: int, n: int, mode: GridMode = "strict") -> MobiusMatrix:
     """The Möbius matrix from _mobius_blocks: every comparable pair, x-major in element order."""
+    g = build_grid(k, n, mode)
     entries: dict[tuple[GridElement, GridElement], int] = {}
-    for x, ys, mus in _mobius_blocks(build_grid(k, n, mode)):
-        entries.update(zip(zip(repeat(x), ys), mus))
+    for x, ys, head in _mobius_blocks(g, g.elements):
+        entries.update(zip(zip(repeat(x), ys), chain(head, repeat(0))))
     return MobiusMatrix(entries)
+
+
+def _mobius_chunks(g: GridPoset, frame: tuple[str, str, str, str], bound: int) -> Iterator[str]:
+    """The rows (x_l, x_m, y_l, y_m, mu) of _mobius_blocks as text in a row
+    frame (cell separator, text before and after each row, text between
+    rows), with nothing before the first row or after the last.
+
+    Each label's cells 'l<sep>m<sep>' are formatted once.  A block is written
+    as its 0-2 head rows, then its zero run as one join over the cells of its
+    ys.  A chunk is cut at a block boundary once `bound` characters are
+    pending, so every one but the last holds fewer than `bound` + (the
+    longest block's text) characters; the next one starts with the text
+    between rows.
+    """
+    sep, start, end, between = frame
+    cells = [f"{l}{sep}{m}{sep}" for l, m in _label_rows(g, False)]
+    chunk: list[str] = []
+    pending, lead = 0, ""
+    for x, ys, head in _mobius_blocks(g, cells):
+        pre = start + x
+        rows = [f"{pre}{y}{mu}{end}" for y, mu in zip(ys, head)]
+        if len(ys) > len(head):
+            rows.append(pre + f"0{end}{between}{pre}".join(ys[len(head) :]) + "0" + end)
+        text = between.join(rows)
+        chunk.append(text)
+        pending += len(text)
+        if pending >= bound:
+            yield lead + between.join(chunk)
+            chunk, pending, lead = [], 0, between
+    if chunk:
+        yield lead + between.join(chunk)
 
 
 def size_formula(k: int, n: int) -> int:

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from itertools import groupby
 from math import comb
 
 import pytest
 
 import cobweb.poset
+from cobweb import cli
 from cobweb import (
     BudgetExceeded,
     FinitePoset,
@@ -29,7 +32,7 @@ from cobweb import (
     whitney,
 )
 from cobweb._memo import Memo
-from cobweb.grid import _mobius_blocks
+from cobweb.grid import _mobius_blocks, _mobius_chunks
 
 
 def _valid_grids(n_max):
@@ -188,7 +191,9 @@ def test_grid_mobius_matches_engine():
                 els = g.elements
                 pairs = [(x, y) for x in els for y in els if x.l <= y.l and x.m <= y.m]
                 assert list(entries) == pairs, (k, n, mode)
-                assert all(len(ys) == len(mus) for _, ys, mus in _mobius_blocks(g)), (k, n, mode)
+                # Each head is nonzero and cut to its ys; the rest of ys has mu 0.
+                assert all(len(head) <= len(ys) and all(head)
+                           for _, ys, head in _mobius_blocks(g, els)), (k, n, mode)
 
 
 def test_grid_mobius_bounds():
@@ -196,6 +201,44 @@ def test_grid_mobius_bounds():
         grid_mobius(2, 2, "strict")
     with pytest.raises(ValueError):
         grid_mobius(1, 2, "loose")
+
+
+def _mobius_record(k, n, mode, rows):
+    return cli.OutputRecord("mobius", {"k": k, "n": n, "mode": mode},
+                            columns=("x_l", "x_m", "y_l", "y_m", "mu"), rows=rows)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_mobius_chunks_equal_render_over_the_plain_rows(fmt):
+    # k = 0, weak k = n and strict n = k + 1, then seeded small grids.
+    grids = [(0, 0, "weak"), (0, 1, "strict"), (0, 5, "weak"), (6, 6, "weak"), (5, 6, "strict")]
+    grids += random.Random(31).sample(list(_valid_grids(14)), 16)
+    for k, n, mode in grids:
+        rows = [(*x, *y, mu) for (x, y), mu in grid_mobius(k, n, mode).entries.items()]
+        expected = "".join(cli._render(_mobius_record(k, n, mode, rows), fmt))
+        head, _, frame, tail = cli._LAYOUTS[fmt](_mobius_record(k, n, mode, ()))
+        for bound in (1, 50, cli._BATCH_CHARS):
+            text = head + "".join(_mobius_chunks(build_grid(k, n, mode), frame, bound)) + tail
+            assert text == expected, (k, n, mode, bound)
+
+
+@pytest.mark.parametrize("k, n, mode", [(10, 31, "weak"), (20, 60, "strict")])
+def test_mobius_chunks_are_cut_at_blocks_within_the_bound(k, n, mode):
+    bound = cli._BATCH_CHARS
+    chunks = list(_mobius_chunks(build_grid(k, n, mode), (" ", "", "\n", ""), bound))
+    assert len(chunks) > 2
+
+    def block(line):  # x and the row of y
+        return line.split()[:3]
+
+    lines = "".join(chunks).splitlines(keepends=True)
+    longest = max(sum(map(len, run)) for _, run in groupby(lines, block))
+    for i, chunk in enumerate(chunks):
+        assert chunk.endswith("\n")
+        if i < len(chunks) - 1:
+            assert bound <= len(chunk) < bound + longest, i
+            assert block(chunk.splitlines()[-1]) != block(chunks[i + 1]), i
+    assert len(lines) == len(grid_mobius(k, n, mode).entries)
 
 
 def test_grid_whitney_matches_engine():

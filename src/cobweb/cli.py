@@ -18,10 +18,11 @@ are written, and the F-nomial tables, prefab Whitney rows and Bell tables,
 which `cobweb.fnomial._cli_rows` produces: `fnomial --table` and `bell --table`
 as they are written when the primitive parts prove no entry non-integral, and
 a large certified table or row in Decimal.  Output is written in chunks, never
-joined into one string: rows in about 64k characters and at most 256 rows a
-chunk, each by one %-template; Möbius rows in the format's row frame by
-`cobweb.grid._mobius_chunks`, about 64k characters a chunk, each block's zero
-run in one join; DOT edge lines about 1,024 a chunk, each source's in one join.
+joined into one string, and `_render` alone sizes them: about 64k characters
+and at most 256 rows or pieces a chunk.  Rows are formatted a batch at a time,
+each by one %-template; the Möbius rows (`cobweb.grid._mobius_chunks`, one
+framed text per block) and DOT (`cobweb.hasse._dot_chunks`, one text per level
+and per source) come as pieces of text, joined as they are.
 
 `main`, the console script, serves one request per process.  Once the output
 is flushed it freezes the collector (`gc.freeze()`), so the interpreter's
@@ -71,7 +72,7 @@ class OutputRecord(NamedTuple):
     rows: Iterable[tuple[int, ...]] | None = None  # read once, as the output is written
     value: int | None = None
     agreement: bool | None = None
-    raw: Iterable[str] | None = None  # chunks written as they are: DOT, or rows already framed
+    raw: Iterable[str] | None = None  # pieces written as they are: DOT, or rows already framed
 
 
 def _seq_from_token(token: str) -> FSequence:
@@ -232,7 +233,7 @@ def _cmd_mobius(ns: argparse.Namespace) -> OutputRecord:
     rec = OutputRecord("mobius", {"k": ns.k, "n": ns.n, "mode": ns.mode},
                        columns=("x_l", "x_m", "y_l", "y_m", "mu"), rows=())
     head, _, frame, tail = _LAYOUTS[ns.format](rec)
-    return rec._replace(raw=chain((head,), _mobius_chunks(g, frame, _BATCH_CHARS), (tail,)))
+    return rec._replace(raw=chain((head,), _mobius_chunks(g, frame), (tail,)))
 
 
 def _cmd_dot(ns: argparse.Namespace) -> OutputRecord:
@@ -252,7 +253,7 @@ def _cmd_dot(ns: argparse.Namespace) -> OutputRecord:
         params = {"family": "grid", "k": ns.k, "n": ns.n, "mode": ns.mode}
     if ns.out is not None:
         with open(ns.out, "w", encoding="ascii") as fh:
-            fh.writelines(chunks)
+            fh.writelines(_render(OutputRecord("dot", params, raw=chunks)))
         chunks = ()
     return OutputRecord("dot", params, raw=chunks)
 
@@ -282,7 +283,7 @@ def _cmd_problems(ns: argparse.Namespace) -> OutputRecord:
 
 # -- rendering ---------------------------------------------------------------
 
-_BATCH_ROWS = 256  # most rows rendered, then written, per chunk
+_BATCH_ROWS = 256  # most rows or raw pieces per chunk
 _BATCH_CHARS = 1 << 16  # characters a chunk aims at
 
 
@@ -317,14 +318,20 @@ _LAYOUTS = {
 }
 
 
-def _render(rec: OutputRecord, fmt: str) -> Iterator[str]:
-    """The output text as its format's head, the rows in chunks, and its
-    tail; each chunk is rendered only when it is read, so no copy of the
-    whole text is held.  The first chunk is one row; each next one takes as
-    many rows as the last chunk's rows per _BATCH_CHARS characters, but at
-    least one, at most twice the last count and at most _BATCH_ROWS.  Each
-    row is formatted by one %-template: the text before the row, one %s per
-    cell joined by the format's cell separator, and the text after it.
+def _render(rec: OutputRecord, fmt: str = "text") -> Iterator[str]:
+    """The output text in chunks, each rendered only when it is read, so no
+    copy of the whole text is held; the one place that sizes a write.
+
+    A record's `raw` pieces, text already, are joined as they are: a chunk is
+    cut once it reaches _BATCH_CHARS characters or _BATCH_ROWS pieces, so
+    every cut falls between two pieces.  Rows, after the format's head and
+    before its tail, are formatted a batch at a time, so a batch's size is
+    known only once it is formatted: the first batch is one row; each next
+    one takes as many rows as the last one's rows per _BATCH_CHARS
+    characters, but at least one, at most twice the last count and at most
+    _BATCH_ROWS.  Each row is formatted by one %-template: the text before
+    the row, one %s per cell joined by the format's cell separator, and the
+    text after it.
 
     Results of any size are exact; the int-to-str digit limit is never
     changed.  Only a batch in which str() refuses an int past the limit is
@@ -333,6 +340,17 @@ def _render(rec: OutputRecord, fmt: str) -> Iterator[str]:
     `_decimal` core, by halving it by powers of ten without it.  A Decimal
     cell, as certified large tables and prefab rows give, is written as %s
     writes it: plain digits, since each is an integer of exponent 0."""
+    if rec.raw is not None:
+        chunk, chars = [], 0
+        for piece in rec.raw:
+            chunk.append(piece)
+            chars += len(piece)
+            if chars >= _BATCH_CHARS or len(chunk) == _BATCH_ROWS:
+                yield "".join(chunk)
+                chunk, chars = [], 0
+        if chunk:
+            yield "".join(chunk)
+        return
     head, rows, (cell_sep, start, end, between), tail = _LAYOUTS[fmt](rec)
     yield head
     rows, lead, size = iter(rows), "", 1
@@ -499,7 +517,7 @@ def run(
             return int(exc.code or 0)
     try:
         rec = ns.handler(ns)
-        out.writelines(rec.raw if rec.raw is not None else _render(rec, ns.format))
+        out.writelines(_render(rec, getattr(ns, "format", "text")))
         out.flush()
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")

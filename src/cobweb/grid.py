@@ -176,35 +176,26 @@ def grid_mobius(k: int, n: int, mode: GridMode = "strict") -> MobiusMatrix:
     return MobiusMatrix(entries)
 
 
-def _mobius_chunks(g: GridPoset, frame: tuple[str, str, str, str], bound: int) -> Iterator[str]:
+def _mobius_chunks(g: GridPoset, frame: tuple[str, str, str, str]) -> Iterator[str]:
     """The rows (x_l, x_m, y_l, y_m, mu) of _mobius_blocks as text in a row
     frame (cell separator, text before and after each row, text between
-    rows), with nothing before the first row or after the last.
+    rows), one text per block, each but the first led by the text between
+    rows: nothing comes before the first row or after the last.
 
     Each label's cells 'l<sep>m<sep>' are formatted once.  A block is written
     as its 0-2 head rows, then its zero run as one join over the cells of its
-    ys.  A chunk is cut at a block boundary once `bound` characters are
-    pending, so every one but the last holds fewer than `bound` + (the
-    longest block's text) characters; the next one starts with the text
-    between rows.
+    ys.  How blocks are joined into writes is the writer's choice.
     """
     sep, start, end, between = frame
     cells = [f"{l}{sep}{m}{sep}" for l, m in _label_rows(g, False)]
-    chunk: list[str] = []
-    pending, lead = 0, ""
+    lead = ""
     for x, ys, head in _mobius_blocks(g, cells):
         pre = start + x
         rows = [f"{pre}{y}{mu}{end}" for y, mu in zip(ys, head)]
         if len(ys) > len(head):
             rows.append(pre + f"0{end}{between}{pre}".join(ys[len(head) :]) + "0" + end)
-        text = between.join(rows)
-        chunk.append(text)
-        pending += len(text)
-        if pending >= bound:
-            yield lead + between.join(chunk)
-            chunk, pending, lead = [], 0, between
-    if chunk:
-        yield lead + between.join(chunk)
+        yield lead + between.join(rows)
+        lead = between
 
 
 def size_formula(k: int, n: int) -> int:

@@ -190,41 +190,34 @@ def to_dot(
     return "".join(_dot_chunks(poset, levels, name))
 
 
-_BATCH_LINES = 1024  # edge lines pending before a chunk is cut
-
-
 def _dot_chunks(
     poset: View | FinitePoset, levels: Mapping[object, int] | None, name: str
 ) -> Iterator[str]:
-    """The text of `to_dot` in chunks, each rendered only when it is read:
-    the header and node lines, whose size the element count bounds, then the
-    edge lines, then the closing brace.
+    """The text of `to_dot` in pieces, each rendered only when it is read:
+    the header, one rank=same line per level (or, without `levels`, one node
+    line per element), one text per source with covers, and the closing
+    brace.  How pieces are joined into writes is the writer's choice.
 
     Each name is formatted once, in element order.  `cover_blocks()` yields
     every element once, in that order, so a source is named by its position.
     A source x with covers ys is written as `pre + pre.join(tails)`, where pre
     is '  "x" -> ' and the tails are '"y";\n', looked up by element; the tails
     of a tuple that consecutive sources share (a cobweb level) are looked up
-    once.  A chunk of edge lines is cut at a source boundary once
-    _BATCH_LINES lines are pending, so every one but the last holds fewer
-    than _BATCH_LINES + (the largest fan-out) lines.
+    once.
     """
     els = poset.elements
     names = list(map(_VIEW_NAME.__mod__ if isinstance(poset, View) else _quote, els))
-    lines = [f"digraph {_quote(name)} {{\n", "  rankdir=BT;\n"]
-    if levels is not None and names:
+    yield f"digraph {_quote(name)} {{\n  rankdir=BT;\n"
+    if levels is not None:
         by_level: dict[int, list[str]] = {}
         for q, level in zip(names, map(levels.__getitem__, els)):
             by_level.setdefault(level, []).append(q)
         for level in sorted(by_level):
             members = " ".join(f"{q};" for q in by_level[level])
-            lines.append(f"  {{ rank=same; {members} }}\n")
+            yield f"  {{ rank=same; {members} }}\n"
     else:
-        lines += [f"  {q};\n" for q in names]
-    yield "".join(lines)
+        yield from map("  {};\n".format, names)
     line_end = dict(zip(els, [q + ";\n" for q in names]))
-    chunk: list[str] = []
-    pending = 0
     shared: tuple[object, ...] = ()
     tails: list[str] = []
     for q, (_, ys) in zip(names, poset.cover_blocks()):
@@ -233,11 +226,5 @@ def _dot_chunks(
         if ys is not shared:
             shared, tails = ys, list(map(line_end.__getitem__, ys))
         pre = f"  {q} -> "
-        chunk.append(pre + pre.join(tails))
-        pending += len(ys)
-        if pending >= _BATCH_LINES:
-            yield "".join(chunk)
-            chunk, pending = [], 0
-    if chunk:
-        yield "".join(chunk)
+        yield pre + pre.join(tails)
     yield "}\n"

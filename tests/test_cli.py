@@ -382,6 +382,43 @@ def test_render_tables_of_any_shape_equal_lifted_str(count, width, pool, past, f
         sys.set_int_max_str_digits(limit)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    count=st.sampled_from((0, 1, 2, 255, 256, 257, 700)),
+    pool=st.lists(st.one_of(st.just(""), st.text("ab\n", max_size=30)), min_size=1, max_size=6),
+    large=st.lists(st.tuples(st.integers(0, 700), st.integers(-2, cli._BATCH_CHARS + 2)),
+                   max_size=3),
+)
+def test_render_joins_raw_pieces_between_pieces(count, pool, large):
+    # Short pieces (empty ones among them) cycled from a pool, with up to
+    # three pieces of about _BATCH_CHARS characters or more put in.
+    pieces = list(itertools.islice(itertools.cycle(pool), count))
+    for at, extra in large:
+        pieces.insert(at, "x" * (cli._BATCH_CHARS + extra))
+    taken = 0
+
+    def source():
+        nonlocal taken
+        for piece in pieces:
+            taken += 1
+            yield piece
+
+    cuts = [0]
+    chunks = []
+    for chunk in cli._render(cli.OutputRecord("t", {}, raw=source())):
+        chunks.append(chunk)
+        cuts.append(taken)
+    assert "".join(chunks) == "".join(pieces)
+    for i, chunk in enumerate(chunks):
+        # A chunk is the pieces read since the last cut, and no more.
+        run = pieces[cuts[i] : cuts[i + 1]]
+        assert chunk == "".join(run) and 0 < len(run) <= cli._BATCH_ROWS, i
+        if i < len(chunks) - 1:  # cut as soon as it reaches either bound
+            assert len(chunk) >= cli._BATCH_CHARS or len(run) == cli._BATCH_ROWS, i
+            assert len(chunk) - len(run[-1]) < cli._BATCH_CHARS, i
+    assert cuts[-1] == len(pieces)
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv"])
 def test_render_cuts_chunks_by_size(fmt):
     big = 7**4000  # 3,381 digits
@@ -699,7 +736,7 @@ def test_failed_output_write_is_one_error_line(exc, line):
     for argv in [
         ["mobius", "--k", "10", "--n", "31", "--format", "json"],
         ["fnomial", "--seq", "fibonacci", "--table", "60", "--format", "csv"],
-        ["dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "10"],
+        ["dot", "--family", "cobweb", "--seq", "fibonacci", "--levels", "12"],  # 8 chunks
     ]:
         out, err = _RefusingOut(exc, writes=3), StringIO()
         assert cli.run(argv, out, err) == 1, argv

@@ -1,3 +1,4 @@
+import argparse
 import random
 from fractions import Fraction
 from itertools import groupby
@@ -214,18 +215,35 @@ def test_mobius_chunks_equal_render_over_the_plain_rows(fmt):
     grids = [(0, 0, "weak"), (0, 1, "strict"), (0, 5, "weak"), (6, 6, "weak"), (5, 6, "strict")]
     grids += random.Random(31).sample(list(_valid_grids(14)), 16)
     for k, n, mode in grids:
+        g = build_grid(k, n, mode)
         rows = [(*x, *y, mu) for (x, y), mu in grid_mobius(k, n, mode).entries.items()]
         expected = "".join(cli._render(_mobius_record(k, n, mode, rows), fmt))
         head, _, frame, tail = cli._LAYOUTS[fmt](_mobius_record(k, n, mode, ()))
-        for bound in (1, 50, cli._BATCH_CHARS):
-            text = head + "".join(_mobius_chunks(build_grid(k, n, mode), frame, bound)) + tail
-            assert text == expected, (k, n, mode, bound)
+        pieces = list(_mobius_chunks(g, frame))
+        assert head + "".join(pieces) + tail == expected, (k, n, mode)
+        assert len(pieces) == sum(1 for _ in _mobius_blocks(g, g.elements)), (k, n, mode)
 
 
 @pytest.mark.parametrize("k, n, mode", [(10, 31, "weak"), (20, 60, "strict")])
 def test_mobius_chunks_are_cut_at_blocks_within_the_bound(k, n, mode):
+    # The chunks the mobius command writes: its pieces are the header, one
+    # text per block and the (empty) tail, and _render cuts a chunk between
+    # two of them once it reaches _BATCH_CHARS characters or _BATCH_ROWS pieces.
     bound = cli._BATCH_CHARS
-    chunks = list(_mobius_chunks(build_grid(k, n, mode), (" ", "", "\n", ""), bound))
+    rec = cli._cmd_mobius(argparse.Namespace(k=k, n=n, mode=mode, format="text"))
+    pieces = list(rec.raw)
+    taken = 0
+
+    def source():
+        nonlocal taken
+        for piece in pieces:
+            taken += 1
+            yield piece
+
+    cuts, chunks = [0], []
+    for chunk in cli._render(rec._replace(raw=source())):
+        chunks.append(chunk)
+        cuts.append(taken)
     assert len(chunks) > 2
 
     def block(line):  # x and the row of y
@@ -234,11 +252,13 @@ def test_mobius_chunks_are_cut_at_blocks_within_the_bound(k, n, mode):
     lines = "".join(chunks).splitlines(keepends=True)
     longest = max(sum(map(len, run)) for _, run in groupby(lines, block))
     for i, chunk in enumerate(chunks):
-        assert chunk.endswith("\n")
+        assert chunk.endswith("\n"), i
         if i < len(chunks) - 1:
-            assert bound <= len(chunk) < bound + longest, i
+            run = cuts[i + 1] - cuts[i]
+            assert len(chunk) >= bound or run == cli._BATCH_ROWS, i
+            assert len(chunk) < bound + longest, i
             assert block(chunk.splitlines()[-1]) != block(chunks[i + 1]), i
-    assert len(lines) == len(grid_mobius(k, n, mode).entries)
+    assert len(lines) == 1 + len(grid_mobius(k, n, mode).entries)
 
 
 def test_grid_whitney_matches_engine():

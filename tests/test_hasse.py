@@ -400,31 +400,19 @@ def test_view_blocks_keep_the_engine_contract():
                     check(els, hasse._level_blocks(els, c.widths, lo, hi))
 
 
-def _edge_chunks(poset):
-    chunks = list(hasse._dot_chunks(poset, None, "p"))
-    assert chunks[-1] == "}\n" and "->" not in chunks[0]
-    return chunks[1:-1]
-
-
-@pytest.mark.parametrize(
-    "poset, fan_out",
-    [(build_cobweb(FIBONACCI, 13), 233), (build_grid(20, 60, "weak"), 2)],
-    ids=["fibonacci13", "grid_weak_20_60"],
-)
-def test_edge_chunks_are_cut_at_sources_within_the_bound(poset, fan_out):
-    assert max(len(ys) for _, ys in poset.cover_blocks()) == fan_out
-    chunks = _edge_chunks(poset)
-    assert len(chunks) > 2
-    seen = set()
-    for i, chunk in enumerate(chunks):
-        lines = chunk.splitlines()
-        assert chunk.endswith("\n") and all(" -> " in line for line in lines)
-        if i < len(chunks) - 1:
-            assert hasse._BATCH_LINES <= len(lines) < hasse._BATCH_LINES + fan_out, i
-        sources = {line.split(" -> ")[0] for line in lines}
-        assert not sources & seen, i  # no source is split across chunks
-        seen |= sources
-    assert "".join(chunks).count("\n") == sum(1 for _ in poset.covers)
+@pytest.mark.parametrize("poset", [build_cobweb(FIBONACCI, 13), build_grid(20, 60, "weak")],
+                         ids=["fibonacci13", "grid_weak_20_60"])
+def test_dot_pieces_are_one_level_node_or_source_each(poset):
+    levels = poset.level_of()
+    sources = sum(1 for _, ys in poset.cover_blocks() if ys)
+    for lv, nodes in ((levels, len(set(levels.values()))), (None, len(poset))):
+        pieces = list(hasse._dot_chunks(poset, lv, "p"))
+        assert "".join(pieces) == to_dot(poset.poset, lv, "p")
+        assert (pieces[0], pieces[-1]) == ('digraph "p" {\n  rankdir=BT;\n', "}\n")
+        assert len(pieces) == 1 + nodes + sources + 1
+        assert all(piece.count("\n") == 1 and "->" not in piece for piece in pieces[1 : 1 + nodes])
+        for piece in pieces[1 + nodes : -1]:
+            assert len({line.split(" -> ")[0] for line in piece.splitlines()}) == 1
 
 
 @pytest.mark.parametrize("view", [build_cobweb(NATURALS, 12), build_grid(6, 15, "strict")],

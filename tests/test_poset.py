@@ -15,6 +15,7 @@ from cobweb import (
     NoUniqueMinimum,
     NotAPartialOrder,
     NotGraded,
+    grid_chain_count,
     maximal_chains,
     mobius,
     rank_function,
@@ -165,10 +166,19 @@ def test_enumerate_budget():
         maximal_chains(p, "enumerate")
 
 
-def test_count_budget():
-    p = FinitePoset(range(10_001), [])
-    with pytest.raises(BudgetExceeded):
-        maximal_chains(p)
+def test_count_budget(monkeypatch):
+    # A count over an engine that exists is one pass over its covers: nothing
+    # is left to save by refusing it.
+    assert maximal_chains(FinitePoset(range(10_001), [])) == 10_001
+
+    # The budget stays where it saves work: a brute count over a view is
+    # refused on the view's closed-form size, before anything is built.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the generic poset engine was built")
+
+    monkeypatch.setattr(FinitePoset, "__init__", refuse)
+    with pytest.raises(BudgetExceeded, match="^15251 elements exceed the count budget 10000$"):
+        grid_chain_count(100, 200, "weak", "brute")
 
 
 def test_bad_mode():

@@ -115,3 +115,37 @@ def test_every_module_imports_with_warnings_as_errors():
     done = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def _bound_names(tree):
+    """(line, name) for each name a module binds: by assignment, import,
+    definition or parameter."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.alias):
+            yield node.lineno, (node.asname or node.name).split(".")[0]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.arg):
+            yield node.lineno, node.arg
+
+
+def test_only_the_cli_writer_sizes_a_chunk():
+    # `cli._render` joins every output into its writes; the producers of
+    # pieces (Möbius blocks, DOT levels and sources) take no size.
+    found = [
+        f"{path.relative_to(SRC)}:{lineno}: {name}"
+        for path in MODULES if path != SRC / "cobweb" / "cli.py"
+        for lineno, name in _bound_names(ast.parse(path.read_text(encoding="utf-8")))
+        if name.startswith("_BATCH")
+    ]
+    assert found == [], "size chunks in cobweb.cli._render only"
+    producers = {"grid.py": ("_mobius_chunks", ["g", "frame"]),
+                 "hasse.py": ("_dot_chunks", ["poset", "levels", "name"])}
+    for module, (name, params) in producers.items():
+        tree = ast.parse((SRC / "cobweb" / module).read_text(encoding="utf-8"))
+        fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name)
+        args = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+        assert [a.arg for a in args] == params, name
+        assert fn.args.vararg is fn.args.kwarg is None, name

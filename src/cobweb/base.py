@@ -1,13 +1,17 @@
 """Types several modules share: the Möbius and Whitney records that both the
 engine (`cobweb.poset`) and the closed-form grid return, and the base of the
-two closed-form views.  Nothing here loads the engine.
+two closed-form views, with `_cut`, which both views use to cut their labels
+into rows.  Nothing here loads the engine.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Literal, NamedTuple
+from itertools import accumulate
+from typing import Hashable, Iterable, Iterator, Literal, NamedTuple, Sequence, TypeVar
 
 __all__ = ["MobiusMatrix", "WhitneyVector", "View"]
+
+_T = TypeVar("_T")
 
 
 class MobiusMatrix(NamedTuple):
@@ -35,13 +39,24 @@ def _cover_pairs(
     return ((x, y) for x, ys in blocks for y in ys)
 
 
+def _cut(labels: Sequence[_T], widths: Iterable[int]) -> list[Sequence[_T]]:
+    """`labels` cut into consecutive rows of the given widths, each a slice."""
+    starts = list(accumulate(widths, initial=0))
+    return [labels[a:b] for a, b in zip(starts, starts[1:])]
+
+
 class View:
     """A poset generated from the parameters named in `_fields`, which a
     subclass's __init__ stores, and its covers from the subclass's
-    `cover_blocks()`.  A view compares, hashes and prints by its
+    `_blocks(labels)`.  A view compares, hashes and prints by its
     parameters, and assigning or deleting one raises AttributeError.  Unlike
     a NamedTuple it has an instance __dict__, where cached_property keeps
     what it computes.
+
+    A subclass defines `elements` and `_blocks(labels)`: the cover blocks
+    with each element given as its entry of `labels`, one per element in
+    element order, so callers that want names or text instead of elements
+    (DOT) cut them by the same rule and look nothing up by element.
     """
 
     _fields: tuple[str, ...]
@@ -71,7 +86,7 @@ class View:
         """(x, the elements covering x) for every element x, each once and in
         element order, x never in its own tuple; consecutive elements may
         share one tuple object, and then share one set in the engine."""
-        raise NotImplementedError
+        return self._blocks(self.elements)
 
     @property
     def covers(self) -> Iterator[tuple[Hashable, Hashable]]:

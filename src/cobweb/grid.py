@@ -13,10 +13,10 @@ explicit mode:
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate, chain, repeat, starmap
-from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence, TypeVar
+from itertools import chain, repeat, starmap
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Sequence
 
-from .base import MobiusMatrix, View, WhitneyVector
+from .base import MobiusMatrix, View, WhitneyVector, _cut, _T
 from .errors import InvalidBounds, UndefinedRank
 
 if TYPE_CHECKING:
@@ -39,7 +39,6 @@ __all__ = [
 ]
 
 GridMode = Literal["strict", "weak"]
-_T = TypeVar("_T")
 
 
 class GridElement(NamedTuple):
@@ -69,21 +68,20 @@ class GridPoset(View):
         """Every label, l-major with m ascending: the engine's order."""
         return tuple(starmap(GridElement, _label_rows(self, False)))
 
-    def cover_blocks(self) -> Iterator[tuple[GridElement, tuple[GridElement, ...]]]:
-        """(e, its 0-2 covers) for every element e in element order: the unit
-        steps (l, m) -> (l, m+1), then (l, m) -> (l+1, m), each when the
-        target is present; the engine's cover order."""
-        els, start = self.elements, _row_starts(self)
-        for l in range(self.k + 1):
-            row = els[start[l] : start[l + 1]]
-            if l == self.k:
-                yield from zip(row, zip(row[1:]))
-                yield row[-1], ()
-            else:  # row l + 1 is not empty and starts one m on: row[t] steps up to above[t - 1]
-                above = els[start[l + 1] : start[l + 2]]
-                yield row[0], row[1:2]
-                yield from zip(row[1:-1], zip(row[2:], above))
-                yield row[-1], above[-1:]
+    def _blocks(self, labels: Sequence[_T]) -> Iterator[tuple[_T, Sequence[_T]]]:
+        """(e, its 0-2 covers) for every element e in element order, each given
+        as its entry of `labels`: the unit steps (l, m) -> (l, m+1), then
+        (l, m) -> (l+1, m), each when the target is present; the engine's
+        cover order."""
+        rows = _rows(self, labels)
+        for row, above in zip(rows, rows[1:]):
+            # Row l + 1 is not empty and starts one m on: row[t] steps up to above[t - 1].
+            yield row[0], row[1:2]
+            yield from zip(row[1:-1], zip(row[2:], above))
+            yield row[-1], above[-1:]
+        top = rows[-1]
+        yield from zip(top, zip(top[1:]))
+        yield top[-1], ()
 
     def __len__(self) -> int:
         return size_formula(self.k, self.n) + (self.k + 1 if self.mode == "weak" else 0)
@@ -120,11 +118,12 @@ def _label_rows(g: GridPoset, ranks: bool) -> Iterator[tuple[int, ...]]:
         yield from zip(ls, ms, range(2 * l, l + g.n + 1 - gap)) if ranks else zip(ls, ms)
 
 
-def _row_starts(g: GridPoset) -> list[int]:
-    """start[b]: where row b, (b, b + gap) .. (b, n), begins in g.elements;
-    the row is elements[start[b] : start[b + 1]], for b = 0 .. k."""
-    gap = _gap(g.mode)
-    return list(accumulate((g.n + 1 - b - gap for b in range(g.k + 1)), initial=0))
+def _rows(g: GridPoset, labels: Sequence[_T]) -> list[Sequence[_T]]:
+    """`labels`, one per element in element order, cut into the rows
+    l = 0 .. k: row l holds the labels of (l, l + gap) .. (l, n), one fewer
+    than row l - 1."""
+    w = g.n + 1 - _gap(g.mode)
+    return _cut(labels, range(w, w - g.k - 1, -1))
 
 
 def build_grid(k: int, n: int, mode: GridMode = "strict") -> GridPoset:
@@ -149,22 +148,24 @@ def _mobius_blocks(
     ys are the y >= x in row b, in element order, and head the nonzero mu(x, y)
     that lead them; every later y in ys has mu 0.  Each element is given as
     its entry of `labels`, one per element in element order: the elements
-    themselves, or their text.
+    themselves, or their text.  Both are read from `_rows`: x is entry i of
+    row l, m = l + gap + i, and the y >= x in row b are that row from entry
+    max(l + i - b, 0) on.
 
     The grid is closed under componentwise min and max, so it is a
     distributive sublattice of N^2 and mu(x, y) is nonzero only on Boolean
     intervals (Stanley, EC1 3.9): mu = 1 at x = y, -1 on a cover, +1 at
     x + (1, 1) when x has two covers, and 0 otherwise.  So the head, cut to
     len(ys), is (1, -1) in row l, (-1, 1) in row l + 1 when (l + 1, m) is
-    present, and empty otherwise.
+    present, that is when i > 0, and empty otherwise.
     """
-    gap, start = _gap(g.mode), _row_starts(g)
-    for x, (l, m) in zip(labels, _label_rows(g, False)):
-        for b in range(l, g.k + 1):
-            # The y >= x in row b are its suffix from (b, max(m, b + gap)).
-            ys = labels[start[b] + max(m - b - gap, 0) : start[b + 1]]
-            head = (1, -1) if b == l else (-1, 1) if b == l + 1 and m >= b + gap else ()
-            yield x, ys, head[: len(ys)]
+    rows = _rows(g, labels)
+    for l, row in enumerate(rows):
+        for i, x in enumerate(row):
+            for d, above in enumerate(rows[l:]):  # row b = l + d
+                ys = above[max(i - d, 0) :]
+                head = (1, -1) if d == 0 else (-1, 1) if d == 1 and i > 0 else ()
+                yield x, ys, head[: len(ys)]
 
 
 def grid_mobius(k: int, n: int, mode: GridMode = "strict") -> MobiusMatrix:

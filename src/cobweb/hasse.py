@@ -10,11 +10,11 @@ so the closed-form views and DOT export run without it.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import prod
 from typing import TYPE_CHECKING, Iterator, Mapping, NamedTuple, Sequence
 
-from .base import View
+from .base import View, _cut, _T
 from .errors import BudgetExceeded, InvalidBounds
 
 if TYPE_CHECKING:
@@ -60,15 +60,13 @@ class CobwebPoset(View):
     @cached_property
     def elements(self) -> tuple[CobwebVertex, ...]:
         """Every vertex, level-major with j ascending: the engine's order."""
-        return tuple(
-            CobwebVertex(s, j) for s, w in enumerate(self.widths, 1) for j in range(1, w + 1)
-        )
+        return tuple(chain.from_iterable(_levels(self.widths, 1)))
 
-    def cover_blocks(self) -> Iterator[tuple[CobwebVertex, tuple[CobwebVertex, ...]]]:
-        """(x, the vertices covering x) for every vertex x in element order:
-        the vertices of one level share one tuple, the next level, cut from
-        `elements`."""
-        return _level_blocks(self.elements, self.widths, 1, self.level_max)
+    def _blocks(self, labels: Sequence[_T]) -> Iterator[tuple[_T, Sequence[_T]]]:
+        """(x, the vertices covering x) for every vertex x in element order,
+        each given as its entry of `labels`: `labels` cut into levels, where
+        the vertices of one level share one sequence, the next level."""
+        return _level_blocks(_cut(labels, self.widths))
 
     def __len__(self) -> int:
         return sum(self.widths)
@@ -85,18 +83,21 @@ class CobwebPoset(View):
         return {v: v.s for v in self.elements}
 
 
-def _level_blocks(
-    els: Sequence[CobwebVertex], widths: Sequence[int], lo: int, hi: int
-) -> Iterator[tuple[CobwebVertex, tuple[CobwebVertex, ...]]]:
-    """(x, the vertices covering x) for every x in els, the vertices of levels
-    lo..hi in element order: every x on level s < hi shares the tuple of level
-    s + 1, cut from els, and level hi shares the empty tuple."""
-    start = 0
-    for s in range(lo, hi + 1):
-        end = start + widths[s - 1]
-        above = els[end : end + widths[s]] if s < hi else ()
-        yield from zip(els[start:end], repeat(above))
-        start = end
+def _levels(widths: Sequence[int], first: int) -> list[tuple[CobwebVertex, ...]]:
+    """The vertices of levels first, first + 1, ... of the given widths, one
+    tuple per level."""
+    return [
+        tuple(map(CobwebVertex, repeat(s, w), range(1, w + 1)))
+        for s, w in enumerate(widths, first)
+    ]
+
+
+def _level_blocks(levels: Sequence[Sequence[_T]]) -> Iterator[tuple[_T, Sequence[_T]]]:
+    """(x, the entries covering x) for every entry x of consecutive levels, in
+    order: every x shares the sequence of the next level, and the last level
+    shares the empty tuple."""
+    for level, above in zip(levels, [*levels[1:], ()]):
+        yield from zip(level, repeat(above))
 
 
 def build_cobweb(seq: FSequence, level_max: int) -> CobwebPoset:
@@ -129,21 +130,20 @@ def layer_subposet(c: CobwebPoset, k: int, n: int) -> FinitePoset:
 
 
 def _slice_engine(c: CobwebPoset, k: int, n: int) -> FinitePoset:
-    """The engine of levels k..n, its vertices and cover blocks cut from
-    `c.elements`, from `cobweb.poset._engine`.  The widths of those levels
-    and k determine it, so slices that agree on them share one engine; the
-    key holds no sequence, since the memo's bound charges engines only."""
+    """The engine of levels k..n, from `cobweb.poset._engine`: it makes the
+    vertices of those levels alone, one tuple per level, and their cover
+    blocks from the same tuples.  The widths of those levels and k determine
+    it, so slices that agree on them share one engine; the key holds no
+    sequence, since the memo's bound charges engines only."""
     from .poset import FinitePoset, _engine
 
-    w = c.widths
-    size = sum(w[k - 1 : n])
+    w = c.widths[k - 1 : n]
 
     def build() -> FinitePoset:
-        start = sum(w[: k - 1])
-        els = c.elements[start : start + size]
-        return FinitePoset(els, _blocks=_level_blocks(els, w, k, n))
+        levels = _levels(w, k)
+        return FinitePoset(chain.from_iterable(levels), _blocks=_level_blocks(levels))
 
-    return _engine((w[k - 1 : n], k), size, build)
+    return _engine((w, k), sum(w), build)
 
 
 def layer_chain_count(
@@ -184,8 +184,8 @@ def to_dot(
     displays.
 
     Output is byte-deterministic: nodes in element order, edges in cover
-    order.  The edges are written a source at a time from `cover_blocks()`,
-    so no list of cover pairs is built.
+    order.  The edges are written a source at a time from the cover blocks
+    over the element names, so no list of cover pairs is built.
     """
     return "".join(_dot_chunks(poset, levels, name))
 
@@ -198,12 +198,11 @@ def _dot_chunks(
     line per element), one text per source with covers, and the closing
     brace.  How pieces are joined into writes is the writer's choice.
 
-    Each name is formatted once, in element order.  `cover_blocks()` yields
-    every element once, in that order, so a source is named by its position.
-    A source x with covers ys is written as `pre + pre.join(tails)`, where pre
-    is '  "x" -> ' and the tails are '"y";\n', looked up by element; the tails
-    of a tuple that consecutive sources share (a cobweb level) are looked up
-    once.
+    Each name is formatted once, in element order, and the edges come from
+    `poset._blocks(names)`: the cover blocks with every element given as its
+    name, so nothing is looked up by element.  A source x with covers ys is
+    written as pre, then one join over the names of ys with ';\n' + pre
+    between them, then ';\n', where pre is '  "x" -> '.
     """
     els = poset.elements
     names = list(map(_VIEW_NAME.__mod__ if isinstance(poset, View) else _quote, els))
@@ -217,14 +216,8 @@ def _dot_chunks(
             yield f"  {{ rank=same; {members} }}\n"
     else:
         yield from map("  {};\n".format, names)
-    line_end = dict(zip(els, [q + ";\n" for q in names]))
-    shared: tuple[object, ...] = ()
-    tails: list[str] = []
-    for q, (_, ys) in zip(names, poset.cover_blocks()):
-        if not ys:
-            continue
-        if ys is not shared:
-            shared, tails = ys, list(map(line_end.__getitem__, ys))
-        pre = f"  {q} -> "
-        yield pre + pre.join(tails)
+    for q, ys in poset._blocks(names):
+        if ys:
+            pre = f"  {q} -> "
+            yield pre + f";\n{pre}".join(ys) + ";\n"
     yield "}\n"

@@ -24,7 +24,11 @@ share one tuple (a cobweb level, all covered by the next level) share one
 successor set: the topological sort takes its edges away once, and the
 sweep finds its closure and its sorted cover list once, for the run of
 elements that share it, which then share that one list.  `maximal_chains`
-counts a shared list once, and `cover_blocks()` yields one tuple for it.
+counts a shared list once.  The blocks come back out through one rule,
+`_blocks(labels)`, with every element given as its entry of `labels` (one
+per element, in index order), and one tuple for a shared list:
+`cover_blocks()` is `_blocks(elements)`, and DOT reads `_blocks(names)`.
+The views keep the same rule and the same sharing, over rows of labels.
 
 The views' `.poset` and `layer_subposet` find or build every engine through
 `_engine`, which checks the count budget first and keeps engines in
@@ -41,7 +45,7 @@ from collections import defaultdict
 from typing import Callable, Hashable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from ._memo import Memo
-from .base import MobiusMatrix, WhitneyVector, _cover_pairs
+from .base import MobiusMatrix, WhitneyVector, _cover_pairs, _T
 from .errors import (
     BudgetExceeded,
     NoUniqueMinimum,
@@ -199,7 +203,11 @@ class FinitePoset:
     def cover_blocks(self) -> Iterator[tuple[Label, tuple[Label, ...]]]:
         """(x, the elements covering x) for every element x, in index order;
         consecutive elements that share one cover list share one tuple."""
-        labels = self._labels
+        return self._blocks(self._labels)
+
+    def _blocks(self, labels: Sequence[_T]) -> Iterator[tuple[_T, tuple[_T, ...]]]:
+        """`cover_blocks()` with each element given as its entry of `labels`,
+        one per element in index order."""
         last, ys = None, ()
         for x, js in zip(labels, self._cover_succ):
             if js is not last:

@@ -378,26 +378,47 @@ def test_cover_blocks_share_one_tuple_per_level():
 
 
 def test_view_blocks_keep_the_engine_contract():
-    """Every view sends the engine each element once, in element order, with
-    only elements of the view as its covers and never itself among them."""
+    """Every view and engine sends each element once, in element order, with
+    only elements of the poset as its covers and never itself among them.
+    `_blocks(names)` is `cover_blocks()` with every element given as its
+    name, and shares one covers sequence exactly where `cover_blocks()` does."""
 
-    def check(elements, blocks):
-        blocks = list(blocks)
-        assert [x for x, _ in blocks] == list(elements)
-        present = set(elements)
+    def check(p):
+        blocks = list(p.cover_blocks())
+        assert [x for x, _ in blocks] == list(p.elements)
+        present = set(p.elements)
         assert all(x not in ys and present.issuperset(ys) for x, ys in blocks)
+        names = [f"v{i}" for i in range(len(p.elements))]
+        name = dict(zip(p.elements, names)).__getitem__
+        named = list(p._blocks(names))
+        assert [(q, list(qs)) for q, qs in named] == [
+            (name(x), list(map(name, ys))) for x, ys in blocks
+        ]
+        shared = [[a is b for (_, a), (_, b) in zip(bs, bs[1:])] for bs in (blocks, named)]
+        assert shared[0] == shared[1]
 
     for k, n, mode in _valid_grids(8):
         g = build_grid(k, n, mode)
-        check(g.elements, g.cover_blocks())
+        check(g)
+        check(g.poset)
     for seq in BUILTINS:
         for level_max in range(1, 7):
             c = build_cobweb(seq, level_max)
-            check(c.elements, c.cover_blocks())
+            check(c)
+            check(c.poset)
             for lo in range(1, level_max):
                 for hi in range(lo + 1, level_max + 1):
-                    els = layer_subposet(c, lo, hi).elements
-                    check(els, hasse._level_blocks(els, c.widths, lo, hi))
+                    check(layer_subposet(c, lo, hi))
+
+
+def test_a_slice_makes_only_its_own_vertices():
+    c = build_cobweb(NATURALS, 140)
+    sub = layer_subposet(c, 139, 140)
+    assert "elements" not in vars(c)
+    assert sub.elements == tuple(
+        CobwebVertex(s, j) for s in (139, 140) for j in range(1, s + 1)
+    )
+    assert len(sub) == 279
 
 
 @pytest.mark.parametrize("poset", [build_cobweb(FIBONACCI, 13), build_grid(20, 60, "weak")],

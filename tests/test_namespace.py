@@ -156,6 +156,17 @@ def test_primitive_parts_load_only_where_a_path_reads_them():
         assert {"cobweb._parts", "cobweb._memo"} <= loaded and "cobweb.poset" not in loaded, argv
 
 
+def test_a_kernel_sized_coefficient_loads_the_parts_it_reads():
+    # The first coefficient past the kernel size in a fresh process loads
+    # cobweb._parts on its own path, and still gives the binomial value.
+    code = (
+        "import math, cobweb\n"
+        "value = cobweb.FNomialTable(cobweb.NATURALS).fnomial(14000, 7000)\n"
+        "assert value == math.comb(14000, 7000)\n"
+    )
+    assert {"cobweb._parts", "cobweb._memo"} <= _loaded_after(code)
+
+
 def test_start_up_paths_load_no_dataclasses_or_inspect():
     argvs = [
         ["seq", "--seq", "fibonacci", "--count", "5"],

@@ -4,7 +4,6 @@ import random
 from collections import Counter
 from fractions import Fraction
 from io import StringIO
-from unittest import mock
 
 import pytest
 
@@ -13,8 +12,6 @@ from cobweb import (
     FIBONACCI,
     NATURALS,
     FNomialTable,
-    FSequence,
-    IndexOutOfDomain,
     NonIntegral,
     _parts,
     bell_f,
@@ -27,16 +24,8 @@ from cobweb import (
     whitney_prefab,
     whitney_row,
 )
-from cobweb._memo import Memo
-from test_paths import REGISTRY, _prefab_by_product, entry_results
-
-
-@pytest.fixture
-def memo(monkeypatch):
-    """A fresh memo in place of the process-wide one."""
-    fresh = Memo(_parts.MEMO_BITS)
-    monkeypatch.setattr(_parts, "MEMO", fresh)
-    return fresh
+from test_parts import _CHANGING, _cost, _mersenne, model
+from test_paths import REGISTRY
 
 
 def fnomial_by_product(seq, n, k):
@@ -121,113 +110,63 @@ def test_non_integral_propagates():
         bell_f(lumpy, 3)
 
 
-def test_value_equal_sequences_share_one_table(memo):
-    vals = [2**s - 1 for s in range(1, 20)]
-    expected = sum(fnomial_by_product(from_values("m", vals), 6 - k, k) for k in range(4))
-    for _ in range(1000):
-        assert bell_f(from_values("m", vals), 6) == expected
-    assert list(memo.entries) == [(from_values("m", vals).rule, 6)]
+def test_value_equal_sequences_share_one_table():
+    with model() as m:
+        for _ in range(20):
+            m.call("sum", from_values("m", [2**s - 1 for s in range(1, 20)]), 6)
 
 
 # -- one row and one table per prefix, kept on its entry in _parts.MEMO --------
 
 
-def prefab_results(seq, n):
-    """whitney_row, bell_f and bell_f_table of seq at n, each as its value or
-    as the type, message and quotient of the error it raises."""
-    out = []
-    for fn in (lambda: whitney_row(seq, n).values, lambda: bell_f(seq, n),
-               lambda: bell_f_table(seq, n).values):
-        try:
-            out.append(fn())
-        except Exception as exc:
-            out.append((type(exc), str(exc), getattr(exc, "numerator", None)))
-    return out
+def test_each_row_and_table_is_computed_once_per_prefix():
+    with model() as m:
+        for _ in range(3):
+            for n in (40, 80):
+                for seq in (FIBONACCI, NATURALS, _mersenne(100)):
+                    for kind in ("row", "sum", "table"):
+                        m.call(kind, seq, n)
 
 
-def _mersenne(count):  # rebuilt for each call, so only its values find the entry
-    return from_values("mersenne", [2**s - 1 for s in range(1, count + 1)])
+def test_a_rule_whose_values_change_gets_fresh_results():
+    with model() as m:
+        for terms in ("naturals", "fibonacci", "sevens", "naturals"):
+            m.terms[:] = _CHANGING[terms]
+            for kind in ("row", "sum", "table"):
+                m.call(kind, m.changing, 40)
+        m.terms[29] = 31  # (30 over 2)_F = 31 * 29 / 2
+        for kind in ("row", "sum", "table"):
+            m.call(kind, m.changing, 40)
 
 
-def test_each_row_and_table_is_computed_once_per_prefix(memo, monkeypatch):
-    seqs = (lambda: FIBONACCI, lambda: NATURALS, lambda: _mersenne(100))
-    calls = [(seq, n) for _ in range(3) for n in (40, 80) for seq in seqs]
-    with mock.patch.object(_parts, "MEMO", Memo(0)):
-        unmemoized = [prefab_results(seq(), n) for seq, n in calls]
-    counts = Counter()
-    row, sums = prefab._row, prefab._bell_sums
-    monkeypatch.setattr(prefab, "_row", lambda vals: counts.update([("row", *vals)]) or row(vals))
-    monkeypatch.setattr(prefab, "_bell_sums", lambda seq, n: counts.update(
-        [("bell", *seq.values(n))]) or sums(seq, n))
-    assert [prefab_results(seq(), n) for seq, n in calls] == unmemoized
-    expected = {(kind, *seq().values(n)) for kind in ("row", "bell") for seq in seqs
-                for n in (40, 80)}
-    assert set(counts) == expected and set(counts.values()) == {1}
-    assert set(memo.entries) == {(seq().rule, n) for seq in seqs for n in (40, 80)}
-    # prefab needs no sieve
-    assert all(set(entry_results(e)) == {"row", "sum", "bell"} for e, _ in memo.entries.values())
-
-
-def test_a_rule_whose_values_change_gets_fresh_results(memo):
-    terms = list(range(1, 41))
-    seq = FSequence("mutable", lambda s: terms[s - 1])
-    naturals = _prefab_by_product(seq, 40)
-    assert prefab_results(seq, 40) == naturals
-    terms[:] = [1, 1]
-    while len(terms) < 40:
-        terms.append(terms[-1] + terms[-2])
-    fibonacci = _prefab_by_product(seq, 40)
-    assert fibonacci != naturals and prefab_results(seq, 40) == fibonacci
-    terms[:] = range(1, 41)
-    terms[29] = 31  # (30 over 2)_F = 31 * 29 / 2
-    assert [r[0] for r in prefab_results(seq, 40)] == [NonIntegral] * 3
-    terms[29] = 30
-    assert prefab_results(seq, 40) == naturals
-
-
-def test_errors_are_raised_afresh_on_every_call(memo, tmp_path):
+def test_errors_are_raised_afresh_on_every_call(tmp_path):
     short = tmp_path / "short.txt"
     short.write_text("".join(f"{s}\n" for s in range(1, 11)))
     lumpy = tmp_path / "lumpy.txt"
     lumpy.write_text("2\n3\n4\n")
-    cases = {
-        (from_values("lumpy", [2, 3, 4]), 3): [NonIntegral] * 3,
-        (from_file(str(short)), 12): [IndexOutOfDomain] * 3,
-        # The table stops at the NonIntegral of row 3 before it runs out of terms.
-        (from_file(str(lumpy)), 10): [IndexOutOfDomain, IndexOutOfDomain, NonIntegral],
-        (NATURALS, -1): [ValueError] * 3,
-    }
-    with mock.patch.object(_parts, "MEMO", Memo(0)):
-        unmemoized = {case: prefab_results(*case) for case in cases}
-    for _ in range(3):
-        for case, errors in cases.items():
-            results = prefab_results(*case)
-            assert results == unmemoized[case] and [r[0] for r in results] == errors, case
-    assert unmemoized[from_file(str(short)), 12][2][1].endswith("up to index 10, got 11")
-    assert [r[1] for r in unmemoized[NATURALS, -1]] == [
-        "need n >= 0, got -1", "need n >= 0, got -1", "need n_max >= 0, got -1"]
-    assert all(entry_results(e) == {} for e, _ in memo.entries.values())
+    # The lumpy table stops at the NonIntegral of row 3 before it runs out of terms.
+    with model() as m:
+        for _ in range(3):
+            for seq, n in ((from_values("lumpy", [2, 3, 4]), 3), (from_file(str(short)), 12),
+                           (from_file(str(lumpy)), 10)):
+                for kind in ("row", "sum", "table"):
+                    m.call(kind, seq, n)
+    for read in (whitney_row, bell_f):
+        with pytest.raises(ValueError, match=r"^need n >= 0, got -1$"):
+            read(NATURALS, -1)
 
 
-def test_prefab_results_filling_the_memo_stay_within_its_bits(memo):
-    for n in range(100, 251):
-        seq = _mersenne(250)
-        assert whitney_row(seq, n).values[-1] == fnomial_by_product(seq, n - n // 2, n // 2)
-        assert memo.charged == sum(e.bits for e, _ in memo.entries.values()) <= _parts.MEMO_BITS
-    assert 10 < len(memo.entries) < 151
-    assert all("row" in entry_results(e) for e, _ in memo.entries.values())
+def test_prefab_results_filling_the_memo_stay_within_its_bits():
+    with model(200_000) as m:
+        for n in range(100, 251, 10):
+            m.call("row", _mersenne(250), n)
 
 
-def test_a_result_past_the_bound_is_returned_but_not_stored(monkeypatch):
-    seq = _mersenne(100)
-    entry_bits = _parts._bits(seq.rule.vals)
-    memo = Memo(entry_bits + 1000)
-    monkeypatch.setattr(_parts, "MEMO", memo)
-    expected = _prefab_by_product(seq, 100)
-    for _ in range(2):
-        assert prefab_results(seq, 100) == expected
-        [(e, charged)] = memo.entries.values()
-        assert (entry_results(e), charged) == ({}, entry_bits)
+def test_a_result_past_the_bound_is_returned_but_not_stored():
+    with model(_cost(_mersenne(100).rule.vals) + 1000) as m:
+        for _ in range(2):
+            for kind in ("row", "sum", "table"):
+                m.call(kind, _mersenne(100), 100)
 
 
 # -- the ratio recurrences against the product oracle --------------------------

@@ -10,8 +10,9 @@ PYTHONPATH at the copy and hypothesis deadlines off, so that a loaded host
 cannot fail a test by its clock and fake a kill, and shrinking off, since a
 failing example is not shown.  A mutant is killed when
 pytest fails, survives when it passes, and times out after TIMEOUT seconds.
-The gate prints one line per mutant and exits 1 if an `old` is missing or
-occurs more than once, or if a mutant survives or times out: a refactor that
+An `old` found nowhere is reported missing, and one found more than once
+ambiguous.  The gate prints one line per mutant and exits 1 unless every
+mutant is killed: a refactor that
 moves the code fails loudly, and a survivor is fixed by a test, never by
 deleting the mutant.  Stdlib only, apart from pytest and hypothesis, which
 the tests need anyway.  It takes no options.
@@ -200,53 +201,49 @@ def pytest_configure(config):
 """
 
 
-def apply(m: Mutant, root: str) -> str | None:
-    """Copy src/ under root with m applied; the copy's src path, or None when
-    m's `old` does not occur exactly once."""
+def apply(m: Mutant, root: str) -> int:
+    """How often m's `old` occurs in its file; when exactly once, src/ is
+    copied under root with m applied."""
     with open(os.path.join(ROOT, m.path), encoding="utf-8") as fh:
         text = fh.read()
-    if text.count(m.old) != 1:
-        return None
-    src = os.path.join(root, "src")
-    shutil.copytree(os.path.join(ROOT, "src"), src,
+    if (count := text.count(m.old)) != 1:
+        return count
+    shutil.copytree(os.path.join(ROOT, "src"), os.path.join(root, "src"),
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     with open(os.path.join(root, m.path), "w", encoding="utf-8") as fh:
         fh.write(text.replace(m.old, m.new))
     with open(os.path.join(root, "_mutant_plugin.py"), "w", encoding="utf-8") as fh:
         fh.write(_PLUGIN)
-    return os.path.realpath(src)
+    return count
 
 
-def run(m: Mutant, tests: tuple[str, ...], args: tuple[str, ...] = ("-x",)) -> tuple[str, str]:
-    """(verdict, pytest output) of tests against m: "killed", "survived",
-    "timed out" or "missing"."""
+def run(m: Mutant) -> str:
+    """The verdict of m's tests against m: "killed", "survived", "timed out",
+    or "missing" or "ambiguous" when its `old` occurs never or more than once."""
     with tempfile.TemporaryDirectory(prefix="cobweb-mutant-") as root:
-        src = apply(m, root)
-        if src is None:
-            return "missing", ""
+        if (count := apply(m, root)) != 1:
+            return "ambiguous" if count else "missing"
+        src = os.path.realpath(os.path.join(root, "src"))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, root)),
                    COBWEB_MUTANT_SRC=src, PYTHONDONTWRITEBYTECODE="1")
-        cmd = [sys.executable, "-m", "pytest", "-q", *args, "-p", "no:cacheprovider",
-               "-p", "_mutant_plugin", *tests]
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "-p", "_mutant_plugin", *m.tests]
         try:
             done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
                                   timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
-            return "timed out", ""
-    output = done.stdout + done.stderr
-    if done.returncode == 1:
-        return "killed", output
-    if done.returncode == 0:
-        return "survived", output
+            return "timed out"
+    if done.returncode in (0, 1):
+        return "killed" if done.returncode else "survived"
     # Exit codes past 1 mean pytest could not run the tests at all.
-    raise RuntimeError(f"pytest exited {done.returncode} on {m.name!r}:\n{output}")
+    raise RuntimeError(f"pytest exited {done.returncode} on {m.name!r}:\n{done.stdout}{done.stderr}")
 
 
 def main() -> int:
     failed = 0
     for m in MUTANTS:
         start = time.perf_counter()
-        verdict, _ = run(m, m.tests)
+        verdict = run(m)
         print(f"{verdict:9}  {time.perf_counter() - start:5.1f} s  {m.name}  ({m.path})", flush=True)
         failed += verdict != "killed"
     print(f"mutants: {len(MUTANTS) - failed} of {len(MUTANTS)} killed")

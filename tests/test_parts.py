@@ -364,10 +364,14 @@ def test_a_coefficient_past_the_bound_is_returned_but_not_stored():
 
 
 def test_coefficients_filling_the_memo_stay_within_its_bits():
-    with model(200_000) as m:
-        for n in range(100, 251, 30):
+    # Room for several of the seven entries, each with its parts and coefficients.
+    ns = range(100, 251, 25)
+    with model(8 * _cost(_mersenne(250).rule.vals)) as m:
+        for n in ns:
             for k in (1, n // 3, n // 2, n - n // 3):
-                m.call("fnomial", _mersenne(250), n, k)
+                for _ in range(2):
+                    m.call("fnomial", _mersenne(250), n, k)
+        assert 1 < len(m.memo.entries) < len(ns)
 
 
 def test_an_uncertified_sequence_keeps_its_integral_coefficients():

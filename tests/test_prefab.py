@@ -151,15 +151,20 @@ def test_errors_are_raised_afresh_on_every_call(tmp_path):
                            (from_file(str(lumpy)), 10)):
                 for kind in ("row", "sum", "table"):
                     m.call(kind, seq, n)
-    for read in (whitney_row, bell_f):
-        with pytest.raises(ValueError, match=r"^need n >= 0, got -1$"):
-            read(NATURALS, -1)
+    for _ in range(3):
+        for read, bound in ((whitney_row, "n"), (bell_f, "n"), (bell_f_table, "n_max")):
+            with pytest.raises(ValueError, match=rf"^need {bound} >= 0, got -1$"):
+                read(NATURALS, -1)
 
 
 def test_prefab_results_filling_the_memo_stay_within_its_bits():
-    with model(200_000) as m:
-        for n in range(100, 251, 10):
-            m.call("row", _mersenne(250), n)
+    # Room for four of the sixteen entries, each with its row.
+    seq, ns = _mersenne(250), range(100, 251, 10)
+    with model(4 * (_cost(seq.rule.vals) + _cost(expected_whitney_row(seq, 250)))) as m:
+        for n in ns:
+            for _ in range(2):
+                m.call("row", _mersenne(250), n)
+        assert 1 < len(m.memo.entries) < len(ns)
 
 
 def test_a_result_past_the_bound_is_returned_but_not_stored():

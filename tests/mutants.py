@@ -11,15 +11,16 @@ cannot fail a test by its clock and fake a kill, and shrinking off, since a
 failing example is not shown.  A mutant is killed when
 pytest fails, survives when it passes, and times out after TIMEOUT seconds.
 An `old` found nowhere is reported missing, and one found more than once
-ambiguous.  The gate prints one line per mutant and exits 1 unless every
-mutant is killed: a refactor that
-moves the code fails loudly, and a survivor is fixed by a test, never by
-deleting the mutant.  Stdlib only, apart from pytest and hypothesis, which
-the tests need anyway.  It takes no options.
+ambiguous.  The gate prints one line per mutant with its runtime, then the
+total, and exits 1 unless every mutant is killed: a refactor that moves the
+code fails loudly, and a survivor is fixed by a test, never by deleting the
+mutant.  Stdlib only, apart from pytest and hypothesis, which the tests need
+anyway.  It takes no options.
 
-The seeds are mistakes once made, or nearly made, in the memos: the memo
-class, the prefix memo with its readers, and the engine memo's key and
-charge.  Each is named for what it breaks.
+The seeds are mistakes once made, or nearly made: in the memos (the memo
+class, the prefix memo with its readers, and the engine memo's key, charge
+and closure), in the engine and the views' cover rules, and in the writers of
+Möbius rows, DOT and output chunks.  Each is named for what it breaks.
 """
 
 from __future__ import annotations
@@ -38,6 +39,10 @@ TIMEOUT = 600  # seconds per mutant
 
 # The prefix memo's tests; the first, its model, kills most seeds within seconds.
 PARTS = "tests/test_parts.py"
+# The engine memo's tests, its model first.
+ENGINES = "tests/test_engine_memo.py"
+# The one writer's test of how raw pieces are cut into chunks.
+RENDER = "tests/test_cli.py::test_render_joins_raw_pieces_between_pieces"
 
 
 class Mutant(NamedTuple):
@@ -54,11 +59,11 @@ MUTANTS = [
     Mutant("get leaves the order unchanged", "src/cobweb/_memo.py",
            "if (kept := self.entries.pop(key, None)) is None:",
            "if (kept := self.entries.get(key)) is None:",
-           (PARTS, "tests/test_memo.py", "tests/test_engine_memo.py")),
+           (PARTS, "tests/test_memo.py", ENGINES)),
     Mutant("eviction drops the newest entry", "src/cobweb/_memo.py",
            "self.charged -= self.entries.pop(next(iter(self.entries)))[1]",
            "self.charged -= self.entries.popitem()[1][1]",
-           (PARTS, "tests/test_memo.py", "tests/test_engine_memo.py")),
+           (PARTS, "tests/test_memo.py", ENGINES)),
     Mutant("recharge measures before the lock", "src/cobweb/_memo.py",
            "        with self._lock:\n            kept = self.entries.get(key)\n"
            "            if kept is not None and kept[0] is value:\n"
@@ -172,11 +177,95 @@ MUTANTS = [
     Mutant("engine fill measured at the call site", "src/cobweb/poset.py",
            "        p._up = up\n        _ENGINES.recharge(p._key, p, lambda: _charge(p))",
            "        p._up = up\n        _ENGINES.recharge(p._key, p, (lambda size: lambda: size)(_charge(p)))",
-           ("tests/test_engine_memo.py",)),
+           (ENGINES,)),
     Mutant("engine key never set", "src/cobweb/poset.py",
            "    p._key = key\n    return p",
            "    return p",
-           ("tests/test_engine_memo.py",)),
+           (ENGINES,)),
+    Mutant("engine key set on a miss only", "src/cobweb/poset.py",
+           "        _ENGINES.put(key, p, _charge(p))\n    p._key = key",
+           "        _ENGINES.put(key, p, _charge(p))\n        p._key = key",
+           (ENGINES,)),
+    Mutant("closure never recharged", "src/cobweb/poset.py",
+           "        p._up = up\n        _ENGINES.recharge(p._key, p, lambda: _charge(p))",
+           "        p._up = up",
+           (ENGINES,)),
+    Mutant("closure built at construction", "src/cobweb/poset.py",
+           "        self._key: Hashable = None  # its `_ENGINES` key",
+           "        self._key: Hashable = None  # its `_ENGINES` key\n        _upsets(self)",
+           (ENGINES,)),
+    Mutant("engine skips its count budget", "src/cobweb/poset.py",
+           "    check_count_budget(size)\n    p = _ENGINES.get(key)",
+           "    p = _ENGINES.get(key)",
+           ("tests/test_grid.py::test_engine_is_refused_past_the_count_budget",
+            "tests/test_poset.py::test_count_budget")),
+    # The engine, the views' cover rules, and the writers.
+    Mutant("readers counted per set", "src/cobweb/poset.py",
+           "readers[j] += r",
+           "readers[j] += 1",
+           ("tests/test_poset.py::test_a_shared_set_read_by_two_runs_keeps_its_up_sets_for_both",)),
+    Mutant("count budget back in maximal_chains", "src/cobweb/poset.py",
+           '    n = len(p)\n    if mode == "count":',
+           '    n = len(p)\n    if mode == "count":\n        check_count_budget(n)',
+           ("tests/test_poset.py::test_count_budget",)),
+    Mutant("slice levels k - 1..n - 1", "src/cobweb/hasse.py",
+           "levels = _levels(w, k)",
+           "levels = _levels(w, k - 1)",
+           (ENGINES, "tests/test_hasse.py::test_layer_subposet")),
+    Mutant("last cobweb level covered", "src/cobweb/hasse.py",
+           "zip(levels, [*levels[1:], ()])",
+           "zip(levels, [*levels[1:], levels[0]])",
+           ("tests/test_hasse.py::test_build_examples", ENGINES)),
+    Mutant("Möbius zero run written as 1", "src/cobweb/grid.py",
+           'rows.append(pre + f"0{end}{between}{pre}".join(ys[len(head) :]) + "0" + end)',
+           'rows.append(pre + f"1{end}{between}{pre}".join(ys[len(head) :]) + "1" + end)',
+           ("tests/test_grid.py::test_mobius_chunks_equal_render_over_the_plain_rows",
+            "tests/test_cli.py::test_mobius_rows")),
+    Mutant("Möbius block without its lead", "src/cobweb/grid.py",
+           "yield lead + between.join(rows)",
+           "yield between.join(rows)",
+           ("tests/test_grid.py::test_mobius_chunks_equal_render_over_the_plain_rows",)),
+    Mutant("label row rank off by gap", "src/cobweb/grid.py",
+           "range(2 * l, l + g.n + 1 - gap)",
+           "range(2 * l + gap, l + g.n + 1)",
+           ("tests/test_cli.py::test_grid_outputs",)),
+    Mutant("raw pieces cut past the character bound", "src/cobweb/cli.py",
+           "if chars >= _BATCH_CHARS or len(chunk) == _BATCH_ROWS:",
+           "if chars > _BATCH_CHARS or len(chunk) == _BATCH_ROWS:",
+           (RENDER,)),
+    Mutant("raw pieces without the piece cap", "src/cobweb/cli.py",
+           "if chars >= _BATCH_CHARS or len(chunk) == _BATCH_ROWS:",
+           "if chars >= _BATCH_CHARS:",
+           (RENDER,)),
+    Mutant("a trailing empty chunk", "src/cobweb/cli.py",
+           '        if chunk:\n            yield "".join(chunk)',
+           '        yield "".join(chunk)',
+           (RENDER,)),
+    Mutant("pending count kept at a cut", "src/cobweb/cli.py",
+           '                yield "".join(chunk)\n                chunk, chars = [], 0',
+           '                yield "".join(chunk)\n                chunk = []',
+           (RENDER,)),
+    Mutant("DOT node lines in one piece", "src/cobweb/hasse.py",
+           'yield from map("  {};\\n".format, names)',
+           'yield "".join(map("  {};\\n".format, names))',
+           ("tests/test_hasse.py::test_dot_pieces_are_one_level_node_or_source_each",)),
+    Mutant("DOT level line dropped", "src/cobweb/hasse.py",
+           "for level in sorted(by_level):",
+           "for level in sorted(by_level)[1:]:",
+           ("tests/test_hasse.py::test_dot_cobweb_round_trip",)),
+    Mutant("grid row one label short", "src/cobweb/grid.py",
+           "w = g.n + 1 - _gap(g.mode)",
+           "w = g.n - _gap(g.mode)",
+           (ENGINES, "tests/test_grid.py::test_cover_blocks_are_the_present_unit_steps")),
+    Mutant("Möbius (-1, 1) head without i > 0", "src/cobweb/grid.py",
+           "(-1, 1) if d == 1 and i > 0 else ()",
+           "(-1, 1) if d == 1 else ()",
+           ("tests/test_grid.py::test_grid_mobius_matches_engine",)),
+    Mutant("DOT source written with the previous covers", "src/cobweb/hasse.py",
+           "    for q, ys in poset._blocks(names):\n        if ys:",
+           "    last = ()\n    for q, ys in poset._blocks(names):\n"
+           "        ys, last = last or ys, ys\n        if ys:",
+           ("tests/test_hasse.py::test_dot_cobweb_round_trip",)),
 ]
 
 # Loaded by every pytest run of the gate: hypothesis without a deadline, and
@@ -241,12 +330,14 @@ def run(m: Mutant) -> str:
 
 def main() -> int:
     failed = 0
+    begin = time.perf_counter()
     for m in MUTANTS:
         start = time.perf_counter()
         verdict = run(m)
         print(f"{verdict:9}  {time.perf_counter() - start:5.1f} s  {m.name}  ({m.path})", flush=True)
         failed += verdict != "killed"
-    print(f"mutants: {len(MUTANTS) - failed} of {len(MUTANTS)} killed")
+    total = time.perf_counter() - begin
+    print(f"mutants: {len(MUTANTS) - failed} of {len(MUTANTS)} killed in {total:.1f} s")
     return 1 if failed else 0
 
 

@@ -1,183 +1,294 @@
-"""The engine memo behind `GridPoset.poset`, `CobwebPoset.poset` and
-`layer_subposet`: equal views share one engine, the memo stays within its
-byte bound, a memo hit is the engine a fresh build gives, and threads may
-share it."""
+"""The engine memo, `cobweb.poset._ENGINES`, behind `GridPoset.poset`,
+`CobwebPoset.poset` and `layer_subposet`.
+
+`EngineMemo`, run at a small byte limit and with no memo, is its behavioural
+spec: after each step it checks what the memo must do, not how it lays out what
+it keeps.  Single cases replay through the same checks.
+"""
 
 import gc
 import random
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
+from unittest import mock
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
 import cobweb.poset as engine
-from cobweb import (
-    BUILTIN_SEQUENCES,
-    CobwebPoset,
-    FIBONACCI,
-    NATURALS,
-    FinitePoset,
-    build_cobweb,
-    build_grid,
-    from_values,
-    layer_subposet,
-    maximal_chains,
-    mobius,
-    rank_function,
-    to_dot,
-    whitney,
-)
+from cobweb import BUILTIN_SEQUENCES, FinitePoset, build_cobweb, build_grid, from_values, layer_subposet, to_dot
 from cobweb._memo import Memo
-from test_poset import _engine_fingerprint
+from test_poset import _engine_fingerprint, _outcome
+
+# -- the model -------------------------------------------------------------------
+
+# Custom sequences, rebuilt for every view: "fib-like" has Fibonacci's widths.
+_CUSTOM = {"fib-like": [1, 1, 2, 3, 5, 8], "flat": [2] * 6, "lumpy": [1, 2, 2, 3, 5], "long": range(1, 20_001)}
 
 
-@pytest.fixture
-def memo(monkeypatch):
-    """A fresh, empty memo in place of the shared one."""
-    fresh = Memo(engine._MEMO_BYTES)
-    monkeypatch.setattr(engine, "_ENGINES", fresh)
-    return fresh
+def _open(req):
+    """For ("grid", k, n, mode), ("cobweb", seq, levels) or ("slice", seq, levels,
+    k, n): the view, a fetch of its engine, what determines that engine (the grid,
+    or the widths of its levels and the first), and a fresh engine's build."""
+    if req[0] == "grid":
+        view = build_grid(*req[1:])
+        return view, lambda: view.poset, req, lambda: FinitePoset(view.elements, view.covers)
+    view = build_cobweb(BUILTIN_SEQUENCES.get(req[1]) or from_values(req[1], _CUSTOM[req[1]]), req[2])
+    k, n = req[3:] or (1, req[2])
+    return view, (lambda: layer_subposet(view, k, n)) if req[3:] else lambda: view.poset, (
+        view.widths[k - 1 : n], k), lambda: FinitePoset(
+            [v for v in view.elements if k <= v.s <= n],
+            [(x, y) for x, y in view.covers if k <= x.s and y.s <= n])
 
 
-def _kept(memo):
-    return [p for p, _ in memo.entries.values()]
+_REQUESTS = [
+    *(("grid", k, n, mode) for k, n, mode in ((0, 1, "strict"), (1, 3, "strict"), (2, 2, "weak"),
+                                              (2, 5, "weak"), (3, 7, "weak"), (8, 24, "weak"))),
+    *(("cobweb", s, levels) for s in (*BUILTIN_SEQUENCES, "fib-like", "flat") for levels in (1, 4, 6)),
+    *(("slice", s, 6, k, n) for s in ("fibonacci", "fib-like", "flat", "div31")
+      for k, n in ((1, 6), (1, 3), (3, 5), (4, 6))),
+    ("slice", "lumpy", 5, 2, 5)]
 
 
-def _fresh(view):
-    return FinitePoset(view.elements, view.covers)
+# query -> (whether it reads the closure, what it answers); "mobius" clears the dict it got.
+_QUERIES = {
+    "leq": (True, lambda p: (p.leq(p.elements[0], p.elements[-1]), p.lt(p.elements[-1], p.elements[0]))),
+    "mobius": (True, lambda p: [*(e := engine.mobius(p).entries).items(), e.clear()]),
+    "whitney": (True, lambda p: engine.whitney(p, "first")),
+    "chains": (False, lambda p: (engine.maximal_chains(p), engine.whitney(p, "second"))),
+    "dot": (False, to_dot),
+}
+_ORACLES = {}  # ident -> a fresh engine, kept across examples
 
 
-def test_equal_views_share_one_engine(memo):
-    assert build_cobweb(FIBONACCI, 6).poset is build_cobweb(FIBONACCI, 6).poset
-    assert build_grid(3, 7, "weak").poset is build_grid(3, 7, "weak").poset
-    vals = (1, 2, 2, 3, 5)
-    a = build_cobweb(from_values("v", vals), 5)
-    b = build_cobweb(from_values("v", list(vals)), 5)
-    assert a.seq is not b.seq and a.poset is b.poset
-    assert layer_subposet(a, 2, 5) is layer_subposet(b, 2, 5)
-    # A cobweb's engine is its slice of levels 1..level_max, whatever the
-    # sequence that gave its widths.
-    assert layer_subposet(a, 1, 5) is a.poset
-    assert build_cobweb(from_values("w", [1, 1, 2, 3, 5, 8]), 6).poset is build_cobweb(
-        FIBONACCI, 6
-    ).poset
-    # Views that differ in a parameter get engines of their own.
-    assert build_grid(3, 7, "weak").poset is not build_grid(3, 7, "strict").poset
-    assert build_cobweb(NATURALS, 5).poset is not a.poset
-    assert len(memo.entries) == 6
+def _asked(p, *queries):
+    """p, once asked queries."""
+    for query in queries:
+        _QUERIES[query][1](p)
+    return p
 
 
-def test_a_grid_engine_keeps_the_labels_tuple_of_its_view(memo):
-    g = build_grid(40, 150, "weak")
-    assert g.poset.elements is g.elements
+class EngineMemo(RuleBasedStateMachine):
+    """Views fetch engines from a fresh memo of LIMIT bytes, and the caller
+    queries them and drops views.  Counting each build where it is computed
+    (`_engine`'s build, the closure in `_upsets`, the matrix in `mobius`):
+    - the engine returned, and each answer, equals a fresh engine's;
+    - an engine is built only while no equal key is kept, its closure only by
+      a query that reads it, and nothing twice on one engine;
+    - each kept engine is charged its `_charge`, the total within the limit,
+      and the engine returned is kept, as the most recent, exactly when it fits;
+    - a view the caller dropped is freed, unless it is the very key the memo
+      keeps."""
+
+    LIMIT = 40_000
+
+    def __init__(self, limit=None):
+        super().__init__()
+        self.memo = Memo(self.LIMIT if limit is None else limit)
+        self.held = []  # (request, _open(request)) of each view the caller holds
+        self.dropped = []  # weakrefs to the views the caller let go
+        self.idents = {}  # id(engine) -> ident, for the kept and this step's
+        self.made = {}  # ident -> what was built on its latest engine
+        self.serving, self.reads = None, False  # this step's ident, and whether it reads the closure
+        real = engine._engine
+        self.patch = mock.patch.multiple(
+            engine, _ENGINES=self.memo, _upsets=self._filled("closure", "_up", engine._upsets),
+            _engine=lambda key, size, build: real(key, size, lambda: self._built("engine", build())),
+            mobius=self._filled("mobius", "_mobius", engine.mobius))
+        self.patch.start()
+
+    def teardown(self):
+        self.patch.stop()
+
+    close = teardown  # for contextlib.closing
+
+    def _filled(self, what, slot, real):
+        def counted(p):
+            if getattr(p, slot) is None and all(p is not o for o in _ORACLES.values()):
+                self._built(what, p)
+            return real(p)
+
+        return counted
+
+    def _built(self, what, p):
+        if what == "engine":
+            kept = [self.idents[id(q)] for q, _ in self.memo.entries.values()]
+            assert self.serving not in kept, "built while an equal key is kept"
+            self.idents[id(p)], self.made[self.serving] = self.serving, set()
+        assert what not in self.made[self.serving], f"{what} built twice"
+        assert self.reads or what != "closure", "closure built by a query that does not read it"
+        self.made[self.serving].add(what)
+        return p
+
+    @rule(req=st.sampled_from(_REQUESTS), query=st.sampled_from((None, *_QUERIES)))
+    def take(self, req, query=None):
+        """Hold the view of req, fetch its engine, and ask it query, if any."""
+        self.held.append((req, _open(req)))
+        self.ask(-1)
+        if query:
+            self.ask(-1, query)
+
+    @rule(i=st.integers(0, 9), query=st.sampled_from(sorted(_QUERIES)))
+    def ask(self, i, query=None):
+        """Fetch the engine of held view i again, and ask it query, if any."""
+        if self.held:
+            self._step(*self.held[i % len(self.held)], query)
+            self._check_dropped()
+
+    @rule(i=st.integers(0, 9))
+    def let_go(self, i):
+        if self.held:
+            self.dropped.append(weakref.ref(self.held.pop(i % len(self.held))[1][0]))
+            self._check_dropped()
+
+    def _step(self, req, opened, query):
+        _, fetch, ident, oracle = opened
+        self.serving, (self.reads, ask) = ident, _QUERIES.get(query, (False, None))
+        _ORACLES[ident] = _ORACLES.get(ident) or oracle()
+        p = fetch()
+        if ask:
+            assert _outcome(ask, p) == _outcome(ask, _ORACLES[ident]), (req, query)
+        # What the engine answers without building anything, with the closure
+        # and Möbius matrix it has built.
+        this, fresh = [(q.elements, q.covers, q._topo, q.bottoms, p._up is not None and engine._upsets(q),
+                        p._mobius is not None and [*engine.mobius(q).entries.items()])
+                       for q in (p, _ORACLES[ident])]
+        assert this == fresh, req
+        kept = list(self.memo.entries.values())
+        assert all(cost == engine._charge(q) for q, cost in kept), "a charge is stale"
+        assert self.memo.charged == sum(cost for _, cost in kept) <= self.memo.limit
+        idents = [self.idents[id(q)] for q, _ in kept]
+        assert len(set(idents)) == len(idents), "equal keys keep two engines"
+        at = [i for i, (q, _) in enumerate(kept) if q is p]
+        assert at == ([len(kept) - 1] if engine._charge(p) <= self.memo.limit else []), req
+        self.idents = {**{id(q): i for (q, _), i in zip(kept, idents)}, id(p): ident}  # p is alive
+
+    def _check_dropped(self):
+        def held():
+            return [r for r in self.dropped if (view := r()) is not None
+                    and all(view is not key for key in self.memo.entries)]
+
+        if held():
+            gc.collect()  # in case only a cycle holds it
+        assert not held(), "a dropped view is still held"
+        self.dropped = [r for r in self.dropped if r() is not None]
 
 
-def test_an_engine_holds_the_very_key_the_memo_keeps_it_under(memo):
-    first, second = build_grid(3, 7, "weak"), build_grid(3, 7, "weak")
-    p = first.poset
-    assert second.poset is p
-    # `Memo.get` re-inserted the engine under the second view, and the
-    # engine's key is that view, so the first view and its elements are free.
-    [key] = memo.entries
-    assert key is second and p._key is second
-    p.leq(p.elements[0], p.elements[-1])  # the closure recharges under that key
-    assert memo.charged == engine._charge(p)
+TestEngineMemo = EngineMemo.TestCase
+TestNoEngineMemo = type("NoEngineMemo", (EngineMemo,), {"LIMIT": 0}).TestCase  # every fetch builds
+TestEngineMemo.settings = TestNoEngineMemo.settings = settings(max_examples=50, stateful_step_count=30,
+    derandomize=True, database=None, deadline=None, report_multiple_bugs=False)
 
 
-def test_slices_with_equal_widths_but_different_k_do_not_collide(memo):
-    c = build_cobweb(from_values("flat", [2] * 6), 6)
-    low, high = layer_subposet(c, 1, 3), layer_subposet(c, 3, 5)
-    assert c.widths[0:3] == c.widths[2:5]
-    assert low is not high
-    assert {v.s for v in low.elements} == {1, 2, 3}
-    assert {v.s for v in high.elements} == {3, 4, 5}
-    assert layer_subposet(c, 3, 5) is high
+# -- single cases through the model's checks --------------------------------------
 
 
-@pytest.mark.parametrize("seq", BUILTIN_SEQUENCES.values(), ids=lambda s: s.name)
-def test_cobweb_engine_is_its_slice_from_level_one(seq, monkeypatch):
-    for level_max in range(1, 7):
-        for poset_first in (True, False):
-            memo = Memo(engine._MEMO_BYTES)
-            monkeypatch.setattr(engine, "_ENGINES", memo)
-            c = build_cobweb(seq, level_max)
-            # One level is no slice, but it still has an engine.
-            if poset_first or level_max == 1:
-                first = c.poset
-            else:
-                first = layer_subposet(c, 1, level_max)
-            assert list(memo.entries) == [(c.widths, 1)]
-            assert _engine_fingerprint(first) == _engine_fingerprint(_fresh(c))
-            assert c.poset is first
-            if level_max > 1:
-                assert layer_subposet(c, 1, level_max) is first
+def _replay(*steps, limit=EngineMemo.LIMIT):
+    """A test that runs steps, (rule name, *args), on a memo of limit (or limit()) bytes."""
+
+    def test():
+        with closing(EngineMemo(limit() if callable(limit) else limit)) as m:
+            for name, *args in steps:
+                getattr(m, name)(*args)
+
+    return test
 
 
-def test_memo_hits_match_fresh_builds_before_and_after_eviction(memo, monkeypatch):
-    v = build_grid(3, 8)
-    fresh = _engine_fingerprint(_fresh(v))
-    assert _engine_fingerprint(v.poset) == fresh
-    assert _engine_fingerprint(v.poset) == fresh  # a hit, now with its Möbius matrix
-    # A bound that holds this engine alone evicts it for the next one.
-    first = v.poset
-    monkeypatch.setattr(memo, "limit", engine._charge(first) + 1)
-    build_grid(4, 9).poset
-    assert _kept(memo) == [build_grid(4, 9).poset]
-    rebuilt = v.poset
-    assert rebuilt is not first and rebuilt is v.poset
-    assert _engine_fingerprint(rebuilt) == _engine_fingerprint(v.poset) == fresh
+# A cobweb's engine is its slice of levels 1..level_max, whatever the sequence
+# behind its widths; views that differ in a parameter do not share one.
+test_equal_views_share_one_engine = _replay(*[("take", req) for req in [
+    ("cobweb", "fibonacci", 6), ("grid", 3, 7, "weak"), ("cobweb", "lumpy", 5), ("slice", "lumpy", 5, 2, 5),
+    ("slice", "lumpy", 5, 1, 5), ("cobweb", "fib-like", 6), ("grid", 3, 7, "strict"), ("cobweb", "naturals", 5),
+] * 2], limit=engine._MEMO_BYTES)
+# The memo keeps the engine under the view that fetched it last, so the first
+# view is freed once its caller drops it.
+test_an_engine_holds_the_very_key_the_memo_keeps_it_under = _replay(
+    *[("take", ("grid", 3, 7, "weak"))] * 2, ("let_go", 0), ("ask", 0, "leq"))
+test_slices_with_equal_widths_but_different_k_do_not_collide = _replay(
+    *[("take", ("slice", "flat", 6, k, k + 2)) for k in (1, 3, 1, 3)])
+# A bound that holds one engine with its Möbius matrix evicts it for the next.
+test_memo_hits_match_fresh_builds_before_and_after_eviction = _replay(
+    *[("take", ("grid", k, k + 5, "strict"), "mobius") for k in (3, 3, 4, 4, 3, 3)],
+    limit=lambda: engine._charge(_asked(_open(("grid", 3, 8, "strict"))[3](), "mobius")) + 1)
+# The model clears each dict that mobius returns, and checks the next.
+test_mobius_returns_a_dict_of_its_own_on_every_call = _replay(
+    *[("take", ("cobweb", "naturals", 4), "mobius")] * 3)
+# The bound holds the small engine alone, not with its Möbius matrix, which
+# then drops it.
+test_engine_larger_than_the_bound_is_returned_but_not_kept = _replay(
+    ("take", ("grid", 2, 5, "strict")), *[("take", ("grid", 12, 30, "strict"))] * 2, ("ask", 0, "mobius"),
+    limit=lambda: engine._charge(_open(("grid", 2, 5, "strict"))[3]()) + 1)
 
 
-def test_mobius_returns_a_dict_of_its_own_on_every_call(memo):
-    p = build_cobweb(NATURALS, 4).poset
-    first = mobius(p)
-    expected = dict(first.entries)
-    first.entries.clear()
-    second = mobius(p)
-    assert second.entries == expected
-    second.entries[next(iter(expected))] = 99
-    assert mobius(p).entries == expected
-    assert mobius(build_cobweb(NATURALS, 4).poset).entries == expected
+@pytest.mark.parametrize("seq", sorted(BUILTIN_SEQUENCES))
+def test_cobweb_engine_is_its_slice_from_level_one(seq):
+    for levels in range(1, 7):
+        cobweb, whole = ("cobweb", seq, levels), ("slice", seq, levels, 1, levels)
+        # One level is no slice, but it still has an engine.
+        for reqs in [(cobweb,)] if levels == 1 else [(cobweb, whole), (whole, cobweb)]:
+            _replay(*[("take", req) for req in reqs])()
 
 
-def _traced_growth(call):
-    """Bytes still allocated after call() and a collection, under tracemalloc."""
+@pytest.mark.parametrize("first", ["leq", "mobius", "whitney"], ids=["leq", "mobius", "whitney-first"])
+@pytest.mark.parametrize("view", [("grid", 3, 7, "weak"), ("cobweb", "naturals", 5)], ids=["grid", "cobweb"])
+def test_closure_is_built_once_by_the_first_query_that_reads_it(view, first):
+    _replay(("take", view), *[("ask", 0, q) for q in ("chains", "dot", first, *_QUERIES)])()
+
+
+def test_charged_total_stays_within_the_bound():
+    # With their closures the engines outgrow the bound; each `leq` recharges.
+    views = [("grid", 3, 7 + i, "weak") for i in range(8)]
+    with closing(EngineMemo()) as m:
+        for v in views:
+            m.take(v, "leq")
+        assert 1 < len(m.memo.entries) < len(views)
+
+
+def test_a_charge_overtaken_by_a_later_fill_is_not_lost():
+    with closing(EngineMemo(engine._MEMO_BYTES)) as m:
+        m.take(("grid", 6, 14, "weak"))
+        recharge, calls = m.memo.recharge, []
+
+        def late(key, p, measure):  # the closure's charge lands after the Möbius matrix's
+            if not calls:
+                calls.append(key)
+                engine.mobius(p)
+            return recharge(key, p, measure)
+
+        with mock.patch.object(m.memo, "recharge", late):
+            m.ask(0, "leq")
+        assert len(calls) == 1
+
+
+def test_a_grid_engine_keeps_the_labels_tuple_of_its_view(monkeypatch):
+    monkeypatch.setattr(engine, "_ENGINES", Memo(engine._MEMO_BYTES))
+    assert (g := build_grid(40, 150, "weak")).poset.elements is g.elements
+
+
+# The memo keeps a cobweb's engine, not the long sequence behind its widths; the
+# slice of `chains --k 4 --n 54 --method brute` shares one cover list per level.
+@pytest.mark.parametrize("req, queries", [
+    (("cobweb", "naturals", 24), ()), (("cobweb", "long", 24), ()), (("slice", "fibonacci", 11, 3, 11), ()),
+    (("slice", "naturals", 54, 4, 54), ()), (("grid", 20, 60, "weak"), ()), (("grid", 8, 22, "strict"), ("mobius",)),
+], ids=["cobweb", "cobweb-over-custom", "slice", "slice-naturals-54", "grid", "grid-with-mobius"])
+def test_charge_is_within_twice_the_traced_size(monkeypatch, req, queries):
+    monkeypatch.setattr(engine, "_ENGINES", memo := Memo(engine._MEMO_BYTES))
+    _asked(_open(req)[1](), *queries)  # loads whatever the first call loads
+    memo.clear()
     gc.collect()
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
-        call()
+        _asked(_open(req)[1](), *queries)
         gc.collect()
-        return tracemalloc.get_traced_memory()[0] - before
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-
-
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: build_cobweb(NATURALS, 24).poset,
-        # The memo keeps the engine, not the long sequence behind its widths.
-        lambda: build_cobweb(from_values("long", range(1, 20_001)), 24).poset,
-        lambda: layer_subposet(build_cobweb(FIBONACCI, 11), 3, 11),
-        # The slice of `chains --k 4 --n 54 --method brute`: its levels share
-        # one cover list each, so up-sets and elements make up its size.
-        lambda: layer_subposet(build_cobweb(NATURALS, 54), 4, 54),
-        lambda: build_grid(20, 60, "weak").poset,
-        lambda: mobius(build_grid(8, 22).poset),
-    ],
-    ids=["cobweb", "cobweb-over-custom", "slice", "slice-naturals-54", "grid",
-         "grid-with-mobius"],
-)
-def test_charge_is_within_twice_the_traced_size(memo, build):
-    build()  # loads whatever the first call loads
-    memo.entries.clear()
-    memo.charged = 0
-    kept = _traced_growth(build)
-    (p,) = _kept(memo)
-    assert kept / 2 <= engine._charge(p) <= 2 * kept
-    assert memo.charged == engine._charge(p)
+    [(p, charge)] = memo.entries.values()
+    assert kept / 2 <= charge == engine._charge(p) <= 2 * kept
 
 
 def test_one_engine_at_the_count_budget_fits_the_bound():
@@ -188,135 +299,23 @@ def test_one_engine_at_the_count_budget_fits_the_bound():
     assert engine._charge(chain) <= engine._MEMO_BYTES
 
 
-def _serve_without_closure(p):
-    maximal_chains(p)
-    maximal_chains(p, "enumerate")
-    rank_function(p)
-    whitney(p, "second")
-    p.covers
-    list(p.cover_blocks())
-    p.tops
-    p.bottoms
-    to_dot(p)
-
-
-@pytest.mark.parametrize(
-    "first",
-    [lambda p: p.leq(p.elements[0], p.elements[-1]), mobius, lambda p: whitney(p, "first")],
-    ids=["leq", "mobius", "whitney-first"],
-)
-@pytest.mark.parametrize(
-    "view", [build_grid(3, 7, "weak"), build_cobweb(NATURALS, 5)], ids=["grid", "cobweb"]
-)
-def test_closure_is_built_once_by_the_first_query_that_reads_it(memo, view, first):
-    p = view.poset
-    _serve_without_closure(p)
-    assert p._up is None
-    charged = memo.charged
-    assert charged == engine._charge(p)
-    first(p)
-    up = p._up
-    assert up is not None
-    # The memo that keeps the engine charges its closure at once.
-    assert memo.charged == engine._charge(p) > charged
-    x, y = p.elements[0], p.elements[-1]
-    assert p.leq(x, y) and p.lt(x, y) and not p.leq(y, x)
-    mobius(p)
-    whitney(p, "first")
-    _serve_without_closure(p)
-    assert p._up is up
-    assert memo.charged == engine._charge(p)
-    assert _engine_fingerprint(p) == _engine_fingerprint(_fresh(view))
-
-
-def _closed(p):
-    """p, its closure built by one `leq`."""
-    x = p.elements[0]
-    assert p.leq(x, x)
-    return p
-
-
-def test_a_charge_overtaken_by_a_later_fill_is_not_lost(memo, monkeypatch):
-    p = build_grid(6, 14, "weak").poset
-    recharge, calls = memo.recharge, []
-
-    def late(*args):  # the closure's charge lands after the Möbius matrix's
-        if not calls:
-            calls.append(args)
-            mobius(p)
-        return recharge(*args)
-
-    monkeypatch.setattr(memo, "recharge", late)
-    assert p.leq(p.elements[0], p.elements[-1])
-    assert len(calls) == 1 and p._mobius is not None
-    assert memo.charged == engine._charge(p)
-
-
-def test_charged_total_stays_within_the_bound(memo):
-    # With their closures the engines outgrow the bound; each `leq` recharges.
-    views = [build_grid(40, 110 + i, "weak") for i in range(12)]
-    assert sum(engine._charge(_closed(_fresh(v))) for v in views) > engine._MEMO_BYTES
-    for v in views:
-        _closed(v.poset)
-        assert memo.charged <= engine._MEMO_BYTES
-        assert memo.charged == sum(engine._charge(p) for p in _kept(memo))
-    assert views[0] not in memo.entries and views[-1] in memo.entries
-
-
-def test_engine_larger_than_the_bound_is_returned_but_not_kept(memo, monkeypatch):
-    small, big = build_grid(2, 5), build_grid(12, 30)
-    small.poset
-    monkeypatch.setattr(memo, "limit", 4 * engine._charge(small.poset))
-    assert engine._charge(_fresh(big)) > memo.limit
-    assert big.poset.elements == big.elements
-    assert big.poset is not big.poset
-    assert memo.entries.keys() == {small}
-    # A Möbius matrix that pushes a kept engine past the bound drops it.
-    monkeypatch.setattr(memo, "limit", engine._charge(small.poset) + 1)
-    mobius(small.poset)
-    assert not memo.entries and memo.charged == 0
-
-
-def _views():
-    out = []
-    for mode in ("strict", "weak"):
-        for n in range(2, 9):
-            out += [build_grid(k, n, mode) for k in range(0, n, 2)]
-    for seq in BUILTIN_SEQUENCES.values():
-        for levels in range(3, 7):
-            out.append(build_cobweb(seq, levels))
-    return out
-
-
-def test_threads_share_the_memo_under_eviction(memo, monkeypatch):
-    views = _views()
-    slices = [(c, k) for c in views if isinstance(c, CobwebPoset) for k in (1, 2)]
-    expected = {v: _engine_fingerprint(_fresh(v)) for v in views}
-    expected.update(
-        ((c, k), _engine_fingerprint(layer_subposet(c, k, c.level_max))) for c, k in slices
-    )
-    sizes = [engine._charge(_fresh(v)) for v in views]
-    # A bound near a tenth of the total keeps evicting while the threads run.
-    monkeypatch.setattr(memo, "limit", sum(sizes) // 10)
-    memo.entries.clear()
-    memo.charged = 0
-    tasks = [*views, *slices] * 4
+def test_threads_share_the_memo_under_eviction(monkeypatch):
+    tasks = [(req, _open(req)[1]) for req in _REQUESTS] * 10
     random.Random(14).shuffle(tasks)
-
-    def work(task):
-        if isinstance(task, tuple):
-            c, k = task
-            return task, _engine_fingerprint(layer_subposet(c, k, c.level_max))
-        return task, _engine_fingerprint(task.poset)
-
+    oracles = {req: _open(req)[3]() for req in _REQUESTS}
+    # A bound near a tenth of the total keeps evicting while the threads run.
+    memo = Memo(sum(map(engine._charge, oracles.values())) // 10)
+    monkeypatch.setattr(engine, "_ENGINES", memo)
+    expected = {req: _engine_fingerprint(p) for req, p in oracles.items()}
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(work, tasks, timeout=300))
+            results = list(pool.map(lambda task: (task[0], _engine_fingerprint(task[1]())), tasks,
+                                    timeout=300))
     finally:
         sys.setswitchinterval(switch)
-    for task, fingerprint in results:
-        assert fingerprint == expected[task], task
-    assert memo.charged <= memo.limit
-    assert memo.charged == sum(engine._charge(p) for p in _kept(memo))
+    for req, fingerprint in results:
+        assert fingerprint == expected[req], req
+    kept = list(memo.entries.values())
+    assert memo.charged == sum(engine._charge(p) for p, _ in kept) <= memo.limit

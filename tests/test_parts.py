@@ -45,7 +45,7 @@ from cobweb import (
 )
 from cobweb._memo import Memo
 from cobweb.sequences import _Terms
-from test_paths import _exact_prefix, _parts_by_definition, entry_results
+from test_paths import _exact_prefix, _parts_by_definition
 from test_sequences import full_square_scan
 
 
@@ -495,7 +495,7 @@ def test_a_charge_overtaken_by_a_later_fill_is_not_lost(memo, kernel, monkeypatc
     monkeypatch.setattr(memo, "recharge", late)
     _parts.entry(seq, 60).parts()
     [(e, _)] = memo.entries.values()
-    assert set(entry_results(e)) == {"parts", 30}
+    assert set(e.results) == {"parts", 30}
     assert memo.charged == e.bits
 
 

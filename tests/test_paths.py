@@ -107,11 +107,6 @@ def _exact_prefix(parts_and_bad, n):
     return parts[: bad or n + 1], bad
 
 
-def entry_results(e):
-    """The result table of a primitive-parts memo entry, without the charges."""
-    return {name: value for name, (value, _) in e.results.items()}
-
-
 def _prefab_results(seq, n):
     """The Whitney row, B_n and B_0..B_n, each as its value or the quotient
     of the NonIntegral it raises; B_n reads the row whitney_row kept."""
@@ -472,37 +467,33 @@ def test_every_mode_takes_its_path():
                 gcds.clear()
                 assert is_gcd_morphic(from_values("spoiled", spoiled), 60) == report
                 scanned.append(bool(gcds))
-            [e] = [e for e, _ in _parts.MEMO.entries.values()]
         assert scanned == [True, False, False], mode
-        kept = entry_results(e)["witness"]
-        assert kept == (*report.witness, report.gcd_of_values, report.f_at_gcd), mode
     # With its memo, the kernel computes each (n, min(k, n - k)) once, k and
     # n - k alike, and so does the falling product; with no memo, the kernel
-    # runs on every call.
-    kernel, exact = fnomial._kernel, fnomial._exact
+    # runs on every call.  Only the kernel sieves, once with its memo; the
+    # falling product reads the values alone.
+    kernel, exact, sieve = fnomial._kernel, fnomial._exact, _parts.sieve
     ks = (30, 30, 30, 20, 40, 40, 20)
-    for mode, products, divisions in (("kernel", [30, 20], []),
-                                      ("no memo", [30, 30, 30, 20, 20, 20, 20], []),
-                                      ("falling", [], [30, 20])):
-        computed, divided = [], []
+    for mode, products, divisions, sieves in (("kernel", [30, 20], [], 1),
+                                              ("no memo", [30, 30, 30, 20, 20, 20, 20], [], 7),
+                                              ("falling", [], [30, 20], 0)):
+        computed, divided, sieved = [], [], []
         with REGISTRY["FNomialTable.fnomial"].modes[mode](), mock.patch.object(
             fnomial, "_kernel", lambda parts, n, k: computed.append(k) or kernel(parts, n, k)
         ), mock.patch.object(fnomial, "_exact", lambda num, den, vals, n, k: divided.append(
             min(k, n - k)) or exact(num, den, vals, n, k)
-        ):
+        ), mock.patch.object(_parts, "sieve", lambda vals: sieved.append(0) or sieve(vals)):
             for k in ks:
                 assert FNomialTable(mersenne).fnomial(60, k) == _fnomial_by_product(mersenne, 60, k)
-            kept = [entry_results(e) for e, _ in _parts.MEMO.entries.values()]
-        assert (computed, divided) == (products, divisions), mode
-        stored = {j: _fnomial_by_product(mersenne, 60, j) for j in (30, 20)}
-        parts = _parts.sieve(mersenne.values(60))
-        # Only the kernel sieves; the falling product reads the values alone.
-        assert kept == {"kernel": [{"parts": parts, **stored}], "falling": [stored],
-                        "no memo": []}[mode], mode
-    for mode, stores in (("memo", True), ("no memo", False)):
-        with REGISTRY["primitive parts"].modes[mode]():
-            _parts.entry(mersenne, 60).parts()
-            assert ((mersenne.rule, 60) in _parts.MEMO.entries) == stores, mode
+        assert (computed, divided, len(sieved)) == (products, divisions, sieves), mode
+    for mode, sieves in (("memo", 1), ("no memo", 2)):
+        sieved = []
+        with mock.patch.object(_parts, "MEMO", Memo(_parts.MEMO_BITS)), REGISTRY[
+            "primitive parts"
+        ].modes[mode](), mock.patch.object(_parts, "sieve", lambda vals: sieved.append(0) or sieve(vals)):
+            for _ in range(2):
+                _parts.entry(mersenne, 60).parts()
+        assert len(sieved) == sieves, mode
     # A fresh memo computes each row and table once; no memo, on every call.
     row, sums = prefab._row, prefab._bell_sums
     expected = _prefab_by_product(mersenne, 60)
@@ -558,16 +549,14 @@ def test_every_mode_takes_its_path():
                     calls.clear()
                     assert read(_views.of(build())) == first
                     assert calls == ["__call__"] * fetch, (mode, build().name, name)
-                    assert bool(_parts.MEMO.entries) == (mode == "value-stable"), (mode, name)
-    c = build_cobweb(from_values("widths", [1, 2, 3]), 3)
+    # With its memo, a view's engine is fetched again; with none, built again.
+    grid, c = build_grid(2, 5), build_cobweb(from_values("widths", [1, 2, 3]), 3)
+    fetches = (lambda: grid.poset, lambda: c.poset, lambda: layer_subposet(c, 2, 3))
     for mode, stores in (("memo", True), ("no memo", False)):
-        with REGISTRY["view engine"].modes[mode]():
-            grid = build_grid(2, 5)
-            grid.poset, c.poset, layer_subposet(c, 2, 3)
-            memo = poset._ENGINES
-            kept = [key in memo.entries for key in (grid, (c.widths, 1), ((2, 3), 2))]
-            assert kept == [stores] * 3, mode
-            assert stores or (not memo.entries and memo.charged == 0), mode
+        with mock.patch.object(poset, "_ENGINES", Memo(poset._MEMO_BYTES)), REGISTRY[
+            "view engine"
+        ].modes[mode]():
+            assert [fetch() is fetch() for fetch in fetches] == [stores] * 3, mode
     fib = type(FIBONACCI.rule)
     rule, prefix = fib.__call__, fib.prefix
     for mode, per_index in (("prefix", False), ("per index", True)):

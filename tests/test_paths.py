@@ -473,6 +473,10 @@ def test_every_mode_takes_its_path():
     # runs on every call.  Only the kernel sieves, once with its memo; the
     # falling product reads the values alone.
     kernel, exact, sieve = fnomial._kernel, fnomial._exact, _parts.sieve
+
+    def sieving():  # counted in `sieved`
+        return mock.patch.object(_parts, "sieve", lambda vals: sieved.append(0) or sieve(vals))
+
     ks = (30, 30, 30, 20, 40, 40, 20)
     for mode, products, divisions, sieves in (("kernel", [30, 20], [], 1),
                                               ("no memo", [30, 30, 30, 20, 20, 20, 20], [], 7),
@@ -482,7 +486,7 @@ def test_every_mode_takes_its_path():
             fnomial, "_kernel", lambda parts, n, k: computed.append(k) or kernel(parts, n, k)
         ), mock.patch.object(fnomial, "_exact", lambda num, den, vals, n, k: divided.append(
             min(k, n - k)) or exact(num, den, vals, n, k)
-        ), mock.patch.object(_parts, "sieve", lambda vals: sieved.append(0) or sieve(vals)):
+        ), sieving():
             for k in ks:
                 assert FNomialTable(mersenne).fnomial(60, k) == _fnomial_by_product(mersenne, 60, k)
         assert (computed, divided, len(sieved)) == (products, divisions, sieves), mode
@@ -490,7 +494,7 @@ def test_every_mode_takes_its_path():
         sieved = []
         with mock.patch.object(_parts, "MEMO", Memo(_parts.MEMO_BITS)), REGISTRY[
             "primitive parts"
-        ].modes[mode](), mock.patch.object(_parts, "sieve", lambda vals: sieved.append(0) or sieve(vals)):
+        ].modes[mode](), sieving():
             for _ in range(2):
                 _parts.entry(mersenne, 60).parts()
         assert len(sieved) == sieves, mode

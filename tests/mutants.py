@@ -19,8 +19,10 @@ anyway.  It takes no options.
 
 The seeds are mistakes once made, or nearly made: in the memos (the memo
 class, the prefix memo with its readers, and the engine memo's key, charge
-and closure), in the engine and the views' cover rules, and in the writers of
-Möbius rows, DOT and output chunks.  Each is named for what it breaks.
+and closure), in the engine and the views' cover rules, in the writers of
+Möbius rows, DOT and output chunks, and in the arithmetic (Fibonacci values,
+primitive parts, the GCD certificate and scan, F-nomials and prefab rows).
+Each is named for what it breaks.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ TIMEOUT = 60
 PARTS = "tests/test_parts.py"
 # The engine memo's tests, its model first.
 ENGINES = "tests/test_engine_memo.py"
+# One mode of a production path in test_paths.py's registry, against its reference.
+PATHS = "tests/test_paths.py::test_path_matches_oracle[{}]"
 # The one writer's test of how raw pieces are cut into chunks.
 RENDER = "tests/test_cli.py::test_render_joins_raw_pieces_between_pieces"
 
@@ -277,6 +281,56 @@ MUTANTS = [
            "    last = ()\n    for q, ys in poset._blocks(names):\n"
            "        ys, last = last or ys, ys\n        if ys:",
            ("tests/test_hasse.py::test_dot_cobweb_round_trip",)),
+    # The arithmetic: sequence values, primitive parts, the GCD certificate and
+    # scan, F-nomials and the prefab rows, each read against tests/references.py.
+    Mutant("sieve returns at its first remainder", "src/cobweb/_parts.py",
+           "                if r:\n                    bad = m\n                    break",
+           "                if r:\n                    return parts, m",
+           ("tests/test_fnomial.py::test_sieve_reports_the_smallest_non_integral_index",
+            PATHS.format("primitive parts-memo"))),
+    Mutant("kernel exponent without its (n - k) // d term", "src/cobweb/fnomial.py",
+           "if n // d - k // d - (n - k) // d]",
+           "if n // d - k // d]",
+           (PATHS.format("FNomialTable.fnomial-kernel"),
+            "tests/test_fnomial.py::test_kernel_matches_oracle_on_lists_with_integral_parts")),
+    Mutant("kernel range dropping P_n", "src/cobweb/fnomial.py",
+           "for d in range(2, n + 1) if n // d",
+           "for d in range(2, n) if n // d",
+           (PATHS.format("FNomialTable.fnomial-kernel"),
+            "tests/test_fnomial.py::test_kernel_matches_oracle_on_lists_with_integral_parts")),
+    Mutant("certificate always passes", "src/cobweb/_parts.py",
+           "    seen: list[tuple[int, int]] = []",
+           "    return None",
+           (PATHS.format("is_gcd_morphic-certificate"),
+            "tests/test_sequences.py::test_half_scan_matches_full_square_scan")),
+    Mutant("scan starts at b0 + 1", "src/cobweb/sequences.py",
+           "range(max(n + 1, b0), len(vals) + 1)",
+           "range(max(n + 1, b0 + 1), len(vals) + 1)",
+           ("tests/test_paths.py::test_both_gcd_modes_find_a_deep_witness",
+            PATHS.format("is_gcd_morphic-certificate"))),
+    Mutant("doubling formulas swapped", "src/cobweb/sequences.py",
+           "a, b = a * (2 * b - a), a * a + b * b",
+           "a, b = a * a + b * b, a * (2 * b - a)",
+           ("tests/test_sequences.py::test_fibonacci_value_matches_the_addition_loop",)),
+    Mutant("Fibonacci prefix [1, 1] below count 2", "src/cobweb/sequences.py",
+           "        return vals[:count]",
+           "        return vals[: max(count, 2)]",
+           ("tests/test_sequences.py::test_fibonacci_values_prefix",
+            PATHS.format("fibonacci values-prefix"))),
+    Mutant("_exact without its remainder check", "src/cobweb/fnomial.py",
+           "    q, r = divmod(num, den)\n    if r:",
+           "    q, r = divmod(num, den)\n    if False:",
+           ("tests/test_prefab.py::test_recurrences_match_product_oracle",
+            PATHS.format("FNomialTable.fnomial-falling"))),
+    Mutant("rows mirror off by one", "src/cobweb/fnomial.py",
+           "yield row + row[: (n + 1) // 2][::-1]",
+           "yield row + row[: n // 2 + 1][::-1]",
+           ("tests/test_prefab.py::test_recurrences_match_product_oracle",)),
+    Mutant("_bell_sums divides by the wrong term", "src/cobweb/prefab.py",
+           "vals[n - k - 1], vals[k - 1], vals, n - k, k)",
+           "vals[n - k - 1], vals[k], vals, n - k, k)",
+           ("tests/test_prefab.py::test_recurrences_match_product_oracle",
+            PATHS.format("prefab results-memo"))),
 ]
 
 # Loaded by every pytest run of the gate: hypothesis without a deadline, and

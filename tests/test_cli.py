@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import cobweb.poset
 from cobweb import BUILTIN_SEQUENCES, FIBONACCI, FinitePoset, FNomialTable, cli
 from cobweb._memo import Memo
+from references import lifted_str, record_text
 from test_acceptance import CLI_MATRIX
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -263,27 +264,17 @@ def test_strict_grid_bounds_print_one_line():
         assert errs == {want}, (l, m)
 
 
-def _lifted_str(v):
-    """str(v) with the int-to-str digit limit lifted for the call."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(v)
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def test_results_past_the_digit_limit_print_exactly():
     limit = sys.get_int_max_str_digits()
     code, out, err = invoke("fnomial", "--seq", "fibonacci", "--n", "1000", "--k", "500")
-    expected = _lifted_str(FNomialTable(FIBONACCI).fnomial(1000, 500))
+    expected = lifted_str(FNomialTable(FIBONACCI).fnomial(1000, 500))
     assert (code, out, err) == (0, f"{expected}\n", "")
     assert sys.get_int_max_str_digits() == limit
 
 
 def test_run_leaves_the_digit_limit_alone(monkeypatch):
     argv = ["fnomial", "--seq", "fibonacci", "--n", "1000", "--k", "500"]
-    digits = _lifted_str(FNomialTable(FIBONACCI).fnomial(1000, 500))
+    digits = lifted_str(FNomialTable(FIBONACCI).fnomial(1000, 500))
     params = '{"seq": "fibonacci", "n": 1000, "k": 500}'
     expected = {
         "text": f"{digits}\n",
@@ -304,24 +295,6 @@ def test_run_leaves_the_digit_limit_alone(monkeypatch):
                 assert sys.get_int_max_str_digits() == lowered
     finally:
         set_limit(limit)
-
-
-def _record_texts(rec, fmt):
-    """The text each format gives for `rec`, every int written by str() with
-    the digit limit lifted: the reference the renderer is pinned to."""
-    if rec.rows is not None:
-        cells = [[_lifted_str(v) for v in row] for row in rec.rows]
-        sep = "," if fmt == "csv" else " "
-        if fmt != "json":
-            return "\n".join([sep.join(rec.columns), *(sep.join(row) for row in cells)]) + "\n"
-        rows = ", ".join("[" + ", ".join(f'"{c}"' for c in row) + "]" for row in cells)
-        result = f'{{"columns": {json.dumps(list(rec.columns))}, "rows": [{rows}]}}'
-    else:
-        digits = _lifted_str(rec.value)
-        if fmt != "json":
-            return ("value\n" if fmt == "csv" else "") + digits + "\n"
-        result = f'"{digits}"'
-    return f'{{"command": "t", "params": {{}}, "result": {result}}}\n'
 
 
 @settings(max_examples=60, deadline=None)
@@ -347,7 +320,8 @@ def test_render_past_the_digit_limit_equals_lifted_str(k, offset, negative, smal
     sys.set_int_max_str_digits(4300)  # CPython's default
     try:
         for rec in records:
-            assert "".join(cli._render(rec, fmt)) == _record_texts(rec, fmt)
+            expected = record_text(rec.value, rec.columns, rec.rows, fmt)
+            assert "".join(cli._render(rec, fmt)) == expected
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(limit)
@@ -375,7 +349,7 @@ def test_render_tables_of_any_shape_equal_lifted_str(count, width, pool, past, f
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)  # CPython's default
     try:
-        expected = _record_texts(cli.OutputRecord("t", {}, columns=columns, rows=rows), fmt)
+        expected = record_text(None, columns, rows, fmt)
         rec = cli.OutputRecord("t", {}, columns=columns, rows=iter(rows))
         assert "".join(cli._render(rec, fmt)) == expected
     finally:
@@ -467,7 +441,7 @@ def test_without_the_c_decimal_core_output_is_whole(fmt):
     # takes the int rows and prints the same bytes.
     from cobweb import catalan
 
-    digits = _lifted_str(catalan(2000))
+    digits = lifted_str(catalan(2000))
     expected = {
         "text": f"{digits}\n",
         "csv": f"value\n{digits}\n",

@@ -16,19 +16,12 @@ import pytest
 
 from cobweb import cli
 from test_acceptance import CLI_MATRIX
+from test_grid import _valid_grids
 
 BUILTINS = ("fibonacci", "naturals", "odd", "even1", "div31")
-MODES = ("strict", "weak")
 # Custom sequence files, written afresh for each digest: an argv names one as
 # {mersenne}, and the digest hashes that placeholder, not the path.
 FILES = {"mersenne": "".join(f"{2**s - 1}\n" for s in range(1, 301))}
-
-
-def _grids(n_max):
-    for mode in MODES:
-        for n in range(n_max + 1):
-            for k in range(n + (mode == "weak")):
-                yield mode, k, n
 
 
 GROUPS = {
@@ -45,11 +38,11 @@ GROUPS = {
     "grid_chains": [
         ["chains", "--family", "grid", "--k", str(k), "--n", str(n), "--mode", mode,
          "--method", method]
-        for mode, k, n in _grids(8) for method in ("brute", "closed")
+        for k, n, mode in _valid_grids(8) for method in ("brute", "closed")
     ],
     "grid_dot": [
         ["dot", "--family", "grid", "--k", str(k), "--n", str(n), "--mode", mode]
-        for mode, k, n in _grids(8)
+        for k, n, mode in _valid_grids(8)
     ],
     # DOT of the sizes the benchmark's cli-poset workload renders: up to
     # 61,712 edges (naturals, 57 levels) and a fan-out of 233 (fibonacci).
@@ -62,7 +55,8 @@ GROUPS = {
         ["dot", "--family", "grid", "--k", "28", "--n", "88", "--mode", "weak"],
     ],
     "mobius": [
-        *(["mobius", "--k", str(k), "--n", str(n), "--mode", mode] for mode, k, n in _grids(8)),
+        *(["mobius", "--k", str(k), "--n", str(n), "--mode", mode]
+          for k, n, mode in _valid_grids(8)),
         ["mobius", "--k", "2", "--n", "4", "--mode", "strict", "--format", "json"],
     ],
     # Möbius tables of the sizes the benchmark's cli-poset workload renders.

@@ -26,6 +26,7 @@ from cobweb import (
     to_dot,
 )
 from cobweb import hasse
+from references import dot_text
 from test_grid import _valid_grids
 
 BUILTINS = [NATURALS, FIBONACCI, ODD, EVEN1, DIV31]
@@ -231,29 +232,6 @@ def test_build_cobweb_leaves_the_engine_unbuilt():
 # -- rendering against the per-edge oracle ---------------------------------------
 
 
-def _quote(label):
-    text = str(label).replace("\\", "\\\\").replace('"', '\\"')
-    return f'"{text}"'
-
-
-def oracle_dot(elements, covers, levels=None, name="poset"):
-    """DOT text rendered one f-string per node and per cover pair, from an
-    element list and a cover-pair list given by the caller."""
-    quoted = {el: _quote(el) for el in elements}
-    lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;"]
-    if levels is not None and quoted:
-        by_level = {}
-        for el, q in quoted.items():
-            by_level.setdefault(levels[el], []).append(q)
-        for level in sorted(by_level):
-            members = " ".join(f"{q};" for q in by_level[level])
-            lines.append(f"  {{ rank=same; {members} }}")
-    else:
-        lines += [f"  {q};" for q in quoted.values()]
-    lines += [f"  {quoted[x]} -> {quoted[y]};" for x, y in covers]
-    return "\n".join(lines) + "\n}\n"
-
-
 def cobweb_covers(widths, lo, hi):
     """Every (s, i) below every (s + 1, j), from the widths alone."""
     return [
@@ -296,7 +274,7 @@ def test_cobweb_dot_equals_the_oracle(values, data):
     c = build_cobweb(from_values("v", values), levels)
     covers = cobweb_covers(c.widths, 1, levels)
     for lv in (None, c.level_of()):
-        expected = oracle_dot(c.elements, covers, lv, "cw")
+        expected = dot_text(c.elements, covers, lv, "cw")
         assert to_dot(c, lv, "cw") == expected
         assert to_dot(c.poset, lv, "cw") == expected
     if levels >= 2:
@@ -304,7 +282,7 @@ def test_cobweb_dot_equals_the_oracle(values, data):
         n = data.draw(st.integers(k + 1, levels))
         sub = layer_subposet(c, k, n)
         lv = {v: v.s for v in sub.elements}
-        assert to_dot(sub, lv, "slice") == oracle_dot(
+        assert to_dot(sub, lv, "slice") == dot_text(
             sub.elements, cobweb_covers(c.widths, k, n), lv, "slice"
         )
 
@@ -314,8 +292,8 @@ def test_width_one_and_one_level_cobwebs_equal_the_oracle():
         for levels in range(1, len(values) + 1):
             c = build_cobweb(from_values("v", values), levels)
             covers = cobweb_covers(c.widths, 1, levels)
-            assert to_dot(c, c.level_of()) == oracle_dot(c.elements, covers, c.level_of())
-            assert to_dot(c) == to_dot(c.poset) == oracle_dot(c.elements, covers)
+            assert to_dot(c, c.level_of()) == dot_text(c.elements, covers, c.level_of())
+            assert to_dot(c) == to_dot(c.poset) == dot_text(c.elements, covers)
 
 
 @pytest.mark.parametrize("mode", ["strict", "weak"])
@@ -325,7 +303,7 @@ def test_grid_dot_equals_the_oracle(mode):
             g = build_grid(k, n, mode)
             covers = grid_covers(g.elements)
             for lv in (None, g.level_of()):
-                expected = oracle_dot(g.elements, covers, lv, "g")
+                expected = dot_text(g.elements, covers, lv, "g")
                 assert to_dot(g, lv, "g") == expected, (k, n)
                 assert to_dot(g.poset, lv, "g") == expected, (k, n)
 
@@ -348,7 +326,7 @@ def test_random_engine_dot_equals_the_oracle(data):
     covers = order_covers(p)
     assert list(p.covers) == covers
     for levels in (None, lv):
-        assert to_dot(p, levels, "r") == oracle_dot(labels, covers, levels, "r")
+        assert to_dot(p, levels, "r") == dot_text(labels, covers, levels, "r")
 
 
 def test_dot_reads_cover_blocks_not_cover_pairs(monkeypatch):

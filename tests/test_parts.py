@@ -12,7 +12,6 @@ fill overtakes, the cost of hashing a key, and threads.
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
-from math import prod
 from unittest import mock
 
 import pytest
@@ -45,8 +44,8 @@ from cobweb import (
 )
 from cobweb._memo import Memo
 from cobweb.sequences import _Terms
-from test_paths import _exact_prefix, _parts_by_definition
-from test_sequences import full_square_scan
+import references
+from test_paths import outcome, prefab_results
 
 
 @pytest.fixture
@@ -63,19 +62,6 @@ def kernel():
     place."""
     with mock.patch.object(fnomial, "_KERNEL_BITS", -(10**9)):
         yield
-
-
-def prefab_results(seq, n):
-    """whitney_row, bell_f and bell_f_table of seq at n, each as its value or
-    as the type, message and quotient of the error it raises."""
-    out = []
-    for fn in (lambda: whitney_row(seq, n).values, lambda: bell_f(seq, n),
-               lambda: bell_f_table(seq, n).values):
-        try:
-            out.append(fn())
-        except Exception as exc:
-            out.append((type(exc), str(exc), getattr(exc, "numerator", None)))
-    return out
 
 
 def _mersenne(count):  # rebuilt for each call, so only its values find the entry
@@ -128,55 +114,37 @@ def _vals(seq, n):
     return [seq.value(s) for s in range(1, n + 1)]
 
 
-def _quotient(vals, n, k):
-    """(n over k)_F as F_n!/(F_k! F_{n-k}!), or its NonIntegral."""
-    num, den = prod(vals[:n]), prod(vals[:k]) * prod(vals[: n - k])
-    q, r = divmod(num, den)
-    if r:
-        raise NonIntegral(num, den)
-    return q
-
-
-def _row_oracle(seq, n):
-    vals = _vals(seq, n)
-    return tuple(_quotient(vals, n - k, k) for k in range(n // 2 + 1))
-
-
-def _table_oracle(seq, n_max):
-    """B_0..B_n_max row by row, F_n fetched as row n starts."""
-    vals, sums = [], []
-    for n in range(n_max + 1):
-        if n:
-            vals.append(seq.value(n))
-        sums.append(sum(_quotient(vals, n - k, k) for k in range(n // 2 + 1)))
-    return tuple(sums)
-
-
-# kind -> (production, oracle, the compute sites it may run); "fnomial" runs
-# "_exact" alone on the falling product.
+# kind -> (production, reference, the compute sites it may run); "fnomial"
+# runs "_exact" alone on the falling product.  A table fetches F_n as row n
+# starts, so a failing row ends it before a missing term does.
 _READS = {
-    "row": (lambda seq, n, k: whitney_row(seq, n).values, lambda seq, n, k: _row_oracle(seq, n),
-            {"_row"}),
-    "sum": (lambda seq, n, k: bell_f(seq, n), lambda seq, n, k: sum(_row_oracle(seq, n)),
-            {"_row"}),
+    "row": (lambda seq, n, k: whitney_row(seq, n).values,
+            lambda seq, n, k: references.whitney_row(_vals(seq, n), n), {"_row"}),
+    "sum": (lambda seq, n, k: bell_f(seq, n),
+            lambda seq, n, k: references.bell(_vals(seq, n), n), {"_row"}),
     "table": (lambda seq, n, k: bell_f_table(seq, n).values,
-              lambda seq, n, k: _table_oracle(seq, n), {"_bell_sums"}),
+              lambda seq, n, k: references.bell_table(map(seq.value, range(1, n + 1)), n),
+              {"_bell_sums"}),
     "fnomial": (lambda seq, n, k: FNomialTable(seq).fnomial(n, k),
-                lambda seq, n, k: _quotient(_vals(seq, n), n, k) if 0 <= k <= n else 0,
+                lambda seq, n, k: references.fnomial(_vals(seq, n), n, k) if 0 <= k <= n else 0,
                 {"sieve", "_kernel", "_exact"}),
-    "gcd": (lambda seq, n, k: is_gcd_morphic(seq, n), lambda seq, n, k: full_square_scan(seq, n),
+    "gcd": (lambda seq, n, k: is_gcd_morphic(seq, n),
+            lambda seq, n, k: references.gcd_morphic(seq.values(n)),
             {"sieve", "_certify", "_scan"}),
-    "parts": (lambda seq, n, k: _exact_prefix(_parts.entry(seq, n).parts(), n),
-              lambda seq, n, k: _parts_by_definition(seq, n), {"sieve"}),
+    "parts": (lambda seq, n, k: references.exact_prefix(_parts.entry(seq, n).parts(), n),
+              lambda seq, n, k: references.primitive_parts(seq.values(n)), {"sieve"}),
 }
 
 
 def _outcome(fn, *args):
+    """fn(*args), or a NonIntegral's tagged quotient or an IndexOutOfDomain's
+    type and message; and the error itself, if any."""
     try:
-        return ("value", fn(*args)), None
-    except (NonIntegral, IndexOutOfDomain) as exc:
-        return ("error", type(exc), str(exc), getattr(exc, "numerator", None),
-                getattr(exc, "denominator", None)), exc
+        return fn(*args), None
+    except NonIntegral as exc:
+        return ("NonIntegral", exc.numerator, exc.denominator), exc
+    except IndexOutOfDomain as exc:
+        return ("error", type(exc), str(exc)), exc
 
 
 def _ident(key):
@@ -571,10 +539,9 @@ def _run(call):
         return is_gcd_morphic(seq, *args)
     if kind == "prefab":  # the Whitney row, B_n and Bell table fill the same entry
         return prefab_results(seq, *args)
-    try:
-        return (bell_f(seq, *args) if kind == "bell_f" else FNomialTable(seq).fnomial(*args))
-    except NonIntegral as exc:
-        return ("NonIntegral", exc.numerator, exc.denominator)
+    if kind == "bell_f":
+        return outcome(bell_f, seq, *args)
+    return outcome(FNomialTable(seq).fnomial, *args)
 
 
 @pytest.fixture

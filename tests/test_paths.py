@@ -9,7 +9,6 @@ and runs under hypothesis in every mode against the same oracle.
 
 from contextlib import ExitStack, contextmanager, nullcontext
 from decimal import Decimal
-from fractions import Fraction
 from functools import partial
 from io import StringIO
 from itertools import accumulate
@@ -47,9 +46,8 @@ from cobweb import (
 )
 from cobweb.errors import CobwebError
 from cobweb._memo import Memo
-from test_cli import _record_texts
+import references
 from test_poset import _engine_fingerprint
-from test_sequences import fibonacci_by_addition, full_square_scan
 
 
 class Path(NamedTuple):
@@ -71,62 +69,6 @@ def _kernel_bits(bits: int, memo_bits: int = _parts.MEMO_BITS) -> Callable[[], C
             yield
 
     return mode
-
-
-def _fnomial_by_product(seq, n, k):
-    """(n over k)_F as prod F_{n-k+i}/F_i in exact rationals; the quotient of
-    a NonIntegral where that is not an integer."""
-    if k < 0 or k > n:
-        return 0
-    r = prod(Fraction(seq.value(n - k + i), seq.value(i)) for i in range(1, k + 1))
-    return r.numerator if r.denominator == 1 else ("NonIntegral", r)
-
-
-def _fnomial(seq, n, k):
-    try:
-        return FNomialTable(seq).fnomial(n, k)
-    except NonIntegral as exc:
-        return ("NonIntegral", Fraction(exc.numerator, exc.denominator))
-
-
-def _parts_by_definition(seq, n):
-    """P_1, ..., P_{m-1} and m, the first index whose P_m = F_m / prod(P_d for
-    d | m, d < m) is not an integer, or all n parts and None."""
-    parts = [1]
-    for m, f in enumerate(seq.values(n), 1):
-        below = prod(parts[d] for d in range(1, m) if m % d == 0)
-        if f % below:
-            return parts, m
-        parts.append(f // below)
-    return parts, None
-
-
-def _exact_prefix(parts_and_bad, n):
-    """The parts a sieve result vouches for: P_1..P_{bad-1}, or P_1..P_n."""
-    parts, bad = parts_and_bad
-    return parts[: bad or n + 1], bad
-
-
-def _prefab_results(seq, n):
-    """The Whitney row, B_n and B_0..B_n, each as its value or the quotient
-    of the NonIntegral it raises; B_n reads the row whitney_row kept."""
-    out = []
-    for fn in (lambda: prefab.whitney_row(seq, n).values, lambda: prefab.bell_f(seq, n),
-               lambda: prefab.bell_f_table(seq, n).values):
-        try:
-            out.append(fn())
-        except NonIntegral as exc:
-            out.append(("NonIntegral", Fraction(exc.numerator, exc.denominator)))
-    return out
-
-
-def _prefab_by_product(seq, n):
-    """The same from sums of _fnomial_by_product: a row, and so its sum, fails
-    at its first non-integral entry, and the table at its first failing row."""
-    rows = [[_fnomial_by_product(seq, m - k, k) for k in range(m // 2 + 1)] for m in range(n + 1)]
-    sums = [next((w for w in row if isinstance(w, tuple)), None) or sum(row) for row in rows]
-    row = sums[n] if isinstance(sums[n], tuple) else tuple(rows[n])
-    return [row, sums[n], next((b for b in sums if isinstance(b, tuple)), tuple(sums))]
 
 
 def _small_views(data, n):
@@ -178,34 +120,22 @@ def _table_output(seq, command, name, n_max, fmt):
     return code, out.getvalue(), err.getvalue()
 
 
-def _table_by_factorials(seq, command, name, n_max, fmt):
-    """The output of a table computed in full before any of it is written:
-    each entry F_n!/(F_k! F_{n-k}!), F_n fetched as row n starts (a Whitney
-    row fetches them all first), the first failure in row-major order
-    reported alone, and the text formed here."""
+def _table_by_reference(seq, command, name, n_max, fmt):
+    """The output of a table computed in full before any of it is written: F_n
+    fetched as row n starts (a Whitney row fetches them all first), the first
+    failure in row-major order reported alone, and the text formed here."""
     seq = seq if name == "drawn" else BUILTIN_SEQUENCES[name]
-    fact = [1]
-
-    def coefficient(n, k):  # (n over k)_F
-        q, r = divmod(fact[n], fact[k] * fact[n - k])
-        if r:
-            raise NonIntegral(fact[n], fact[k] * fact[n - k])
-        return q
-
-    rows = []
+    reference = {"fnomial": references.fnomial_triangle, "bell": references.bell_table,
+                 "whitney": lambda terms, n: references.whitney_row(list(terms), n)}[command]
     try:
-        for n in range(n_max + 1):
-            if n:
-                fact.append(fact[-1] * seq.value(n))
-            if command == "fnomial":
-                rows += [(n, k, coefficient(n, k)) for k in range(n + 1)]
-            elif command == "bell":
-                rows.append((n, sum(coefficient(n - k, k) for k in range(n // 2 + 1))))
-        if command == "whitney":  # (n_max - k over k)_F
-            rows = [(k, coefficient(n_max - k, k)) for k in range(n_max // 2 + 1)]
+        table = reference(map(seq.value, range(1, n_max + 1)), n_max)
+        if references.failed(table):
+            raise NonIntegral(*table[1:])
     except CobwebError as exc:
         return 1, "", f"error: {type(exc).__name__}: {exc}\n"
+    rows = list(enumerate(table))
     if command == "fnomial":
+        rows = [(n, k, v) for n, row in rows for k, v in enumerate(row)]
         params, columns = {"seq": name, "table": n_max}, ["n", "k", "value"]
     elif command == "whitney":
         params = {"family": "prefab", "seq": name, "n": n_max, "kind": "second"}
@@ -301,8 +231,9 @@ def _memo_hits(unkept: bool) -> Callable[[], ContextManager]:
 
 def _memo_reads(seq, n):
     """The Whitney row, B_n, B_0..B_n, (n over n//2)_F and the GCD report, as
-    _prefab_results and _fnomial give them."""
-    return [*_prefab_results(seq, n), _fnomial(seq, n, n // 2), is_gcd_morphic(seq, n)]
+    outcome gives them."""
+    return [*prefab_results(seq, n), outcome(FNomialTable(seq).fnomial, n, n // 2),
+            is_gcd_morphic(seq, n)]
 
 
 def _read_twice(seq, n):
@@ -312,8 +243,31 @@ def _read_twice(seq, n):
 
 
 def _read_by_product(seq, n):
-    return [[*_prefab_by_product(seq, n), _fnomial_by_product(seq, n, n // 2),
-             full_square_scan(seq, n)]] * 2
+    vals = seq.values(n)
+    return [[*_prefab_references(seq, n), references.fnomial(vals, n, n // 2),
+             references.gcd_morphic(vals)]] * 2
+
+
+def outcome(fn, *args):
+    """fn(*args), or the quotient the NonIntegral it raises carries, tagged as
+    the references tag it."""
+    try:
+        return fn(*args)
+    except NonIntegral as exc:
+        return ("NonIntegral", exc.numerator, exc.denominator)
+
+
+def prefab_results(seq, n):
+    """The Whitney row, B_n and B_0..B_n, each as outcome gives it; B_n reads
+    the row whitney_row kept."""
+    return [outcome(lambda: prefab.whitney_row(seq, n).values), outcome(prefab.bell_f, seq, n),
+            outcome(lambda: prefab.bell_f_table(seq, n).values)]
+
+
+def _prefab_references(seq, n):
+    vals = seq.values(n)
+    return [references.whitney_row(vals, n), references.bell(vals, n),
+            references.bell_table(vals, n)]
 
 
 REGISTRY = {
@@ -321,7 +275,7 @@ REGISTRY = {
         modes={"certificate": nullcontext, "scan": _scan_all},
         args=lambda data, n: (data.draw(st.integers(2, n), label="range_max"),),
         production=is_gcd_morphic,
-        oracle=full_square_scan,
+        oracle=lambda seq, range_max: references.gcd_morphic(seq.values(range_max)),
     ),
     "FNomialTable.fnomial": Path(
         # Below every estimate (a lumpy list's can be negative), and above every
@@ -330,24 +284,24 @@ REGISTRY = {
                "no memo": _kernel_bits(-(10**9), 0)},
         args=lambda data, n: (m := data.draw(st.integers(0, n), label="n"),
                               data.draw(st.integers(-1, m + 1), label="k")),
-        production=_fnomial,
-        oracle=_fnomial_by_product,
+        production=lambda seq, n, k: outcome(FNomialTable(seq).fnomial, n, k),
+        oracle=lambda seq, n, k: references.fnomial(seq.values(n), n, k),
     ),
     "primitive parts": Path(
         # A memo of 0 bits stores nothing, so every call sieves afresh.
         modes={"memo": nullcontext,
                "no memo": lambda: mock.patch.object(_parts, "MEMO", Memo(0))},
         args=lambda data, n: (data.draw(st.integers(1, n), label="n"),),
-        production=lambda seq, n: _exact_prefix(_parts.entry(seq, n).parts(), n),
-        oracle=_parts_by_definition,
+        production=lambda seq, n: references.exact_prefix(_parts.entry(seq, n).parts(), n),
+        oracle=lambda seq, n: references.primitive_parts(seq.values(n)),
     ),
     "prefab results": Path(
         # A memo of 0 bits keeps no entry, so every call computes afresh.
         modes={"memo": nullcontext,
                "no memo": lambda: mock.patch.object(_parts, "MEMO", Memo(0))},
         args=lambda data, n: (data.draw(st.integers(0, n), label="n"),),
-        production=_prefab_results,
-        oracle=_prefab_by_product,
+        production=prefab_results,
+        oracle=_prefab_references,
     ),
     "memo hits": Path(
         # A value-stable rule (a built-in, or a custom sequence's terms) is
@@ -375,7 +329,7 @@ REGISTRY = {
                    sequences, "FIBONACCI", FSequence("fibonacci", lambda s: FIBONACCI.rule(s)))},
         args=lambda data, n: (data.draw(st.integers(0, 3000), label="count"),),
         production=lambda seq, count: sequences.FIBONACCI.values(count),
-        oracle=lambda seq, count: list(fibonacci_by_addition(count)),
+        oracle=lambda seq, count: list(references.fibonacci(count)),
     ),
     "table streaming": Path(
         # With the certificate refused, every table is computed in full first.
@@ -384,14 +338,14 @@ REGISTRY = {
                    _parts._Entry, "parts", lambda e: (None, 1))},
         args=_table_request,
         production=_table_output,
-        oracle=_table_by_factorials,
+        oracle=_table_by_reference,
     ),
     "table digits": Path(
         # Certified rows are built in Decimal at every estimate, or at none.
         modes={"decimal rows": _decimal_bits(-(10**9)), "int rows": _decimal_bits(10**9)},
         args=partial(_table_request, commands=("fnomial", "whitney")),
         production=_table_output,
-        oracle=_table_by_factorials,
+        oracle=_table_by_reference,
     ),
     "digit retry": Path(
         # An int str() refuses goes through the converter's chunks, one
@@ -401,7 +355,8 @@ REGISTRY = {
                "halving": lambda: mock.patch.object(_digits, "EXACT", None)},
         args=_past_the_limit,
         production=_rendered_at_640,
-        oracle=lambda seq, v, fmt: [_record_texts(rec, fmt) for rec in _past_records(v)],
+        oracle=lambda seq, v, fmt: [references.record_text(r.value, r.columns, r.rows, fmt)
+                                    for r in _past_records(v)],
     ),
 }
 
@@ -417,9 +372,7 @@ def term_lists(draw):
         qs = draw(st.lists(st.sampled_from((1, 1, 1, 1, 2, 3, 5, 7, 4, 9)), min_size=n, max_size=n))
         vals = [prod(qs[d - 1] for d in range(1, m + 1) if m % d == 0) for m in range(1, n + 1)]
     elif base == "fibonacci":
-        vals = [1, 1]
-        while len(vals) < n:
-            vals.append(vals[-1] + vals[-2])
+        vals = list(references.fibonacci(n))
     else:
         vals = [s if base == "naturals" else 2**s - 1 for s in range(1, n + 1)]
     if draw(st.booleans()):
@@ -457,7 +410,7 @@ def test_every_mode_takes_its_path():
             assert is_gcd_morphic(mersenne, 60).holds
         assert bool(gcds) == scans, mode
     # A failing check scans once in either mode, and keeps its witness.
-    report = full_square_scan(from_values("spoiled", spoiled), 60)
+    report = references.gcd_morphic(spoiled)
     for mode in ("certificate", "scan"):
         with mock.patch.object(_parts, "MEMO", Memo(_parts.MEMO_BITS)), REGISTRY[
             "is_gcd_morphic"
@@ -488,7 +441,7 @@ def test_every_mode_takes_its_path():
             min(k, n - k)) or exact(num, den, vals, n, k)
         ), sieving():
             for k in ks:
-                assert FNomialTable(mersenne).fnomial(60, k) == _fnomial_by_product(mersenne, 60, k)
+                assert FNomialTable(mersenne).fnomial(60, k) == references.fnomial(terms, 60, k)
         assert (computed, divided, len(sieved)) == (products, divisions, sieves), mode
     for mode, sieves in (("memo", 1), ("no memo", 2)):
         sieved = []
@@ -500,7 +453,7 @@ def test_every_mode_takes_its_path():
         assert len(sieved) == sieves, mode
     # A fresh memo computes each row and table once; no memo, on every call.
     row, sums = prefab._row, prefab._bell_sums
-    expected = _prefab_by_product(mersenne, 60)
+    expected = _prefab_references(mersenne, 60)
     for mode, once in (("memo", True), ("no memo", False)):
         computed = []
         with mock.patch.object(_parts, "MEMO", Memo(_parts.MEMO_BITS)), REGISTRY[
@@ -511,7 +464,7 @@ def test_every_mode_takes_its_path():
             prefab, "_bell_sums", lambda seq, n: computed.append("bell") or sums(seq, n)
         ):
             for _ in range(3):
-                assert _prefab_results(mersenne, 60) == expected
+                assert prefab_results(mersenne, 60) == expected
         assert computed == (["row", "bell"] if once else ["row", "row", "bell"] * 3), mode
     # Read back, each kept result makes no rule or prefix call on a
     # value-stable rule.  On the same rule wrapped in a lambda nothing is
@@ -568,7 +521,7 @@ def test_every_mode_takes_its_path():
         with REGISTRY["fibonacci values"].modes[mode](), mock.patch.object(
             fib, "__call__", lambda self, s: calls.append("rule") or rule(self, s)
         ), mock.patch.object(fib, "prefix", lambda self, c: calls.append("prefix") or prefix(self, c)):
-            assert sequences.FIBONACCI.values(30) == list(fibonacci_by_addition(30))
+            assert sequences.FIBONACCI.values(30) == list(references.fibonacci(30))
         assert calls == (["rule"] * 30 if per_index else ["prefix"]), mode
     # How many rows each table has computed when each chunk is written: none
     # yet at the head when streamed, all of them when materialized.
@@ -646,8 +599,8 @@ def test_both_gcd_modes_find_a_deep_witness():
     vals[119] *= 3
     seq = from_values("tripled", vals)
     assert _parts.entry(seq, 160).first_failure() == 120
-    report = full_square_scan(seq, 160)
-    assert report.witness == (9, 120)
+    report = references.gcd_morphic(vals)
+    assert report[:2] == (False, (9, 120))
     for mode in REGISTRY["is_gcd_morphic"].modes.values():
         with mode():
             assert is_gcd_morphic(seq, 160) == report
@@ -657,8 +610,8 @@ def test_both_gcd_modes_find_a_deep_witness():
     vals[899] *= 3
     seq = from_values("tripled", vals)
     assert _parts.entry(seq, 2000).first_failure() == 900
-    report = full_square_scan(seq, 2000)
-    assert report.witness == (108, 900)
+    report = references.gcd_morphic(vals)
+    assert report[:2] == (False, (108, 900))
     for mode in REGISTRY["is_gcd_morphic"].modes.values():
         with mode():
             assert is_gcd_morphic(seq, 2000) == report

@@ -1,8 +1,5 @@
-import functools
-import math
 import random
 from collections import Counter
-from fractions import Fraction
 from io import StringIO
 
 import pytest
@@ -24,27 +21,9 @@ from cobweb import (
     whitney_prefab,
     whitney_row,
 )
+import references
 from test_parts import _CHANGING, _cost, _mersenne, model
-from test_paths import REGISTRY
-
-
-def fnomial_by_product(seq, n, k):
-    """Independent route: (n over k)_F as the telescoped product
-    prod_{i=1..k} F_{n-k+i}/F_i, in exact rationals."""
-    if k < 0 or k > n:
-        return 0
-    r = Fraction(1)
-    for i in range(1, k + 1):
-        r *= Fraction(seq.value(n - k + i), seq.value(i))
-    assert r.denominator == 1
-    return r.numerator
-
-
-def fib_direct(n):
-    a, b = 1, 1
-    for _ in range(n - 1):
-        a, b = b, a + b
-    return a
+from test_paths import REGISTRY, outcome
 
 
 def test_whitney_prefab_examples():
@@ -66,24 +45,20 @@ def test_whitney_prefab_zero_region():
 def test_whitney_row_matches_independent_product():
     for n in range(0, 25):
         row = whitney_row(FIBONACCI, n)
-        assert row.values == tuple(
-            fnomial_by_product(FIBONACCI, n - k, k) for k in range(n // 2 + 1)
-        )
+        assert row.values == references.whitney_row(FIBONACCI.values(n), n)
         assert row.values[0] == 1
 
 
 def test_bell_f_naturals_is_fibonacci():
-    assert bell_f(NATURALS, 5) == 1 + 4 + 3 == 8 == fib_direct(6)
+    fib = [0, *references.fibonacci(25)]  # fib[s] = F_s
+    assert bell_f(NATURALS, 5) == 1 + 4 + 3 == 8 == fib[6]
     for n in range(0, 25):
-        assert bell_f(NATURALS, n) == fib_direct(n + 1)
+        assert bell_f(NATURALS, n) == fib[n + 1]
 
 
 def test_bell_f_fibonacci_prefix():
     # recomputed by direct summation of the fibonomial diagonals
-    expected = [
-        sum(fnomial_by_product(FIBONACCI, n - k, k) for k in range(n // 2 + 1))
-        for n in range(6)
-    ]
+    expected = [references.bell(FIBONACCI.values(n), n) for n in range(6)]
     assert expected == [1, 1, 2, 2, 4, 6]
     assert [bell_f(FIBONACCI, n) for n in range(6)] == expected
 
@@ -160,7 +135,7 @@ def test_errors_are_raised_afresh_on_every_call(tmp_path):
 def test_prefab_results_filling_the_memo_stay_within_its_bits():
     # Room for four of the sixteen entries, each with its row.
     seq, ns = _mersenne(250), range(100, 251, 10)
-    with model(4 * (_cost(seq.rule.vals) + _cost(expected_whitney_row(seq, 250)))) as m:
+    with model(4 * (_cost(seq.rule.vals) + _cost(references.whitney_row(seq.rule.vals, 250)))) as m:
         for n in ns:
             m.call("row", _mersenne(250), n)
         assert 1 < len(m.memo.entries) < len(ns)
@@ -187,83 +162,42 @@ ORACLE_SEQS = [*BUILTIN_SEQUENCES.values(), MERSENNE]
 LUMPY_SEQS = [from_values("lumpy", [2, 3, 4]), *map(_lumpy, range(12))]
 
 
-@functools.lru_cache(maxsize=None)
-def _product(seq, n, k):
-    return math.prod(Fraction(seq.value(n - k + i), seq.value(i)) for i in range(1, k + 1))
-
-
-def expected_fnomial(seq, n, k):
-    """(n over k)_F by the product oracle; where that is not an integer, the
-    NonIntegral of the factorial quotient F_n!/(F_k! F_{n-k}!)."""
-    if k < 0 or k > n:
-        return 0
-    r = _product(seq, n, k)
-    if r.denominator != 1:
-        fact = [math.prod(seq.values(i)) for i in (n, k, n - k)]
-        raise NonIntegral(fact[0], fact[1] * fact[2])
-    return r.numerator
-
-
-def outcome(fn, *args):
-    """fn(*args), or the quotient carried by the NonIntegral it raises."""
-    try:
-        return fn(*args)
-    except NonIntegral as exc:
-        return ("NonIntegral", exc.numerator, exc.denominator)
-
-
-# The tables walk row-major, so each raises at its first non-integral entry.
-def expected_triangle(seq, n_max):
-    return [[expected_fnomial(seq, n, k) for k in range(n + 1)] for n in range(n_max + 1)]
-
-
-def expected_whitney_row(seq, n):
-    return tuple(expected_fnomial(seq, n - k, k) for k in range(n // 2 + 1))
-
-
-def expected_bell_table(seq, n_max):
-    return tuple(sum(expected_whitney_row(seq, n)) for n in range(n_max + 1))
-
-
-def cli_triangle(seq, n_max, tmp_path):
-    """The `fnomial --table` rows for seq, read back from CSV, or the
-    NonIntegral quotient parsed from the error line."""
+def _cli_csv(argv, seq, n_max, tmp_path):
+    """The header and int rows of the CSV the CLI writes for argv over seq,
+    read from a file, or the NonIntegral quotient parsed from the error line."""
     path = tmp_path / "seq.txt"
     path.write_text("".join(f"{v}\n" for v in seq.values(n_max)))
     out, err = StringIO(), StringIO()
-    code = cli.run(["fnomial", "--seq", f"file:{path}", "--table", str(n_max), "--format", "csv"],
-                   out, err)
+    code = cli.run([argv[0], "--seq", f"file:{path}", *argv[1:], "--format", "csv"], out, err)
     if code:
         prefix, suffix = "error: NonIntegral: quotient ", " is not an integer\n"
         text = err.getvalue()
         assert (code, text[: len(prefix)], text[-len(suffix) :]) == (1, prefix, suffix)
         num, den = text[len(prefix) : -len(suffix)].split("/")
         return ("NonIntegral", int(num), int(den))
-    rows = [[] for _ in range(n_max + 1)]
-    for line in out.getvalue().splitlines()[1:]:
-        n, k, v = map(int, line.split(","))
-        assert k == len(rows[n])
-        rows[n].append(v)
-    return rows
+    header, *lines = out.getvalue().splitlines()
+    return header, [tuple(map(int, line.split(","))) for line in lines]
+
+
+def cli_triangle(seq, n_max, tmp_path):
+    """The `fnomial --table` rows for seq, or its NonIntegral quotient."""
+    got = _cli_csv(["fnomial", "--table", str(n_max)], seq, n_max, tmp_path)
+    if references.failed(got):
+        return got
+    assert [row[:2] for row in got[1]] == [(n, k) for n in range(n_max + 1) for k in range(n + 1)]
+    values = iter(v for _, _, v in got[1])
+    return [[next(values) for _ in range(n + 1)] for n in range(n_max + 1)]
 
 
 def cli_bell_table(seq, n_max, tmp_path):
-    """The `bell --family prefab --table` sums for seq, read back from CSV, or
-    the NonIntegral quotient parsed from the error line."""
-    path = tmp_path / "bell.txt"
-    path.write_text("".join(f"{v}\n" for v in seq.values(n_max)))
-    out, err = StringIO(), StringIO()
-    code = cli.run(["bell", "--family", "prefab", "--seq", f"file:{path}", "--n", str(n_max),
-                    "--table", "--format", "csv"], out, err)
-    if code:
-        prefix, suffix = "error: NonIntegral: quotient ", " is not an integer\n"
-        text = err.getvalue()
-        assert (code, text[: len(prefix)], text[-len(suffix) :]) == (1, prefix, suffix)
-        num, den = text[len(prefix) : -len(suffix)].split("/")
-        return ("NonIntegral", int(num), int(den))
-    lines = out.getvalue().splitlines()
-    assert lines[0] == "n,value"
-    rows = [tuple(map(int, line.split(","))) for line in lines[1:]]
+    """The `bell --family prefab --table` sums for seq, or its NonIntegral
+    quotient."""
+    got = _cli_csv(["bell", "--family", "prefab", "--n", str(n_max), "--table"], seq, n_max,
+                   tmp_path)
+    if references.failed(got):
+        return got
+    header, rows = got
+    assert header == "n,value"
     assert [n for n, _ in rows] == list(range(n_max + 1))
     return tuple(v for _, v in rows)
 
@@ -271,20 +205,18 @@ def cli_bell_table(seq, n_max, tmp_path):
 @pytest.mark.parametrize("seq", ORACLE_SEQS + LUMPY_SEQS, ids=lambda s: s.name)
 def test_recurrences_match_product_oracle(seq, tmp_path):
     n_max = min(60, seq.limit or 60)
-    table = FNomialTable(seq)
+    table, vals = FNomialTable(seq), seq.values(n_max)
     for n in range(n_max + 1):
         for k in range(-1, n + 2):
-            assert outcome(table.fnomial, n, k) == outcome(expected_fnomial, seq, n, k), (n, k)
-        expected = outcome(expected_whitney_row, seq, n)
-        assert outcome(lambda: whitney_row(seq, n).values) == expected, n
-        assert outcome(bell_f, seq, n) == (expected if expected[0] == "NonIntegral" else sum(expected))
-    assert outcome(lambda: bell_f_table(seq, n_max).values) == outcome(
-        expected_bell_table, seq, n_max
-    )
-    triangle = outcome(expected_triangle, seq, n_max)
+            assert outcome(table.fnomial, n, k) == references.fnomial(vals, n, k), (n, k)
+        assert outcome(lambda: whitney_row(seq, n).values) == references.whitney_row(vals, n), n
+        assert outcome(bell_f, seq, n) == references.bell(vals, n), n
+    bell_table = references.bell_table(vals, n_max)
+    assert outcome(lambda: bell_f_table(seq, n_max).values) == bell_table
+    triangle = references.fnomial_triangle(vals, n_max)
     assert outcome(lambda: list(table.rows(n_max))) == triangle
     assert cli_triangle(seq, n_max, tmp_path) == triangle
-    assert cli_bell_table(seq, n_max, tmp_path) == outcome(expected_bell_table, seq, n_max)
+    assert cli_bell_table(seq, n_max, tmp_path) == bell_table
 
 
 @pytest.mark.parametrize("path", sorted(REGISTRY["FNomialTable.fnomial"].modes))
@@ -295,11 +227,11 @@ def test_fnomial_switch_both_ways_matches_product_oracle(seq, path, monkeypatch)
     monkeypatch.setattr(fnomial, "_kernel", lambda parts, n, k: products.append((n, k)) or kernel(
         parts, n, k))
     n_max = min(60, seq.limit or 60)
-    table = FNomialTable(seq)
+    table, vals = FNomialTable(seq), seq.values(n_max)
     with REGISTRY["FNomialTable.fnomial"].modes[path]():  # each on a fresh memo
         for n in range(n_max + 1):
             for k in range(-1, n + 2):
-                expected = outcome(expected_fnomial, seq, n, k)
+                expected = references.fnomial(vals, n, k)
                 assert outcome(table.fnomial, n, k) == expected, (n, k)
                 if n + k >= 0:
                     assert outcome(whitney_prefab, seq, n + k, k) == expected, (n, k)
@@ -313,6 +245,9 @@ def test_fnomial_switch_both_ways_matches_product_oracle(seq, path, monkeypatch)
 
 
 def test_oracle_sequences_include_non_integral_ones():
-    raised = [s.name for s in ORACLE_SEQS + LUMPY_SEQS
-              if outcome(expected_bell_table, s, min(60, s.limit or 60))[0] == "NonIntegral"]
+    raised = []
+    for s in ORACLE_SEQS + LUMPY_SEQS:
+        n_max = min(60, s.limit or 60)
+        if references.failed(references.bell_table(s.values(n_max), n_max)):
+            raised.append(s.name)
     assert "odd" in raised and "lumpy" in raised and len(raised) >= 6, raised

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from cobweb import cli
-from references import checks, gcd_witness
+from references import checks, gcd_morphic
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -40,11 +40,10 @@ def _first_difference(got, expected):
 
 
 def _gcd_text(values):
-    w = gcd_witness(values)
-    if w is None:
+    holds, witness, g, f = gcd_morphic(values)
+    if holds:
         return "holds\n1\n"
-    n, m = w
-    g, f = math.gcd(values[n - 1], values[m - 1]), values[math.gcd(n, m) - 1]
+    n, m = witness
     return f"holds n m gcd_of_values f_at_gcd\n0 {n} {m} {g} {f}\n"
 
 
@@ -123,17 +122,41 @@ def test_cli_prints_the_reference(case, tmp_path):
     assert _first_difference(out.getvalue(), expected) is None
 
 
+# One call of each public function in references.py, made in the probe below.
+REFERENCE_CALLS = {
+    "fibonacci": "list(fibonacci(5))",
+    "failed": "failed(('NonIntegral', 6, 4))",
+    "fnomial": "fnomial([2, 3], 2, 1)",
+    "fnomial_triangle": "fnomial_triangle([1, 1, 2], 3)",
+    "whitney_row": "whitney_row([1, 2, 3, 4], 4)",
+    "bell": "bell([1, 2, 3, 4], 4)",
+    "bell_table": "bell_table([1, 2, 3], 3)",
+    "gcd_morphic": "gcd_morphic([1, 2, 4])",
+    "primitive_parts": "primitive_parts([1, 2, 3, 4])",
+    "exact_prefix": "exact_prefix(([1, 1, 2], None), 2)",
+    "lifted_str": "lifted_str(10**5000)",
+    "record_text": "record_text(None, ('k', 'value'), [(0, 1)], 'json')",
+    "dot_text": "dot_text(['a', 'b'], [('a', 'b')], {'a': 0, 'b': 1})",
+}
+
+
 def test_references_import_no_cobweb():
+    # Each reference is called, so one that imports cobweb when run fails too.
     probe = (
-        "import json, sys\n"
+        "import json, sys, types\n"
         "import references\n"
+        "for call in json.loads(sys.argv[1]).values():\n"
+        "    eval(call, vars(references))\n"
+        "public = sorted(name for name, f in vars(references).items() if not name.startswith('_')\n"
+        "                and isinstance(f, types.FunctionType) and f.__module__ == 'references')\n"
         "loaded = sorted(m for m in sys.modules if m == 'cobweb' or m.startswith('cobweb.'))\n"
-        "print(json.dumps([references.checks.__file__, loaded]))\n"
+        "print(json.dumps([references.checks.__file__, public, loaded]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(TESTS), str(SRC)]))
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, "-c", probe, json.dumps(REFERENCE_CALLS)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
-    path, loaded = json.loads(done.stdout)
+    path, public, loaded = json.loads(done.stdout)
     assert Path(path) == TESTS.parent / "bench" / "checks.py"
+    assert public == sorted(REFERENCE_CALLS)
     assert loaded == []

@@ -19,13 +19,13 @@ from cobweb import (
     NATURALS,
     ODD,
     FSequence,
-    GcdMorphicReport,
     IndexOutOfDomain,
     InvalidBounds,
     from_file,
     from_values,
     is_gcd_morphic,
 )
+import references
 
 
 def test_builtin_prefixes():
@@ -98,17 +98,9 @@ def test_rule_sequences_keep_identity():
     assert FSequence("naturals", NATURALS.rule) == NATURALS
 
 
-def fibonacci_by_addition(last):
-    """F_1, F_2, ..., F_last by the addition loop."""
-    a, b = 1, 1
-    for _ in range(last):
-        yield a
-        a, b = b, a + b
-
-
 def test_fibonacci_value_matches_the_addition_loop():
     checked = {2000, 4095, 4096, 4097, 10**4, 10**5}
-    for s, f in enumerate(fibonacci_by_addition(10**5), 1):
+    for s, f in enumerate(references.fibonacci(10**5), 1):
         if s <= 2000 or s in checked:
             assert FIBONACCI.value(s) == f, s
 
@@ -247,17 +239,6 @@ def test_fibonacci_gcd_identity(n, m):
     assert math.gcd(FIBONACCI.value(n), FIBONACCI.value(m)) == FIBONACCI.value(math.gcd(n, m))
 
 
-def full_square_scan(seq, range_max):
-    """Reference: the lexicographically first failing pair over all n, m."""
-    vals = seq.values(range_max)
-    for n in range(1, range_max + 1):
-        for m in range(1, range_max + 1):
-            g = math.gcd(vals[n - 1], vals[m - 1])
-            if g != vals[math.gcd(n, m) - 1]:
-                return GcdMorphicReport(False, (n, m), g, vals[math.gcd(n, m) - 1])
-    return GcdMorphicReport(True)
-
-
 def test_half_scan_matches_full_square_scan():
     rng = random.Random(1989)
     seqs = list(BUILTIN_SEQUENCES.values())
@@ -270,5 +251,5 @@ def test_half_scan_matches_full_square_scan():
         seqs.append(from_values(f"perturbed{i}", vals))
     for seq in seqs:
         for range_max in range(2, 41):
-            assert is_gcd_morphic(seq, range_max) == full_square_scan(seq, range_max), (
-                seq.name, range_max)
+            assert is_gcd_morphic(seq, range_max) == references.gcd_morphic(
+                seq.values(range_max)), (seq.name, range_max)

@@ -13,12 +13,18 @@ class Memo:
     costs more is not kept.  One private lock guards every update and every
     recharge's measure, so threads may share a memo; callers build their
     values outside it and take no lock of their own.  `entries` maps each key
-    to its (value, cost), in order of use: a plain dict, re-inserted on use."""
+    to its (value, cost), in order of use: a plain dict, re-inserted on use.
+    A value is kept under one key at a time: every caller puts a fresh value
+    on a miss.  The memo alone knows which key that is, so its owner holds no
+    key: `recharge` takes the value alone."""
 
     def __init__(self, limit: int) -> None:
         self.limit = limit
         self.charged = 0
         self.entries: dict[Hashable, tuple[object, int]] = {}
+        # The key of each kept value, by its id: the memo holds the value, so
+        # no other live object has that id.
+        self._keys: dict[int, Hashable] = {}
         self._lock = threading.Lock()
 
     def get(self, key: Hashable) -> object | None:
@@ -27,6 +33,7 @@ class Memo:
             if (kept := self.entries.pop(key, None)) is None:
                 return None
             self.entries[key] = kept
+            self._keys[id(kept[0])] = key  # the caller's, so no older equal key is pinned
             return kept[0]
 
     def put(self, key: Hashable, value: object, cost: int) -> None:
@@ -35,29 +42,34 @@ class Memo:
         with self._lock:
             self._keep(key, value, cost)
 
-    def recharge(self, key: Hashable, value: object, measure: Callable[[], int]) -> None:
+    def recharge(self, value: object, measure: Callable[[], int]) -> None:
         """Charge value again, say once it has grown, by measure(), called
         under the lock, so a charge is never older than one made by a thread
-        that grew the value later; only while key holds this very value, so a
-        value not kept (say, under key None) stays out."""
+        that grew the value later; only while value is kept, so a value not
+        kept stays out."""
         with self._lock:
-            kept = self.entries.get(key)
-            if kept is not None and kept[0] is value:
-                self._keep(key, value, measure())
+            if (i := id(value)) in self._keys:
+                self._keep(self._keys[i], value, measure())
 
     def clear(self) -> None:
         with self._lock:
             self.entries.clear()
+            self._keys.clear()
             self.charged = 0
 
     def _keep(self, key: Hashable, value: object, cost: int) -> None:
         """put, with the lock held."""
-        old = self.entries.pop(key, None)
-        if old is not None:
-            self.charged -= old[1]
-        if cost > self.limit:
-            return
-        self.entries[key] = (value, cost)
-        self.charged += cost
+        self._drop(key)
+        if cost <= self.limit:
+            self.entries[key] = (value, cost)
+            self._keys[id(value)] = key
+            self.charged += cost
         while self.charged > self.limit:
-            self.charged -= self.entries.pop(next(iter(self.entries)))[1]
+            self._drop(next(iter(self.entries)))
+
+    def _drop(self, key: Hashable) -> None:
+        """Forget the value under key, if any, with the lock held: the one
+        place a value leaves the memo."""
+        if (old := self.entries.pop(key, None)) is not None:
+            self.charged -= old[1]
+            del self._keys[id(old[0])]

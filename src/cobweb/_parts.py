@@ -9,20 +9,20 @@ one entry per value-stable rule and prefix length under the plain key
 value-stable rules are the five built-ins (pure and stateless) and a custom
 sequence's terms (whose key holds every value).  `entry` is the one lookup
 and the only way into `MEMO`: it answers them from their entry before any
-value is fetched, so a repeat fetches no values, and gives the entry its
-key.  Any other rule is computed afresh on every call and never kept.
-`_Entry.kept` is the one fill: it makes a result by name on first use,
-charges it by `_charge` and recharges the entry under its key.  The results
-are "parts" (`_Entry.parts`), the certificate's first failure "b0"
-(`_Entry.first_failure`), the first failing pair "witness" of
-`is_gcd_morphic`, every (n over j)_F that `FNomialTable.fnomial` returns
-under j = min(k, n - k), and the Whitney row "row", its sum B_n "sum" and
-the Bell table "bell" of `cobweb.prefab`; a result that would take the
-entry past the memo's bound is returned but not stored, and an error is
-raised afresh on every call.  `cobweb.fnomial._cli_rows` reads an entry's
-parts to decide when a CLI table may stream, and when a table or prefab row
-may be computed in `Decimal`.  The package imports this module on first use
-only, or with `cobweb.prefab`, so no start-up path compiles it.
+value is fetched, so a repeat fetches no values.  Any other rule is computed
+afresh on every call and never kept.  `_Entry.kept` is the one fill: it
+makes a result by name on first use, charges it by `_charge` and has the
+memo charge the entry again.  The results are "parts" (`_Entry.parts`), the
+certificate's first failure "b0" (`_Entry.first_failure`), the first
+failing pair "witness" of `is_gcd_morphic`, every (n over j)_F that
+`FNomialTable.fnomial` returns under j = min(k, n - k), and the Whitney row
+"row", its sum B_n "sum" and the Bell table "bell" of `cobweb.prefab`; a
+result that would take the entry past the memo's bound is returned but not
+stored, and an error is raised afresh on every call.
+`cobweb.fnomial._cli_rows` reads an entry's parts to decide when a CLI
+table may stream, and when a table or prefab row may be computed in
+`Decimal`.  The package imports this module on first use only, or with
+`cobweb.prefab`, so no start-up path compiles it.
 """
 
 from __future__ import annotations
@@ -81,20 +81,20 @@ def _certify(parts: list[int], hi: int) -> int | None:
 
 
 class _Entry:
-    """One prefix F_1..F_N, the charge of holding it, its memo `key` (None
-    when not kept), and `results`, each result computed from the prefix by
-    name, with the bits it adds.  The table is replaced, never changed in
-    place, so a reader never sees it grow."""
+    """One prefix F_1..F_N, the charge of holding it, and `results`, each
+    result computed from the prefix by name, with the bits it adds.  The
+    table is replaced, never changed in place, so a reader never sees it
+    grow."""
 
-    __slots__ = ("vals", "held_bits", "results", "key")
+    __slots__ = ("vals", "held_bits", "results")
 
     def __init__(self, rule: Callable[[int], int], vals: list[int]) -> None:
         self.vals = vals
-        # Charged per entry: `Memo.get` keeps each caller's key, and `key` is
-        # that same object, so the entry holds one tuple of values.
+        # A custom sequence's key holds every term, and the memo holds one key
+        # per entry, so the entry is charged those terms once; vals shares
+        # their ints.
         self.held_bits = _bits(rule.vals if isinstance(rule, _Terms) else vals)
         self.results: dict[object, tuple[object, int]] = {}
-        self.key: tuple[Callable[[int], int], int] | None = None
 
     @property
     def bits(self) -> int:
@@ -104,15 +104,15 @@ class _Entry:
     def kept(self, name: object, compute: Callable[[_Entry], object]) -> object:
         """The result `name`, made on first use by compute(self) and stored,
         charged by _charge, unless the entry would then cost more than the
-        memo may hold; the memo measures the entry again under its lock and
-        `key`, so threads that fill it at once leave its charge exact.  An
-        error compute raises is not kept, so each call raises it afresh."""
+        memo may hold; the memo measures the entry again under its lock, so
+        threads that fill it at once leave its charge exact.  An error
+        compute raises is not kept, so each call raises it afresh."""
         if (kept := self.results.get(name)) is None:
             value = compute(self)
             kept = (value, _charge(value))
             if self.bits + kept[1] <= MEMO.limit:
                 self.results = {**self.results, name: kept}
-                MEMO.recharge(self.key, self, lambda: self.bits)
+                MEMO.recharge(self, lambda: self.bits)
         return kept[0]
 
     def parts(self) -> tuple[list[int], int | None]:
@@ -159,10 +159,9 @@ _PURE = {id(rule): rule for rule in (NATURALS.rule, ODD.rule, EVEN1.rule, DIV31.
 def entry(seq: FSequence, n: int) -> _Entry:
     """The entry for F_1..F_n of seq, the memo's only door; ValueError when
     n < 0.  A value-stable rule, a built-in or a custom sequence's terms
-    within its limit, has its entry kept under key = (rule, n), the very
-    object each lookup leaves in `e.key`, and answered before any value is
-    fetched.  Any other rule gets a fresh entry, never stored, with key
-    None, so its values are fetched and its results computed on every call."""
+    within its limit, has its entry kept under (rule, n), and answered before
+    any value is fetched.  Any other rule gets a fresh entry, never stored,
+    so its values are fetched and its results computed on every call."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     rule = seq.rule
@@ -172,5 +171,4 @@ def entry(seq: FSequence, n: int) -> _Entry:
     if (e := MEMO.get(key)) is None:
         e = _Entry(rule, seq.values(n))
         MEMO.put(key, e, e.bits)
-    e.key = key
     return e

@@ -4,25 +4,28 @@ named for it.
     PYTHONPATH=src python tests/mutants.py
 
 Each mutant replaces the one occurrence of `old` in `path` with `new`.  For
-each, the gate copies `src/` to a temporary directory, applies the mutant
-there and runs `pytest -q -x -p no:cacheprovider` on the mutant's tests, with
-PYTHONPATH at the copy and hypothesis deadlines off, so that a loaded host
-cannot fail a test by its clock and fake a kill, and shrinking off, since a
-failing example is not shown.  A mutant is killed when
-pytest fails, survives when it passes, and times out after TIMEOUT seconds.
-An `old` found nowhere is reported missing, and one found more than once
-ambiguous.  The gate prints one line per mutant with its runtime, then the
-total, and exits 1 unless every mutant is killed: a refactor that moves the
-code fails loudly, and a survivor is fixed by a test, never by deleting the
-mutant.  Stdlib only, apart from pytest and hypothesis, which the tests need
-anyway.  It takes no options.
+each, the gate copies what the tests read (`src/`, `tests/`, the benchmark's
+references, README.md and pyproject.toml) to a temporary directory, applies
+the mutant there and runs `pytest -q -x -p no:cacheprovider` on the mutant's
+tests in that copy, so that a test that reads the source or runs the CLI in
+a child process meets the mutant too.  PYTHONPATH is the copied `src/`, and
+hypothesis runs without deadlines, so that a loaded host cannot fail a test
+by its clock and fake a kill, and without shrinking, since a failing example
+is not shown.  A mutant is killed when pytest fails, survives when it passes,
+and times out after TIMEOUT seconds.  An `old` found nowhere is reported
+missing, and one found more than once ambiguous.  The gate prints one line
+per mutant with its runtime, then the total, and exits 1 unless every mutant
+is killed: a refactor that moves the code fails loudly, and a survivor is
+fixed by a test, never by deleting the mutant.  Stdlib only, apart from
+pytest and hypothesis, which the tests need anyway.  It takes no options.
 
 The seeds are mistakes once made, or nearly made: in the memos (the memo
-class, the prefix memo with its readers, and the engine memo's key, charge
-and closure), in the engine and the views' cover rules, in the writers of
-Möbius rows, DOT and output chunks, and in the arithmetic (Fibonacci values,
-primitive parts, the GCD certificate and scan, F-nomials and prefab rows).
-Each is named for what it breaks.
+class with its index of keys, the prefix memo with its readers, and the
+engine memo's charge and closure), in the engine and the views' cover rules,
+in the writers of Möbius rows, DOT and output chunks, in the CLI's argument
+check, certified rows and exit, in exact decimal text, and in the arithmetic
+(Fibonacci values, primitive parts, the GCD certificate and scan, F-nomials
+and prefab rows).  Each is named for what it breaks.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from typing import NamedTuple
 
 TESTS = os.path.dirname(os.path.realpath(__file__))
 ROOT = os.path.dirname(TESTS)
+# What the tests read, from the repository root.
+TREE = ("src", "tests", "bench/checks.py", "README.md", "pyproject.toml")
 # Seconds per mutant: about five times the longest pass of any seed's tests on
 # an unmutated tree, 12 s on a 2-vCPU VM, which is what a survivor runs.  Kept
 # well under the CI step's cap, so a stuck mutant gets its own verdict there.
@@ -50,6 +55,10 @@ ENGINES = "tests/test_engine_memo.py"
 PATHS = "tests/test_paths.py::test_path_matches_oracle[{}]"
 # The one writer's test of how raw pieces are cut into chunks.
 RENDER = "tests/test_cli.py::test_render_joins_raw_pieces_between_pieces"
+# The check that only that writer sizes a chunk.
+SIZED = "tests/test_source.py::test_only_the_cli_writer_sizes_a_chunk"
+# A certified table streams, and an uncertified one fails before any output.
+CERTIFIED = "tests/test_paths.py::test_every_mode_takes_its_path"
 
 
 class Mutant(NamedTuple):
@@ -68,20 +77,28 @@ MUTANTS = [
            "if (kept := self.entries.get(key)) is None:",
            (PARTS, "tests/test_memo.py", ENGINES)),
     Mutant("eviction drops the newest entry", "src/cobweb/_memo.py",
-           "self.charged -= self.entries.pop(next(iter(self.entries)))[1]",
-           "self.charged -= self.entries.popitem()[1][1]",
+           "self._drop(next(iter(self.entries)))",
+           "self._drop(next(reversed(self.entries)))",
            (PARTS, "tests/test_memo.py", ENGINES)),
     Mutant("recharge measures before the lock", "src/cobweb/_memo.py",
-           "        with self._lock:\n            kept = self.entries.get(key)\n"
-           "            if kept is not None and kept[0] is value:\n"
-           "                self._keep(key, value, measure())",
-           "        cost = measure()\n        with self._lock:\n            kept = self.entries.get(key)\n"
-           "            if kept is not None and kept[0] is value:\n"
-           "                self._keep(key, value, cost)",
+           "        with self._lock:\n            if (i := id(value)) in self._keys:\n"
+           "                self._keep(self._keys[i], value, measure())",
+           "        cost = measure()\n        with self._lock:\n"
+           "            if (i := id(value)) in self._keys:\n"
+           "                self._keep(self._keys[i], value, cost)",
            ("tests/test_memo.py",)),
-    Mutant("recharge of any value under the key", "src/cobweb/_memo.py",
-           "if kept is not None and kept[0] is value:",
-           "if kept is not None:",
+    Mutant("a dropped value stays in the index", "src/cobweb/_memo.py",
+           "            self.charged -= old[1]\n            del self._keys[id(old[0])]",
+           "            self.charged -= old[1]",
+           ("tests/test_memo.py", ENGINES)),
+    Mutant("get leaves the index on the older key", "src/cobweb/_memo.py",
+           "            self.entries[key] = kept\n"
+           "            self._keys[id(kept[0])] = key  # the caller's, so no older equal key is pinned\n",
+           "            self.entries[key] = kept\n",
+           (ENGINES,)),
+    Mutant("clear leaves the index", "src/cobweb/_memo.py",
+           "            self.entries.clear()\n            self._keys.clear()",
+           "            self.entries.clear()",
            ("tests/test_memo.py",)),
     # The prefix memo, its one door and its readers.
     Mutant("b0 never kept", "src/cobweb/_parts.py",
@@ -105,8 +122,8 @@ MUTANTS = [
            "if True:",
            (PARTS,)),
     Mutant("every lookup sieves", "src/cobweb/_parts.py",
-           "    e.key = key\n    return e",
-           "    e.key = key\n    e.parts()\n    return e",
+           "        MEMO.put(key, e, e.bits)\n    return e",
+           "        MEMO.put(key, e, e.bits)\n    e.parts()\n    return e",
            (PARTS,)),
     Mutant("bell_f_table without the walk fallback", "src/cobweb/prefab.py",
            "        except IndexOutOfDomain:\n            pass",
@@ -133,8 +150,8 @@ MUTANTS = [
            "if (kept := self.results.get(name)) is None or kept[0] is None:",
            (PARTS,)),
     Mutant("fill measured at the call site", "src/cobweb/_parts.py",
-           "MEMO.recharge(self.key, self, lambda: self.bits)",
-           "MEMO.recharge(self.key, self, (lambda bits: lambda: bits)(self.bits))",
+           "MEMO.recharge(self, lambda: self.bits)",
+           "MEMO.recharge(self, (lambda bits: lambda: bits)(self.bits))",
            (PARTS,)),
     Mutant("result table changed in place", "src/cobweb/_parts.py",
            "self.results = {**self.results, name: kept}",
@@ -172,34 +189,18 @@ MUTANTS = [
            "if self.bits + kept[1] <= MEMO.limit:",
            "if self.bits <= MEMO.limit:",
            (PARTS,)),
-    Mutant("entry key set on a miss only", "src/cobweb/_parts.py",
-           "        MEMO.put(key, e, e.bits)\n    e.key = key",
-           "        MEMO.put(key, e, e.bits)\n        e.key = key",
-           (PARTS,)),
-    Mutant("fill recharged under (rule,)", "src/cobweb/_parts.py",
-           "MEMO.recharge(self.key, self, lambda: self.bits)",
-           "MEMO.recharge(self.key and self.key[:1], self, lambda: self.bits)",
-           (PARTS,)),
-    # The engine memo's key and charge.
+    # The engine memo's charge and closure.
     Mutant("engine fill measured at the call site", "src/cobweb/poset.py",
-           "        p._up = up\n        _ENGINES.recharge(p._key, p, lambda: _charge(p))",
-           "        p._up = up\n        _ENGINES.recharge(p._key, p, (lambda size: lambda: size)(_charge(p)))",
-           (ENGINES,)),
-    Mutant("engine key never set", "src/cobweb/poset.py",
-           "    p._key = key\n    return p",
-           "    return p",
-           (ENGINES,)),
-    Mutant("engine key set on a miss only", "src/cobweb/poset.py",
-           "        _ENGINES.put(key, p, _charge(p))\n    p._key = key",
-           "        _ENGINES.put(key, p, _charge(p))\n        p._key = key",
+           "        p._up = up\n        _ENGINES.recharge(p, lambda: _charge(p))",
+           "        p._up = up\n        _ENGINES.recharge(p, (lambda size: lambda: size)(_charge(p)))",
            (ENGINES,)),
     Mutant("closure never recharged", "src/cobweb/poset.py",
-           "        p._up = up\n        _ENGINES.recharge(p._key, p, lambda: _charge(p))",
+           "        p._up = up\n        _ENGINES.recharge(p, lambda: _charge(p))",
            "        p._up = up",
            (ENGINES,)),
     Mutant("closure built at construction", "src/cobweb/poset.py",
-           "        self._key: Hashable = None  # its `_ENGINES` key",
-           "        self._key: Hashable = None  # its `_ENGINES` key\n        _upsets(self)",
+           "        self._mobius: dict[tuple[Label, Label], int] | None = None\n",
+           "        self._mobius: dict[tuple[Label, Label], int] | None = None\n        _upsets(self)\n",
            (ENGINES,)),
     Mutant("chains listed through the closure", "src/cobweb/poset.py",
            '    if mode == "enumerate":',
@@ -281,6 +282,81 @@ MUTANTS = [
            "    last = ()\n    for q, ys in poset._blocks(names):\n"
            "        ys, last = last or ys, ys\n        if ys:",
            ("tests/test_hasse.py::test_dot_cobweb_round_trip",)),
+    Mutant("Möbius head not cut to its ys", "src/cobweb/grid.py",
+           "yield x, ys, head[: len(ys)]",
+           "yield x, ys, head",
+           ("tests/test_grid.py::test_grid_mobius_matches_engine",)),
+    Mutant("raw pieces cut one piece past the cap", "src/cobweb/cli.py",
+           "if chars >= _BATCH_CHARS or len(chunk) == _BATCH_ROWS:",
+           "if chars >= _BATCH_CHARS or len(chunk) == _BATCH_ROWS + 1:",
+           (RENDER,)),
+    Mutant("rows in fixed batches", "src/cobweb/cli.py",
+           "size = max(1, min(_BATCH_ROWS, 2 * size, size * _BATCH_CHARS // len(text)))",
+           "size = _BATCH_ROWS",
+           ("tests/test_cli.py::test_render_cuts_chunks_by_size",)),
+    Mutant("_BATCH_LINES back in cobweb.hasse", "src/cobweb/hasse.py",
+           "_VIEW_NAME = '\"(%d,%d)\"'",
+           "_BATCH_LINES = 4096\n_VIEW_NAME = '\"(%d,%d)\"'",
+           (SIZED,)),
+    Mutant("a size parameter on _mobius_chunks", "src/cobweb/grid.py",
+           "def _mobius_chunks(g: GridPoset, frame: tuple[str, str, str, str]) -> Iterator[str]:",
+           "def _mobius_chunks(\n    g: GridPoset, frame: tuple[str, str, str, str], bound: int = 1 << 16\n"
+           ") -> Iterator[str]:",
+           (SIZED,)),
+    Mutant("render retry removed", "src/cobweb/cli.py",
+           "        except ValueError:\n            from ._digits import text as digits\n\n"
+           "            text = between.join([template % tuple(map(digits, row)) for row in batch])",
+           "        except ValueError:\n            raise",
+           ("tests/test_cli.py::test_results_past_the_digit_limit_print_exactly",
+            "tests/test_references.py::test_cli_prints_the_reference[catalan-2000-under-640-digits]")),
+    # The CLI's argument check, its certified rows and its exit.
+    Mutant("_need never refuses", "src/cobweb/cli.py",
+           "if any(getattr(ns, name) is None for name in names):",
+           "if False:",
+           ("tests/test_cli.py::test_usage_error_exit_code",)),
+    Mutant("every prefix taken as certified", "src/cobweb/fnomial.py",
+           "        certified = e.parts()[1] is None",
+           "        certified = True",
+           (CERTIFIED,)),
+    Mutant("Decimal rows without their certificate", "src/cobweb/fnomial.py",
+           "        certified = e.parts()[1] is None",
+           "        certified = e.parts()[1] is None or (\n"
+           "            largest is not None and _estimated_bits(e.vals, *largest) >= _DECIMAL_BITS)",
+           (CERTIFIED,)),
+    Mutant("Decimal rows outside exact_steps", "src/cobweb/fnomial.py",
+           "return _digits.exact_steps(make(FSequence(seq.name, lambda s: dvals[s - 1], n_max)))",
+           "return make(FSequence(seq.name, lambda s: dvals[s - 1], n_max))",
+           (PATHS.format("table digits-decimal rows"),)),
+    Mutant("Decimal rows at every size", "src/cobweb/fnomial.py",
+           "_DECIMAL_BITS = 3_000",
+           "_DECIMAL_BITS = 0",
+           ("tests/test_paths.py::test_every_mode_takes_its_path",)),
+    Mutant("gc.freeze() dropped from main", "src/cobweb/cli.py",
+           "    gc.freeze()\n    sys.exit(code)",
+           "    sys.exit(code)",
+           ("tests/test_cli.py::test_main_freezes_the_collector_and_exit_hooks_still_run",)),
+    Mutant("the collector frozen in run()", "src/cobweb/cli.py",
+           "    return 0\n\n\ndef main() -> None:",
+           "    import gc\n\n    gc.freeze()\n    return 0\n\n\ndef main() -> None:",
+           ("tests/test_cli.py::test_run_leaves_the_collector_as_it_found_it",
+            "tests/test_source.py::test_only_the_console_script_freezes_the_collector")),
+    # Exact decimal text past the digit limit.
+    Mutant("a 28-digit exact context", "src/cobweb/_digits.py",
+           "EXACT = Context(prec=MAX_PREC,",
+           "EXACT = Context(prec=28,",
+           (PATHS.format("digit retry-converter"),)),
+    Mutant("halving without zfill", "src/cobweb/_digits.py",
+           "_halved(high) + _halved(low).zfill(d)",
+           "_halved(high) + _halved(low)",
+           ("tests/test_paths.py::test_every_mode_takes_its_path",)),
+    Mutant("a lost minus sign", "src/cobweb/_digits.py",
+           "return d if v >= 0 else -d",
+           "return d",
+           ("tests/test_cli.py::test_render_past_the_digit_limit_equals_lifted_str",)),
+    Mutant("retry through plain Decimal()", "src/cobweb/_digits.py",
+           "return str(to_decimal(v))",
+           "return str(Decimal(v))",
+           ("tests/test_paths.py::test_every_mode_takes_its_path",)),
     # The arithmetic: sequence values, primitive parts, the GCD certificate and
     # scan, F-nomials and the prefab rows, each read against tests/references.py.
     Mutant("sieve returns at its first remainder", "src/cobweb/_parts.py",
@@ -317,6 +393,11 @@ MUTANTS = [
            "        return vals[: max(count, 2)]",
            ("tests/test_sequences.py::test_fibonacci_values_prefix",
             PATHS.format("fibonacci values-prefix"))),
+    Mutant("Fibonacci rule without __reduce__", "src/cobweb/sequences.py",
+           "    def __reduce__(self) -> str:  # copy and pickle give back the one instance\n"
+           "        return \"_FIBONACCI_RULE\"\n",
+           "",
+           ("tests/test_sequences.py::test_fibonacci_copies_and_pickles_as_itself",)),
     Mutant("_exact without its remainder check", "src/cobweb/fnomial.py",
            "    q, r = divmod(num, den)\n    if r:",
            "    q, r = divmod(num, den)\n    if False:",
@@ -356,14 +437,19 @@ def pytest_configure(config):
 
 
 def apply(m: Mutant, root: str) -> int:
-    """How often m's `old` occurs in its file; when exactly once, src/ is
+    """How often m's `old` occurs in its file; when exactly once, TREE is
     copied under root with m applied."""
     with open(os.path.join(ROOT, m.path), encoding="utf-8") as fh:
         text = fh.read()
     if (count := text.count(m.old)) != 1:
         return count
-    shutil.copytree(os.path.join(ROOT, "src"), os.path.join(root, "src"),
-                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    for name in TREE:
+        source, copy = os.path.join(ROOT, name), os.path.join(root, name)
+        if os.path.isdir(source):
+            shutil.copytree(source, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        else:
+            os.makedirs(os.path.dirname(copy), exist_ok=True)
+            shutil.copy(source, copy)
     with open(os.path.join(root, m.path), "w", encoding="utf-8") as fh:
         fh.write(text.replace(m.old, m.new))
     with open(os.path.join(root, "_mutant_plugin.py"), "w", encoding="utf-8") as fh:
@@ -383,7 +469,7 @@ def run(m: Mutant) -> str:
         cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
                "-p", "_mutant_plugin", *m.tests]
         try:
-            done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
+            done = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True,
                                   timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return "timed out"

@@ -129,6 +129,65 @@ def primitive_parts(vals):
     return parts, None
 
 
+def grid_whitney(l, m, kind):
+    """The Whitney numbers of the strict grid (l, m), ranks 0..l + m - 1: of
+    the second kind the number of elements of each rank, of the first kind
+    the sum of mu(0, x) over the elements x of each rank, 0 = (0, 1), with mu
+    from the Boolean-interval rows of ``checks``."""
+    values = [0] * (l + m)
+    if kind == "second":
+        for e in checks.grid_elements(l, m, "strict"):
+            values[checks.grid_rank(e, "strict")] += 1
+    else:
+        for a, b, c, d, mu in checks.grid_mobius_rows(l, m, "strict"):
+            if (a, b) == (0, 1):
+                values[checks.grid_rank((c, d), "strict")] += mu
+    return values
+
+
+def grid_bell(l, m):
+    """The Bell-like number of the strict grid (l, m): its second-kind
+    Whitney numbers summed."""
+    return sum(grid_whitney(l, m, "second"))
+
+
+def problems(l, m):
+    """(columns, rows) of the problems table of the strict grid (l, m): for
+    each rank k, the Whitney numbers of both kinds, then, for each neighbour
+    (l, m - 1) and (l - 1, m) that is still a strict grid, the differences
+    from its numbers, which are 0 past its top rank."""
+    columns, near = ["k", "stirling1", "stirling2"], []
+    for tag, nl, nm in (("dm", l, m - 1), ("dl", l - 1, m)):
+        if 0 <= nl < nm:
+            columns += [f"d1_{tag}", f"d2_{tag}"]
+            near.append([grid_whitney(nl, nm, kind) + [0] for kind in ("first", "second")])
+    kinds = [grid_whitney(l, m, kind) for kind in ("first", "second")]
+    rows = []
+    for k in range(l + m):
+        row = [k, *(w[k] for w in kinds)]
+        for vs in near:
+            row += [w[k] - v[k] for w, v in zip(kinds, vs)]
+        rows.append(row)
+    return columns, rows
+
+
+def weak_grid_chains(k, n):
+    """The maximal chains of the weak grid (k, n), from (0, 0) to (k, n),
+    counted over the covers: each element is reached by as many chains as
+    the elements it covers, (l - 1, m) and (l, m - 1), together."""
+    count = {}
+    for l, m in checks.grid_elements(k, n, "weak"):  # each element after those it covers
+        below = [count[x] for x in ((l - 1, m), (l, m - 1)) if x in count]
+        count[l, m] = sum(below) if below else 1
+    return count[k, n]
+
+
+def cobweb_chains(widths):
+    """The maximal chains of the cobweb levels of these widths: every level
+    covers all of the one below, so a chain picks one vertex per level."""
+    return math.prod(widths)
+
+
 def lifted_str(v):
     """str(v) with the int-to-str digit limit lifted for the call."""
     limit = sys.get_int_max_str_digits()

@@ -335,11 +335,11 @@ def test_a_charge_overtaken_by_a_later_fill_is_not_lost():
         m.take(("grid", 6, 14, "weak"))
         recharge, calls = m.memo.recharge, []
 
-        def late(key, p, measure):  # the closure's charge lands after the Möbius matrix's
+        def late(p, measure):  # the closure's charge lands after the Möbius matrix's
             if not calls:
-                calls.append(key)
+                calls.append(p)
                 engine.mobius(p)
-            return recharge(key, p, measure)
+            return recharge(p, measure)
 
         with mock.patch.object(m.memo, "recharge", late):
             m.ask(0, "leq")

@@ -28,9 +28,11 @@ class _Model:
         while sum(c for _, _, c in self.kept) > self.limit:
             self.kept.pop(0)
 
-    def recharge(self, key, value, cost):
-        if any(k == key and v is value for k, v, _ in self.kept):
-            self.put(key, value, cost)
+    def recharge(self, value, cost):
+        for k, v, _ in self.kept:
+            if v is value:
+                self.put(k, value, cost)
+                return
 
     def clear(self):
         self.kept = []
@@ -44,10 +46,8 @@ _GET = st.tuples(st.just("get"), _KEYS)
 _PUT = st.tuples(st.just("put"), _KEYS, _COSTS)
 _OPS = st.lists(
     _GET | _PUT | _GET | _PUT
-    # The index picks a value put before, kept or not, or a fresh one; the
-    # key is drawn, None, or the one the value was put under.
-    | st.tuples(st.just("recharge"), _KEYS | st.sampled_from([None, "own"]),
-                st.integers(0, 15), _COSTS)
+    # The index picks a value put before, kept or not, or a fresh one.
+    | st.tuples(st.just("recharge"), st.integers(0, 15), _COSTS)
     | st.tuples(st.just("clear")),
     min_size=20,
     max_size=80,
@@ -67,10 +67,9 @@ def test_memo_matches_a_list_model(limit, ops):
             memo.put(op[1], value, op[2])
             model.put(op[1], value, op[2])
         elif op[0] == "recharge":
-            value = made[op[2]] if op[2] < len(made) else [op[2]]
-            key = value[0] if op[1] == "own" else op[1]
-            memo.recharge(key, value, lambda: op[3])
-            model.recharge(key, value, op[3])
+            value = made[op[1]] if op[1] < len(made) else [op[1]]
+            memo.recharge(value, lambda: op[2])
+            model.recharge(value, op[2])
         else:
             memo.clear()
             model.clear()
@@ -91,8 +90,8 @@ def test_recharge_measures_a_kept_value_under_the_lock():
         measured.append(memo._lock.locked())
         return 20
 
-    memo.recharge(0, kept, measure)
-    memo.recharge(1, dropped, measure)
+    memo.recharge(kept, measure)
+    memo.recharge(dropped, measure)
     assert measured == [True]
     assert memo.entries == {0: (kept, 20)} and memo.charged == 20
 
@@ -108,8 +107,8 @@ def test_recharge_reads_only_the_entry_under_its_key():
     for k, value in enumerate(values):
         memo.put(k, value, 10)
     memo.entries = _Unscannable(memo.entries)
-    memo.recharge(0, values[0], lambda: 20)  # the oldest
-    memo.recharge(None, [0], lambda: 30)  # a value never kept
+    memo.recharge(values[0], lambda: 20)  # the oldest
+    memo.recharge([0], lambda: 30)  # a value never kept
     assert list(memo.entries) == [*range(1, 400), 0]
     assert memo.entries[0][0] is values[0] and memo.entries[0][1] == 20
     assert memo.charged == 399 * 10 + 20
@@ -121,6 +120,6 @@ def test_a_recharge_under_a_key_that_holds_another_value_changes_nothing():
     memo.put(0, old, 10)
     memo.put(1, [1], 10)
     memo.put(0, new, 30)
-    memo.recharge(0, old, lambda: 50)
+    memo.recharge(old, lambda: 50)
     assert [(k, v, c) for k, (v, c) in memo.entries.items()] == [(1, [1], 10), (0, new, 30)]
     assert memo.entries[0][0] is new and memo.charged == 40

@@ -19,7 +19,8 @@ from pathlib import Path
 import pytest
 
 from cobweb import cli
-from references import checks, gcd_morphic
+from references import (checks, cobweb_chains, gcd_morphic, grid_bell, grid_whitney, problems,
+                        weak_grid_chains)
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -99,6 +100,24 @@ CASES = {
         ["chains", "--family", "grid", "--k", "48", "--n", "129", "--mode", "strict",
          "--method", "brute"],
         lambda: f"{checks.strict_chains(48, 129)}\n", None),
+    # Closed counts and the grid's Whitney, Bell and problems tables, each
+    # against a reference that counts, sums or walks the elements.
+    "whitney-grid-second-12-30": (
+        ["whitney", "--family", "grid", "--l", "12", "--m", "30"],
+        lambda: _lines(("k", "value"), enumerate(grid_whitney(12, 30, "second"))), None),
+    "whitney-grid-first-12-30": (
+        ["whitney", "--family", "grid", "--l", "12", "--m", "30", "--kind", "first"],
+        lambda: _lines(("k", "value"), enumerate(grid_whitney(12, 30, "first"))), None),
+    "bell-grid-12-30": (
+        ["bell", "--family", "grid", "--l", "12", "--m", "30"],
+        lambda: f"{grid_bell(12, 30)}\n", None),
+    "problems-6-14": (["problems", "--l", "6", "--m", "14"], lambda: _lines(*problems(6, 14)), None),
+    "closed-grid-weak-40-90": (
+        ["chains", "--family", "grid", "--k", "40", "--n", "90", "--mode", "weak"],
+        lambda: f"{weak_grid_chains(40, 90)}\n", None),
+    "closed-cobweb-fibonacci-3-18": (
+        ["chains", "--family", "cobweb", "--seq", "fibonacci", "--k", "3", "--n", "18"],
+        lambda: f"{cobweb_chains(checks.seq_values('fibonacci', 18)[2:])}\n", None),
 }
 
 
@@ -134,6 +153,11 @@ REFERENCE_CALLS = {
     "gcd_morphic": "gcd_morphic([1, 2, 4])",
     "primitive_parts": "primitive_parts([1, 2, 3, 4])",
     "exact_prefix": "exact_prefix(([1, 1, 2], None), 2)",
+    "grid_whitney": "grid_whitney(1, 3, 'first')",
+    "grid_bell": "grid_bell(1, 3)",
+    "problems": "problems(2, 4)",
+    "weak_grid_chains": "weak_grid_chains(2, 3)",
+    "cobweb_chains": "cobweb_chains([1, 2, 3])",
     "lifted_str": "lifted_str(10**5000)",
     "record_text": "record_text(None, ('k', 'value'), [(0, 1)], 'json')",
     "dot_text": "dot_text(['a', 'b'], [('a', 'b')], {'a': 0, 'b': 1})",
